@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all build test race bench benchsmoke benchdiff vet fmt check fuzz stress lockrank migrate trace examples tables attacks xsa demo serve serve-smoke clean
+.PHONY: all build test race bench benchsmoke benchdiff vet fmt check fuzz stress lockrank migrate trace examples tables attacks xsa demo serve serve-smoke benchmark-smoke clean
 
 all: build test
 
-check: build vet test lockrank race stress fuzz benchsmoke serve-smoke
+check: build vet test lockrank race stress fuzz benchsmoke serve-smoke benchmark-smoke
 	$(GO) run ./examples/migration
 	$(GO) run ./cmd/fidelius-serve -tenants 2 -clients 16 -duration 100 -tamper 1
 
@@ -59,6 +59,14 @@ bench:
 # benchmark harness without paying for a full measurement run.
 benchsmoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x .
+
+# The end-to-end benchmark (benchmark/, its own Go module): its tests run
+# all four workloads in quick mode, plain and traced, then run.sh builds
+# the binary from source and runs every workload once more. Any failed
+# correctness gate exits nonzero.
+benchmark-smoke:
+	cd benchmark && $(GO) test ./...
+	bash benchmark/run.sh --workload all --quick --seconds 1
 
 # Regression gate between two captured benchmark artifacts, e.g.
 # `make benchdiff BENCH_OLD=BENCH_8.json BENCH_NEW=BENCH_9.json`.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -180,5 +181,23 @@ func TestNewPlatformConfigs(t *testing.T) {
 		if (p.F != nil) != (cfg != ConfigXen) {
 			t.Errorf("%s: fidelius presence wrong", cfg)
 		}
+	}
+}
+
+// TestBootFootprint guards the host cost of one boot: DRAM frames are
+// backed on first write and the monopolisation scan is a byte pass, so a
+// platform allocates in proportion to what it touches. A full-DRAM scrub
+// or a per-byte allocating scan coming back would blow through this.
+func TestBootFootprint(t *testing.T) {
+	const limit = 4 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewPlatform(ConfigFideliusEnc, workload.GuestMemPages)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Fatalf("one boot allocated %d bytes, want < %d", got, limit)
 	}
 }

@@ -79,7 +79,13 @@ const VMCBSize = 4 + 4 + 8*6 + 1 + 7 + 8*6 + 8*NumRegs
 
 // Marshal encodes the VMCB little-endian into a fixed-size buffer.
 func (v *VMCB) Marshal() []byte {
-	b := make([]byte, VMCBSize)
+	var b [VMCBSize]byte
+	v.encode(&b)
+	return b[:]
+}
+
+// encode writes the VMCB's binary form into b.
+func (v *VMCB) encode(b *[VMCBSize]byte) {
 	le := binary.LittleEndian
 	le.PutUint32(b[0:], uint32(v.ExitCode))
 	le.PutUint32(b[4:], v.GuestASID)
@@ -99,7 +105,6 @@ func (v *VMCB) Marshal() []byte {
 	for i := 0; i < NumRegs; i++ {
 		le.PutUint64(b[112+8*i:], v.Regs[i])
 	}
-	return b
 }
 
 // UnmarshalVMCB decodes a VMCB from its binary form.
@@ -107,8 +112,15 @@ func UnmarshalVMCB(b []byte) (*VMCB, error) {
 	if len(b) < VMCBSize {
 		return nil, fmt.Errorf("cpu: short VMCB: %d < %d", len(b), VMCBSize)
 	}
+	v := new(VMCB)
+	v.decode((*[VMCBSize]byte)(b))
+	return v, nil
+}
+
+// decode overwrites v with the VMCB encoded in b.
+func (v *VMCB) decode(b *[VMCBSize]byte) {
 	le := binary.LittleEndian
-	v := &VMCB{
+	*v = VMCB{
 		ExitCode:   ExitReason(le.Uint32(b[0:])),
 		GuestASID:  le.Uint32(b[4:]),
 		ExitInfo1:  le.Uint64(b[8:]),
@@ -126,21 +138,32 @@ func UnmarshalVMCB(b []byte) (*VMCB, error) {
 	for i := 0; i < NumRegs; i++ {
 		v.Regs[i] = le.Uint64(b[112+8*i:])
 	}
-	return v, nil
 }
 
 // LoadVMCB reads a VMCB from physical memory through the controller.
 // VMCBs are plaintext host memory (the SEV weakness Fidelius papers over),
-// so the access carries no C-bit.
+// so the access carries no C-bit. It is small enough to inline, so a
+// caller that does not keep the VMCB holds it on its own stack.
 func LoadVMCB(ctl *hw.Controller, pa hw.PhysAddr) (*VMCB, error) {
-	buf := make([]byte, VMCBSize)
-	if err := ctl.Read(hw.Access{PA: pa}, buf); err != nil {
+	v := new(VMCB)
+	if err := v.load(ctl, pa); err != nil {
 		return nil, err
 	}
-	return UnmarshalVMCB(buf)
+	return v, nil
+}
+
+func (v *VMCB) load(ctl *hw.Controller, pa hw.PhysAddr) error {
+	var b [VMCBSize]byte
+	if err := ctl.Read(hw.Access{PA: pa}, b[:]); err != nil {
+		return err
+	}
+	v.decode(&b)
+	return nil
 }
 
 // StoreVMCB writes a VMCB to physical memory through the controller.
 func StoreVMCB(ctl *hw.Controller, pa hw.PhysAddr, v *VMCB) error {
-	return ctl.Write(hw.Access{PA: pa}, v.Marshal())
+	var b [VMCBSize]byte
+	v.encode(&b)
+	return ctl.Write(hw.Access{PA: pa}, b[:])
 }

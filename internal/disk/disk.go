@@ -96,19 +96,18 @@ func NewImageCipher(kblk [32]byte) (*ImageCipher, error) {
 	return &ImageCipher{data: data, tweak: tweak}, nil
 }
 
-func (c *ImageCipher) tweakFor(off uint64) [16]byte {
-	var in, out [16]byte
-	binary.LittleEndian.PutUint64(in[:8], off)
-	c.tweak.Encrypt(out[:], in[:])
-	return out
-}
-
+// xex transforms b in place, one 16-byte block at a time, each tweaked by
+// its byte offset on the disk. The tweak buffers are shared by every block
+// of the call: passed to the cipher interface they live on the heap, and
+// per-block buffers would be one allocation per 16 bytes.
 func (c *ImageCipher) xex(lba uint64, b []byte, encrypt bool) error {
 	if len(b)%16 != 0 {
 		return fmt.Errorf("disk: buffer length %d not block aligned", len(b))
 	}
+	var in, t [16]byte
 	for i := 0; i < len(b); i += 16 {
-		t := c.tweakFor(lba*SectorSize + uint64(i))
+		binary.LittleEndian.PutUint64(in[:8], lba*SectorSize+uint64(i))
+		c.tweak.Encrypt(t[:], in[:])
 		for j := 0; j < 16; j++ {
 			b[i+j] ^= t[j]
 		}

@@ -149,14 +149,46 @@ func (s *PageCipher) DecryptPage(pa PhysAddr, b []byte) { s.DecryptLine(pa, b) }
 // controller. Keys are installed per ASID by the SEV firmware (ACTIVATE)
 // and never leave the engine.
 //
-// The slot table is a fixed array of atomically published cipher pointers
-// indexed directly by ASID — the software analogue of the hardware key
-// RAM. The memory hot path (one lookup per cache line, previously one
-// RWMutex acquisition plus a map probe per 16-byte block) resolves a slot
-// with a single atomic load.
+// The slot table is a two-level array of atomically published cipher
+// pointers indexed directly by ASID — the software analogue of the
+// hardware key RAM. The memory hot path (one lookup per transaction,
+// previously one RWMutex acquisition plus a map probe per 16-byte block)
+// resolves a slot with two atomic loads. A chunk of slots is installed by
+// the first Install that reaches it, so an engine holds only the key RAM
+// its ASIDs touch: a flat 64 Ki-slot table cost every boot 512 KiB of
+// zeroing and every garbage collection a 512 KiB pointer scan.
 type Engine struct {
-	slots [NumSlots]atomic.Pointer[PageCipher]
-	keys  atomic.Int64
+	chunks [NumSlots / slotChunk]atomic.Pointer[slotTable]
+	keys   atomic.Int64
+}
+
+// slotChunk is the number of key slots per lazily installed chunk.
+const slotChunk = 256
+
+type slotTable [slotChunk]atomic.Pointer[PageCipher]
+
+// lookup returns the cipher installed for the ASID, or nil.
+func (e *Engine) lookup(asid ASID) *PageCipher {
+	t := e.chunks[asid/slotChunk].Load()
+	if t == nil {
+		return nil
+	}
+	return t[asid%slotChunk].Load()
+}
+
+// entry returns the ASID's slot, installing its chunk with a CAS if no
+// key in that chunk has been installed yet.
+func (e *Engine) entry(asid ASID) *atomic.Pointer[PageCipher] {
+	c := &e.chunks[asid/slotChunk]
+	t := c.Load()
+	if t == nil {
+		if n := new(slotTable); c.CompareAndSwap(nil, n) {
+			t = n
+		} else {
+			t = c.Load()
+		}
+	}
+	return &t[asid%slotChunk]
 }
 
 // NewEngine returns an engine with no keys installed.
@@ -172,7 +204,7 @@ func (e *Engine) Install(asid ASID, key Key) error {
 	if err != nil {
 		return err
 	}
-	if e.slots[asid].Swap(slot) == nil {
+	if e.entry(asid).Swap(slot) == nil {
 		e.keys.Add(1)
 	}
 	return nil
@@ -180,7 +212,8 @@ func (e *Engine) Install(asid ASID, key Key) error {
 
 // Uninstall removes the key for the ASID (SEV DEACTIVATE).
 func (e *Engine) Uninstall(asid ASID) {
-	if e.slots[asid].Swap(nil) != nil {
+	t := e.chunks[asid/slotChunk].Load()
+	if t != nil && t[asid%slotChunk].Swap(nil) != nil {
 		e.keys.Add(-1)
 	}
 }
@@ -192,14 +225,14 @@ func (e *Engine) Keys() int {
 
 // Installed reports whether a key is present for the ASID.
 func (e *Engine) Installed(asid ASID) bool {
-	return e.slots[asid].Load() != nil
+	return e.lookup(asid) != nil
 }
 
 // Slot resolves the cipher for an ASID. Hot paths call this once per
 // transaction and then drive the returned PageCipher directly, instead of
 // re-resolving (and re-checking the error) per block.
 func (e *Engine) Slot(asid ASID) (*PageCipher, error) {
-	s := e.slots[asid].Load()
+	s := e.lookup(asid)
 	if s == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoKey, asid)
 	}

@@ -13,6 +13,7 @@ package hw
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // PageSize is the size of a physical page in bytes.
@@ -42,10 +43,17 @@ func (a PhysAddr) Offset() uint64 { return uint64(a) & (PageSize - 1) }
 // ErrOutOfRange reports an access beyond the installed physical memory.
 var ErrOutOfRange = errors.New("hw: physical address out of range")
 
-// Memory is a flat physical memory. All contents are stored exactly as a
-// bus analyser would see them: ciphertext for encrypted pages.
+// Memory is the installed physical memory. All contents are stored exactly
+// as a bus analyser would see them: ciphertext for encrypted pages.
+//
+// Frames are backed on first write: each frame's backing array is
+// installed by the first WriteRaw or FlipBit that reaches it, and a frame
+// nobody has written reads as zeros, exactly as freshly zeroed DRAM would.
+// A raw reader therefore sees the same bytes as over a flat zeroed array,
+// while a machine only pays host memory for the frames it touches.
 type Memory struct {
-	data []byte
+	frames []atomic.Pointer[[PageSize]byte]
+	size   uint64
 
 	// fault, when non-nil, is a one-shot injected DRAM fault armed by
 	// InjectFault (test instrumentation for channel-error paths).
@@ -61,7 +69,7 @@ type memFault struct {
 
 // NewMemory returns a memory of the given number of 4 KiB pages.
 func NewMemory(pages int) *Memory {
-	return &Memory{data: make([]byte, pages*PageSize)}
+	return NewMemoryBytes(pages * PageSize)
 }
 
 // NewMemoryBytes returns a memory of an arbitrary byte size, not
@@ -69,20 +77,42 @@ func NewMemory(pages int) *Memory {
 // region (e.g. one stolen by firmware) presents to the controller, which
 // must clamp partial-block traffic at the very end of DRAM.
 func NewMemoryBytes(n int) *Memory {
-	return &Memory{data: make([]byte, n)}
+	if n < 0 {
+		panic(fmt.Sprintf("hw: negative memory size %d", n))
+	}
+	return &Memory{
+		frames: make([]atomic.Pointer[[PageSize]byte], (n+PageSize-1)/PageSize),
+		size:   uint64(n),
+	}
 }
 
 // Pages reports the number of physical pages installed.
-func (m *Memory) Pages() int { return len(m.data) / PageSize }
+func (m *Memory) Pages() int { return int(m.size / PageSize) }
 
 // Size reports the installed memory size in bytes.
-func (m *Memory) Size() uint64 { return uint64(len(m.data)) }
+func (m *Memory) Size() uint64 { return m.size }
 
+// check bounds [pa, pa+n) by the installed size without forming pa+n,
+// which would wrap for an address near 2^64.
 func (m *Memory) check(pa PhysAddr, n int) error {
-	if uint64(pa)+uint64(n) > uint64(len(m.data)) {
-		return fmt.Errorf("%w: %#x+%d > %#x", ErrOutOfRange, pa, n, len(m.data))
+	if uint64(pa) > m.size || uint64(n) > m.size-uint64(pa) {
+		return fmt.Errorf("%w: %#x+%d > %#x", ErrOutOfRange, pa, n, m.size)
 	}
 	return nil
+}
+
+// backing returns the frame's backing array, installing a zeroed one if
+// the frame has never been written. The install is a CAS, so concurrent
+// first writes to one frame agree on a single array and no store is lost.
+func (m *Memory) backing(f PFN) *[PageSize]byte {
+	slot := &m.frames[f]
+	if p := slot.Load(); p != nil {
+		return p
+	}
+	if p := new([PageSize]byte); slot.CompareAndSwap(nil, p) {
+		return p
+	}
+	return slot.Load()
 }
 
 // InjectFault arms a one-shot DRAM fault: the next ReadRaw or WriteRaw
@@ -115,7 +145,30 @@ func (m *Memory) ReadRaw(pa PhysAddr, buf []byte) error {
 	if err := m.takeFault(pa, len(buf)); err != nil {
 		return err
 	}
-	copy(buf, m.data[pa:])
+	if len(buf) == 0 {
+		// pa may equal Size, one frame past the last.
+		return nil
+	}
+	if off := pa.Offset(); off+uint64(len(buf)) <= PageSize {
+		// Single-frame fast path: every cache-line fill lands here.
+		if p := m.frames[pa.Frame()].Load(); p != nil {
+			copy(buf, p[off:])
+		} else {
+			clear(buf)
+		}
+		return nil
+	}
+	for len(buf) > 0 {
+		off := pa.Offset()
+		n := min(len(buf), int(PageSize-off))
+		if p := m.frames[pa.Frame()].Load(); p != nil {
+			copy(buf[:n], p[off:])
+		} else {
+			clear(buf[:n])
+		}
+		buf = buf[n:]
+		pa += PhysAddr(n)
+	}
 	return nil
 }
 
@@ -128,7 +181,11 @@ func (m *Memory) WriteRaw(pa PhysAddr, data []byte) error {
 	if err := m.takeFault(pa, len(data)); err != nil {
 		return err
 	}
-	copy(m.data[pa:], data)
+	for len(data) > 0 {
+		n := copy(m.backing(pa.Frame())[pa.Offset():], data)
+		data = data[n:]
+		pa += PhysAddr(n)
+	}
 	return nil
 }
 
@@ -137,6 +194,6 @@ func (m *Memory) FlipBit(pa PhysAddr, bit uint) error {
 	if err := m.check(pa, 1); err != nil {
 		return err
 	}
-	m.data[pa] ^= 1 << (bit & 7)
+	m.backing(pa.Frame())[pa.Offset()] ^= 1 << (bit & 7)
 	return nil
 }

@@ -173,3 +173,81 @@ func TestOpStringAndLen(t *testing.T) {
 		t.Fatal("unknown opcode must have length 0")
 	}
 }
+
+// scanPrivilegedDecode is the original Decode-driven scanner, kept as the
+// reference the byte-level ScanPrivileged must agree with.
+func scanPrivilegedDecode(code []byte) []Finding {
+	boundaries := make(map[int]bool)
+	for off := 0; off < len(code); {
+		boundaries[off] = true
+		_, n, err := Decode(code[off:])
+		if err != nil {
+			off++
+			continue
+		}
+		off += n
+	}
+	var out []Finding
+	for i, b := range code {
+		if Privileged(Op(b)) {
+			out = append(out, Finding{Offset: i, Op: Op(b), Aligned: boundaries[i]})
+		}
+	}
+	return out
+}
+
+// monopolisedDecode is the original Monopolised, over the reference scan.
+func monopolisedDecode(code []byte, allowed map[int]Op) bool {
+	for _, f := range scanPrivilegedDecode(code) {
+		want, ok := allowed[f.Offset]
+		if !ok || want != f.Op {
+			return false
+		}
+	}
+	return true
+}
+
+// opAlphabet biases generated code towards real encodings: every opcode,
+// undecodable bytes, and the zero padding a code page is mostly made of.
+var opAlphabet = []byte{
+	0x00, 0x00, 0x00, 0x0C, 0xEE, 0xF7, 0xFF,
+	byte(OpNop), byte(OpALU), byte(OpLoad), byte(OpStore), byte(OpJmp),
+	byte(OpCall), byte(OpRet), byte(OpHlt), byte(OpCpuid), byte(OpVmmcall),
+	byte(OpMovImm), byte(OpMovCR0), byte(OpMovCR3), byte(OpMovCR4),
+	byte(OpWrmsr), byte(OpVmrun), byte(OpLgdt), byte(OpLidt),
+}
+
+func TestPropertyScannerMatchesDecodeReference(t *testing.T) {
+	f := func(raw []byte, biased bool, allowMask, wrongMask uint64) bool {
+		code := raw
+		if biased {
+			code = make([]byte, len(raw))
+			for i, b := range raw {
+				code[i] = opAlphabet[int(b)%len(opAlphabet)]
+			}
+		}
+		want := scanPrivilegedDecode(code)
+		if got := ScanPrivileged(code); !reflect.DeepEqual(got, want) {
+			t.Logf("code %x\n got %+v\nwant %+v", code, got, want)
+			return false
+		}
+		// Sanction a subset of the findings, some with the wrong opcode,
+		// plus one offset that holds no privileged byte at all.
+		allowed := map[int]Op{len(code): OpVmrun}
+		for i, fd := range want {
+			if allowMask>>(i%64)&1 == 0 {
+				continue
+			}
+			op := fd.Op
+			if wrongMask>>(i%64)&1 == 1 {
+				op ^= 1
+			}
+			allowed[fd.Offset] = op
+		}
+		return Monopolised(code, allowed) == monopolisedDecode(code, allowed) &&
+			Monopolised(code, nil) == monopolisedDecode(code, nil)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -17,23 +17,25 @@ type Finding struct {
 // each privileged instruction is monopolised — i.e. occurs nowhere in the
 // hypervisor's code region except the single sanctioned copy inside
 // Fidelius's own gates.
+//
+// The boundary walk follows Decode's rules without decoding: an opcode
+// whose whole encoding fits in the region advances by its length, and an
+// unknown or truncated opcode advances one byte, so every byte of an
+// undecodable region is a potential boundary.
 func ScanPrivileged(code []byte) []Finding {
-	boundaries := make(map[int]bool)
+	boundary := make([]bool, len(code))
 	for off := 0; off < len(code); {
-		boundaries[off] = true
-		_, n, err := Decode(code[off:])
-		if err != nil {
-			// Undecodable bytes advance one at a time; every byte
-			// of an undecodable region is a potential boundary.
+		boundary[off] = true
+		if n := Op(code[off]).Len(); n != 0 && n <= len(code)-off {
+			off += n
+		} else {
 			off++
-			continue
 		}
-		off += n
 	}
 	var out []Finding
 	for i, b := range code {
 		if Privileged(Op(b)) {
-			out = append(out, Finding{Offset: i, Op: Op(b), Aligned: boundaries[i]})
+			out = append(out, Finding{Offset: i, Op: Op(b), Aligned: boundary[i]})
 		}
 	}
 	return out
@@ -41,11 +43,14 @@ func ScanPrivileged(code []byte) []Finding {
 
 // Monopolised reports whether the code region contains privileged opcode
 // bytes only at the allowed offsets. allowed maps offset to the expected
-// opcode. Any extra or mismatched finding fails the check.
+// opcode. Any extra or mismatched finding fails the check. Alignment is
+// irrelevant to the verdict, so this is a single pass over the bytes.
 func Monopolised(code []byte, allowed map[int]Op) bool {
-	for _, f := range ScanPrivileged(code) {
-		want, ok := allowed[f.Offset]
-		if !ok || want != f.Op {
+	for i, b := range code {
+		if !Privileged(Op(b)) {
+			continue
+		}
+		if want, ok := allowed[i]; !ok || want != Op(b) {
 			return false
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"crypto/hmac"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"fidelius/internal/cycles"
@@ -234,8 +235,8 @@ func (f *Firmware) audit(class string, asid hw.ASID, detail string) {
 // openGuarded is openPacket plus an audit record on failure — a transport
 // packet whose tag does not verify is a migration-stream tampering
 // attempt caught in the act.
-func (f *Firmware) openGuarded(c *Context, pkt Packet) ([]byte, error) {
-	plain, err := openPacket(c.transport, pkt)
+func (f *Firmware) openGuarded(c *Context, pkt Packet, plain []byte) ([]byte, error) {
+	plain, err := openPacket(c.transport, pkt, plain)
 	if err != nil && f.auditing() {
 		f.audit("transport-tag", c.asid, err.Error())
 	}
@@ -587,14 +588,14 @@ func (f *Firmware) SendUpdate(h Handle, pfn hw.PFN) (Packet, error) {
 	if c.state != StateSending {
 		return Packet{}, fmt.Errorf("%w: send_update in %v", ErrBadState, c.state)
 	}
-	var page [hw.PageSize]byte
-	if err := f.ctl.Mem.ReadRaw(pfn.Addr(), page[:]); err != nil {
+	page := make([]byte, hw.PageSize)
+	if err := f.ctl.Mem.ReadRaw(pfn.Addr(), page); err != nil {
 		return Packet{}, err
 	}
-	c.cipher.DecryptPage(pfn.Addr(), page[:])
+	c.cipher.DecryptPage(pfn.Addr(), page)
 	seq := c.seq
 	c.seq++
-	pkt, err := sealPacket(c.transport, seq, page[:])
+	pkt, err := sealPacket(c.transport, seq, page)
 	if err != nil {
 		return Packet{}, err
 	}
@@ -633,20 +634,23 @@ func (f *Firmware) SendUpdateBuf(h Handle, pa hw.PhysAddr, n int, seq uint64) (P
 	return pkt, nil
 }
 
-func sealPacket(tk TransportKeys, seq uint64, plain []byte) (Packet, error) {
-	data := append([]byte{}, plain...)
+// sealPacket encrypts data in place under the transport key and tags it;
+// the returned packet owns data, so callers hand over a fresh buffer.
+func sealPacket(tk TransportKeys, seq uint64, data []byte) (Packet, error) {
 	if err := transportXOR(tk.TEK, seq, data); err != nil {
 		return Packet{}, err
 	}
 	return Packet{Seq: seq, Data: data, Tag: transportMAC(tk.TIK, seq, data)}, nil
 }
 
-func openPacket(tk TransportKeys, pkt Packet) ([]byte, error) {
+// openPacket verifies the packet's tag and decrypts its payload into
+// plain, which must be len(pkt.Data) bytes; the packet is left untouched.
+func openPacket(tk TransportKeys, pkt Packet, plain []byte) ([]byte, error) {
 	want := transportMAC(tk.TIK, pkt.Seq, pkt.Data)
 	if !hmac.Equal(want[:], pkt.Tag[:]) {
 		return nil, ErrBadTag
 	}
-	plain := append([]byte{}, pkt.Data...)
+	copy(plain, pkt.Data)
 	if err := transportXOR(tk.TEK, pkt.Seq, plain); err != nil {
 		return nil, err
 	}
@@ -798,6 +802,21 @@ func (f *Firmware) ReceiveHelperStart(base Handle, w WrappedKeys, originPub *ecd
 	return h, nil
 }
 
+// stagingPages recycles the receive commands' plaintext staging pages,
+// each live only from its packet's opening to its DRAM commit: a
+// migration would otherwise allocate a page of garbage per page received.
+var stagingPages = sync.Pool{New: func() any { return new([hw.PageSize]byte) }}
+
+// stagingBuf is the buffer to open an n-byte packet into: the staging
+// page when the packet carries a page, else a fresh buffer, which the
+// size check after opening refuses.
+func stagingBuf(page *[hw.PageSize]byte, n int) []byte {
+	if n == hw.PageSize {
+		return page[:]
+	}
+	return make([]byte, n)
+}
+
 // ReceiveUpdate decrypts one transport packet and writes the page
 // re-encrypted with the context's Kvek at pfn. Packets must arrive in
 // sequence order: the context tracks the next expected sequence number,
@@ -815,7 +834,9 @@ func (f *Firmware) ReceiveUpdate(h Handle, pfn hw.PFN, pkt Packet) error {
 	if pkt.Seq != c.seq {
 		return fmt.Errorf("%w: got %d, want %d", ErrBadSequence, pkt.Seq, c.seq)
 	}
-	plain, err := f.openGuarded(c, pkt)
+	page := stagingPages.Get().(*[hw.PageSize]byte)
+	defer stagingPages.Put(page)
+	plain, err := f.openGuarded(c, pkt, stagingBuf(page, len(pkt.Data)))
 	if err != nil {
 		return err
 	}
@@ -844,7 +865,7 @@ func (f *Firmware) ReceiveUpdateBuf(h Handle, pa hw.PhysAddr, pkt Packet) error 
 	if pa%hw.BlockSize != 0 || len(pkt.Data)%hw.BlockSize != 0 {
 		return ErrNotAligned
 	}
-	plain, err := f.openGuarded(c, pkt)
+	plain, err := f.openGuarded(c, pkt, make([]byte, len(pkt.Data)))
 	if err != nil {
 		return err
 	}
@@ -911,12 +932,12 @@ func (f *Firmware) SendUpdatePages(h Handle, pfns []hw.PFN) ([]Packet, error) {
 	base := c.seq
 	pkts := make([]Packet, len(pfns))
 	if err := f.pool.ForEach(len(pfns), func(i int) error {
-		var page [hw.PageSize]byte
-		if err := f.ctl.Mem.ReadRaw(pfns[i].Addr(), page[:]); err != nil {
+		page := make([]byte, hw.PageSize)
+		if err := f.ctl.Mem.ReadRaw(pfns[i].Addr(), page); err != nil {
 			return err
 		}
-		c.cipher.DecryptPage(pfns[i].Addr(), page[:])
-		pkt, err := sealPacket(c.transport, base+uint64(i), page[:])
+		c.cipher.DecryptPage(pfns[i].Addr(), page)
+		pkt, err := sealPacket(c.transport, base+uint64(i), page)
 		if err != nil {
 			return err
 		}
@@ -952,12 +973,20 @@ func (f *Firmware) ReceiveUpdatePages(h Handle, pfns []hw.PFN, pkts []Packet) er
 		return fmt.Errorf("sev: receive_update_pages: %d pfns, %d packets", len(pfns), len(pkts))
 	}
 	base := c.seq
-	pages := make([][]byte, len(pfns))
+	pages := make([]*[hw.PageSize]byte, len(pfns))
+	defer func() {
+		for _, p := range pages {
+			if p != nil {
+				stagingPages.Put(p)
+			}
+		}
+	}()
 	if err := f.pool.ForEach(len(pfns), func(i int) error {
 		if pkts[i].Seq != base+uint64(i) {
 			return fmt.Errorf("%w: got %d, want %d", ErrBadSequence, pkts[i].Seq, base+uint64(i))
 		}
-		plain, err := f.openGuarded(c, pkts[i])
+		pages[i] = stagingPages.Get().(*[hw.PageSize]byte)
+		plain, err := f.openGuarded(c, pkts[i], stagingBuf(pages[i], len(pkts[i].Data)))
 		if err != nil {
 			return err
 		}
@@ -965,7 +994,6 @@ func (f *Firmware) ReceiveUpdatePages(h Handle, pfns []hw.PFN, pkts []Packet) er
 			return fmt.Errorf("sev: receive_update packet is %d bytes, want a page", len(plain))
 		}
 		c.cipher.EncryptPage(pfns[i].Addr(), plain)
-		pages[i] = plain
 		return nil
 	}); err != nil {
 		return err
@@ -975,7 +1003,7 @@ func (f *Firmware) ReceiveUpdatePages(h Handle, pfns []hw.PFN, pkts []Packet) er
 		c.measure = measureChain(c.measure, pkts[i].Tag)
 		f.charge(cycles.SEVCommand + cycles.PageCopy + hw.PageSize/hw.BlockSize*cycles.AESBlockSEV)
 		f.command("receive-update", h)
-		if err := f.ctl.FirmwareWrite(pfns[i].Addr(), pages[i]); err != nil {
+		if err := f.ctl.FirmwareWrite(pfns[i].Addr(), pages[i][:]); err != nil {
 			return err
 		}
 	}

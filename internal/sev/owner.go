@@ -79,9 +79,9 @@ func (o *Owner) PrepareImage(platformPub *ecdh.PublicKey, kernel []byte) (*Encry
 	pages := (len(kernel) + hw.PageSize - 1) / hw.PageSize
 	img := &EncryptedImage{}
 	for i := 0; i < pages; i++ {
-		var page [hw.PageSize]byte
-		copy(page[:], kernel[i*hw.PageSize:])
-		pkt, err := sealPacket(tk, uint64(i), page[:])
+		page := make([]byte, hw.PageSize)
+		copy(page, kernel[i*hw.PageSize:])
+		pkt, err := sealPacket(tk, uint64(i), page)
 		if err != nil {
 			return nil, WrappedKeys{}, err
 		}

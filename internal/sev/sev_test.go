@@ -171,6 +171,54 @@ func TestOwnerImageReceiveBoot(t *testing.T) {
 	}
 }
 
+// TestReceiveRefusesPartialPage drives both receive commands with packets
+// that do not carry a whole page: a forged one fails its tag check, a
+// correctly sealed one fails the size check, and neither reaches DRAM.
+func TestReceiveRefusesPartialPage(t *testing.T) {
+	fw, ctl := newFW(t, 64)
+	owner, _ := NewOwner()
+	platformPub, _ := fw.PublicKey()
+	_, kwrap, err := owner.PrepareImage(platformPub, bytes.Repeat([]byte{7}, hw.PageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bulk := range []bool{false, true} {
+		h, err := fw.ReceiveStart(kwrap, owner.PublicKey(), owner.Nonce())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := fw.ctx(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		short, err := sealPacket(c.transport, 0, bytes.Repeat([]byte{9}, 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		forged := short
+		forged.Tag[0] ^= 1
+		receive := func(p Packet) error {
+			if bulk {
+				return fw.ReceiveUpdatePages(h, []hw.PFN{5}, []Packet{p})
+			}
+			return fw.ReceiveUpdate(h, 5, p)
+		}
+		if err := receive(forged); !errors.Is(err, ErrBadTag) {
+			t.Fatalf("bulk=%v: forged short packet: got %v, want ErrBadTag", bulk, err)
+		}
+		if err := receive(short); err == nil || errors.Is(err, ErrBadTag) {
+			t.Fatalf("bulk=%v: sealed short packet: got %v, want a size error", bulk, err)
+		}
+		raw := make([]byte, hw.PageSize)
+		if err := ctl.Mem.ReadRaw(hw.PFN(5).Addr(), raw); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, make([]byte, hw.PageSize)) {
+			t.Fatalf("bulk=%v: a refused packet reached DRAM", bulk)
+		}
+	}
+}
+
 func TestReceiveDetectsTamper(t *testing.T) {
 	fw, _ := newFW(t, 64)
 	owner, _ := NewOwner()
@@ -453,11 +501,11 @@ func TestPropertyTransportRoundTripAndTagging(t *testing.T) {
 	copy(tk.TEK[:], bytes.Repeat([]byte{1}, 32))
 	copy(tk.TIK[:], bytes.Repeat([]byte{2}, 32))
 	f := func(seq uint64, payload []byte) bool {
-		pkt, err := sealPacket(tk, seq, payload)
+		pkt, err := sealPacket(tk, seq, append([]byte{}, payload...))
 		if err != nil {
 			return false
 		}
-		plain, err := openPacket(tk, pkt)
+		plain, err := openPacket(tk, pkt, make([]byte, len(pkt.Data)))
 		if err != nil {
 			return false
 		}
@@ -468,14 +516,14 @@ func TestPropertyTransportRoundTripAndTagging(t *testing.T) {
 			bad := pkt
 			bad.Data = append([]byte{}, pkt.Data...)
 			bad.Data[0] ^= 1
-			if _, err := openPacket(tk, bad); err == nil {
+			if _, err := openPacket(tk, bad, make([]byte, len(bad.Data))); err == nil {
 				return false // tamper must be detected
 			}
 		}
 		// Changing the seq breaks the tag too.
 		bad2 := pkt
 		bad2.Seq++
-		if _, err := openPacket(tk, bad2); err == nil {
+		if _, err := openPacket(tk, bad2, make([]byte, len(bad2.Data))); err == nil {
 			return false
 		}
 		return true

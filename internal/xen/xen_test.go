@@ -51,6 +51,19 @@ func TestMachineStubsMonopolised(t *testing.T) {
 	if !isa.Monopolised(code, allowed) {
 		t.Fatal("stub region not monopolised at expected offsets")
 	}
+
+	// A MOVI whose immediate starts with a VMRUN byte, planted past the
+	// always-mapped stubs: jumping two bytes into it executes VMRUN.
+	const at = 64
+	planted := append([]byte{}, code...)
+	copy(planted[at:], isa.Inst{Op: isa.OpMovImm, Imm: uint64(isa.OpVmrun)}.Encode(nil))
+	if isa.Monopolised(planted, allowed) {
+		t.Fatal("a planted unaligned VMRUN gadget passed the monopolisation check")
+	}
+	gadget := isa.Finding{Offset: at + 2, Op: isa.OpVmrun}
+	if fs = isa.ScanPrivileged(planted); len(fs) != 8 || fs[5] != gadget {
+		t.Fatalf("scanner did not report the planted gadget as an unaligned VMRUN: %+v", fs)
+	}
 }
 
 func TestMovCR3StubAtPageEnd(t *testing.T) {
