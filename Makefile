@@ -6,6 +6,7 @@ all: build test
 
 check: build vet test lockrank race stress fuzz benchsmoke serve-smoke benchmark-smoke
 	$(GO) run ./examples/migration
+	$(GO) run ./examples/kvstore
 	$(GO) run ./cmd/fidelius-serve -tenants 2 -clients 16 -duration 100 -tamper 1
 
 # The whole test suite with the debug lock-rank checker armed: every
@@ -93,6 +94,7 @@ examples:
 	$(GO) run ./examples/migration
 	$(GO) run ./examples/memsharing
 	$(GO) run ./examples/extensions
+	$(GO) run ./examples/kvstore
 
 tables:
 	$(GO) run ./cmd/benchtab

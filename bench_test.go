@@ -561,11 +561,14 @@ func BenchmarkKVGroupCommit(b *testing.B) {
 				}
 				dev := kv.NewWriteCoalescer(aes, 0)
 				val := make([]byte, 48)
+				// A superblock and two halves that each hold all 12×15
+				// one-sector records of the deepest run.
+				const sectors = 1 + 2*248
 				for i := 0; i < b.N; i++ {
-					if err := kv.Format(dev, 8); err != nil {
+					if err := kv.Format(dev, 8, sectors); err != nil {
 						return err
 					}
-					store, err := kv.Open(dev, 8, 256)
+					store, err := kv.Open(dev, 8, sectors)
 					if err != nil {
 						return err
 					}
@@ -804,7 +807,7 @@ func BenchmarkKVCompact(b *testing.B) {
 		dev := kv.NewWriteCoalescer(aes, 0)
 		val := make([]byte, 48)
 		for i := 0; i < b.N; i++ {
-			if err := kv.FormatCompactable(dev, 8, 257); err != nil {
+			if err := kv.Format(dev, 8, 257); err != nil {
 				return err
 			}
 			store, err := kv.Open(dev, 8, 257)

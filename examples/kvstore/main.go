@@ -22,7 +22,10 @@ import (
 	"fidelius/internal/kv"
 )
 
-const storeLBA = 8
+const (
+	storeLBA     = 8
+	storeSectors = 1 + 2*128 // a superblock and two 128-sector log halves
+)
 
 func main() {
 	plat, err := fidelius.NewPlatform(fidelius.Config{Protected: true})
@@ -62,11 +65,11 @@ func main() {
 		if format {
 			// A brand-new disk must be formatted: through an encrypting
 			// front-end, unwritten sectors do not read back as zeros.
-			if err := kv.Format(dev, storeLBA); err != nil {
+			if err := kv.Format(dev, storeLBA, storeSectors); err != nil {
 				return nil, err
 			}
 		}
-		return kv.Open(dev, storeLBA, 256)
+		return kv.Open(dev, storeLBA, storeSectors)
 	}
 
 	// ---- First VM instance: write the records -----------------------

@@ -285,10 +285,13 @@ func TestIntegrationKVStoreAcrossGenerations(t *testing.T) {
 
 // Minimal kv helpers over the internal store, kept here so the root test
 // does not grow a dependency cycle.
-func kvFormat(dev *AESNIFront) error { return kv.Format(dev, 8) }
+func kvFormat(dev *AESNIFront) error { return kv.Format(dev, 8, kvSectors) }
+
+// kvSectors sizes the store region: a superblock and two 64-sector halves.
+const kvSectors = 1 + 2*64
 
 func kvPut(dev *AESNIFront, key string, val []byte) error {
-	s, err := kv.Open(dev, 8, 64)
+	s, err := kv.Open(dev, 8, kvSectors)
 	if err != nil {
 		return err
 	}
@@ -296,7 +299,7 @@ func kvPut(dev *AESNIFront, key string, val []byte) error {
 }
 
 func kvGet(dev *AESNIFront, key string) ([]byte, error) {
-	s, err := kv.Open(dev, 8, 64)
+	s, err := kv.Open(dev, 8, kvSectors)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,9 @@
 package hw
 
 import (
+	"math"
 	"testing"
+	"time"
 )
 
 // The telemetry instrumentation on the controller's hot path must be
@@ -78,42 +80,53 @@ func BenchmarkTelemetryTracing(b *testing.B) {
 
 // TestTelemetryOffOverhead guards the disabled-path promise: with a hub
 // attached but no tracer, the loop may cost at most 5% more than with no
-// hub at all. Timing comparisons flake under load, so the test takes the
-// best of several interleaved rounds before judging.
+// hub at all. Each round pairs the two sides: it alternates short bare
+// and hub chunks (ABBA order, so drift within a pair cancels) and sums
+// each side, so load that comes and goes during the round hits both
+// alike. The test judges the round with the lowest hub/bare ratio — the
+// least-perturbed pairing. Taking each side's minimum at different
+// moments instead let a quiet spell on one side and a busy one on the
+// other decide the verdict.
 func TestTelemetryOffOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	const iters = 2000
-	time := func(c *Controller) int64 {
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				readLoop(b, c, iters)
-			}
-		})
-		return res.NsPerOp()
-	}
+	const (
+		chunk  = 1000 // readLoop iterations per timed chunk, ~1 ms
+		pairs  = 24   // ABBA pairs per round
+		rounds = 8
+	)
 	bare := benchController(t, false)
 	hub := benchController(t, true)
-	// Interleave the rounds so a load spike hits both sides equally, and
-	// take each side's minimum — the least-perturbed sample.
-	bareNs := int64(1<<63 - 1)
-	hubNs := int64(1<<63 - 1)
-	for round := 0; round < 4; round++ {
-		if ns := time(bare); ns < bareNs {
-			bareNs = ns
+	run := func(c *Controller) time.Duration {
+		start := time.Now()
+		readLoop(t, c, chunk)
+		return time.Since(start)
+	}
+	for i := 0; i < pairs; i++ { // warm both sides before timing
+		run(bare)
+		run(hub)
+	}
+	best, bestBare, bestHub := math.Inf(1), time.Duration(0), time.Duration(0)
+	for r := 0; r < rounds; r++ {
+		var b, h time.Duration
+		for i := 0; i < pairs; i++ {
+			b += run(bare)
+			h += run(hub) + run(hub)
+			b += run(bare)
 		}
-		if ns := time(hub); ns < hubNs {
-			hubNs = ns
+		t.Logf("round %d ratio %.3f", r, float64(h)/float64(b))
+		if ratio := float64(h) / float64(b); b > 0 && ratio < best {
+			best, bestBare, bestHub = ratio, b, h
 		}
 	}
-	if bareNs == 0 {
+	if math.IsInf(best, 1) {
 		t.Skip("timer resolution too coarse")
 	}
-	overhead := 100 * float64(hubNs-bareNs) / float64(bareNs)
-	t.Logf("bare=%dns hub=%dns overhead=%.2f%%", bareNs, hubNs, overhead)
+	overhead := 100 * (best - 1)
+	t.Logf("best round: bare=%v hub=%v overhead=%.2f%%", bestBare, bestHub, overhead)
 	if overhead > 5.0 {
-		t.Fatalf("telemetry-off overhead %.2f%% exceeds 5%% (bare=%dns hub=%dns)",
-			overhead, bareNs, hubNs)
+		t.Fatalf("telemetry-off overhead %.2f%% exceeds 5%% in every round (best: bare=%v hub=%v)",
+			overhead, bestBare, bestHub)
 	}
 }

@@ -121,10 +121,7 @@ func TestCoalescerOversizedSpanPassesThrough(t *testing.T) {
 func TestStoreApplyThroughCoalescerTwoRequests(t *testing.T) {
 	cd := &countingDev{memDev: newMemDev(256)}
 	c := NewWriteCoalescer(cd, 0)
-	s, err := Open(c, 0, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := formatted(t, c, 0, 256)
 	var ops []Op
 	for i := 0; i < 7; i++ {
 		ops = append(ops, Op{Key: string(rune('a' + i)), Value: bytes.Repeat([]byte{byte(i)}, 100*(i+1))})

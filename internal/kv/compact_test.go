@@ -46,10 +46,7 @@ func TestApplyErrorSealsLog(t *testing.T) {
 	boom := errors.New("injected device fault")
 	for rec := 0; rec < len(batch); rec++ {
 		dev := &failDev{memDev: newMemDev(64), injected: boom}
-		s, err := Open(dev, 0, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := formatted(t, dev, 0, 64)
 		for k, v := range base {
 			if err := s.Put(k, []byte(v)); err != nil {
 				t.Fatal(err)
@@ -87,8 +84,9 @@ func TestApplyErrorSealsLog(t *testing.T) {
 		}
 		// The seal must have zeroed the whole failed span, not just its
 		// head: orphan records with valid crcs could otherwise be
-		// re-exposed by a later torn commit.
-		for lba := preUsed; lba < preUsed+9; lba++ {
+		// re-exposed by a later torn commit. The active half starts
+		// right after the superblock.
+		for lba := 1 + preUsed; lba < 1+preUsed+9; lba++ {
 			var sec [SectorSize]byte
 			if err := dev.memDev.ReadSectors(lba, sec[:]); err != nil {
 				break
@@ -116,28 +114,28 @@ func TestApplyErrorSealsLog(t *testing.T) {
 }
 
 // TestExactFitCommit pins the exact-fit boundary behavior: a span that
-// fills the region to exactly maxLBA has nowhere to put a terminator —
-// the region bound itself ends the log. The commit must succeed, replay
-// fully, and the next commit must report ErrFull instead of corrupting.
+// fills the active half to exactly maxLBA has nowhere to put a
+// terminator — the half's bound itself ends the log. The commit must
+// succeed, replay fully, and the next commit must report ErrFull instead
+// of corrupting. Both halves are covered; half 1 ends at the region end,
+// which is also the device end here, so a write past it fails loudly.
 func TestExactFitCommit(t *testing.T) {
 	val := bytes.Repeat([]byte{7}, 2*SectorSize-headerSize-2) // key "kN" => exactly 2 sectors
+	const sectors = 17                                        // superblock + two halves of 8
 	for _, tc := range []struct {
-		name    string
-		format  func(dev BlockDev) error
-		sectors int
+		name  string
+		flips int
 	}{
-		{"legacy", func(dev BlockDev) error { return Format(dev, 0) }, 8},
-		// 17 sectors = superblock + two halves of 8.
-		{"compactable", func(dev BlockDev) error { return FormatCompactable(dev, 0, 17) }, 17},
+		{"compactable", 0},
+		{"flipped", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dev := newMemDev(32)
-			if err := tc.format(dev); err != nil {
-				t.Fatal(err)
-			}
-			s, err := Open(dev, 0, tc.sectors)
-			if err != nil {
-				t.Fatal(err)
+			dev := newMemDev(sectors)
+			s := formatted(t, dev, 0, sectors)
+			for i := 0; i < tc.flips; i++ {
+				if err := s.Compact(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			var batch []Op
 			for i := 0; i < 4; i++ {
@@ -149,7 +147,7 @@ func TestExactFitCommit(t *testing.T) {
 			if free := s.UsedSectors(); free != 8 {
 				t.Fatalf("used %d sectors, want 8 (exact fit)", free)
 			}
-			r, err := Open(dev, 0, tc.sectors)
+			r, err := Open(dev, 0, sectors)
 			if err != nil {
 				t.Fatalf("reopen after exact fit: %v", err)
 			}
@@ -160,7 +158,7 @@ func TestExactFitCommit(t *testing.T) {
 			if err := r.Put("overflow", []byte("x")); !errors.Is(err, ErrFull) {
 				t.Fatalf("post-fill Put = %v, want ErrFull", err)
 			}
-			if _, err := Open(dev, 0, tc.sectors); err != nil {
+			if _, err := Open(dev, 0, sectors); err != nil {
 				t.Fatalf("store corrupted by rejected overflow: %v", err)
 			}
 		})
@@ -172,13 +170,7 @@ func TestExactFitCommit(t *testing.T) {
 func compactFixture(t *testing.T) (*memDev, *Store) {
 	t.Helper()
 	dev := newMemDev(64)
-	if err := FormatCompactable(dev, 0, 41); err != nil { // halves of 20
-		t.Fatal(err)
-	}
-	s, err := Open(dev, 0, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := formatted(t, dev, 0, 41) // halves of 20
 	puts := []Op{
 		{Key: "a", Value: []byte("A1")},
 		{Key: "b", Value: []byte("B-old")},
@@ -376,13 +368,7 @@ func TestEpochRejectsStaleDebris(t *testing.T) {
 // into one, so Compact's own ErrFull bound is unreachable from here.)
 func TestCompactAllLiveNoReclaim(t *testing.T) {
 	dev := newMemDev(32)
-	if err := FormatCompactable(dev, 0, 9); err != nil { // halves of 4
-		t.Fatal(err)
-	}
-	s, err := Open(dev, 0, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := formatted(t, dev, 0, 9) // halves of 4
 	val := bytes.Repeat([]byte{1}, SectorSize)
 	for i := 0; i < 2; i++ {
 		if err := s.Put(fmt.Sprintf("k%d", i), val); err != nil { // 2 sectors each
@@ -405,25 +391,22 @@ func TestCompactAllLiveNoReclaim(t *testing.T) {
 	}
 }
 
-func TestLegacyStoreNotCompactable(t *testing.T) {
-	s, err := Open(newMemDev(16), 0, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Compactable() || s.Epoch() != 0 {
-		t.Fatal("legacy store claims a superblock")
-	}
-	if s.NeedsCompact(0) {
-		t.Fatal("legacy store volunteers for compaction")
-	}
-	if err := s.Compact(); !errors.Is(err, ErrNotCompactable) {
-		t.Fatalf("Compact on legacy store = %v, want ErrNotCompactable", err)
+// TestOpenUnformattedRegion: Format is the only way to lay out a region,
+// so Open refuses one without a superblock — a zeroed disk, or a log
+// whose first sector is a record — instead of guessing a layout.
+func TestOpenUnformattedRegion(t *testing.T) {
+	record := newMemDev(16)
+	encodeRecord(record.data[:SectorSize], Op{Key: "k", Value: []byte("v")}, 0)
+	for name, dev := range map[string]*memDev{"zeroed": newMemDev(16), "record": record} {
+		if _, err := Open(dev, 0, 16); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Open on an unformatted region = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 
 func TestSuperblockCorruptionDetected(t *testing.T) {
 	dev := newMemDev(16)
-	if err := FormatCompactable(dev, 0, 9); err != nil {
+	if err := Format(dev, 0, 9); err != nil {
 		t.Fatal(err)
 	}
 	dev.data[5] ^= 0xFF // flip an epoch byte under the crc
@@ -437,13 +420,7 @@ func TestSuperblockCorruptionDetected(t *testing.T) {
 // deletes and replay.
 func TestGarbageAccounting(t *testing.T) {
 	dev := newMemDev(128)
-	if err := FormatCompactable(dev, 0, 101); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dev, 0, 101)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := formatted(t, dev, 0, 101)
 	check := func(tag string, st *Store) {
 		want := uint64(0)
 		for _, k := range st.Keys() {
@@ -469,10 +446,7 @@ func TestGarbageAccounting(t *testing.T) {
 // array (that is the point — no per-get allocation), while Get returns
 // an independent copy.
 func TestGetViewZeroCopy(t *testing.T) {
-	s, err := Open(newMemDev(16), 0, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := formatted(t, newMemDev(16), 0, 16)
 	if err := s.Put("k", []byte("value")); err != nil {
 		t.Fatal(err)
 	}

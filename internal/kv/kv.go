@@ -5,7 +5,10 @@
 // motivating scenario — a tenant service whose data stays confidential
 // against the hypervisor, the driver domain and the physical disk.
 //
-// On-disk layout: a sequence of sector-aligned records,
+// On-disk layout: a region starts with a versioned superblock sector
+// (magic, epoch, active half, crc) followed by two equal log halves, of
+// which only one is live at a time. A log is a sequence of sector-aligned
+// records,
 //
 //	[4B magic][4B keyLen][4B valLen][8B epoch][4B crc][key][value][padding to sector]
 //
@@ -30,15 +33,13 @@
 // zeroed back out so a later crash cannot replay mutations the caller
 // was told had failed.
 //
-// Compaction: a region initialised with FormatCompactable carries a
-// versioned superblock sector followed by two equal log halves. Only
-// one half is live at a time; Compact rewrites the live records as one
-// group-committed span into the idle half and then flips the
-// superblock — a single sector-atomic write — to the new half and a new
-// epoch. A crash at any point replays either the old log or the new
-// one, never a mix: before the flip the superblock still names the old
-// half, and after it the epoch tag in every record header lets replay
-// reject stale debris left over from the half's previous life.
+// Compaction: Compact rewrites the live records as one group-committed
+// span into the idle half and then flips the superblock — a single
+// sector-atomic write — to the new half and a new epoch. A crash at any
+// point replays either the old log or the new one, never a mix: before
+// the flip the superblock still names the old half, and after it the
+// epoch tag in every record header lets replay reject stale debris left
+// over from the half's previous life.
 package kv
 
 import (
@@ -61,7 +62,7 @@ const SectorSize = 512
 
 const magic = 0xF1DE1105
 
-// superMagic marks the superblock sector of a compactable region.
+// superMagic marks the superblock sector of a formatted region.
 const superMagic = 0xF1DE5B0C
 
 // headerSize is the fixed record prefix: magic, keyLen, valLen, epoch, crc.
@@ -93,13 +94,9 @@ var ErrCorrupt = errors.New("kv: corrupt log")
 var ErrTooLarge = errors.New("kv: key or value too large")
 
 // ErrFull reports a commit (or a compaction's live set) that does not
-// fit the log region. The store is unchanged; compactable stores can
-// reclaim dead records with Compact and retry.
+// fit the log region. The store is unchanged; Compact can reclaim dead
+// records before a retry.
 var ErrFull = errors.New("kv: store full")
-
-// ErrNotCompactable reports a Compact on a store whose region was not
-// initialised with FormatCompactable (no superblock, no idle half).
-var ErrNotCompactable = errors.New("kv: store has no compaction superblock")
 
 // Flusher is implemented by buffering devices (WriteCoalescer). The
 // store flushes at its two commit barriers: after the terminator write
@@ -122,34 +119,32 @@ type StoreStats struct {
 	SealedCommits    uint64 // failed Apply spans zeroed back out of the log
 }
 
-// Format initialises a fresh single-log store region by writing the log
-// terminator. It is required before the first Open when the device is an
-// encrypting front-end: a never-written disk does not read back as zeros
-// through an encryption layer. Regions formatted this way cannot
-// compact; see FormatCompactable.
-func Format(dev BlockDev, baseLBA uint64) error {
-	return dev.WriteSectors(baseLBA, make([]byte, SectorSize))
-}
-
-// FormatCompactable initialises a fresh compactable region: a versioned
-// superblock at baseLBA naming the active half and epoch, followed by
-// two equal log halves of (sectors-1)/2 sectors each. Only the active
-// half needs a terminator; the idle half is fully rewritten (terminator
-// first) by the Compact that activates it.
-func FormatCompactable(dev BlockDev, baseLBA uint64, sectors int) error {
+// Format initialises a fresh store region of sectors sectors at baseLBA:
+// a versioned superblock naming half 0 and epoch 1, followed by two equal
+// log halves of (sectors-1)/2 sectors each. Only the active half needs a
+// terminator; the idle half is fully rewritten (terminator first) by the
+// Compact that activates it. Open refuses a region Format has not laid
+// out — through an encrypting front-end a never-written disk does not
+// even read back as zeros.
+func Format(dev BlockDev, baseLBA uint64, sectors int) error {
 	if sectors < 3 {
-		return fmt.Errorf("kv: compactable region needs >= 3 sectors, got %d", sectors)
+		return fmt.Errorf("kv: store region needs >= 3 sectors, got %d", sectors)
 	}
 	if err := writeSuper(dev, baseLBA, 1, 0); err != nil {
 		return err
 	}
-	if err := dev.WriteSectors(baseLBA+1, make([]byte, SectorSize)); err != nil {
+	if err := writeTerminator(dev, baseLBA+1); err != nil {
 		return err
 	}
 	if fl, ok := dev.(Flusher); ok {
 		return fl.Flush()
 	}
 	return nil
+}
+
+// writeTerminator writes the zero sector that ends a log.
+func writeTerminator(dev BlockDev, lba uint64) error {
+	return dev.WriteSectors(lba, make([]byte, SectorSize))
 }
 
 // writeSuper encodes and writes the superblock: magic, epoch, active
@@ -169,60 +164,54 @@ type Store struct {
 	dev     BlockDev
 	fl      Flusher // dev's flush barrier, nil when dev does not buffer
 	baseLBA uint64
-	super   bool   // region carries a superblock and two halves
-	epoch   uint64 // commit epoch stamped into every record (0 for legacy)
-	half    int    // active half, compactable regions only
-	halfLen uint64 // sectors per half, compactable regions only
-	logBase uint64 // first sector of the active log
-	maxLBA  uint64 // end of the active log (exclusive)
+	epoch   uint64 // commit epoch stamped into every record
+	half    int    // active half
+	halfLen uint64 // sectors per half
+	logBase uint64 // first sector of the active half
+	maxLBA  uint64 // end of the active half (exclusive)
 	nextLBA uint64
 	index   map[string][]byte
 	live    uint64 // sectors a compaction would keep (latest record per live key)
 	stats   StoreStats
 }
 
-// Open creates or recovers a store occupying [baseLBA, baseLBA+sectors)
-// on the device, replaying any existing log. The region's layout is
-// auto-detected: a superblock first sector selects the compactable
-// two-half layout, anything else is a legacy single log.
+// Open recovers the store occupying [baseLBA, baseLBA+sectors) on the
+// device: it reads the superblock and replays the active half's log. The
+// region must have been laid out by Format; one without a valid
+// superblock is ErrCorrupt.
 func Open(dev BlockDev, baseLBA uint64, sectors int) (*Store, error) {
-	s := &Store{
-		dev:     dev,
-		baseLBA: baseLBA,
-		index:   make(map[string][]byte),
-	}
-	s.fl, _ = dev.(Flusher)
 	head := make([]byte, SectorSize)
 	if err := dev.ReadSectors(baseLBA, head); err != nil {
 		return nil, err
 	}
-	if binary.LittleEndian.Uint32(head[0:]) == superMagic {
-		if sectors < 3 {
-			return nil, fmt.Errorf("%w: compactable region needs >= 3 sectors", ErrCorrupt)
-		}
-		if binary.LittleEndian.Uint32(head[16:]) != crc32.ChecksumIEEE(head[4:16]) {
-			return nil, fmt.Errorf("%w: superblock crc mismatch", ErrCorrupt)
-		}
-		half := int(binary.LittleEndian.Uint32(head[12:]))
-		if half > 1 {
-			return nil, fmt.Errorf("%w: superblock names half %d", ErrCorrupt, half)
-		}
-		s.super = true
-		s.epoch = binary.LittleEndian.Uint64(head[4:])
-		s.half = half
-		s.halfLen = uint64((sectors - 1) / 2)
-		s.logBase = baseLBA + 1 + uint64(half)*s.halfLen
-		s.maxLBA = s.logBase + s.halfLen
-		s.nextLBA = s.logBase
-		head = nil // replay reads the log half itself
-	} else {
-		s.logBase = baseLBA
-		s.maxLBA = baseLBA + uint64(sectors)
-		s.nextLBA = baseLBA
-		// head already holds the first log sector — hand it to replay so
-		// the layout sniff does not double-read it.
+	if m := binary.LittleEndian.Uint32(head[0:]); m != superMagic {
+		return nil, fmt.Errorf("%w: no superblock at lba %d (magic %#x)", ErrCorrupt, baseLBA, m)
 	}
-	if err := s.replay(head); err != nil {
+	if sectors < 3 {
+		return nil, fmt.Errorf("%w: store region needs >= 3 sectors", ErrCorrupt)
+	}
+	if binary.LittleEndian.Uint32(head[16:]) != crc32.ChecksumIEEE(head[4:16]) {
+		return nil, fmt.Errorf("%w: superblock crc mismatch", ErrCorrupt)
+	}
+	half := int(binary.LittleEndian.Uint32(head[12:]))
+	if half > 1 {
+		return nil, fmt.Errorf("%w: superblock names half %d", ErrCorrupt, half)
+	}
+	halfLen := uint64((sectors - 1) / 2)
+	logBase := baseLBA + 1 + uint64(half)*halfLen
+	s := &Store{
+		dev:     dev,
+		baseLBA: baseLBA,
+		epoch:   binary.LittleEndian.Uint64(head[4:]),
+		half:    half,
+		halfLen: halfLen,
+		logBase: logBase,
+		maxLBA:  logBase + halfLen,
+		nextLBA: logBase,
+		index:   make(map[string][]byte),
+	}
+	s.fl, _ = dev.(Flusher)
+	if err := s.replay(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -243,40 +232,22 @@ func recordCRC(hdr []byte, key string, value []byte) uint32 {
 
 // replay scans the active log rebuilding the index. Each record is read
 // exactly once: the head sector is parsed in place and only the tail
-// sectors (if any) are fetched afterwards — an earlier version re-read
-// the head inside the full-record read, doubling replay's sector
-// traffic. pre, when non-nil, is the already-read first log sector.
+// sectors (if any) are fetched afterwards.
 //
-// Legacy single-log regions keep loud corruption detection: a bad magic
-// or silly lengths before the terminator is ErrCorrupt. A compactable
-// half cannot afford that — after a flip the idle half is recycled full
-// of old record bytes, and a torn commit there legitimately leaves
-// arbitrary debris (even mid-value bytes of a prior epoch) at the log
-// tail. There, any unparseable or stale-epoch record simply ends the
-// log: the epoch tag plus crc decide what is part of this half's
-// current life.
-func (s *Store) replay(pre []byte) error {
+// Any unparseable or stale-epoch record ends the log rather than failing
+// the open: after a flip the idle half is recycled full of old record
+// bytes, and a torn commit there legitimately leaves arbitrary debris
+// (even mid-value bytes of a prior epoch) at the log tail. The epoch tag
+// plus crc decide what is part of this half's current life.
+func (s *Store) replay() error {
 	var buf []byte
 	head := make([]byte, SectorSize)
-	first := true
 	for s.nextLBA < s.maxLBA {
-		if first && pre != nil {
-			copy(head, pre)
-		} else {
-			if err := s.dev.ReadSectors(s.nextLBA, head); err != nil {
-				return err
-			}
+		if err := s.dev.ReadSectors(s.nextLBA, head); err != nil {
+			return err
 		}
-		first = false
-		m := binary.LittleEndian.Uint32(head[0:])
-		if m == 0 {
-			return nil // end of log
-		}
-		if m != magic {
-			if s.super {
-				return nil // recycled-half debris: the log ends here
-			}
-			return fmt.Errorf("%w: bad magic %#x at lba %d", ErrCorrupt, m, s.nextLBA)
+		if binary.LittleEndian.Uint32(head[0:]) != magic {
+			return nil // the terminator, or recycled-half debris: the log ends here
 		}
 		keyLen := int(binary.LittleEndian.Uint32(head[4:]))
 		rawVal := binary.LittleEndian.Uint32(head[8:])
@@ -286,17 +257,11 @@ func (s *Store) replay(pre []byte) error {
 			valLen = 0
 		}
 		if keyLen <= 0 || keyLen > MaxKeyLen || valLen < 0 || valLen > MaxValueLen {
-			if s.super {
-				return nil
-			}
-			return fmt.Errorf("%w: silly lengths %d/%d", ErrCorrupt, keyLen, valLen)
+			return nil
 		}
 		n := recordSectors(keyLen, valLen)
 		if s.nextLBA+uint64(n) > s.maxLBA {
-			if s.super {
-				return nil
-			}
-			return fmt.Errorf("%w: record overruns the region", ErrCorrupt)
+			return nil
 		}
 		if binary.LittleEndian.Uint64(head[12:]) != s.epoch {
 			// A record from a previous life of this half (pre-compaction
@@ -427,7 +392,7 @@ func (s *Store) Apply(ops []Op) error {
 	// exact-fit span has nowhere to put a terminator — replay's region
 	// bound is the terminator there, and the next commit reports ErrFull.
 	if s.nextLBA+total < s.maxLBA {
-		if err := Format(s.dev, s.nextLBA+total); err != nil {
+		if err := writeTerminator(s.dev, s.nextLBA+total); err != nil {
 			return err
 		}
 	}
@@ -471,9 +436,6 @@ func (s *Store) Apply(ops []Op) error {
 // beyond the compacted span is rejected by replay's epoch check, so the
 // two logs can never mix.
 func (s *Store) Compact() error {
-	if !s.super {
-		return ErrNotCompactable
-	}
 	keys := make([]string, 0, len(s.index))
 	for k := range s.index {
 		keys = append(keys, k)
@@ -493,7 +455,7 @@ func (s *Store) Compact() error {
 	// it is live until the flip, but the final flush below must know the
 	// whole new log is on the device before the superblock moves.
 	if total < s.halfLen {
-		if err := Format(s.dev, dstBase+total); err != nil {
+		if err := writeTerminator(s.dev, dstBase+total); err != nil {
 			return err
 		}
 	}
@@ -544,21 +506,10 @@ func (s *Store) GarbageRatio() float64 {
 }
 
 // NeedsCompact reports whether a Compact would both succeed and reclaim
-// space: the region is compactable, at least minGarbage of the log is
-// dead, and the live set fits a half.
+// space: at least minGarbage of the log is dead, and the live set fits a
+// half.
 func (s *Store) NeedsCompact(minGarbage float64) bool {
-	return s.super && s.UsedSectors() > s.live && s.GarbageRatio() >= minGarbage && s.live <= s.halfLen
-}
-
-// PutBatch group-commits a set of puts. It is Apply restricted to
-// non-tombstone ops.
-func (s *Store) PutBatch(ops []Op) error {
-	for _, op := range ops {
-		if op.Delete {
-			return errors.New("kv: PutBatch cannot carry tombstones, use Apply")
-		}
-	}
-	return s.Apply(ops)
+	return s.UsedSectors() > s.live && s.GarbageRatio() >= minGarbage && s.live <= s.halfLen
 }
 
 // Put appends a record and updates the index. An empty (or nil) value is
@@ -616,15 +567,11 @@ func (s *Store) UsedSectors() uint64 { return s.nextLBA - s.logBase }
 // LiveSectors reports the sectors a compaction would keep.
 func (s *Store) LiveSectors() uint64 { return s.live }
 
-// HalfSectors reports the per-half capacity of a compactable region
-// (0 for legacy single-log regions).
+// HalfSectors reports the log capacity of each half.
 func (s *Store) HalfSectors() uint64 { return s.halfLen }
 
-// Compactable reports whether the region carries a superblock.
-func (s *Store) Compactable() bool { return s.super }
-
-// Epoch reports the current commit epoch (0 for legacy regions, >= 1
-// for compactable ones; each Compact advances it).
+// Epoch reports the current commit epoch (1 after Format; each Compact
+// advances it).
 func (s *Store) Epoch() uint64 { return s.epoch }
 
 // Stats reports maintenance counters accumulated since Open.

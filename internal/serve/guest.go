@@ -86,7 +86,7 @@ func (s *Service) guestMain(t *tenant) xen.GuestFunc {
 			return err
 		}
 		dev := kv.NewWriteCoalescer(aes, 0)
-		if err := kv.FormatCompactable(dev, storeLBA, sectors); err != nil {
+		if err := kv.Format(dev, storeLBA, sectors); err != nil {
 			return err
 		}
 		store, err := kv.Open(dev, storeLBA, sectors)
@@ -100,7 +100,7 @@ func (s *Service) guestMain(t *tenant) xen.GuestFunc {
 
 		frames := int(g.Info.ServeFrames)
 		if frames <= 0 {
-			frames = LegacyRingFrames
+			return fmt.Errorf("serve: start info publishes no ring depth (ServeFrames %d)", g.Info.ServeFrames)
 		}
 		reqGPA := g.Info.ServeGFN << hw.PageShift
 		respGPA := reqGPA + uint64(ringPagesPerDir(frames))*hw.PageSize

@@ -51,10 +51,6 @@ const sectorsPerPage = hw.PageSize / SectorSize
 // frames), double the original single-page ring.
 const DefaultRingFrames = 15
 
-// LegacyRingFrames is the frame count guests assume when their start
-// info predates the ServeFrames field (ServeFrames == 0).
-const LegacyRingFrames = 7
-
 // ringPagesPerDir returns the pages one ring direction occupies: the
 // control sector plus one sector per frame, rounded up to whole pages.
 func ringPagesPerDir(frames int) int {

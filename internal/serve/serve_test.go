@@ -219,7 +219,7 @@ func TestServeRingCiphertext(t *testing.T) {
 			cfg: Config{
 				Tenants: 1, ClientsPerTenant: 8, OpsPerClient: 4,
 				RatePerMCycle: 2, PutFrac: 0.6, DelFrac: 0.1,
-				RingFrames: LegacyRingFrames,
+				RingFrames: 7, // the original one-page-per-direction ring
 			},
 		},
 		{

@@ -31,7 +31,7 @@ type StartInfo struct {
 	Port        uint32 // event channel port for block I/O
 	ServeGFN    uint64 // first serve-ring page (0 = no serving device)
 	ServePort   uint32 // event channel doorbell port for the serve ring
-	ServeFrames uint64 // serve-ring frames per direction (0 = legacy 7)
+	ServeFrames uint64 // serve-ring frames per direction (set with ServeGFN)
 }
 
 // Marshal encodes the start info.

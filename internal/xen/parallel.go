@@ -1,7 +1,6 @@
 package xen
 
 import (
-	"fmt"
 	"strconv"
 	"sync"
 
@@ -26,16 +25,19 @@ import (
 //
 // The serial Schedule remains the default: its round-robin interleaving
 // is deterministic, which the paper's attack demos and the golden traces
-// rely on. ScheduleParallel trades that determinism for throughput; the
-// per-domain memory images and launch measurements are identical either
-// way (see TestScheduleParallelMatchesSerial).
+// rely on. ScheduleParallel trades that determinism for throughput. Both
+// schedulers run the same quantum body (runQuantum) and the same guest
+// round trip (switchGuest), so per-domain memory images, exit tallies and
+// launch measurements are identical either way
+// (TestScheduleParallelMatchesSerial).
 //
-// One deliberate divergence from the serial path: runners enter the guest
-// directly instead of calling Interpose.VMRun, because the VMRUN stub
+// They differ in guest entry only: a runner enters on its own core
+// (enterCore) instead of calling Interpose.VMRun, because the VMRUN stub
 // executes on the single shared boot CPU and would re-serialize every
-// quantum. The PreVMRun/OnVMExit boundary hooks — where Fidelius shadows
-// and verifies the VMCB — still run for every quantum; under Fidelius
-// they take the gate lock themselves for the shared-machine steps.
+// quantum. VMRUN's entry cost is still charged per quantum, and the
+// PreVMRun/OnVMExit boundary hooks — where Fidelius shadows and verifies
+// the VMCB — still run for every quantum; under Fidelius they take the
+// gate lock themselves for the shared-machine steps.
 func (x *Xen) ScheduleParallel(doms []*Domain, width int) map[DomID]error {
 	sp := x.M.Ctl.Telem.OpenScope("schedule-parallel", 0, 0).
 		Attr("domains", strconv.Itoa(len(doms)))
@@ -58,17 +60,12 @@ func (x *Xen) ScheduleParallel(doms []*Domain, width int) map[DomID]error {
 }
 
 // runDomain drives one domain to completion on a freshly onlined core.
-// sched is the scheduler session span every quantum parents under —
-// runner goroutines pass it explicitly because the ambient register
-// cannot attribute concurrent quanta.
+// sched is the scheduler session span every quantum parents under.
 func (x *Xen) runDomain(d *Domain, sched uint64) error {
+	if done, err := stopped(d); done {
+		return err
+	}
 	v := d.vcpu
-	if v == nil {
-		return fmt.Errorf("xen: domain %d not started", d.ID)
-	}
-	if v.halted {
-		return v.err
-	}
 	core := x.M.NewCore()
 	defer x.M.ReleaseCore(core)
 	// Hand the vCPU and the domain's host-side dispatch this core's
@@ -86,91 +83,28 @@ func (x *Xen) runDomain(d *Domain, sched uint64) error {
 		d.ctl = x.M.Ctl
 		d.mu.Unlock()
 	}()
+	ctl := core.Ctl
+	open := func() *telemetry.OpenSpan {
+		return ctl.Telem.OpenSpan("quantum", uint32(d.ID), uint32(d.ASID), sched)
+	}
+	enter := func() error { return enterCore(d, core) }
 	for {
-		done, err := x.runQuantum(d, core, sched)
-		if done {
+		if done, err := x.runQuantum(d, ctl, open, enter); done {
 			return err
 		}
 	}
 }
 
-// runQuantum is the parallel counterpart of RunOnce: enter the guest, take
-// one VMEXIT through the interposer boundary hooks, and dispatch it. The
-// runner holds the domain's own lock for the whole quantum — including
-// the guest window, which is harmless because nothing else schedules this
-// domain — and no global lock at all. The quantum's cycles, measured on
-// the runner's private counter, accumulate into the domain's own account
-// with a lock-free atomic add.
-func (x *Xen) runQuantum(d *Domain, core *cpu.CPU, sched uint64) (done bool, err error) {
-	v := d.vcpu
-	ctl := core.Ctl
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	start := ctl.Cycles.Total()
-	// Explicit parent: concurrent quanta cannot rely on the ambient
-	// register across goroutines, so host-side child spans parent to the
-	// scheduler session scope.
-	sp := ctl.Telem.OpenSpan("quantum", uint32(d.ID), uint32(d.ASID), sched)
-	defer func() {
-		spent := ctl.Cycles.Sub(start)
-		d.cycles.Add(spent)
-		ctl.Telem.M.ExitCycles.Observe(spent)
-		sp.Close()
-	}()
-
-	if err := x.Interpose.PreVMRun(d, d.VMCBPA()); err != nil {
-		return true, fmt.Errorf("xen: entry to %s vetoed: %w", d.Name, err)
-	}
-	vmcb, err := cpu.LoadVMCB(ctl, d.VMCBPA())
-	if err != nil {
-		return true, err
-	}
-	fault := d.pendingFault
-	d.pendingFault = false
-	tel := ctl.Telem
+// enterCore is a parallel runner's guest entry: it charges VMRUN's entry
+// cost on the runner's own core, as the boot CPU's VMRUN instruction does
+// on the serial path, then switches into the guest there.
+func enterCore(d *Domain, core *cpu.CPU) error {
+	tel := core.Ctl.Telem
 	tel.M.VMRuns.Inc()
 	if tel.Tracing() {
 		tel.Emit(telemetry.KindVMRun, uint32(d.ID), uint32(d.ASID),
 			cycles.VMEntry, uint64(d.VMCBPA()), 0)
 	}
-	ctl.Cycles.Charge(cycles.VMEntry)
-
-	// Guest quantum: the vCPU goroutine runs against this core's
-	// controller view until its next exit. Other domains' runners are in
-	// their own quanta concurrently.
-	v.resume <- resumeMsg{regs: vmcb.Regs, fault: fault}
-	ev := <-v.exitCh
-
-	ctl.Cycles.Charge(cycles.VMExit)
-	tel.M.VMExits.Inc()
-	if tel.Tracing() {
-		tel.Emit(telemetry.KindVMExit, uint32(d.ID), uint32(d.ASID),
-			cycles.VMExit, uint64(ev.reason), 0)
-	}
-
-	if ev.done {
-		v.halted = true
-		v.err = ev.err
-	}
-	vmcb.ExitCode = ev.reason
-	vmcb.ExitInfo1 = ev.info1
-	vmcb.ExitInfo2 = ev.info2
-	vmcb.Regs = ev.regs
-	vmcb.RIP = ev.rip
-	if err := cpu.StoreVMCB(ctl, d.VMCBPA(), vmcb); err != nil {
-		return true, err
-	}
-	// The guest's general purpose registers land in this core's register
-	// file in plaintext — the SEV-without-ES exposure of Section 2.2.
-	core.Regs = ev.regs
-	if err := x.Interpose.OnVMExit(d, d.VMCBPA()); err != nil {
-		return true, err
-	}
-	if v.halted {
-		return true, v.err
-	}
-	if err := x.handleExit(d); err != nil {
-		return true, err
-	}
-	return false, nil
+	core.Ctl.Cycles.Charge(cycles.VMEntry)
+	return switchGuest(d, core)
 }

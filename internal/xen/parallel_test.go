@@ -3,6 +3,7 @@ package xen
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"runtime"
 	"testing"
 
@@ -169,6 +170,18 @@ func TestScheduleParallelMatchesSerial(t *testing.T) {
 	xp, dp := build()
 	if errs := xp.ScheduleParallel(dp, 0); len(errs) != 0 {
 		t.Fatalf("parallel run: %v", errs)
+	}
+
+	// One quantum body and one guest switch: both machines dispatched the
+	// same exits and counted the same VMRUNs and VMEXITs.
+	if s, p := xs.ExitCountsSnapshot(), xp.ExitCountsSnapshot(); !maps.Equal(s, p) {
+		t.Errorf("exit tallies differ: serial %v parallel %v", s, p)
+	}
+	sc, pc := xs.M.Ctl.Telem.Reg.Snapshot().Counters, xp.M.Ctl.Telem.Reg.Snapshot().Counters
+	for _, name := range []string{"cpu.vmruns", "cpu.vmexits"} {
+		if sc[name] == 0 || sc[name] != pc[name] {
+			t.Errorf("%s: serial %d parallel %d", name, sc[name], pc[name])
+		}
 	}
 
 	var sp, pp [hw.PageSize]byte

@@ -475,12 +475,10 @@ func (x *Xen) StartVCPU(d *Domain, fn GuestFunc) *VCPU {
 	return v
 }
 
-// worldSwitch is installed as the CPU's VMRUN handler: it resumes the
-// guest goroutine with the register file from the VMCB, waits for the
-// next exit, and writes the guest state back into the VMCB and the CPU's
-// (plaintext!) register file. It runs under the gate lock (the VMRUN
-// stub executes on the boot CPU); the registry read lock is released
-// right after the lookup.
+// worldSwitch is installed as the boot CPU's VMRUN handler: it resolves
+// the VMCB to its domain and switches into the guest on the boot CPU. It
+// runs under the gate lock (the VMRUN stub executes on the boot CPU); the
+// registry read lock is released right after the lookup.
 func (x *Xen) worldSwitch(vmcbPA uint64) error {
 	x.domsMu.RLock()
 	d, ok := x.vmcbToDom[hw.PhysAddr(vmcbPA)]
@@ -495,15 +493,25 @@ func (x *Xen) worldSwitch(vmcbPA uint64) error {
 	if v.halted {
 		return fmt.Errorf("xen: domain %d vcpu already shut down", d.ID)
 	}
-	vmcb, err := cpu.LoadVMCB(x.M.Ctl, hw.PhysAddr(vmcbPA))
+	return switchGuest(d, x.M.CPU)
+}
+
+// switchGuest is the guest round trip both schedulers share: it resumes
+// d's guest goroutine with the register file from the VMCB, waits for
+// the next exit, and writes the guest state back into the VMCB and into
+// c's (plaintext!) register file. c is the CPU the quantum runs on — the
+// boot CPU under serial scheduling, a runner's core under parallel.
+func switchGuest(d *Domain, c *cpu.CPU) error {
+	v := d.vcpu
+	vmcb, err := cpu.LoadVMCB(c.Ctl, d.VMCBPA())
 	if err != nil {
 		return err
 	}
 	v.resume <- resumeMsg{regs: vmcb.Regs, fault: d.pendingFault}
 	d.pendingFault = false
 	ev := <-v.exitCh
-	x.M.Ctl.Cycles.Charge(cycles.VMExit)
-	tel := x.M.Ctl.Telem
+	c.Ctl.Cycles.Charge(cycles.VMExit)
+	tel := c.Ctl.Telem
 	tel.M.VMExits.Inc()
 	if tel.Tracing() {
 		tel.Emit(telemetry.KindVMExit, uint32(d.ID), uint32(d.ASID),
@@ -518,11 +526,11 @@ func (x *Xen) worldSwitch(vmcbPA uint64) error {
 	vmcb.ExitInfo2 = ev.info2
 	vmcb.Regs = ev.regs
 	vmcb.RIP = ev.rip
-	if err := cpu.StoreVMCB(x.M.Ctl, hw.PhysAddr(vmcbPA), vmcb); err != nil {
+	if err := cpu.StoreVMCB(c.Ctl, d.VMCBPA(), vmcb); err != nil {
 		return err
 	}
 	// The guest's general purpose registers land in the host register
 	// file in plaintext — the SEV-without-ES exposure of Section 2.2.
-	x.M.CPU.Regs = ev.regs
+	c.Regs = ev.regs
 	return nil
 }

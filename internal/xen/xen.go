@@ -10,6 +10,7 @@ import (
 	"fidelius/internal/lockrank"
 	"fidelius/internal/mmu"
 	"fidelius/internal/sev"
+	"fidelius/internal/telemetry"
 )
 
 // ErrNoSuchHypercall reports an unimplemented hypercall number.
@@ -121,34 +122,52 @@ func New(m *Machine) (*Xen, error) {
 	return x, nil
 }
 
-// RunOnce executes one scheduling quantum of the domain: enter the
-// guest, take one VMEXIT through the interposer boundary hooks, and
-// dispatch it. It returns done=true when the guest function has
-// returned. The domain's own lock is held for the whole quantum; shared
-// locks (gate, doms, firmware, ...) are acquired inside it, per the
-// documented order.
+// RunOnce executes one scheduling quantum of the domain on the boot CPU:
+// enter the guest through the interposer's VMRUN, take one VMEXIT
+// through the boundary hooks, and dispatch it. It returns done=true when
+// the guest function has returned.
 func (x *Xen) RunOnce(d *Domain) (done bool, err error) {
-	v := d.vcpu
-	if v == nil {
-		return true, fmt.Errorf("xen: domain %d not started", d.ID)
-	}
-	if v.halted {
-		return true, v.err
+	tel := x.M.Ctl.Telem
+	return x.runQuantum(d, x.M.Ctl,
+		func() *telemetry.OpenSpan { return tel.OpenScope("quantum", uint32(d.ID), uint32(d.ASID)) },
+		func() error { return x.vmrunStub(d.VMCBPA()) })
+}
+
+// runQuantum is the one quantum body of both schedulers: PreVMRun, guest
+// entry, one VMEXIT through OnVMExit, and its dispatch. The domain's own
+// lock is held for the whole quantum — including the guest window,
+// which is harmless because nothing else schedules the domain — and
+// shared locks (gate, doms, firmware, ...) are acquired inside it, per
+// the documented order. The quantum's cycles, measured on ctl (the
+// controller the quantum runs on), accumulate into the domain's own
+// account with a lock-free atomic add. It returns done=true when the
+// guest function has returned.
+//
+// Only two things differ by caller. open opens the quantum span: the
+// serial scheduler scopes it under the ambient span, while a parallel
+// runner parents it explicitly under its scheduler session, because the
+// ambient register cannot attribute concurrent quanta. enter is the
+// guest entry: the serial path executes the interposer's VMRUN (the
+// type 3 gate under Fidelius), a parallel runner enters on its own core
+// (enterCore). Both end in switchGuest.
+func (x *Xen) runQuantum(d *Domain, ctl *hw.Controller, open func() *telemetry.OpenSpan, enter func() error) (done bool, err error) {
+	if done, err := stopped(d); done {
+		return true, err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	start := x.M.Ctl.Cycles.Total()
-	sp := x.M.Ctl.Telem.OpenScope("quantum", uint32(d.ID), uint32(d.ASID))
+	start := ctl.Cycles.Total()
+	sp := open()
 	defer func() {
-		spent := x.M.Ctl.Cycles.Sub(start)
+		spent := ctl.Cycles.Sub(start)
 		d.cycles.Add(spent)
-		x.M.Ctl.Telem.M.ExitCycles.Observe(spent)
+		ctl.Telem.M.ExitCycles.Observe(spent)
 		sp.Close()
 	}()
 	if err := x.Interpose.PreVMRun(d, d.VMCBPA()); err != nil {
 		return true, fmt.Errorf("xen: entry to %s vetoed: %w", d.Name, err)
 	}
-	if err := x.vmrunStub(d.VMCBPA()); err != nil {
+	if err := enter(); err != nil {
 		return true, fmt.Errorf("xen: vmrun for %s: %w", d.Name, err)
 	}
 	// Guest has exited; the boundary hook shadows before any hypervisor
@@ -156,8 +175,8 @@ func (x *Xen) RunOnce(d *Domain) (done bool, err error) {
 	if err := x.Interpose.OnVMExit(d, d.VMCBPA()); err != nil {
 		return true, err
 	}
-	if v.halted {
-		return true, v.err
+	if done, err := stopped(d); done {
+		return true, err
 	}
 	if err := x.handleExit(d); err != nil {
 		return true, err
@@ -165,9 +184,22 @@ func (x *Xen) RunOnce(d *Domain) (done bool, err error) {
 	return false, nil
 }
 
+// stopped reports whether d's vCPU can take no further quantum, and why:
+// it was never started, or its guest function has returned.
+func stopped(d *Domain) (bool, error) {
+	v := d.vcpu
+	if v == nil {
+		return true, fmt.Errorf("xen: domain %d not started", d.ID)
+	}
+	if v.halted {
+		return true, v.err
+	}
+	return false, nil
+}
+
 // vmrunStub executes the interposer's VMRUN under the gate lock: the
 // stub runs on the single shared boot CPU, so entry to it is a genuine
-// shared-machine step (the serial scheduler's world switch).
+// shared-machine step (the serial scheduler's guest entry).
 func (x *Xen) vmrunStub(vmcbPA hw.PhysAddr) error {
 	x.M.Host.Lock()
 	defer x.M.Host.Unlock()
