@@ -34,16 +34,17 @@ fuzz:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzUnmarshalGEKBundle -fuzztime 5s
 
 # Concurrency stress: the parallel-scheduling, shared-memory-path,
-# lifecycle-churn and grant/event-storm suites, repeated under the race
+# lifecycle-churn, grant/event-storm and vCPU world-switch suites,
+# repeated under the race
 # detector at several core counts so both the contended and the fully
 # serialized interleavings get exercised. The suites arm the lock-rank
 # checker themselves; FIDELIUS_LOCKRANK=1 extends it to every test.
 # (-short skips the single-domain parity guard, which is a wall-clock
 # benchmark, not a race hunt; plain `make race` still runs it once.)
 stress:
-	GOMAXPROCS=1 $(GO) test -race -short -count=5 -run 'Concurrent|Parallel' ./...
-	GOMAXPROCS=2 $(GO) test -race -short -count=5 -run 'Concurrent|Parallel' ./...
-	GOMAXPROCS=4 $(GO) test -race -short -count=5 -run 'Concurrent|Parallel' ./...
+	GOMAXPROCS=1 $(GO) test -race -short -count=5 -run 'Concurrent|Parallel|VCPU' ./...
+	GOMAXPROCS=2 $(GO) test -race -short -count=5 -run 'Concurrent|Parallel|VCPU' ./...
+	GOMAXPROCS=4 $(GO) test -race -short -count=5 -run 'Concurrent|Parallel|VCPU' ./...
 
 migrate:
 	$(GO) run ./cmd/fidelius-migrate

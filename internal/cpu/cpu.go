@@ -93,7 +93,7 @@ type Hooks struct {
 }
 
 // CPU is one simulated core. It is owned by a single goroutine at a time;
-// the guest/host world switch hands ownership across a channel.
+// the guest/host world switch hands ownership over as a coroutine switch.
 type CPU struct {
 	Ctl *hw.Controller
 	TLB *mmu.TLB

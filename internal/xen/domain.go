@@ -419,6 +419,13 @@ func (x *Xen) DestroyDomain(d *Domain, externalSEV bool) error {
 		return nil
 	}
 	d.Dead = true
+	// A guest parked in exit is unwound first, before its frames go: its
+	// coroutine would otherwise keep the domain and the machine alive.
+	if v := d.vcpu; v != nil && !v.halted {
+		v.stop()
+		v.out = exitEvent{reason: cpu.ExitShutdown, done: true,
+			err: fmt.Errorf("xen: domain %d destroyed", d.ID)}
+	}
 	if d.SEV && !externalSEV {
 		if err := x.M.FW.Deactivate(d.Handle); err != nil {
 			return err

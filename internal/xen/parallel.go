@@ -69,10 +69,10 @@ func (x *Xen) runDomain(d *Domain, sched uint64) error {
 	core := x.M.NewCore()
 	defer x.M.ReleaseCore(core)
 	// Hand the vCPU and the domain's host-side dispatch this core's
-	// controller view; the guest goroutine is parked (StartVCPU blocks on
-	// the first resume, a completed quantum blocks in exit()), so the
-	// swap is ordered by the resume send below. The domain lock orders
-	// the d.ctl swap against any other host-side reader.
+	// controller view; the guest is parked (not yet started, or in exit()
+	// after a completed quantum), so the switch into it orders the swap.
+	// The domain lock orders the d.ctl swap against any other host-side
+	// reader.
 	d.mu.Lock()
 	v.ctl = core.Ctl
 	d.ctl = core.Ctl

@@ -129,58 +129,50 @@ func TestConcurrentDomains(t *testing.T) {
 	}
 }
 
-// TestScheduleParallelMatchesSerial is the equivalence invariant: the same
-// guests run through the serial round-robin and through the parallel
-// scheduler must leave identical per-domain memory images and console
-// logs. Two separate machines are built so nothing leaks between runs.
-func TestScheduleParallelMatchesSerial(t *testing.T) {
-	const (
-		workGFN   = 2
-		workPages = 3
-		rounds    = 2
-	)
-	type domSpec struct {
-		sev, lazy bool
-	}
-	specs := []domSpec{{true, false}, {false, false}, {true, true}, {false, true}}
+// Stress geometry of the equivalence tests: each domain's work pages and
+// rounds, and the encryption/lazy-population mix across domains.
+const (
+	eqWorkGFN   = 2
+	eqWorkPages = 3
+	eqRounds    = 2
+)
 
-	build := func() (*Xen, []*Domain) {
-		x := newXen(t)
-		var doms []*Domain
-		for i, s := range specs {
-			d, err := x.CreateDomain(DomainConfig{
-				Name:     fmt.Sprintf("eq%d", i),
-				MemPages: 16,
-				SEV:      s.sev,
-				Lazy:     s.lazy,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			doms = append(doms, d)
-			startStressGuest(x, d, workGFN, workPages, rounds)
+var eqSpecs = []struct{ sev, lazy bool }{{true, false}, {false, false}, {true, true}, {false, true}}
+
+// buildEqDomains builds a fresh machine with one started stress domain
+// per eqSpecs entry.
+func buildEqDomains(t *testing.T) (*Xen, []*Domain) {
+	t.Helper()
+	x := newXen(t)
+	var doms []*Domain
+	for i, s := range eqSpecs {
+		d, err := x.CreateDomain(DomainConfig{
+			Name:     fmt.Sprintf("eq%d", i),
+			MemPages: 16,
+			SEV:      s.sev,
+			Lazy:     s.lazy,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return x, doms
+		doms = append(doms, d)
+		startStressGuest(x, d, eqWorkGFN, eqWorkPages, eqRounds)
 	}
+	return x, doms
+}
 
-	xs, ds := build()
-	if errs := xs.Schedule(ds); len(errs) != 0 {
-		t.Fatalf("serial run: %v", errs)
-	}
-	xp, dp := build()
-	if errs := xp.ScheduleParallel(dp, 0); len(errs) != 0 {
-		t.Fatalf("parallel run: %v", errs)
-	}
-
-	// One quantum body and one guest switch: both machines dispatched the
-	// same exits and counted the same VMRUNs and VMEXITs.
+// assertSameRun checks that two machines ran the same domains to the
+// same end: equal exit tallies, VMRUN and VMEXIT counts, console logs,
+// backed-frame sets and working-set memory images.
+func assertSameRun(t *testing.T, xs *Xen, ds []*Domain, xp *Xen, dp []*Domain) {
+	t.Helper()
 	if s, p := xs.ExitCountsSnapshot(), xp.ExitCountsSnapshot(); !maps.Equal(s, p) {
-		t.Errorf("exit tallies differ: serial %v parallel %v", s, p)
+		t.Errorf("exit tallies differ: %v vs %v", s, p)
 	}
 	sc, pc := xs.M.Ctl.Telem.Reg.Snapshot().Counters, xp.M.Ctl.Telem.Reg.Snapshot().Counters
 	for _, name := range []string{"cpu.vmruns", "cpu.vmexits"} {
 		if sc[name] == 0 || sc[name] != pc[name] {
-			t.Errorf("%s: serial %d parallel %d", name, sc[name], pc[name])
+			t.Errorf("%s: %d vs %d", name, sc[name], pc[name])
 		}
 	}
 
@@ -188,7 +180,7 @@ func TestScheduleParallelMatchesSerial(t *testing.T) {
 	for i := range ds {
 		s, p := ds[i], dp[i]
 		if got := xp.ConsoleLog(p.ID); !bytes.Equal(got, xs.ConsoleLog(s.ID)) {
-			t.Errorf("dom %d console differs: serial %q parallel %q", s.ID, xs.ConsoleLog(s.ID), got)
+			t.Errorf("dom %d console differs: %q vs %q", s.ID, xs.ConsoleLog(s.ID), got)
 		}
 		// The backed-frame sets must agree everywhere; page contents are
 		// compared over the written working set. (An SEV page the guest
@@ -198,10 +190,10 @@ func TestScheduleParallelMatchesSerial(t *testing.T) {
 		for gfn := 0; gfn < s.MemPages; gfn++ {
 			sb, pb := s.Frames[gfn] != 0, p.Frames[gfn] != 0
 			if sb != pb {
-				t.Fatalf("dom %d gfn %d: backed serial=%v parallel=%v", s.ID, gfn, sb, pb)
+				t.Fatalf("dom %d gfn %d: backed %v vs %v", s.ID, gfn, sb, pb)
 			}
 		}
-		for gfn := uint64(workGFN); gfn < workGFN+workPages; gfn++ {
+		for gfn := uint64(eqWorkGFN); gfn < eqWorkGFN+eqWorkPages; gfn++ {
 			if err := xs.M.Ctl.ReadPage(s.Frames[gfn], s.SEV, s.ASID, &sp); err != nil {
 				t.Fatal(err)
 			}
@@ -209,10 +201,28 @@ func TestScheduleParallelMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(sp[:], pp[:]) {
-				t.Fatalf("dom %d gfn %d: serial and parallel memory images differ", s.ID, gfn)
+				t.Fatalf("dom %d gfn %d: memory images differ", s.ID, gfn)
 			}
 		}
 	}
+}
+
+// TestScheduleParallelMatchesSerial is the equivalence invariant: the same
+// guests run through the serial round-robin and through the parallel
+// scheduler must leave identical per-domain memory images and console
+// logs. Two separate machines are built so nothing leaks between runs.
+// One quantum body and one guest switch: both machines dispatch the same
+// exits and count the same VMRUNs and VMEXITs.
+func TestScheduleParallelMatchesSerial(t *testing.T) {
+	xs, ds := buildEqDomains(t)
+	if errs := xs.Schedule(ds); len(errs) != 0 {
+		t.Fatalf("serial run: %v", errs)
+	}
+	xp, dp := buildEqDomains(t)
+	if errs := xp.ScheduleParallel(dp, 0); len(errs) != 0 {
+		t.Fatalf("parallel run: %v", errs)
+	}
+	assertSameRun(t, xs, ds, xp, dp)
 }
 
 // TestScheduleParallelWidthOne pins the degenerate slot-semaphore case:
@@ -283,8 +293,8 @@ func TestScheduleParallelUnstartedDomain(t *testing.T) {
 
 // TestScheduleParallelSingleDomainParity guards the satellite requirement
 // that a single domain under ScheduleParallel costs within 10% of the
-// serial Schedule — the per-core bring-up, big-lock traffic and channel
-// handoffs must not tax the degenerate case. Interleaved best-of-N
+// serial Schedule — the per-core bring-up, big-lock traffic and world
+// switches must not tax the degenerate case. Interleaved best-of-N
 // rounds, as in the telemetry-off overhead guard.
 func TestScheduleParallelSingleDomainParity(t *testing.T) {
 	if testing.Short() {

@@ -1,8 +1,12 @@
+// The world switch uses iter (Go 1.23); go.mod stays at 1.22, which benchmark/go.mod pins.
+//go:build go1.23
+
 package xen
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 
 	"fidelius/internal/cpu"
 	"fidelius/internal/cycles"
@@ -11,7 +15,7 @@ import (
 	"fidelius/internal/telemetry"
 )
 
-// GuestFunc is a guest kernel: it runs on a vCPU goroutine against a
+// GuestFunc is a guest kernel: it runs on a vCPU coroutine against a
 // GuestEnv and returns when the guest shuts down.
 type GuestFunc func(g *GuestEnv) error
 
@@ -35,32 +39,42 @@ type resumeMsg struct {
 	fault bool
 }
 
-// VCPU is a guest virtual CPU: a goroutine running the guest function,
-// synchronously handing control to the host on every VMEXIT. Exactly one
-// side runs at any time; the channels provide the happens-before edges.
+// VCPU is a guest virtual CPU: a coroutine running the guest function,
+// handing control to the host on every VMEXIT. Exactly one side runs at
+// any time, and each switch is a happens-before edge, so the plain fields
+// in and out carry the world switch in either direction.
 type VCPU struct {
-	dom    *Domain
-	x      *Xen
-	exitCh chan exitEvent
-	resume chan resumeMsg
+	dom *Domain
+	x   *Xen
+	// next runs the guest until its next exit or its return; stop
+	// unwinds a guest parked in exit.
+	next   func() (struct{}, bool)
+	stop   func()
+	in     resumeMsg // host → guest, set before next
+	out    exitEvent // guest → host, set before the guest yields
 	halted bool
 	err    error
 
 	// ctl is the controller port the guest side of this vCPU drives: the
 	// machine's root controller under serial scheduling, a per-vCPU view
 	// while a parallel runner owns the domain. The runner swaps it only
-	// while the guest is parked in exit(), so the resume channel provides
-	// the happens-before edge.
+	// while the guest is parked in exit(), so the switch back into the
+	// guest orders the swap.
 	ctl *hw.Controller
 }
+
+// errStopped is the sentinel exit panics with to unwind a guest whose
+// vCPU was stopped; the coroutine body recovers it.
+var errStopped = errors.New("xen: vcpu stopped")
 
 // GuestEnv is the machine as seen from inside the guest: virtual memory
 // through the two-dimensional SEV translation, hypercalls, CPUID, and the
 // guest's register file.
 type GuestEnv struct {
-	v    *VCPU
-	Regs [cpu.NumRegs]uint64
-	RIP  uint64
+	v     *VCPU
+	yield func(struct{}) bool
+	Regs  [cpu.NumRegs]uint64
+	RIP   uint64
 
 	nested *mmu.Nested
 	paging bool
@@ -85,12 +99,15 @@ type gTLBKey struct {
 // Dom returns the domain this environment belongs to.
 func (g *GuestEnv) Dom() *Domain { return g.v.dom }
 
-// exit performs a VMEXIT and blocks until the hypervisor resumes the
-// guest. The register file crosses the boundary in both directions —
+// exit performs a VMEXIT and parks the guest until the hypervisor
+// resumes it. The register file crosses the boundary in both directions —
 // unencrypted, exactly as on SEV without -ES.
 func (g *GuestEnv) exit(reason cpu.ExitReason, info1, info2 uint64) bool {
-	g.v.exitCh <- exitEvent{reason: reason, info1: info1, info2: info2, regs: g.Regs, rip: g.RIP}
-	r := <-g.v.resume
+	g.v.out = exitEvent{reason: reason, info1: info1, info2: info2, regs: g.Regs, rip: g.RIP}
+	if !g.yield(struct{}{}) {
+		panic(errStopped)
+	}
+	r := &g.v.in
 	g.Regs = r.regs
 	if gen := g.v.dom.NPTGen; gen != g.tlbGen {
 		g.tlb = nil
@@ -444,23 +461,17 @@ func (g *GuestEnv) EnablePaging(rootGPA uint64) {
 // PagingEnabled reports whether the guest has enabled paging.
 func (g *GuestEnv) PagingEnabled() bool { return g.paging }
 
-// StartVCPU launches the guest function on a new vCPU goroutine. The
-// guest blocks immediately, waiting for the first VMRUN.
+// StartVCPU sets the guest function up as a vCPU coroutine. The guest
+// first runs at the first VMRUN.
 func (x *Xen) StartVCPU(d *Domain, fn GuestFunc) *VCPU {
-	v := &VCPU{
-		dom:    d,
-		x:      x,
-		exitCh: make(chan exitEvent),
-		resume: make(chan resumeMsg),
-		ctl:    x.M.Ctl,
-	}
+	v := &VCPU{dom: d, x: x, ctl: x.M.Ctl}
 	d.vcpu = v
-	go func() {
-		r := <-v.resume // first VMRUN
+	v.next, v.stop = iter.Pull(func(yield func(struct{}) bool) {
 		g := &GuestEnv{
-			v:    v,
-			Regs: r.regs,
-			Info: d.Info,
+			v:     v,
+			yield: yield,
+			Regs:  v.in.regs,
+			Info:  d.Info,
 			nested: &mmu.Nested{
 				Ctl:              v.ctl,
 				NPT:              d.NPT,
@@ -469,9 +480,17 @@ func (x *Xen) StartVCPU(d *Domain, fn GuestFunc) *VCPU {
 				Dirty:            d.Dirty,
 			},
 		}
+		defer func() {
+			// A panicking guest shuts its vCPU down, the analogue of a
+			// triple fault; a stopped guest has nothing left to report.
+			if r := recover(); r != nil && r != errStopped {
+				v.out = exitEvent{reason: cpu.ExitShutdown, regs: g.Regs, done: true,
+					err: fmt.Errorf("xen: guest panicked: %v", r)}
+			}
+		}()
 		err := fn(g)
-		v.exitCh <- exitEvent{reason: cpu.ExitShutdown, regs: g.Regs, done: true, err: err}
-	}()
+		v.out = exitEvent{reason: cpu.ExitShutdown, regs: g.Regs, done: true, err: err}
+	})
 	return v
 }
 
@@ -497,7 +516,7 @@ func (x *Xen) worldSwitch(vmcbPA uint64) error {
 }
 
 // switchGuest is the guest round trip both schedulers share: it resumes
-// d's guest goroutine with the register file from the VMCB, waits for
+// d's guest coroutine with the register file from the VMCB, runs it to
 // the next exit, and writes the guest state back into the VMCB and into
 // c's (plaintext!) register file. c is the CPU the quantum runs on — the
 // boot CPU under serial scheduling, a runner's core under parallel.
@@ -507,9 +526,10 @@ func switchGuest(d *Domain, c *cpu.CPU) error {
 	if err != nil {
 		return err
 	}
-	v.resume <- resumeMsg{regs: vmcb.Regs, fault: d.pendingFault}
+	v.in = resumeMsg{regs: vmcb.Regs, fault: d.pendingFault}
 	d.pendingFault = false
-	ev := <-v.exitCh
+	v.next()
+	ev := &v.out
 	c.Ctl.Cycles.Charge(cycles.VMExit)
 	tel := c.Ctl.Telem
 	tel.M.VMExits.Inc()
