@@ -64,18 +64,8 @@ func (s *liveSource) SendStart() (sev.WrappedKeys, []byte, error) {
 	return kwrap, nonce, nil
 }
 
-func (s *liveSource) SendPage(gfn uint64) (sev.Packet, error) {
-	defer s.f.enterTrusted()()
-	pfn, ok := s.d.GPAFrame(gfn)
-	if !ok {
-		return sev.Packet{}, fmt.Errorf("core: live migration gfn %d unbacked", gfn)
-	}
-	return s.f.M.FW.SendUpdate(s.st.Handle, pfn)
-}
-
-// SendPages implements migrate.BatchSource: one SEND_UPDATE fan-out over
-// the firmware's worker pool per chunk, with packets (and sequence
-// numbers) in gfn order.
+// SendPages is one SEND_UPDATE fan-out over the firmware's worker pool
+// per round chunk, with packets (and sequence numbers) in gfn order.
 func (s *liveSource) SendPages(gfns []uint64) ([]sev.Packet, error) {
 	defer s.f.enterTrusted()()
 	pfns := make([]hw.PFN, len(gfns))
@@ -172,7 +162,9 @@ func (t *liveTarget) ReceivePage(gfn uint64, pkt sev.Packet) error {
 	if !ok {
 		return fmt.Errorf("core: migration gfn %d unbacked", gfn)
 	}
-	return t.f.M.FW.ReceiveUpdate(t.h, pfn, pkt)
+	// The stop-and-wait wire delivers one frame at a time, so each page
+	// is a one-page RECEIVE_UPDATE.
+	return t.f.M.FW.ReceiveUpdatePages(t.h, []hw.PFN{pfn}, []sev.Packet{pkt})
 }
 
 func (t *liveTarget) ReceiveFinish(mvm sev.Measurement) error {

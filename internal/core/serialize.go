@@ -18,7 +18,7 @@ import (
 //
 // Everything arriving through UnmarshalBinary is attacker-supplied: the
 // hypervisor relays these blobs, so a malformed header must fail fast
-// here rather than drive FW.ReceiveStart/ReceiveUpdate into allocating
+// here rather than drive FW.ReceiveStart/ReceiveUpdatePages into allocating
 // for a bogus page count or unwrapping a truncated key blob.
 
 // ErrBadBundle reports a serialized bundle that fails structural

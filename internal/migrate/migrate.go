@@ -12,7 +12,7 @@ import (
 
 // Source is the sending platform as the engine sees it. internal/core
 // implements it over Fidelius and the firmware; tests implement fakes.
-// The engine never touches guest plaintext: SendPage returns transport
+// The engine never touches guest plaintext: SendPages returns transport
 // ciphertext produced inside the firmware.
 type Source interface {
 	Name() string
@@ -31,10 +31,11 @@ type Source interface {
 	// SendStart opens the firmware SEND session wrapped for the target
 	// platform, returning the wrapped transport keys and the nonce.
 	SendStart() (sev.WrappedKeys, []byte, error)
-	// SendPage produces the next transport packet for gfn. Sequence
-	// numbers advance per call, so each transmitted packet is produced
-	// exactly once and retries re-send the same packet.
-	SendPage(gfn uint64) (sev.Packet, error)
+	// SendPages produces one transport packet per gfn, in order, in one
+	// firmware command (bulk page crypto). Sequence numbers advance per
+	// packet, so each transmitted packet is produced exactly once and
+	// retries re-send the same packet.
+	SendPages(gfns []uint64) ([]sev.Packet, error)
 	// SendFinish closes the session and returns Mvm.
 	SendFinish() (sev.Measurement, error)
 	// Cancel aborts the session (SEND_CANCEL) and resumes the guest.
@@ -47,22 +48,9 @@ type Source interface {
 	Cycles() uint64
 }
 
-// BatchSource is an optional Source extension: a source that can produce
-// several transport packets in one firmware command (bulk page crypto)
-// implements it, and the engine then batches packet production per round
-// chunk. Transmission stays serial — one frame per gfn, in order, with
-// the same sequence numbers — so the wire protocol and the receiver are
-// oblivious to batching.
-type BatchSource interface {
-	Source
-	// SendPages produces one packet per gfn, in order, advancing the
-	// session sequence exactly as len(gfns) SendPage calls would.
-	SendPages(gfns []uint64) ([]sev.Packet, error)
-}
-
-// batchPages is the engine's packet-production chunk size for batch
-// sources: big enough to amortise the fan-out, small enough that a live
-// guest still gets its quanta at a reasonable cadence.
+// batchPages is the engine's packet-production chunk size: big enough to
+// amortise the fan-out, small enough that a live guest still gets its
+// quanta at a reasonable cadence.
 const batchPages = 32
 
 // Config tunes the engine.
@@ -269,48 +257,28 @@ func (s *sender) finish() error {
 }
 
 // sendRound ships one round of pages, optionally interleaving guest
-// quanta so the source stays live. Batch-capable sources produce packets
-// in chunks; frames still go out one per gfn, in order, so the receiver
-// and the wire protocol are unchanged. A batched live round snapshots
+// quanta so the source stays live. Packets are produced in chunks of
+// batchPages; frames still go out one per gfn, in order, so the receiver
+// and the wire protocol never see the batching. A live round snapshots
 // each chunk before its quanta run — any write that lands after the
-// snapshot is caught by the dirty log and re-sent, exactly as with
-// per-page production.
+// snapshot is caught by the dirty log and re-sent in a later round.
 func (s *sender) sendRound(round int, gfns []uint64, live bool) error {
 	sp := s.cfg.Hub.OpenScope("migrate-round", 0, 0).
 		Attr("round", strconv.Itoa(round)).
 		Attr("pages", strconv.Itoa(len(gfns)))
 	defer sp.Close()
-	bs, _ := s.src.(BatchSource)
 	for rest := gfns; len(rest) > 0; {
-		n := len(rest)
-		if bs != nil && n > batchPages {
-			n = batchPages
+		chunk := rest[:min(len(rest), batchPages)]
+		rest = rest[len(chunk):]
+		pkts, err := s.src.SendPages(chunk)
+		if err != nil {
+			return err
 		}
-		chunk := rest[:n]
-		rest = rest[n:]
-		var pkts []sev.Packet
-		if bs != nil {
-			var err error
-			pkts, err = bs.SendPages(chunk)
-			if err != nil {
-				return err
-			}
-			if len(pkts) != len(chunk) {
-				return fmt.Errorf("migrate: batch source returned %d packets for %d pages", len(pkts), len(chunk))
-			}
+		if len(pkts) != len(chunk) {
+			return fmt.Errorf("migrate: source returned %d packets for %d pages", len(pkts), len(chunk))
 		}
 		for i, gfn := range chunk {
-			var pkt sev.Packet
-			if bs != nil {
-				pkt = pkts[i]
-			} else {
-				var err error
-				pkt, err = s.src.SendPage(gfn)
-				if err != nil {
-					return err
-				}
-			}
-			if err := s.xfer(&Frame{Type: FramePage, Round: round, GFN: gfn, Pkt: pkt}); err != nil {
+			if err := s.xfer(&Frame{Type: FramePage, Round: round, GFN: gfn, Pkt: pkts[i]}); err != nil {
 				return err
 			}
 			s.stats.PagesSent++

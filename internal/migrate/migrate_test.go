@@ -31,6 +31,7 @@ type fakeSource struct {
 	finished   bool
 	canceled   bool
 	failFinish error
+	short      bool // SendPages drops the last packet of every chunk
 }
 
 func newFakeSource(pages int, script []uint64) *fakeSource {
@@ -86,11 +87,17 @@ func fakePacket(seq, gfn, version uint64) sev.Packet {
 	return sev.Packet{Seq: seq, Data: data, Tag: sha256.Sum256(data)}
 }
 
-func (s *fakeSource) SendPage(gfn uint64) (sev.Packet, error) {
-	pkt := fakePacket(s.pktSeq, gfn, s.mem[gfn])
-	s.pktSeq++
-	s.cyc += 100
-	return pkt, nil
+func (s *fakeSource) SendPages(gfns []uint64) ([]sev.Packet, error) {
+	pkts := make([]sev.Packet, 0, len(gfns))
+	for _, gfn := range gfns {
+		pkts = append(pkts, fakePacket(s.pktSeq, gfn, s.mem[gfn]))
+		s.pktSeq++
+		s.cyc += 100
+	}
+	if s.short {
+		pkts = pkts[:len(pkts)-1]
+	}
+	return pkts, nil
 }
 
 func (s *fakeSource) SendFinish() (sev.Measurement, error) {
@@ -353,24 +360,39 @@ func TestRetryExhaustionAbortsCleanly(t *testing.T) {
 }
 
 func TestSenderAbortReachesReceiver(t *testing.T) {
-	// A source-side failure after pages have flowed must propagate an
+	// A source-side failure after the session opened must propagate an
 	// abort frame so the target scrubs its half-received state.
-	src := newFakeSource(8, nil)
-	src.failFinish = errors.New("firmware says no")
-	tgt := &fakeTarget{}
-	a, b := Pipe(8)
-	_, err, rerr := runMigration(t, src, tgt, a, b, Config{AckTimeout: time.Second})
-	if err == nil {
-		t.Fatal("want sender error")
-	}
-	if !errors.Is(rerr, ErrAborted) {
-		t.Fatalf("receiver should see the abort, got %v", rerr)
-	}
-	if !tgt.aborted {
-		t.Fatal("target must scrub on abort")
-	}
-	if !src.canceled {
-		t.Fatal("source must cancel back to running")
+	for _, tc := range []struct {
+		name  string
+		fault func(*fakeSource)
+	}{
+		{"finish-refused", func(s *fakeSource) { s.failFinish = errors.New("firmware says no") }},
+		// A packet count short of the gfns requested would desynchronise
+		// frames from pages, so the engine refuses the batch.
+		{"short-batch", func(s *fakeSource) { s.short = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := newFakeSource(8, nil)
+			tc.fault(src)
+			tgt := &fakeTarget{}
+			a, b := Pipe(8)
+			_, err, rerr := runMigration(t, src, tgt, a, b, Config{AckTimeout: time.Second})
+			if err == nil {
+				t.Fatal("want sender error")
+			}
+			if !errors.Is(rerr, ErrAborted) {
+				t.Fatalf("receiver should see the abort, got %v", rerr)
+			}
+			if !tgt.aborted {
+				t.Fatal("target must scrub on abort")
+			}
+			if !src.canceled {
+				t.Fatal("source must cancel back to running")
+			}
+			if src.tracking {
+				t.Fatal("abort must tear down dirty tracking")
+			}
+		})
 	}
 }
 

@@ -1,14 +1,17 @@
 // Package parallel provides the bounded worker pool behind bulk page
-// crypto: SEV LAUNCH_UPDATE / SEND_UPDATE / RECEIVE_UPDATE sweeps and
-// migration pre-copy rounds fan page-granular encrypt/decrypt/measure
-// work across it.
+// crypto: the SEV firmware's only page-transfer commands (LAUNCH_UPDATE,
+// SEND_UPDATE and RECEIVE_UPDATE, each taking a page batch) fan their
+// page-granular encrypt/decrypt/measure work across it, whether the
+// batch is a whole image, a 32-page pre-copy chunk or the single page of
+// one received migration frame.
 //
 // The pool is deliberately dumb: ForEach runs fn(0..n-1) across at most
 // Width goroutines and reports the lowest-index error. Callers own
 // determinism — they write results into index-addressed slots during the
 // parallel phase and fold order-sensitive state (measurement chains,
-// sequence numbers, wire frames) serially afterwards, so output is
-// byte-identical to a serial loop regardless of scheduling.
+// sequence numbers, wire frames) serially afterwards, so one n-item
+// batch produces the same output as n one-item batches regardless of
+// scheduling.
 package parallel
 
 import (

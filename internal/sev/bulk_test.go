@@ -2,6 +2,8 @@ package sev
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,8 +11,8 @@ import (
 )
 
 // twinContexts builds two firmware contexts with identical Kvek,
-// transport keys and lifecycle state, so the serial and bulk command
-// paths can be compared byte for byte on the same inputs.
+// transport keys and lifecycle state, so one N-page command on the first
+// can be compared byte for byte with N one-page commands on the second.
 func twinContexts(t *testing.T, f *Firmware, state State) (*Context, *Context, Handle, Handle) {
 	t.Helper()
 	h1, err := f.LaunchStart(0)
@@ -44,6 +46,23 @@ func fillPages(t *testing.T, ctl *hw.Controller, pfns []hw.PFN, seed int64) {
 	}
 }
 
+func writePages(t *testing.T, ctl *hw.Controller, pfns []hw.PFN, pages [][]byte) {
+	t.Helper()
+	for i, pfn := range pfns {
+		if err := ctl.Mem.WriteRaw(pfn.Addr(), pages[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func zeroPages(n int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = make([]byte, hw.PageSize)
+	}
+	return out
+}
+
 func snapshotPages(t *testing.T, ctl *hw.Controller, pfns []hw.PFN) [][]byte {
 	t.Helper()
 	out := make([][]byte, len(pfns))
@@ -56,132 +75,142 @@ func snapshotPages(t *testing.T, ctl *hw.Controller, pfns []hw.PFN) [][]byte {
 	return out
 }
 
-func TestSendUpdatePagesMatchesSerial(t *testing.T) {
-	f, ctl := newFW(t, 16)
-	f.Pool().SetWidth(4)
-	c1, c2, h1, h2 := twinContexts(t, f, StateSending)
-	pfns := []hw.PFN{2, 3, 5, 7, 11}
-	fillPages(t, ctl, pfns, 77)
+func assertPagesEqual(t *testing.T, ctl *hw.Controller, pfns []hw.PFN, want [][]byte, after string) {
+	t.Helper()
+	for i, got := range snapshotPages(t, ctl, pfns) {
+		if !bytes.Equal(got, want[i]) {
+			t.Fatalf("page %d: DRAM bytes after %s differ from the expected image", i, after)
+		}
+	}
+}
 
-	serial := make([]Packet, len(pfns))
-	for i, pfn := range pfns {
-		pkt, err := f.SendUpdate(h1, pfn)
+// forEachPoolWidth runs body with the firmware pool at width 1, where a
+// batch runs inline, and at width 4, where it fans out across workers.
+// A one-page call always runs inline, so the one-call-vs-N-calls checks
+// below compare the fan-out against the serial order at width 4.
+func forEachPoolWidth(t *testing.T, body func(t *testing.T, f *Firmware, ctl *hw.Controller)) {
+	for _, w := range []int{1, 4} {
+		t.Run(fmt.Sprintf("width=%d", w), func(t *testing.T) {
+			f, ctl := newFW(t, 16)
+			f.Pool().SetWidth(w)
+			body(t, f, ctl)
+		})
+	}
+}
+
+func TestLaunchUpdatePagesParallelWidths(t *testing.T) {
+	forEachPoolWidth(t, func(t *testing.T, f *Firmware, ctl *hw.Controller) {
+		c1, c2, h1, h2 := twinContexts(t, f, StateLaunching)
+		pfns := []hw.PFN{1, 8, 12, 13, 14}
+		fillPages(t, ctl, pfns, 5)
+		plain := snapshotPages(t, ctl, pfns)
+
+		if err := f.LaunchUpdatePages(h1, pfns); err != nil {
+			t.Fatal(err)
+		}
+		want := snapshotPages(t, ctl, pfns)
+		for i := range pfns {
+			if bytes.Equal(want[i], plain[i]) {
+				t.Fatalf("page %d: launch_update left plaintext in DRAM", i)
+			}
+		}
+
+		// Restore the plaintext and launch it again one page per call.
+		writePages(t, ctl, pfns, plain)
+		for _, pfn := range pfns {
+			if err := f.LaunchUpdatePages(h2, []hw.PFN{pfn}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		assertPagesEqual(t, ctl, pfns, want, "one-page launches")
+		if c1.measure != c2.measure {
+			t.Fatal("one-page launch measurement diverges from the batch")
+		}
+	})
+}
+
+func TestSendUpdatePagesParallelWidths(t *testing.T) {
+	forEachPoolWidth(t, func(t *testing.T, f *Firmware, ctl *hw.Controller) {
+		c1, c2, h1, h2 := twinContexts(t, f, StateSending)
+		pfns := []hw.PFN{2, 3, 5, 7, 11}
+		fillPages(t, ctl, pfns, 77)
+
+		batch, err := f.SendUpdatePages(h1, pfns)
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial[i] = pkt
-	}
-	bulk, err := f.SendUpdatePages(h2, pfns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bulk) != len(serial) {
-		t.Fatalf("bulk produced %d packets, want %d", len(bulk), len(serial))
-	}
-	for i := range serial {
-		if bulk[i].Seq != serial[i].Seq {
-			t.Fatalf("packet %d: seq %d != %d", i, bulk[i].Seq, serial[i].Seq)
+		if len(batch) != len(pfns) {
+			t.Fatalf("batch produced %d packets for %d pages", len(batch), len(pfns))
 		}
-		if !bytes.Equal(bulk[i].Data, serial[i].Data) {
-			t.Fatalf("packet %d: ciphertext diverges from serial path", i)
+		for i, pfn := range pfns {
+			one, err := f.SendUpdatePages(h2, []hw.PFN{pfn})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(one) != 1 {
+				t.Fatalf("one-page call produced %d packets", len(one))
+			}
+			if one[0].Seq != uint64(i) || batch[i].Seq != uint64(i) {
+				t.Fatalf("packet %d: seq batch=%d one-page=%d", i, batch[i].Seq, one[0].Seq)
+			}
+			if !bytes.Equal(one[0].Data, batch[i].Data) {
+				t.Fatalf("packet %d: one-page ciphertext diverges from the batch", i)
+			}
+			if one[0].Tag != batch[i].Tag {
+				t.Fatalf("packet %d: one-page tag diverges from the batch", i)
+			}
 		}
-		if bulk[i].Tag != serial[i].Tag {
-			t.Fatalf("packet %d: tag diverges from serial path", i)
+		if c1.measure != c2.measure {
+			t.Fatal("one-page send measurement diverges from the batch")
 		}
-	}
-	if c1.measure != c2.measure {
-		t.Fatal("bulk measurement chain diverges from serial path")
-	}
-	if c1.seq != c2.seq {
-		t.Fatalf("sequence counters diverge: %d != %d", c1.seq, c2.seq)
-	}
+		if c1.seq != c2.seq || c1.seq != uint64(len(pfns)) {
+			t.Fatalf("sequence counters: batch %d, one-page %d, want %d", c1.seq, c2.seq, len(pfns))
+		}
+	})
 }
 
-func TestReceiveUpdatePagesMatchesSerial(t *testing.T) {
-	f, ctl := newFW(t, 16)
-	f.Pool().SetWidth(4)
-	sc, _, sh, _ := twinContexts(t, f, StateSending)
-	pfns := []hw.PFN{4, 6, 9, 10}
-	fillPages(t, ctl, pfns, 13)
-	pkts, err := f.SendUpdatePages(sh, pfns)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	r1, r2, rh1, rh2 := twinContexts(t, f, StateReceiving)
-	r1.transport, r2.transport = sc.transport, sc.transport
-
-	// Serial application, snapshot, then scrub the target pages.
-	for i, pfn := range pfns {
-		if err := f.ReceiveUpdate(rh1, pfn, pkts[i]); err != nil {
+func TestReceiveUpdatePagesParallelWidths(t *testing.T) {
+	forEachPoolWidth(t, func(t *testing.T, f *Firmware, ctl *hw.Controller) {
+		_, _, sh, _ := twinContexts(t, f, StateSending)
+		pfns := []hw.PFN{4, 6, 9, 10}
+		fillPages(t, ctl, pfns, 13)
+		pkts, err := f.SendUpdatePages(sh, pfns)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	want := snapshotPages(t, ctl, pfns)
-	var zero [hw.PageSize]byte
-	for _, pfn := range pfns {
-		if err := ctl.Mem.WriteRaw(pfn.Addr(), zero[:]); err != nil {
+
+		// The twins share the sender's transport keys and a Kvek, so the
+		// re-encrypted pages are comparable.
+		r1, r2, rh1, rh2 := twinContexts(t, f, StateReceiving)
+		zeros := zeroPages(len(pfns))
+		writePages(t, ctl, pfns, zeros)
+		if err := f.ReceiveUpdatePages(rh1, pfns, pkts); err != nil {
 			t.Fatal(err)
 		}
-	}
+		want := snapshotPages(t, ctl, pfns)
 
-	// Bulk application must land identical DRAM bytes. The two contexts
-	// share a Kvek, so the re-encrypted pages are comparable.
-	if err := f.ReceiveUpdatePages(rh2, pfns, pkts); err != nil {
-		t.Fatal(err)
-	}
-	got := snapshotPages(t, ctl, pfns)
-	for i := range pfns {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("page %d: bulk receive DRAM bytes diverge from serial path", i)
+		writePages(t, ctl, pfns, zeros)
+		for i, pfn := range pfns {
+			if err := f.ReceiveUpdatePages(rh2, []hw.PFN{pfn}, pkts[i:i+1]); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if r1.measure != r2.measure {
-		t.Fatal("bulk receive measurement diverges from serial path")
-	}
-	if r1.seq != r2.seq {
-		t.Fatalf("receive sequence counters diverge: %d != %d", r1.seq, r2.seq)
-	}
-
-	// Out-of-window packets are rejected before any page is committed.
-	if err := f.ReceiveUpdatePages(rh2, pfns, pkts); err == nil {
-		t.Fatal("replayed batch should fail the sequence check")
-	}
-}
-
-func TestLaunchUpdatePagesMatchesSerial(t *testing.T) {
-	f, ctl := newFW(t, 16)
-	f.Pool().SetWidth(4)
-	c1, c2, h1, h2 := twinContexts(t, f, StateLaunching)
-	pfns := []hw.PFN{1, 8, 12, 13, 14}
-	fillPages(t, ctl, pfns, 5)
-	plain := snapshotPages(t, ctl, pfns)
-
-	for _, pfn := range pfns {
-		if err := f.LaunchUpdateData(h1, pfn); err != nil {
-			t.Fatal(err)
+		assertPagesEqual(t, ctl, pfns, want, "one-page receives")
+		if r1.measure != r2.measure {
+			t.Fatal("one-page receive measurement diverges from the batch")
 		}
-	}
-	want := snapshotPages(t, ctl, pfns)
+		if r1.seq != r2.seq || r1.seq != uint64(len(pfns)) {
+			t.Fatalf("sequence counters: batch %d, one-page %d, want %d", r1.seq, r2.seq, len(pfns))
+		}
 
-	// Restore the plaintext and run the bulk command on the twin.
-	for i, pfn := range pfns {
-		if err := ctl.Mem.WriteRaw(pfn.Addr(), plain[i]); err != nil {
-			t.Fatal(err)
+		// A replayed batch fails the sequence check before any page is
+		// committed.
+		writePages(t, ctl, pfns, zeros)
+		if err := f.ReceiveUpdatePages(rh1, pfns, pkts); !errors.Is(err, ErrBadSequence) {
+			t.Fatalf("replayed batch: got %v, want ErrBadSequence", err)
 		}
-	}
-	if err := f.LaunchUpdatePages(h2, pfns); err != nil {
-		t.Fatal(err)
-	}
-	got := snapshotPages(t, ctl, pfns)
-	for i := range pfns {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("page %d: bulk launch-update DRAM bytes diverge from serial path", i)
-		}
-	}
-	if c1.measure != c2.measure {
-		t.Fatal("bulk launch measurement diverges from serial path")
-	}
+		assertPagesEqual(t, ctl, pfns, zeros, "a refused replay")
+	})
 }
 
 func TestBulkStateChecks(t *testing.T) {

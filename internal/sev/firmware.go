@@ -367,28 +367,6 @@ func (f *Firmware) LaunchHelper(h Handle) (Handle, error) {
 	return c.handle, nil
 }
 
-// LaunchUpdateData encrypts a plaintext page in place with the guest's
-// Kvek and folds it into the launch measurement.
-func (f *Firmware) LaunchUpdateData(h Handle, pfn hw.PFN) error {
-	c, err := f.ctx(h)
-	if err != nil {
-		return err
-	}
-	if c.state != StateLaunching {
-		return fmt.Errorf("%w: launch_update in %v", ErrBadState, c.state)
-	}
-	var page [hw.PageSize]byte
-	if err := f.ctl.Mem.ReadRaw(pfn.Addr(), page[:]); err != nil {
-		return err
-	}
-	tag := transportMAC([32]byte(c.kvek), uint64(pfn), page[:])
-	c.measure = measureChain(c.measure, tag)
-	c.cipher.EncryptPage(pfn.Addr(), page[:])
-	f.charge(cycles.SEVCommand + cycles.PageCopy + hw.PageSize/hw.BlockSize*cycles.AESBlockSEV)
-	f.command("launch-update-data", h)
-	return f.ctl.FirmwareWrite(pfn.Addr(), page[:])
-}
-
 // LaunchMeasure returns the running launch measurement.
 func (f *Firmware) LaunchMeasure(h Handle) (Measurement, error) {
 	c, err := f.ctx(h)
@@ -578,62 +556,6 @@ func (f *Firmware) SendStart(h Handle, peerPub *ecdh.PublicKey, nonce []byte) (W
 	return w, nil
 }
 
-// SendUpdate re-encrypts one guest page from Kvek to the transport key
-// and returns the transport packet.
-func (f *Firmware) SendUpdate(h Handle, pfn hw.PFN) (Packet, error) {
-	c, err := f.ctx(h)
-	if err != nil {
-		return Packet{}, err
-	}
-	if c.state != StateSending {
-		return Packet{}, fmt.Errorf("%w: send_update in %v", ErrBadState, c.state)
-	}
-	page := make([]byte, hw.PageSize)
-	if err := f.ctl.Mem.ReadRaw(pfn.Addr(), page); err != nil {
-		return Packet{}, err
-	}
-	c.cipher.DecryptPage(pfn.Addr(), page)
-	seq := c.seq
-	c.seq++
-	pkt, err := sealPacket(c.transport, seq, page)
-	if err != nil {
-		return Packet{}, err
-	}
-	c.measure = measureChain(c.measure, pkt.Tag)
-	f.charge(cycles.SEVCommand + cycles.PageCopy + hw.PageSize/hw.BlockSize*cycles.AESBlockSEV)
-	f.command("send-update", h)
-	return pkt, nil
-}
-
-// SendUpdateBuf is the buffer-granularity variant Fidelius uses on the
-// I/O path: it reads n bytes of guest data at pa (encrypted with Kvek),
-// and returns them re-encrypted under the transport key with the
-// caller-chosen sequence tweak (a sector number for disk I/O).
-func (f *Firmware) SendUpdateBuf(h Handle, pa hw.PhysAddr, n int, seq uint64) (Packet, error) {
-	c, err := f.ctx(h)
-	if err != nil {
-		return Packet{}, err
-	}
-	if c.state != StateSending {
-		return Packet{}, fmt.Errorf("%w: send_update in %v", ErrBadState, c.state)
-	}
-	if pa%hw.BlockSize != 0 || n%hw.BlockSize != 0 {
-		return Packet{}, ErrNotAligned
-	}
-	buf := make([]byte, n)
-	if err := f.ctl.Mem.ReadRaw(pa, buf); err != nil {
-		return Packet{}, err
-	}
-	c.cipher.DecryptLine(pa, buf)
-	pkt, err := sealPacket(c.transport, seq, buf)
-	if err != nil {
-		return Packet{}, err
-	}
-	f.charge(cycles.SEVCommand + uint64(n)/hw.BlockSize*cycles.AESBlockSEV)
-	f.command("send-update-buf", h)
-	return pkt, nil
-}
-
 // sealPacket encrypts data in place under the transport key and tags it;
 // the returned packet owns data, so callers hand over a fresh buffer.
 func sealPacket(tk TransportKeys, seq uint64, data []byte) (Packet, error) {
@@ -802,7 +724,7 @@ func (f *Firmware) ReceiveHelperStart(base Handle, w WrappedKeys, originPub *ecd
 	return h, nil
 }
 
-// stagingPages recycles the receive commands' plaintext staging pages,
+// stagingPages recycles RECEIVE_UPDATE's plaintext staging pages,
 // each live only from its packet's opening to its DRAM commit: a
 // migration would otherwise allocate a page of garbage per page received.
 var stagingPages = sync.Pool{New: func() any { return new([hw.PageSize]byte) }}
@@ -817,72 +739,13 @@ func stagingBuf(page *[hw.PageSize]byte, n int) []byte {
 	return make([]byte, n)
 }
 
-// ReceiveUpdate decrypts one transport packet and writes the page
-// re-encrypted with the context's Kvek at pfn. Packets must arrive in
-// sequence order: the context tracks the next expected sequence number,
-// so replayed or reordered packets are rejected before they can perturb
-// the measurement chain. (The buffer/I/O variants use caller-chosen
-// sector tweaks and are exempt.)
-func (f *Firmware) ReceiveUpdate(h Handle, pfn hw.PFN, pkt Packet) error {
-	c, err := f.ctx(h)
-	if err != nil {
-		return err
-	}
-	if c.state != StateReceiving {
-		return fmt.Errorf("%w: receive_update in %v", ErrBadState, c.state)
-	}
-	if pkt.Seq != c.seq {
-		return fmt.Errorf("%w: got %d, want %d", ErrBadSequence, pkt.Seq, c.seq)
-	}
-	page := stagingPages.Get().(*[hw.PageSize]byte)
-	defer stagingPages.Put(page)
-	plain, err := f.openGuarded(c, pkt, stagingBuf(page, len(pkt.Data)))
-	if err != nil {
-		return err
-	}
-	c.seq++
-	if len(plain) != hw.PageSize {
-		return fmt.Errorf("sev: receive_update packet is %d bytes, want a page", len(plain))
-	}
-	c.measure = measureChain(c.measure, pkt.Tag)
-	c.cipher.EncryptPage(pfn.Addr(), plain)
-	f.charge(cycles.SEVCommand + cycles.PageCopy + hw.PageSize/hw.BlockSize*cycles.AESBlockSEV)
-	f.command("receive-update", h)
-	return f.ctl.FirmwareWrite(pfn.Addr(), plain)
-}
-
-// ReceiveUpdateBuf is the buffer-granularity variant for the I/O read
-// path: the packet's payload is decrypted from the transport key and
-// written Kvek-encrypted at pa.
-func (f *Firmware) ReceiveUpdateBuf(h Handle, pa hw.PhysAddr, pkt Packet) error {
-	c, err := f.ctx(h)
-	if err != nil {
-		return err
-	}
-	if c.state != StateReceiving {
-		return fmt.Errorf("%w: receive_update in %v", ErrBadState, c.state)
-	}
-	if pa%hw.BlockSize != 0 || len(pkt.Data)%hw.BlockSize != 0 {
-		return ErrNotAligned
-	}
-	plain, err := f.openGuarded(c, pkt, make([]byte, len(pkt.Data)))
-	if err != nil {
-		return err
-	}
-	c.cipher.EncryptLine(pa, plain)
-	f.ctl.Cache.Invalidate(pa, len(plain))
-	f.charge(cycles.SEVCommand + uint64(len(plain))/hw.BlockSize*cycles.AESBlockSEV)
-	f.command("receive-update-buf", h)
-	return f.ctl.Mem.WriteRaw(pa, plain)
-}
-
-// LaunchUpdatePages is the bulk form of LaunchUpdateData: it encrypts and
-// measures a batch of distinct plaintext pages, fanning the per-page AES
-// and MAC work across the firmware's worker pool. The measurement chain is
-// folded and the pages committed to DRAM serially in slice order, so the
-// resulting measurement and memory image are byte-identical to calling
-// LaunchUpdateData once per pfn. On error nothing past the parallel phase
-// is committed.
+// LaunchUpdatePages is LAUNCH_UPDATE_DATA: it encrypts a batch of
+// distinct plaintext pages in place with the guest's Kvek and folds each
+// into the launch measurement, fanning the per-page AES and MAC work
+// across the firmware's worker pool. The measurement chain is folded and
+// the pages committed to DRAM serially in slice order, so one N-page call
+// leaves the same measurement and memory image as N one-page calls. On
+// error nothing past the parallel phase is committed.
 func (f *Firmware) LaunchUpdatePages(h Handle, pfns []hw.PFN) error {
 	c, err := f.ctx(h)
 	if err != nil {
@@ -915,12 +778,12 @@ func (f *Firmware) LaunchUpdatePages(h Handle, pfns []hw.PFN) error {
 	return nil
 }
 
-// SendUpdatePages is the bulk form of SendUpdate: it produces one
-// transport packet per pfn, with the per-page decrypt/seal work spread
-// across the worker pool. Sequence numbers are pre-assigned by slice index
-// and the measurement chain folded serially afterwards, so the packets and
-// the measurement are byte-identical to calling SendUpdate once per pfn in
-// the same order.
+// SendUpdatePages is SEND_UPDATE: it re-encrypts each guest page from
+// Kvek to the transport key and returns one packet per pfn, with the
+// per-page decrypt/seal work spread across the worker pool. Sequence
+// numbers are pre-assigned by slice index and the measurement chain folded
+// serially afterwards, so one N-page call yields the same packets and
+// measurement as N one-page calls in the same order.
 func (f *Firmware) SendUpdatePages(h Handle, pfns []hw.PFN) ([]Packet, error) {
 	c, err := f.ctx(h)
 	if err != nil {
@@ -955,12 +818,18 @@ func (f *Firmware) SendUpdatePages(h Handle, pfns []hw.PFN) ([]Packet, error) {
 	return pkts, nil
 }
 
-// ReceiveUpdatePages is the bulk form of ReceiveUpdate: packet i lands at
-// pfns[i]. Tag verification, transport decryption and Kvek re-encryption
-// run across the worker pool; sequence numbers are checked against the
-// expected window by index, and the measurement fold plus DRAM commit run
-// serially in slice order — byte-identical to the one-page command, except
-// that a mid-batch failure commits nothing.
+// ReceiveUpdatePages is RECEIVE_UPDATE: packet i is decrypted from the
+// transport key and lands at pfns[i] re-encrypted with the context's Kvek.
+// Packets must arrive in sequence order: the context tracks the next
+// expected sequence number, so replayed or reordered packets are rejected
+// before they can perturb the measurement chain. (The I/O commands use
+// caller-chosen sector tweaks and are exempt.) Tag verification, transport
+// decryption and Kvek re-encryption run across the worker pool; the
+// measurement fold plus DRAM commit run serially in slice order, so one
+// N-page call matches N one-page calls. A batch refused by its sequence,
+// tag or size check commits nothing and leaves the sequence and
+// measurement untouched, so the sender can retry with the genuine
+// packets.
 func (f *Firmware) ReceiveUpdatePages(h Handle, pfns []hw.PFN, pkts []Packet) error {
 	c, err := f.ctx(h)
 	if err != nil {

@@ -47,7 +47,7 @@ func TestLaunchLifecycle(t *testing.T) {
 	if err := ctl.Mem.WriteRaw(hw.PFN(2).Addr(), plain); err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.LaunchUpdateData(h, 2); err != nil {
+	if err := fw.LaunchUpdatePages(h, []hw.PFN{2}); err != nil {
 		t.Fatal(err)
 	}
 	// DRAM now holds ciphertext.
@@ -78,7 +78,7 @@ func TestLaunchLifecycle(t *testing.T) {
 		t.Fatal("activated guest cannot decrypt its launched image")
 	}
 	// State machine: update after finish is illegal.
-	if err := fw.LaunchUpdateData(h, 2); !errors.Is(err, ErrBadState) {
+	if err := fw.LaunchUpdatePages(h, []hw.PFN{2}); !errors.Is(err, ErrBadState) {
 		t.Fatalf("want ErrBadState, got %v", err)
 	}
 }
@@ -145,10 +145,9 @@ func TestOwnerImageReceiveBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := hw.PFN(10)
-	for i, pkt := range img.Pages {
-		if err := fw.ReceiveUpdate(h, base+hw.PFN(i), pkt); err != nil {
-			t.Fatal(err)
-		}
+	pfns := []hw.PFN{base, base + 1, base + 2}
+	if err := fw.ReceiveUpdatePages(h, pfns, img.Pages); err != nil {
+		t.Fatal(err)
 	}
 	if err := fw.ReceiveFinish(h, img.Measurement); err != nil {
 		t.Fatal(err)
@@ -171,9 +170,9 @@ func TestOwnerImageReceiveBoot(t *testing.T) {
 	}
 }
 
-// TestReceiveRefusesPartialPage drives both receive commands with packets
-// that do not carry a whole page: a forged one fails its tag check, a
-// correctly sealed one fails the size check, and neither reaches DRAM.
+// TestReceiveRefusesPartialPage drives RECEIVE_UPDATE with packets that
+// do not carry a whole page: a forged one fails its tag check, a correctly
+// sealed one fails the size check, and neither reaches DRAM.
 func TestReceiveRefusesPartialPage(t *testing.T) {
 	fw, ctl := newFW(t, 64)
 	owner, _ := NewOwner()
@@ -182,40 +181,32 @@ func TestReceiveRefusesPartialPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bulk := range []bool{false, true} {
-		h, err := fw.ReceiveStart(kwrap, owner.PublicKey(), owner.Nonce())
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := fw.ctx(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		short, err := sealPacket(c.transport, 0, bytes.Repeat([]byte{9}, 100))
-		if err != nil {
-			t.Fatal(err)
-		}
-		forged := short
-		forged.Tag[0] ^= 1
-		receive := func(p Packet) error {
-			if bulk {
-				return fw.ReceiveUpdatePages(h, []hw.PFN{5}, []Packet{p})
-			}
-			return fw.ReceiveUpdate(h, 5, p)
-		}
-		if err := receive(forged); !errors.Is(err, ErrBadTag) {
-			t.Fatalf("bulk=%v: forged short packet: got %v, want ErrBadTag", bulk, err)
-		}
-		if err := receive(short); err == nil || errors.Is(err, ErrBadTag) {
-			t.Fatalf("bulk=%v: sealed short packet: got %v, want a size error", bulk, err)
-		}
-		raw := make([]byte, hw.PageSize)
-		if err := ctl.Mem.ReadRaw(hw.PFN(5).Addr(), raw); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(raw, make([]byte, hw.PageSize)) {
-			t.Fatalf("bulk=%v: a refused packet reached DRAM", bulk)
-		}
+	h, err := fw.ReceiveStart(kwrap, owner.PublicKey(), owner.Nonce())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := fw.ctx(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := sealPacket(c.transport, 0, bytes.Repeat([]byte{9}, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := short
+	forged.Tag[0] ^= 1
+	if err := fw.ReceiveUpdatePages(h, []hw.PFN{5}, []Packet{forged}); !errors.Is(err, ErrBadTag) {
+		t.Fatalf("forged short packet: got %v, want ErrBadTag", err)
+	}
+	if err := fw.ReceiveUpdatePages(h, []hw.PFN{5}, []Packet{short}); err == nil || errors.Is(err, ErrBadTag) {
+		t.Fatalf("sealed short packet: got %v, want a size error", err)
+	}
+	raw := make([]byte, hw.PageSize)
+	if err := ctl.Mem.ReadRaw(hw.PFN(5).Addr(), raw); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, make([]byte, hw.PageSize)) {
+		t.Fatal("a refused packet reached DRAM")
 	}
 }
 
@@ -236,26 +227,36 @@ func TestReceiveDetectsTamper(t *testing.T) {
 	bad := img.Pages[0]
 	bad.Data = append([]byte{}, bad.Data...)
 	bad.Data[100] ^= 0xFF
-	if err := fw.ReceiveUpdate(h, 5, bad); !errors.Is(err, ErrBadTag) {
+	if err := fw.ReceiveUpdatePages(h, []hw.PFN{5}, []Packet{bad}); !errors.Is(err, ErrBadTag) {
 		t.Fatalf("want ErrBadTag, got %v", err)
 	}
-	// Replaying an already-consumed packet is rejected by the sequence
-	// check before it can touch the measurement chain.
-	h2, err := fw.ReceiveStart(kwrap, owner.PublicKey(), owner.Nonce())
+	// The migration receiver nacks a bad frame and the sender re-sends the
+	// same packet, so the refusal must leave the context as it was: the
+	// genuine packet is then accepted on the same handle.
+	c, err := fw.ctx(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.ReceiveUpdate(h2, 5, img.Pages[0]); err != nil {
-		t.Fatal(err)
+	if c.seq != 0 || c.measure != (Measurement{}) {
+		t.Fatalf("refused packet moved the context: seq %d, measurement %x", c.seq, c.measure)
 	}
-	if err := fw.ReceiveUpdate(h2, 6, img.Pages[0]); !errors.Is(err, ErrBadSequence) {
+	if err := fw.ReceiveUpdatePages(h, []hw.PFN{5}, img.Pages[:1]); err != nil {
+		t.Fatalf("genuine packet after a refused one: %v", err)
+	}
+	// Replaying an already-consumed packet is rejected by the sequence
+	// check before it can touch the measurement chain.
+	if err := fw.ReceiveUpdatePages(h, []hw.PFN{6}, img.Pages[:1]); !errors.Is(err, ErrBadSequence) {
 		t.Fatalf("want ErrBadSequence on replay, got %v", err)
 	}
-	// A forged final measurement still fails RECEIVE_FINISH.
+	// A forged final measurement still fails RECEIVE_FINISH; the genuine
+	// one passes, so neither refusal perturbed the chain.
 	badMvm := img.Measurement
 	badMvm[0] ^= 0xFF
-	if err := fw.ReceiveFinish(h2, badMvm); !errors.Is(err, ErrBadMeasurement) {
+	if err := fw.ReceiveFinish(h, badMvm); !errors.Is(err, ErrBadMeasurement) {
 		t.Fatalf("want ErrBadMeasurement, got %v", err)
+	}
+	if err := fw.ReceiveFinish(h, img.Measurement); err != nil {
+		t.Fatalf("genuine measurement after a retried packet: %v", err)
 	}
 }
 
@@ -290,9 +291,9 @@ func TestMigrationSendReceive(t *testing.T) {
 	for i, pfn := range srcPFNs {
 		secrets[i] = bytes.Repeat([]byte(fmt.Sprintf("migrate me %04d!", i)), hw.PageSize/16)
 		octl.Mem.WriteRaw(pfn.Addr(), secrets[i])
-		if err := origin.LaunchUpdateData(h, pfn); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := origin.LaunchUpdatePages(h, srcPFNs); err != nil {
+		t.Fatal(err)
 	}
 	if err := origin.LaunchFinish(h); err != nil {
 		t.Fatal(err)
@@ -305,11 +306,9 @@ func TestMigrationSendReceive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkts := make([]Packet, len(srcPFNs))
-	for i, pfn := range srcPFNs {
-		if pkts[i], err = origin.SendUpdate(h, pfn); err != nil {
-			t.Fatal(err)
-		}
+	pkts, err := origin.SendUpdatePages(h, srcPFNs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	mvm, err := origin.SendFinish(h)
 	if err != nil {
@@ -324,16 +323,16 @@ func TestMigrationSendReceive(t *testing.T) {
 	}
 	dstPFNs := []hw.PFN{7, 8, 9}
 	// Out-of-order delivery is rejected by the sequence check.
-	if err := target.ReceiveUpdate(th, dstPFNs[1], pkts[1]); !errors.Is(err, ErrBadSequence) {
+	if err := target.ReceiveUpdatePages(th, dstPFNs[1:2], pkts[1:2]); !errors.Is(err, ErrBadSequence) {
 		t.Fatalf("want ErrBadSequence for out-of-order packet, got %v", err)
 	}
 	for i, pfn := range dstPFNs {
-		if err := target.ReceiveUpdate(th, pfn, pkts[i]); err != nil {
+		if err := target.ReceiveUpdatePages(th, []hw.PFN{pfn}, pkts[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Replaying a consumed packet is rejected too.
-	if err := target.ReceiveUpdate(th, dstPFNs[0], pkts[0]); !errors.Is(err, ErrBadSequence) {
+	if err := target.ReceiveUpdatePages(th, dstPFNs[:1], pkts[:1]); !errors.Is(err, ErrBadSequence) {
 		t.Fatalf("want ErrBadSequence for replayed packet, got %v", err)
 	}
 	if err := target.ReceiveFinish(th, mvm); err != nil {
@@ -356,7 +355,7 @@ func TestMigrationSendReceive(t *testing.T) {
 		}
 	}
 	// SEND_FINISH retired the origin context: further updates illegal.
-	if _, err := origin.SendUpdate(h, srcPFNs[0]); !errors.Is(err, ErrBadState) {
+	if _, err := origin.SendUpdatePages(h, srcPFNs[:1]); !errors.Is(err, ErrBadState) {
 		t.Fatalf("want ErrBadState after finish, got %v", err)
 	}
 }
@@ -368,7 +367,8 @@ func TestSendCancelResumesGuest(t *testing.T) {
 	target, _ := newFW(t, 32)
 	h, _ := origin.LaunchStart(0)
 	octl.Mem.WriteRaw(hw.PFN(3).Addr(), bytes.Repeat([]byte{9}, hw.PageSize))
-	if err := origin.LaunchUpdateData(h, 3); err != nil {
+	page := []hw.PFN{3}
+	if err := origin.LaunchUpdatePages(h, page); err != nil {
 		t.Fatal(err)
 	}
 	if err := origin.LaunchFinish(h); err != nil {
@@ -378,14 +378,14 @@ func TestSendCancelResumesGuest(t *testing.T) {
 	if _, err := origin.SendStart(h, targetPub, []byte("cancelled-run!")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := origin.SendUpdate(h, 3); err != nil {
+	if _, err := origin.SendUpdatePages(h, page); err != nil {
 		t.Fatal(err)
 	}
 	if err := origin.SendCancel(h); err != nil {
 		t.Fatal(err)
 	}
 	// Back to running: a fresh SEND session starts from scratch.
-	if _, err := origin.SendUpdate(h, 3); !errors.Is(err, ErrBadState) {
+	if _, err := origin.SendUpdatePages(h, page); !errors.Is(err, ErrBadState) {
 		t.Fatalf("want ErrBadState outside a session, got %v", err)
 	}
 	if err := origin.SendCancel(h); !errors.Is(err, ErrBadState) {
@@ -394,12 +394,12 @@ func TestSendCancelResumesGuest(t *testing.T) {
 	if _, err := origin.SendStart(h, targetPub, []byte("second-attempt")); err != nil {
 		t.Fatalf("fresh SEND after cancel: %v", err)
 	}
-	pkt, err := origin.SendUpdate(h, 3)
+	pkts, err := origin.SendUpdatePages(h, page)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pkt.Seq != 0 {
-		t.Fatalf("cancel must reset the transport sequence, got %d", pkt.Seq)
+	if pkts[0].Seq != 0 {
+		t.Fatalf("cancel must reset the transport sequence, got %d", pkts[0].Seq)
 	}
 }
 
@@ -437,19 +437,19 @@ func TestHelperContextsIOPath(t *testing.T) {
 	if err := ctl.Write(hw.Access{PA: md, Encrypted: true, ASID: 5}, data); err != nil {
 		t.Fatal(err)
 	}
-	// I/O write: SEND_UPDATE re-encrypts Kvek -> TEK into a packet for
-	// the shared buffer.
-	pkt, err := fw.SendUpdateBuf(sdom, md, len(data), 42)
+	// I/O write: SendIO re-encrypts Kvek -> TEK, tweaked by the sector
+	// number, into ciphertext for the shared buffer.
+	ct, err := fw.SendIO(sdom, md, len(data), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(pkt.Data, []byte("disk sector data")) {
-		t.Fatal("I/O packet leaks plaintext")
+	if len(ct) != len(data) || bytes.Contains(ct, []byte("disk sector data")) {
+		t.Fatal("I/O ciphertext leaks plaintext")
 	}
-	// I/O read: RECEIVE_UPDATE re-encrypts TEK -> Kvek into another
-	// guest buffer.
+	// I/O read: ReceiveIO re-encrypts TEK -> Kvek into another guest
+	// buffer.
 	dst := hw.PFN(21).Addr()
-	if err := fw.ReceiveUpdateBuf(rdom, dst, pkt); err != nil {
+	if err := fw.ReceiveIO(rdom, dst, ct, 42); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(data))
@@ -459,9 +459,25 @@ func TestHelperContextsIOPath(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("I/O round trip through s-dom/r-dom mismatch")
 	}
-	// Alignment enforcement.
-	if _, err := fw.SendUpdateBuf(sdom, md+1, 16, 0); !errors.Is(err, ErrNotAligned) {
-		t.Fatalf("want ErrNotAligned, got %v", err)
+	// Alignment enforcement on the address and the length.
+	if _, err := fw.SendIO(sdom, md+1, 16, 0); !errors.Is(err, ErrNotAligned) {
+		t.Fatalf("send_io misaligned address: want ErrNotAligned, got %v", err)
+	}
+	if _, err := fw.SendIO(sdom, md, 17, 0); !errors.Is(err, ErrNotAligned) {
+		t.Fatalf("send_io misaligned length: want ErrNotAligned, got %v", err)
+	}
+	if err := fw.ReceiveIO(rdom, dst+1, ct, 42); !errors.Is(err, ErrNotAligned) {
+		t.Fatalf("receive_io misaligned address: want ErrNotAligned, got %v", err)
+	}
+	if err := fw.ReceiveIO(rdom, dst, ct[:17], 42); !errors.Is(err, ErrNotAligned) {
+		t.Fatalf("receive_io misaligned length: want ErrNotAligned, got %v", err)
+	}
+	// Each command is legal only on the helper in its own state.
+	if _, err := fw.SendIO(rdom, md, len(data), 42); !errors.Is(err, ErrBadState) {
+		t.Fatalf("send_io on the receiving helper: want ErrBadState, got %v", err)
+	}
+	if err := fw.ReceiveIO(sdom, dst, ct, 42); !errors.Is(err, ErrBadState) {
+		t.Fatalf("receive_io on the sending helper: want ErrBadState, got %v", err)
 	}
 }
 
