@@ -51,16 +51,19 @@ migrate:
 	$(GO) run ./cmd/fidelius-migrate -faulty
 	$(GO) run ./cmd/fidelius-migrate -tamper
 
-# Full benchmark run, captured as a JSON artifact for regression
-# diffing. -count=3 lets benchjson take the per-metric median, so one
-# wall-clock outlier on a busy container cannot poison the artifact.
+# Capture a benchmark artifact: every workload of benchmark/ at the
+# default --seconds, written to a new file, e.g.
+# `make bench BENCH_NEW=BENCH_17.json`. An existing artifact is never
+# overwritten.
 bench:
-	$(GO) test -run '^$$' -bench=. -benchmem -count=3 . 2>&1 | $(GO) run ./cmd/benchjson -o BENCH_10.json
+	@test -n "$(BENCH_NEW)" || { echo "usage: make bench BENCH_NEW=BENCH_<n>.json" >&2; exit 2; }
+	@test ! -e "$(BENCH_NEW)" || { echo "$(BENCH_NEW) exists; refusing to overwrite it" >&2; exit 1; }
+	bash benchmark/run.sh --workload all -out $(BENCH_NEW)
 
-# One-iteration pass over every benchmark: catches bit-rot in the
-# benchmark harness without paying for a full measurement run.
+# One-iteration pass over every testing.B benchmark in the module:
+# catches bit-rot without paying for a full measurement run.
 benchsmoke:
-	$(GO) test -run '^$$' -bench=. -benchtime=1x .
+	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
 # The end-to-end benchmark (benchmark/, its own Go module): its tests run
 # all four workloads in quick mode, plain and traced, then run.sh builds
@@ -70,18 +73,17 @@ benchmark-smoke:
 	cd benchmark && $(GO) test ./...
 	bash benchmark/run.sh --workload all --quick --seconds 1
 
-# Regression gate between two captured benchmark artifacts, e.g.
-# `make benchdiff BENCH_OLD=BENCH_8.json BENCH_NEW=BENCH_9.json`.
-# Deterministic cycle metrics gate tight (they are bit-reproducible);
-# wall-clock ns/op gets a looser threshold because goroutine-heavy
-# benchmarks on the shared 1-CPU container swing ±15% run-to-run even
-# under the median-of-3 capture.
-BENCH_OLD ?= BENCH_9.json
-BENCH_NEW ?= BENCH_10.json
-BENCH_THRESHOLD ?= 10
-BENCH_WALL_THRESHOLD ?= 20
+# Regression gate for an artifact: `benchmark -compare` against its
+# predecessor and against the pinned anchor BENCH_16.json, with the
+# bounds of BENCHMARK.json, e.g.
+# `make benchdiff BENCH_OLD=BENCH_16.json BENCH_NEW=BENCH_17.json`.
+# Both comparisons always print; the target fails if either regressed.
 benchdiff:
-	$(GO) run ./cmd/benchjson -diff -threshold $(BENCH_THRESHOLD) -wall-threshold $(BENCH_WALL_THRESHOLD) $(BENCH_OLD) $(BENCH_NEW)
+	@test -n "$(BENCH_OLD)" -a -n "$(BENCH_NEW)" || { echo "usage: make benchdiff BENCH_OLD=<old>.json BENCH_NEW=<new>.json" >&2; exit 2; }
+	@status=0; \
+	bash benchmark/run.sh -compare $(BENCH_OLD) $(BENCH_NEW) || status=1; \
+	bash benchmark/run.sh -compare BENCH_16.json $(BENCH_NEW) || status=1; \
+	exit $$status
 
 vet:
 	$(GO) vet ./...

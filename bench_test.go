@@ -1,201 +1,21 @@
 package fidelius
 
-// The benchmark harness: one testing.B benchmark per table and figure of
-// the paper's evaluation (Section 7), plus the ablations of DESIGN.md §4.
-// The simulation is deterministic, so each benchmark reports its derived
-// metrics (overhead percentages, gate cycle counts) via b.ReportMetric;
-// wall-clock ns/op measures only the simulator itself.
+// Wall-clock micro-benchmarks of the simulator itself: boot, the guest
+// memory pipeline, bulk page crypto, the parallel scheduler and
+// lifecycle churn. They report host ns/op only. The modelled numbers of
+// the evaluation are pinned exactly by TestModelledNumbers, and the
+// end-to-end workloads are gated between artifacts by benchmark/.
 //
-// Run with: go test -bench=. -benchmem
+// Run with: go test -run '^$' -bench=. -benchmem
 
 import (
 	"fmt"
 	"sync"
 	"testing"
 
-	"fidelius/internal/bench"
 	"fidelius/internal/hw"
-	"fidelius/internal/kv"
 	"fidelius/internal/sev"
-	"fidelius/internal/workload"
 )
-
-// BenchmarkFig5SPECCPU2006 regenerates Figure 5: SPEC CPU 2006 normalized
-// overheads of Fidelius and Fidelius-enc versus original Xen.
-func BenchmarkFig5SPECCPU2006(b *testing.B) {
-	var rows []bench.FigRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.Figure5(8)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	avg := bench.Average(rows)
-	b.ReportMetric(avg.Fid, "fid-overhead-%")
-	b.ReportMetric(avg.Enc, "enc-overhead-%")
-	for _, r := range rows {
-		if r.Name == "mcf" {
-			b.ReportMetric(r.Enc, "mcf-enc-%")
-		}
-		if r.Name == "omnetpp" {
-			b.ReportMetric(r.Enc, "omnetpp-enc-%")
-		}
-	}
-}
-
-// BenchmarkFig6PARSEC regenerates Figure 6: PARSEC normalized overheads.
-func BenchmarkFig6PARSEC(b *testing.B) {
-	var rows []bench.FigRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.Figure6(8)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	avg := bench.Average(rows)
-	b.ReportMetric(avg.Fid, "fid-overhead-%")
-	b.ReportMetric(avg.Enc, "enc-overhead-%")
-	for _, r := range rows {
-		if r.Name == "canneal" {
-			b.ReportMetric(r.Enc, "canneal-enc-%")
-		}
-	}
-}
-
-// BenchmarkTable3Fio regenerates Table 3: fio under original Xen versus
-// Fidelius with AES-NI I/O protection.
-func BenchmarkTable3Fio(b *testing.B) {
-	var rows []bench.FioRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.Table3(320)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Slowdown, r.Pattern.String()+"-%")
-	}
-}
-
-// BenchmarkMicroGates regenerates Section 7.2's first micro-benchmark:
-// the three gate transition costs (paper: 306 / 16 / 339 cycles).
-func BenchmarkMicroGates(b *testing.B) {
-	var g bench.MicroGates
-	for i := 0; i < b.N; i++ {
-		var err error
-		g, err = bench.MicroBenchGates(1000)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(g.Gate1), "gate1-cycles")
-	b.ReportMetric(float64(g.Gate2), "gate2-cycles")
-	b.ReportMetric(float64(g.Gate3), "gate3-cycles")
-}
-
-// BenchmarkMicroShadow regenerates the second micro-benchmark: the
-// shadow-and-check cost per void hypercall (paper: 661 cycles).
-func BenchmarkMicroShadow(b *testing.B) {
-	var s bench.MicroShadow
-	for i := 0; i < b.N; i++ {
-		var err error
-		s, err = bench.MicroBenchShadow(500)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(s.Shadow), "shadow-cycles")
-	b.ReportMetric(float64(s.XenRT), "xen-roundtrip-cycles")
-	b.ReportMetric(float64(s.FideliusRT), "fidelius-roundtrip-cycles")
-}
-
-// BenchmarkMicroIOCrypt regenerates the third micro-benchmark: a 512 MB
-// guest memory copy under the three encryption techniques (paper: AES-NI
-// 11.49%, SME 8.69%, software >20x).
-func BenchmarkMicroIOCrypt(b *testing.B) {
-	var r bench.MicroIOCrypt
-	for i := 0; i < b.N; i++ {
-		r = bench.MicroBenchIOCrypt(512 << 20)
-	}
-	b.ReportMetric(r.AESNISlowdown, "aesni-%")
-	b.ReportMetric(r.SEVSlowdown, "sev-%")
-	b.ReportMetric(r.SoftwareRatio, "software-x")
-}
-
-// BenchmarkGateAblation quantifies the context-transition design choice
-// of Section 4.1.3: CR3 switch vs WP toggle vs temporary mapping.
-func BenchmarkGateAblation(b *testing.B) {
-	var a bench.GateAblation
-	for i := 0; i < b.N; i++ {
-		var err error
-		a, err = bench.MeasureGateAblation(100)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(a.CR3Switch), "cr3-switch-cycles")
-	b.ReportMetric(float64(a.WPToggle), "wp-toggle-cycles")
-	b.ReportMetric(float64(a.AddMapping), "add-mapping-cycles")
-}
-
-// BenchmarkNPTEagerLazy quantifies the eager-versus-lazy NPT population
-// choice of Section 4.3.4.
-func BenchmarkNPTEagerLazy(b *testing.B) {
-	var a bench.NPTAblation
-	for i := 0; i < b.N; i++ {
-		var err error
-		a, err = bench.MeasureNPTAblation(48)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(a.EagerRun), "eager-run-cycles")
-	b.ReportMetric(float64(a.LazyRun), "lazy-run-cycles")
-	b.ReportMetric(float64(a.LazyNPF), "lazy-npf-count")
-}
-
-// BenchmarkPagingAblation quantifies the nested-paging walk cost a guest
-// pays once it enables its own page tables.
-func BenchmarkPagingAblation(b *testing.B) {
-	var a bench.PagingAblation
-	for i := 0; i < b.N; i++ {
-		var err error
-		a, err = bench.MeasurePagingAblation(256)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(a.FlatCycles), "flat-cycles/access")
-	b.ReportMetric(float64(a.NestedCycles), "nested-cycles/access")
-}
-
-// BenchmarkShadowVsTrap quantifies the Section 5.1 choice of shadowing
-// the VMCB once per exit over trapping every hypervisor access to it.
-func BenchmarkShadowVsTrap(b *testing.B) {
-	var m bench.ShadowVsTrap
-	for i := 0; i < b.N; i++ {
-		m = bench.ModelShadowVsTrap(5)
-	}
-	b.ReportMetric(float64(m.ShadowCost), "shadow-cycles")
-	b.ReportMetric(float64(m.TrapCost), "trap-cycles")
-}
-
-// BenchmarkFioSEVPath extends Table 3 with the SEV-API I/O protection
-// path on the sequential-write workload.
-func BenchmarkFioSEVPath(b *testing.B) {
-	var slow float64
-	for i := 0; i < b.N; i++ {
-		base, sevRes, err := bench.MeasureFioSEVPath(workload.SeqWrite, 160)
-		if err != nil {
-			b.Fatal(err)
-		}
-		slow = sevRes.Slowdown(base)
-	}
-	b.ReportMetric(slow, "sev-io-slowdown-%")
-}
 
 // BenchmarkProtectedBoot measures the full protected-VM boot path
 // (RECEIVE chain, measurement verification, activation).
@@ -385,37 +205,37 @@ func BenchmarkScheduleParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkLifecycleChurn measures fleet-scale domain lifecycle churn:
-// each iteration is a 64-lifetime launch/run/decommission storm driven
-// by 8 concurrent workers against one long-lived platform, so the SEV
-// ASID pool crosses the 254-ASID hardware limit within a few iterations
-// and later lifetimes ride the batch-DF_FLUSH recycle path. Wall-clock
-// ns/op measures the concurrent storm; the deterministic cycle metrics
-// come from a fixed-size serial churn on a fresh platform (independent
-// of goroutine interleaving), so `make benchdiff` can gate them.
-func BenchmarkLifecycleChurn(b *testing.B) {
-	const (
-		workers   = 8
-		perWorker = 8 // 64 lifetimes per iteration
-	)
-	guest := func(g *GuestEnv) error {
+// churnLifetime is one short protected lifetime: create an SEV domain,
+// run a guest that writes a line and makes one hypercall, shut it down.
+func churnLifetime(plat *Platform, name string) error {
+	vm, err := plat.CreateVM(name, 8, true)
+	if err != nil {
+		return err
+	}
+	plat.StartVCPU(vm, func(g *GuestEnv) error {
 		if err := g.Write(2*PageSize, []byte("churn")); err != nil {
 			return err
 		}
 		_, err := g.Hypercall(HCVoid)
 		return err
+	})
+	if errs := plat.ScheduleParallel([]*Domain{vm}, 1); len(errs) != 0 {
+		return fmt.Errorf("run %s: %v", name, errs)
 	}
-	lifetime := func(plat *Platform, name string) error {
-		vm, err := plat.CreateVM(name, 8, true)
-		if err != nil {
-			return err
-		}
-		plat.StartVCPU(vm, guest)
-		if errs := plat.ScheduleParallel([]*Domain{vm}, 1); len(errs) != 0 {
-			return fmt.Errorf("run %s: %v", name, errs)
-		}
-		return plat.Shutdown(vm)
-	}
+	return plat.Shutdown(vm)
+}
+
+// BenchmarkLifecycleChurn measures fleet-scale domain lifecycle churn:
+// each iteration is a 64-lifetime launch/run/decommission storm driven
+// by 8 concurrent workers against one long-lived platform, so the SEV
+// ASID pool crosses the 254-ASID hardware limit within a few iterations
+// and later lifetimes ride the batch-DF_FLUSH recycle path. The cycle
+// account of a serial churn is pinned by TestModelledNumbers.
+func BenchmarkLifecycleChurn(b *testing.B) {
+	const (
+		workers   = 8
+		perWorker = 8 // 64 lifetimes per iteration
+	)
 	plat, err := NewPlatform(Config{})
 	if err != nil {
 		b.Fatal(err)
@@ -429,7 +249,7 @@ func BenchmarkLifecycleChurn(b *testing.B) {
 			go func(w int) {
 				defer wg.Done()
 				for l := 0; l < perWorker; l++ {
-					if err := lifetime(plat, fmt.Sprintf("churn%d-%d", w, l)); err != nil {
+					if err := churnLifetime(plat, fmt.Sprintf("churn%d-%d", w, l)); err != nil {
 						errc <- err
 						return
 					}
@@ -441,456 +261,5 @@ func BenchmarkLifecycleChurn(b *testing.B) {
 		for err := range errc {
 			b.Fatal(err)
 		}
-	}
-	b.StopTimer()
-	// Deterministic cycle account: 320 serial lifetimes over 254 ASIDs
-	// forces the recycle path, so the per-lifetime average folds in the
-	// amortized DF_FLUSH cost.
-	const serialLifetimes = 320
-	sp, err := NewPlatform(Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	start := sp.X.M.Ctl.Now()
-	for l := 0; l < serialLifetimes; l++ {
-		if err := lifetime(sp, fmt.Sprintf("serial%d", l)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	total := sp.X.M.Ctl.Now() - start
-	b.ReportMetric(float64(total)/serialLifetimes, "lifetime-cycles")
-	b.ReportMetric(float64(sp.X.ASIDs.Flushes()), "df-flushes")
-	b.ReportMetric(float64(total), "churn-cycles")
-}
-
-// BenchmarkServeGetPut measures the multi-tenant KV serving front end
-// end to end: per-tenant protected VMs behind sector-framed request
-// rings, attestation-gated admission, and an open-loop Poisson load of
-// gets/puts/deletes. Each iteration boots a fresh platform and drains a
-// full scenario; the derived metrics report what the simulation
-// measures — completed ops per million simulated cycles and the
-// arrival-to-response latency quantiles.
-func BenchmarkServeGetPut(b *testing.B) {
-	var (
-		throughput float64
-		p50, p99   float64
-	)
-	for i := 0; i < b.N; i++ {
-		plat, err := NewPlatform(Config{Protected: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		svc, err := plat.NewServeService(ServeConfig{
-			Tenants:          4,
-			ClientsPerTenant: 16,
-			OpsPerClient:     2,
-			RatePerMCycle:    0.2,
-			Seed:             7,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for dom, err := range svc.Run() {
-			if err != nil {
-				b.Fatalf("domain %d: %v", dom, err)
-			}
-		}
-		var ops uint64
-		for _, r := range svc.Reports() {
-			ops += r.Ops
-		}
-		if el := svc.Elapsed(); el > 0 {
-			throughput = float64(ops) / (float64(el) / 1e6)
-		}
-		if h, ok := plat.Metrics().Histograms["serve.latency"]; ok {
-			p50, p99 = h.Quantile(0.50), h.Quantile(0.99)
-		}
-		if err := svc.Shutdown(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(throughput, "ops/Mcycle")
-	b.ReportMetric(p50, "p50-cycles")
-	b.ReportMetric(p99, "p99-cycles")
-}
-
-// BenchmarkKVGroupCommit measures the kv store's group-commit put path
-// through the full protected block stack (AES-NI front-end + write
-// coalescer + PV ring + seek model) at increasing batch depths. The
-// deterministic metrics are the whole point: put-cycles is the amortized
-// cost of one put, and seeks/put shows the 2-seeks-per-put terminator
-// dance collapsing to 2-seeks-per-batch (depth 1 ≈ 2.0, depth 7 ≤ 0.3).
-func BenchmarkKVGroupCommit(b *testing.B) {
-	for _, depth := range []int{1, 7, 15} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			plat, err := NewPlatform(Config{Protected: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			owner, err := NewOwner()
-			if err != nil {
-				b.Fatal(err)
-			}
-			bundle, _, err := PrepareGuest(owner, plat.PlatformKey(), make([]byte, PageSize), nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			vm, err := plat.LaunchVM("kv-commit", 64, bundle)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := plat.AttachDisk(vm, NewDisk(512), 2, 1, nil); err != nil {
-				b.Fatal(err)
-			}
-			hub := plat.Telemetry()
-			const batches = 12
-			var spent, seeks, puts uint64
-			plat.StartVCPU(vm, func(g *GuestEnv) error {
-				bf, err := NewBlockFrontend(g)
-				if err != nil {
-					return err
-				}
-				var kblk [32]byte
-				kbase := plat.KernelBase(vm, bundle) * PageSize
-				if err := g.Read(kbase+KblkOffset, kblk[:]); err != nil {
-					return err
-				}
-				aes, err := NewAESNIFront(g, bf, kblk)
-				if err != nil {
-					return err
-				}
-				dev := kv.NewWriteCoalescer(aes, 0)
-				val := make([]byte, 48)
-				// A superblock and two halves that each hold all 12×15
-				// one-sector records of the deepest run.
-				const sectors = 1 + 2*248
-				for i := 0; i < b.N; i++ {
-					if err := kv.Format(dev, 8, sectors); err != nil {
-						return err
-					}
-					store, err := kv.Open(dev, 8, sectors)
-					if err != nil {
-						return err
-					}
-					start, seekStart := hub.Now(), hub.M.DiskSeekWrites.Value()
-					for batch := 0; batch < batches; batch++ {
-						ops := make([]kv.Op, depth)
-						for d := range ops {
-							ops[d] = kv.Op{Key: fmt.Sprintf("key-%02d-%02d", batch, d), Value: val}
-						}
-						if err := store.Apply(ops); err != nil {
-							return err
-						}
-					}
-					spent += hub.Now() - start
-					seeks += hub.M.DiskSeekWrites.Value() - seekStart
-					puts += batches * uint64(depth)
-				}
-				return nil
-			})
-			if err := plat.Run(vm); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(spent)/float64(puts), "put-cycles")
-			b.ReportMetric(float64(seeks)/float64(puts), "seeks/put")
-		})
-	}
-}
-
-// BenchmarkServePutHeavyKnee drives the serving front end far past the
-// old seek-bound saturation point (offered 3.2 ops/Mcycle per tenant ×
-// 4 tenants = 12.8 fleet) on a mutation-heavy mix, so the reported
-// ops/Mcycle *is* the capacity knee. BENCH_7's knee on this mix was
-// ~1.4 ops/Mcycle; group commit + the deeper ring move it past 3×.
-func BenchmarkServePutHeavyKnee(b *testing.B) {
-	var throughput, seeksPerOp, p99 float64
-	for i := 0; i < b.N; i++ {
-		plat, err := NewPlatform(Config{Protected: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		svc, err := plat.NewServeService(ServeConfig{
-			Tenants:          4,
-			ClientsPerTenant: 16,
-			OpsPerClient:     2,
-			RatePerMCycle:    3.2,
-			PutFrac:          0.7,
-			DelFrac:          0.1,
-			Seed:             7,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for dom, err := range svc.Run() {
-			if err != nil {
-				b.Fatalf("domain %d: %v", dom, err)
-			}
-		}
-		var ops uint64
-		for _, r := range svc.Reports() {
-			ops += r.Ops
-		}
-		if el := svc.Elapsed(); el > 0 {
-			throughput = float64(ops) / (float64(el) / 1e6)
-		}
-		hub := plat.Telemetry()
-		if ops > 0 {
-			seeks := hub.M.DiskSeekReads.Value() + hub.M.DiskSeekWrites.Value()
-			seeksPerOp = float64(seeks) / float64(ops)
-		}
-		if h, ok := plat.Metrics().Histograms["serve.latency"]; ok {
-			p99 = h.Quantile(0.99)
-		}
-		if err := svc.Shutdown(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(throughput, "ops/Mcycle")
-	b.ReportMetric(seeksPerOp, "seeks/op")
-	b.ReportMetric(p99, "p99-cycles")
-}
-
-// BenchmarkServePutHeavySLO runs the put-heavy mix at offered 1.6
-// ops/Mcycle per tenant — the exact knee BENCH_9 left FAILing its p50
-// objective — so the adaptive-depth hold policy's win is a gated number:
-// p50-cycles must stay under the 8.4M serve-p50 objective and holds must
-// be nonzero (the policy actually engaged, not just the rate being low).
-func BenchmarkServePutHeavySLO(b *testing.B) {
-	var p50, throughput, holds float64
-	for i := 0; i < b.N; i++ {
-		plat, err := NewPlatform(Config{Protected: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		svc, err := plat.NewServeService(ServeConfig{
-			Tenants:          4,
-			ClientsPerTenant: 16,
-			OpsPerClient:     2,
-			RatePerMCycle:    1.6,
-			PutFrac:          0.7,
-			DelFrac:          0.1,
-			Seed:             7,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for dom, err := range svc.Run() {
-			if err != nil {
-				b.Fatalf("domain %d: %v", dom, err)
-			}
-		}
-		var ops uint64
-		for _, r := range svc.Reports() {
-			ops += r.Ops
-		}
-		if el := svc.Elapsed(); el > 0 {
-			throughput = float64(ops) / (float64(el) / 1e6)
-		}
-		snap := plat.Metrics()
-		if h, ok := snap.Histograms["serve.latency"]; ok {
-			p50 = h.Quantile(0.50)
-		}
-		holds = float64(snap.Counters["serve.holds"])
-		if err := svc.Shutdown(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(p50, "p50-cycles")
-	b.ReportMetric(throughput, "ops/Mcycle")
-	b.ReportMetric(holds, "holds")
-}
-
-// BenchmarkServeGetHeavy drives the read-dominated mix (93% gets over a
-// hot 3-key-per-client working set) with the guest read cache enabled and
-// disabled. The cached run's hit-% is the headline: every hit skips the
-// store-index copy and the session-cipher recharge, which is also where
-// the wall-clock ns/op difference between the two sub-benchmarks comes
-// from.
-func BenchmarkServeGetHeavy(b *testing.B) {
-	for _, cache := range []struct {
-		name    string
-		entries int
-	}{{"cache=on", 0}, {"cache=off", -1}} {
-		b.Run(cache.name, func(b *testing.B) {
-			var hitPct, p50, throughput float64
-			for i := 0; i < b.N; i++ {
-				plat, err := NewPlatform(Config{Protected: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				svc, err := plat.NewServeService(ServeConfig{
-					Tenants:          4,
-					ClientsPerTenant: 8,
-					OpsPerClient:     8,
-					RatePerMCycle:    1.0,
-					PutFrac:          0.05,
-					DelFrac:          0.02,
-					KeySpace:         3,
-					ReadCacheEntries: cache.entries,
-					Seed:             7,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for dom, err := range svc.Run() {
-					if err != nil {
-						b.Fatalf("domain %d: %v", dom, err)
-					}
-				}
-				var ops uint64
-				for _, r := range svc.Reports() {
-					ops += r.Ops
-				}
-				if el := svc.Elapsed(); el > 0 {
-					throughput = float64(ops) / (float64(el) / 1e6)
-				}
-				snap := plat.Metrics()
-				hits := snap.Counters["kv.cache_hits"]
-				misses := snap.Counters["kv.cache_misses"]
-				if hits+misses > 0 {
-					hitPct = 100 * float64(hits) / float64(hits+misses)
-				}
-				if h, ok := snap.Histograms["serve.latency"]; ok {
-					p50 = h.Quantile(0.50)
-				}
-				if err := svc.Shutdown(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(hitPct, "hit-%")
-			b.ReportMetric(p50, "p50-cycles")
-			b.ReportMetric(throughput, "ops/Mcycle")
-		})
-	}
-}
-
-// BenchmarkKVCompact measures online log compaction through the full
-// protected block stack: a store is churned until half its log is dead
-// records, then compacted. compact-cycles is one full live-set rewrite
-// plus the superblock flip; reclaimed-sectors is what the rewrite bought.
-func BenchmarkKVCompact(b *testing.B) {
-	plat, err := NewPlatform(Config{Protected: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	owner, err := NewOwner()
-	if err != nil {
-		b.Fatal(err)
-	}
-	bundle, _, err := PrepareGuest(owner, plat.PlatformKey(), make([]byte, PageSize), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vm, err := plat.LaunchVM("kv-compact", 64, bundle)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := plat.AttachDisk(vm, NewDisk(512), 2, 1, nil); err != nil {
-		b.Fatal(err)
-	}
-	hub := plat.Telemetry()
-	var spent, reclaimed, rounds uint64
-	plat.StartVCPU(vm, func(g *GuestEnv) error {
-		bf, err := NewBlockFrontend(g)
-		if err != nil {
-			return err
-		}
-		var kblk [32]byte
-		kbase := plat.KernelBase(vm, bundle) * PageSize
-		if err := g.Read(kbase+KblkOffset, kblk[:]); err != nil {
-			return err
-		}
-		aes, err := NewAESNIFront(g, bf, kblk)
-		if err != nil {
-			return err
-		}
-		dev := kv.NewWriteCoalescer(aes, 0)
-		val := make([]byte, 48)
-		for i := 0; i < b.N; i++ {
-			if err := kv.Format(dev, 8, 257); err != nil {
-				return err
-			}
-			store, err := kv.Open(dev, 8, 257)
-			if err != nil {
-				return err
-			}
-			// Churn: 16 keys overwritten 6 times each fills the half with
-			// ~83% garbage.
-			for round := 0; round < 6; round++ {
-				ops := make([]kv.Op, 16)
-				for d := range ops {
-					ops[d] = kv.Op{Key: fmt.Sprintf("key-%02d", d), Value: val}
-				}
-				if err := store.Apply(ops); err != nil {
-					return err
-				}
-			}
-			before := store.UsedSectors()
-			start := hub.Now()
-			if err := store.Compact(); err != nil {
-				return err
-			}
-			spent += hub.Now() - start
-			reclaimed += before - store.UsedSectors()
-			rounds++
-		}
-		return nil
-	})
-	if err := plat.Run(vm); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(spent)/float64(rounds), "compact-cycles")
-	b.ReportMetric(float64(reclaimed)/float64(rounds), "reclaimed-sectors")
-}
-
-// BenchmarkMigrationRound measures one full live migration of a protected
-// 64-page VM between two platforms, pre-copy rounds included; the batched
-// SEND_UPDATE path carries every round's pages.
-func BenchmarkMigrationRound(b *testing.B) {
-	owner, err := NewOwner()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var stats *MigrateStats
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		src, err := NewPlatform(Config{Protected: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		dst, err := NewPlatform(Config{Protected: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bundle, _, err := PrepareGuest(owner, src.PlatformKey(), make([]byte, 16*PageSize), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		vm, err := src.LaunchVM("mig", 64, bundle)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// A live workload that dirties a small working set between
-		// quanta, so pre-copy has re-dirtied pages to chase.
-		src.StartVCPU(vm, func(g *GuestEnv) error {
-			for s := uint64(0); s < 20; s++ {
-				for w := uint64(0); w < 3; w++ {
-					if err := g.Write64(0x6000+w*0x1000, s); err != nil {
-						return err
-					}
-				}
-				g.Halt()
-			}
-			return nil
-		})
-		b.StartTimer()
-		_, stats, err = LiveMigrate(src, vm, dst, MigrateConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if stats != nil {
-		b.ReportMetric(float64(stats.PagesSent), "pages-sent")
-		b.ReportMetric(float64(stats.DowntimeCycles), "downtime-cycles")
 	}
 }

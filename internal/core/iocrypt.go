@@ -127,9 +127,6 @@ func NewSEVFront(g *xen.GuestEnv, f *xen.BlockFrontend) *SEVFront {
 	return &SEVFront{g: g, f: f, mdGFN: g.Info.DataGFN + g.Info.DataLen}
 }
 
-// MdGFN reports the dedicated buffer's guest frame.
-func (s *SEVFront) MdGFN() uint64 { return s.mdGFN }
-
 // window is the per-request sector budget: bounded by both the shared
 // area and the one-page Md buffer.
 func (s *SEVFront) window() uint64 {

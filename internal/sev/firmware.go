@@ -511,14 +511,6 @@ func (f *Firmware) DFFlush() error {
 	return nil
 }
 
-// DirtyASID reports whether asid has been retired without an intervening
-// DF_FLUSH (test and tooling visibility).
-func (f *Firmware) DirtyASID(asid hw.ASID) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dirty[asid]
-}
-
 // SendStart opens a SEND session: it generates fresh transport keys,
 // wraps them under the ECDH agreement with peerPub and the nonce, and
 // moves the context to the sending state (stopping guest execution — the

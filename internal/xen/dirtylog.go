@@ -83,14 +83,6 @@ func (x *Xen) CollectDirty(d *Domain) ([]uint64, error) {
 	return dirty, nil
 }
 
-// PeekDirty drains the dirty log without re-protecting — the final
-// stop-and-copy round, after which tracking ends.
-func (x *Xen) PeekDirty(d *Domain) []uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.Dirty.Collect()
-}
-
 // StopDirtyLog disarms the log and restores the W bit on every backed
 // frame, returning the domain to normal full-speed operation.
 func (x *Xen) StopDirtyLog(d *Domain) error {

@@ -73,9 +73,6 @@ type Config struct {
 	CacheLines int // CPU cache capacity in 64-byte lines
 }
 
-// DefaultConfig is a small machine adequate for tests and examples.
-func DefaultConfig() Config { return Config{MemPages: 4096, CacheLines: 1024} }
-
 // Machine is one physical host: memory, controller, CPU, SEV firmware,
 // the frame allocator, the host page table (an identity "direct map" as in
 // Xen) and the privileged instruction stubs.

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"fidelius/internal/hw"
 )
@@ -291,88 +293,93 @@ func TestScheduleParallelUnstartedDomain(t *testing.T) {
 	}
 }
 
-// TestScheduleParallelSingleDomainParity guards the satellite requirement
-// that a single domain under ScheduleParallel costs within 10% of the
-// serial Schedule — the per-core bring-up, big-lock traffic and world
-// switches must not tax the degenerate case. Interleaved best-of-N
-// rounds, as in the telemetry-off overhead guard.
+// TestScheduleParallelSingleDomainParity guards the promise that a single
+// domain under ScheduleParallel costs within 10% of the serial Schedule —
+// the per-core bring-up, big-lock traffic and world switches must not tax
+// the degenerate case. Each timed chunk runs
+// domains created before the clock starts, one at a time, and destroys
+// them after it stops. A round pairs the two schedulers in ABBA order and
+// sums each side, so load that comes and goes hits both alike; the test
+// judges the round with the lowest parallel/serial ratio, as the
+// telemetry-off overhead guard does.
 func TestScheduleParallelSingleDomainParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard skipped in -short")
 	}
-	workload := func(run func(x *Xen, d *Domain) error) func(b *testing.B) {
-		return func(b *testing.B) {
-			m, err := NewMachine(Config{MemPages: 2048, CacheLines: 512})
-			if err != nil {
-				b.Fatal(err)
-			}
-			x, err := New(m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			buf := make([]byte, hw.PageSize)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				d, err := x.CreateDomain(DomainConfig{Name: "parity", MemPages: 16})
-				if err != nil {
-					b.Fatal(err)
-				}
-				x.StartVCPU(d, func(g *GuestEnv) error {
-					for r := 0; r < 8; r++ {
-						if err := g.Write(2*hw.PageSize, buf); err != nil {
-							return err
-						}
-						if _, err := g.Hypercall(HCVoid); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				b.StartTimer()
-				if err := run(x, d); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if err := x.DestroyDomain(d, false); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-		}
+	const (
+		chunk  = 16 // domains per timed chunk, ~1 ms
+		pairs  = 8  // ABBA pairs per round
+		rounds = 8
+	)
+	m, err := NewMachine(Config{MemPages: 2048, CacheLines: 512})
+	if err != nil {
+		t.Fatal(err)
 	}
-	serial := workload(func(x *Xen, d *Domain) error {
-		if errs := x.Schedule([]*Domain{d}); len(errs) != 0 {
-			return errs[d.ID]
+	x, err := New(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, hw.PageSize)
+	guest := func(g *GuestEnv) error {
+		for r := 0; r < 8; r++ {
+			if err := g.Write(2*hw.PageSize, buf); err != nil {
+				return err
+			}
+			if _, err := g.Hypercall(HCVoid); err != nil {
+				return err
+			}
 		}
 		return nil
-	})
-	par := workload(func(x *Xen, d *Domain) error {
-		if errs := x.ScheduleParallel([]*Domain{d}, 1); len(errs) != 0 {
-			return errs[d.ID]
+	}
+	serial := func(d *Domain) map[DomID]error { return x.Schedule([]*Domain{d}) }
+	par := func(d *Domain) map[DomID]error { return x.ScheduleParallel([]*Domain{d}, 1) }
+	doms := make([]*Domain, chunk)
+	run := func(sched func(*Domain) map[DomID]error) time.Duration {
+		for i := range doms {
+			d, err := x.CreateDomain(DomainConfig{Name: "parity", MemPages: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			x.StartVCPU(d, guest)
+			doms[i] = d
 		}
-		return nil
-	})
-	const rounds = 4
-	var serialNs, parNs float64
-	for i := 0; i < rounds; i++ {
-		// Interleave measurement rounds so machine-wide noise hits both.
-		s := testing.Benchmark(serial)
-		p := testing.Benchmark(par)
-		if ns := float64(s.NsPerOp()); serialNs == 0 || ns < serialNs {
-			serialNs = ns
+		start := time.Now()
+		for _, d := range doms {
+			if errs := sched(d); len(errs) != 0 {
+				t.Fatal(errs[d.ID])
+			}
 		}
-		if ns := float64(p.NsPerOp()); parNs == 0 || ns < parNs {
-			parNs = ns
+		elapsed := time.Since(start)
+		for _, d := range doms {
+			if err := x.DestroyDomain(d, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return elapsed
+	}
+	for i := 0; i < pairs; i++ { // warm both sides before timing
+		run(serial)
+		run(par)
+	}
+	best, bestSerial, bestPar := math.Inf(1), time.Duration(0), time.Duration(0)
+	for r := 0; r < rounds; r++ {
+		var s, p time.Duration
+		for i := 0; i < pairs; i++ {
+			s += run(serial)
+			p += run(par) + run(par)
+			s += run(serial)
+		}
+		t.Logf("round %d: serial %v, parallel %v, ratio %.3f", r, s, p, float64(p)/float64(s))
+		if ratio := float64(p) / float64(s); s > 0 && ratio < best {
+			best, bestSerial, bestPar = ratio, s, p
 		}
 	}
-	if serialNs == 0 {
+	if math.IsInf(best, 1) {
 		t.Skip("timer resolution too coarse for parity check")
 	}
-	if parNs > serialNs*1.10 {
-		t.Errorf("ScheduleParallel with 1 domain costs %.0fns vs serial %.0fns (>10%% overhead, GOMAXPROCS=%d)",
-			parNs, serialNs, runtime.GOMAXPROCS(0))
+	if best > 1.10 {
+		t.Errorf("ScheduleParallel with 1 domain costs %v vs serial %v in its best round (%.1f%% > 10%% overhead, GOMAXPROCS=%d)",
+			bestPar, bestSerial, 100*(best-1), runtime.GOMAXPROCS(0))
 	}
-	t.Logf("single-domain quantum cost: serial %.0fns, parallel %.0fns (%.1f%%)",
-		serialNs, parNs, 100*(parNs-serialNs)/serialNs)
+	t.Logf("best round: serial %v, parallel %v (%+.1f%%)", bestSerial, bestPar, 100*(best-1))
 }
