@@ -594,6 +594,57 @@ func TestAESNIIOPathEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAESNIWriteAllocsOnlyCipher guards the AES-NI write path: the
+// front-end stages each sector's ciphertext in a buffer it owns, so a
+// write allocates no more than the plaintext PV write of the same
+// sectors plus what the sector cipher itself allocates.
+func TestAESNIWriteAllocsOnlyCipher(t *testing.T) {
+	x, f := newPlatform(t)
+	b, kblk := newBundle(t, f, make([]byte, hw.PageSize), nil)
+	d, err := f.LaunchVM("aesni-allocs", 64, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.AttachProtectedDisk(d, disk.New(128), 2, 1, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.WriteStartInfo(d); err != nil {
+		t.Fatal(err)
+	}
+	const sectors = 2
+	data := bytes.Repeat([]byte("allocation-guard"), sectors*disk.SectorSize/16)
+	var plain, cipher, front float64
+	x.StartVCPU(d, func(g *xen.GuestEnv) error {
+		bf, err := xen.NewBlockFrontend(g)
+		if err != nil {
+			return err
+		}
+		a, err := NewAESNIFront(g, bf, kblk)
+		if err != nil {
+			return err
+		}
+		measure := func(op func() error) float64 {
+			return testing.AllocsPerRun(50, func() {
+				if err := op(); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		plain = measure(func() error { return bf.WriteSectors(20, data) })
+		sector := make([]byte, disk.SectorSize)
+		cipher = measure(func() error { return a.cipher.EncryptSector(20, sector) })
+		front = measure(func() error { return a.WriteSectors(20, data) })
+		return nil
+	})
+	if err := x.Run(d); err != nil {
+		t.Fatal(err)
+	}
+	if limit := plain + sectors*cipher; front > limit {
+		t.Fatalf("AESNIFront.WriteSectors of %d sectors allocated %v times, want at most %v (PV write %v + %d x sector cipher %v)",
+			sectors, front, limit, plain, sectors, cipher)
+	}
+}
+
 func TestMigration(t *testing.T) {
 	// Two machines, each with its own hypervisor and Fidelius.
 	x1, f1 := newPlatform(t)

@@ -22,6 +22,11 @@ type AESNIFront struct {
 	g      *xen.GuestEnv
 	f      *xen.BlockFrontend
 	cipher *disk.ImageCipher
+	// sector stages one sector's ciphertext on the write path. It lives
+	// here rather than on the stack because the cipher hands it to a
+	// cipher.Block, which would move a local to the heap on every call;
+	// the front-end belongs to one guest vCPU, so one buffer serves.
+	sector [disk.SectorSize]byte
 }
 
 // NewAESNIFront builds the protected front-end. kblk is read by the guest
@@ -38,14 +43,15 @@ func NewAESNIFront(g *xen.GuestEnv, f *xen.BlockFrontend, kblk [32]byte) (*AESNI
 const aesniSectorCost = disk.SectorSize / 16 * cycles.AESBlockHW
 
 // WriteSectors encrypts data with Kblk and writes it through the PV path.
-// Encryption happens in a batched manner off the critical path.
+// Encryption happens in a batched manner off the critical path. data is
+// copied before it is encrypted, so the caller's plaintext is untouched.
 func (a *AESNIFront) WriteSectors(lba uint64, data []byte) error {
 	if len(data)%disk.SectorSize != 0 {
 		return fmt.Errorf("core: write of %d bytes is not sector aligned", len(data))
 	}
 	total := uint64(len(data) / disk.SectorSize)
 	window := a.f.DataSectors()
-	buf := make([]byte, disk.SectorSize)
+	buf := a.sector[:]
 	for done := uint64(0); done < total; {
 		n := total - done
 		if n > window {

@@ -167,3 +167,24 @@ type nullAlloc struct{}
 func (nullAlloc) AllocFrame() (hw.PFN, error) {
 	return 0, errors.New("nullAlloc: no frames")
 }
+
+// TestVMRunStubAllocsNothing guards the fetch buffer: every quantum
+// steps the type-3 VMRUN stub, and the instruction bytes stay on the
+// stack instead of escaping as a returned slice.
+func TestVMRunStubAllocsNothing(t *testing.T) {
+	c, _, _ := testMachine(t, 64)
+	runs := 0
+	c.VMRunFn = func(pa uint64) error { runs++; return nil }
+	loadCode(t, c, 0x1000, []isa.Inst{{Op: isa.OpVmrun, Reg: 0}, {Op: isa.OpHlt}})
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := c.Run(0x1000, 4); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if runs < 100 {
+		t.Fatalf("the stub ran VMRUN %d times, want one per run", runs)
+	}
+	if allocs != 0 {
+		t.Fatalf("stepping the VMRUN stub allocated %v times per run, want 0", allocs)
+	}
+}

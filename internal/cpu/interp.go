@@ -10,35 +10,35 @@ import (
 	"fidelius/internal/telemetry"
 )
 
-// fetch reads up to 10 instruction bytes at RIP through execute-checked
-// translation, splitting at page boundaries. A fetch fault on the *first*
-// byte is the "instruction page unmapped" event type 3 gates rely on; a
-// fault on a continuation byte is the MOV-CR3-at-page-end subtlety from
-// Section 4.1.2.
-func (c *CPU) fetch(va uint64) ([]byte, error) {
-	var buf [10]byte
+// fetch reads up to 10 instruction bytes at RIP into buf through
+// execute-checked translation, splitting at page boundaries, and returns
+// the instruction length. A fetch fault on the *first* byte is the
+// "instruction page unmapped" event type 3 gates rely on; a fault on a
+// continuation byte is the MOV-CR3-at-page-end subtlety from Section
+// 4.1.2.
+func (c *CPU) fetch(va uint64, buf *[10]byte) (int, error) {
 	// First byte decides the length.
 	pa, tr, err := c.translate(va, mmu.Execute)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if err := c.Ctl.Read(hw.Access{PA: pa, Encrypted: tr.Encrypted, ASID: hw.HostASID}, buf[:1]); err != nil {
-		return nil, err
+		return 0, err
 	}
 	n := isa.Op(buf[0]).Len()
 	if n == 0 {
-		return nil, fmt.Errorf("cpu: invalid opcode %#x at rip %#x", buf[0], va)
+		return 0, fmt.Errorf("cpu: invalid opcode %#x at rip %#x", buf[0], va)
 	}
 	for i := 1; i < n; i++ {
 		pa, tr, err := c.translate(va+uint64(i), mmu.Execute)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if err := c.Ctl.Read(hw.Access{PA: pa, Encrypted: tr.Encrypted, ASID: hw.HostASID}, buf[i:i+1]); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
-	return buf[:n], nil
+	return n, nil
 }
 
 // Step fetches, decodes and executes one instruction at RIP in host mode.
@@ -49,14 +49,15 @@ func (c *CPU) Step() error {
 			return err
 		}
 	}
-	raw, err := c.fetch(c.RIP)
+	var raw [10]byte
+	ilen, err := c.fetch(c.RIP, &raw)
 	if err != nil {
 		if pf, ok := err.(*mmu.PageFault); ok && c.PageFaultFn != nil && c.PageFaultFn(c, pf) {
 			return nil // handled: Run retries at same RIP
 		}
 		return err
 	}
-	in, n, err := isa.Decode(raw)
+	in, n, err := isa.Decode(raw[:ilen])
 	if err != nil {
 		return err
 	}

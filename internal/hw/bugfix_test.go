@@ -112,6 +112,60 @@ func TestDMAChargesPerLine(t *testing.T) {
 	}
 }
 
+// TestDMAOutOfRangeChargesNothing pins the DMA bounds fix: Read and
+// Write used to charge per touched line before checking the range, so a
+// transfer near 2^64 wrapped the line count and charged ~2^63 cycles, a
+// refused transfer at the end of DRAM was still charged, and a refused
+// Write invalidated cached lines first. A refused DMA must charge, count
+// and invalidate nothing.
+func TestDMAOutOfRangeChargesNothing(t *testing.T) {
+	const pages = 64
+	size := PhysAddr(pages * PageSize)
+	cases := []struct {
+		pa PhysAddr
+		n  int
+	}{
+		{PhysAddr(^uint64(0) - 10), LineSize}, // the touched-line count wraps
+		{size - LineSize/2, LineSize},         // straddles the end of DRAM
+		{size, 1},                             // one past the end
+	}
+	for _, dir := range []string{"read", "write"} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/pa=%#x,n=%d", dir, uint64(tc.pa), tc.n), func(t *testing.T) {
+				c := NewController(NewMemory(pages), 64)
+				// Cache the last line of DRAM: a refused write must not
+				// invalidate it.
+				last := size - LineSize
+				if err := c.Read(Access{PA: last}, make([]byte, LineSize)); err != nil {
+					t.Fatal(err)
+				}
+				lines := c.Cache.Len()
+				before := c.Cycles.Total()
+				buf := make([]byte, tc.n)
+				var err error
+				if dir == "read" {
+					err = c.DMA().Read(tc.pa, buf)
+				} else {
+					err = c.DMA().Write(tc.pa, buf)
+				}
+				if !errors.Is(err, ErrOutOfRange) {
+					t.Fatalf("got %v, want ErrOutOfRange", err)
+				}
+				if d := c.Cycles.Total() - before; d != 0 {
+					t.Fatalf("refused DMA charged %d cycles", d)
+				}
+				if n := c.Cache.Len(); n != lines {
+					t.Fatalf("refused DMA invalidated cache lines: %d -> %d", lines, n)
+				}
+				snap := c.Telem.Reg.Snapshot()
+				if snap.Gauges["dma.reads"] != 0 || snap.Gauges["dma.writes"] != 0 {
+					t.Fatalf("refused DMA counted as a transaction: %+v", snap.Gauges)
+				}
+			})
+		}
+	}
+}
+
 // TestIntegrityNotLaunderedByFailedWrite pins the integrity-on-failure
 // fix. A write whose DRAM round trip fails must NOT update the Merkle
 // tree: the old code ran Integ.Update in a defer even when ReadRaw or

@@ -217,7 +217,7 @@ func (c *Controller) Read(a Access, buf []byte) error {
 				}
 				slot = s
 			}
-			slot.DecryptLine(base, fill[:span])
+			decryptFill(slot, base, &fill, span)
 			if s := c.stats; s != nil {
 				s.decLines.Add(1)
 			}
@@ -235,6 +235,16 @@ func (c *Controller) Read(a Access, buf []byte) error {
 			decrypted*cycles.MemEncryptExtra, uint64(a.PA), uint64(len(buf)))
 	}
 	return nil
+}
+
+// decryptFill decrypts the first span bytes of a line-fill buffer in
+// place. PageCipher hands its buffer to a cipher.Block, which makes the
+// buffer escape, so the ciphertext is decrypted in a copy: the caller's
+// fill buffer stays on its stack and only encrypted misses allocate.
+func decryptFill(slot *PageCipher, base PhysAddr, fill *[LineSize]byte, span int) {
+	line := *fill
+	slot.DecryptLine(base, line[:span])
+	*fill = line
 }
 
 // Write performs a CPU write. The cache is write-through: DRAM always holds
@@ -384,8 +394,12 @@ func (c *Controller) DMA() *DMA { return &DMA{ctl: c} }
 
 // Read copies raw DRAM bytes (ciphertext for encrypted pages), charging
 // per overlapped cache line like the CPU path — a page-sized DMA is 64
-// line beats on the bus, not one.
+// line beats on the bus, not one. An out-of-range transfer is refused
+// before anything is charged.
 func (d *DMA) Read(pa PhysAddr, buf []byte) error {
+	if err := d.ctl.Mem.check(pa, len(buf)); err != nil {
+		return err
+	}
 	if len(buf) == 0 {
 		return nil
 	}
@@ -397,8 +411,12 @@ func (d *DMA) Read(pa PhysAddr, buf []byte) error {
 }
 
 // Write stores raw bytes and invalidates overlapping cache lines, exactly
-// as a coherent DMA write would. Charged per overlapped cache line.
+// as a coherent DMA write would. Charged per overlapped cache line; an
+// out-of-range transfer is refused before it charges or invalidates.
 func (d *DMA) Write(pa PhysAddr, data []byte) error {
+	if err := d.ctl.Mem.check(pa, len(data)); err != nil {
+		return err
+	}
 	if len(data) == 0 {
 		return nil
 	}

@@ -173,6 +173,27 @@ func TestControllerAccessPatterns(t *testing.T) {
 	}
 }
 
+// TestReadMissAllocsNothing guards the line-fill buffer: an unencrypted
+// cache miss fills the line from DRAM on the stack. Only the encrypted
+// branch may copy the line to the heap, for the cipher.Block interface.
+func TestReadMissAllocsNothing(t *testing.T) {
+	c := testController(t, 4, 32)
+	a := Access{PA: PageSize + 8}
+	buf := make([]byte, 16)
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Cache.Invalidate(a.PA, len(buf))
+		if err := c.Read(a, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if _, misses := c.Cache.Stats(); misses < 100 {
+		t.Fatalf("%d cache misses, want every read to miss", misses)
+	}
+	if allocs != 0 {
+		t.Fatalf("an unencrypted cache-miss Read allocated %v times, want 0", allocs)
+	}
+}
+
 // TestWriteNoKeyLeavesCacheIntact is the regression test for the ordering
 // bug where Controller.Write mutated cached plaintext before discovering
 // the ASID had no key, leaving cache and DRAM inconsistent.

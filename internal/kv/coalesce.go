@@ -56,7 +56,8 @@ func NewWriteCoalescer(dev BlockDev, maxSectors int) *WriteCoalescer {
 func (c *WriteCoalescer) end() uint64 { return c.lba + uint64(len(c.buf)/SectorSize) }
 
 // WriteSectors buffers or merges the write; only non-adjacent writes and
-// span overflow reach the device immediately.
+// span overflow reach the device immediately. A buffered write is copied
+// into the pending span, so data is never retained (see BlockDev).
 func (c *WriteCoalescer) WriteSectors(lba uint64, data []byte) error {
 	if len(data) == 0 || len(data)%SectorSize != 0 {
 		return errors.New("kv: coalesced write is not sector aligned")

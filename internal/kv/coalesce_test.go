@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -144,5 +145,34 @@ func TestStoreApplyThroughCoalescerTwoRequests(t *testing.T) {
 	}
 	if s2.Len() != len(ops) {
 		t.Fatalf("replayed %d keys, want %d", s2.Len(), len(ops))
+	}
+}
+
+// TestApplyAllocsOnlyIndexCopies guards the commit path: in steady state
+// an overwrite batch through the coalescer allocates only the index's
+// copy of each value. Records, the terminator sector and the crc input
+// all reuse store-owned or caller-owned bytes.
+func TestApplyAllocsOnlyIndexCopies(t *testing.T) {
+	const runs = 100
+	c := NewWriteCoalescer(newMemDev(2048), 0)
+	s := formatted(t, c, 0, 2048)
+	ops := make([]Op, 4)
+	for i := range ops {
+		ops[i] = Op{Key: fmt.Sprintf("key-%d", i), Value: bytes.Repeat([]byte{byte(i + 1)}, 100)}
+	}
+	if err := s.Apply(ops); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := s.Apply(ops); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := s.UsedSectors(); got != (runs+2)*uint64(len(ops)) {
+		t.Fatalf("log holds %d sectors, want one per record", got)
+	}
+	if allocs > float64(len(ops)) {
+		t.Fatalf("an Apply of %d overwrites allocated %v times, want at most %d index copies",
+			len(ops), allocs, len(ops))
 	}
 }

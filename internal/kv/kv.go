@@ -52,6 +52,10 @@ import (
 
 // BlockDev is the sector interface the store persists through — satisfied
 // by the baseline and both protected front-ends.
+//
+// WriteSectors must neither retain nor modify data: the store passes the
+// same scratch buffer to every write and rewrites it between calls, so a
+// device that keeps the slice, or encrypts in place, corrupts the log.
 type BlockDev interface {
 	WriteSectors(lba uint64, data []byte) error
 	ReadSectors(lba uint64, buf []byte) error
@@ -133,18 +137,13 @@ func Format(dev BlockDev, baseLBA uint64, sectors int) error {
 	if err := writeSuper(dev, baseLBA, 1, 0); err != nil {
 		return err
 	}
-	if err := writeTerminator(dev, baseLBA+1); err != nil {
+	if err := dev.WriteSectors(baseLBA+1, make([]byte, SectorSize)); err != nil {
 		return err
 	}
 	if fl, ok := dev.(Flusher); ok {
 		return fl.Flush()
 	}
 	return nil
-}
-
-// writeTerminator writes the zero sector that ends a log.
-func writeTerminator(dev BlockDev, lba uint64) error {
-	return dev.WriteSectors(lba, make([]byte, SectorSize))
 }
 
 // writeSuper encodes and writes the superblock: magic, epoch, active
@@ -173,6 +172,7 @@ type Store struct {
 	index   map[string][]byte
 	live    uint64 // sectors a compaction would keep (latest record per live key)
 	stats   StoreStats
+	scratch []byte // record, terminator and seal buffer, reused across writes
 }
 
 // Open recovers the store occupying [baseLBA, baseLBA+sectors) on the
@@ -221,13 +221,13 @@ func recordSectors(keyLen, valLen int) int {
 	return (headerSize + keyLen + valLen + SectorSize - 1) / SectorSize
 }
 
-// recordCRC covers the length fields, epoch and payload so a torn or
-// patched record cannot keep a stale checksum from a different geometry
-// or a different life of the half.
-func recordCRC(hdr []byte, key string, value []byte) uint32 {
-	c := crc32.ChecksumIEEE(hdr[4:20])
-	c = crc32.Update(c, crc32.IEEETable, []byte(key))
-	return crc32.Update(c, crc32.IEEETable, value)
+// recordCRC covers the length fields, epoch and the payload (key then
+// value, payload bytes long) of an encoded record, so a torn or patched
+// record cannot keep a stale checksum from a different geometry or a
+// different life of the half.
+func recordCRC(rec []byte, payload int) uint32 {
+	c := crc32.ChecksumIEEE(rec[4:20])
+	return crc32.Update(c, crc32.IEEETable, rec[headerSize:headerSize+payload])
 }
 
 // replay scans the active log rebuilding the index. Each record is read
@@ -278,16 +278,15 @@ func (s *Store) replay() error {
 				return err
 			}
 		}
-		key := string(buf[headerSize : headerSize+keyLen])
-		val := buf[headerSize+keyLen : headerSize+keyLen+valLen]
-		if binary.LittleEndian.Uint32(buf[20:]) != recordCRC(buf, key, val) {
+		if binary.LittleEndian.Uint32(buf[20:]) != recordCRC(buf, keyLen+valLen) {
 			// Torn tail of a group commit: the head sector landed but the
 			// rest of the span did not. Everything before this record is
 			// the longest valid prefix — stop here and let the next commit
 			// overwrite the debris.
 			return nil
 		}
-		s.applyIndex(key, val, dead)
+		key := string(buf[headerSize : headerSize+keyLen])
+		s.applyIndex(key, buf[headerSize+keyLen:headerSize+keyLen+valLen], dead)
 		s.nextLBA += uint64(n)
 	}
 	return nil
@@ -321,6 +320,24 @@ func validate(op Op) error {
 	return nil
 }
 
+// zeroed returns the store's scratch buffer, n bytes long and all zeros.
+// Every write the store issues is staged in it, which BlockDev's
+// no-retain contract makes safe; the zeroing is what encodeRecord's
+// padding and the terminator sector rely on.
+func (s *Store) zeroed(n int) []byte {
+	if cap(s.scratch) < n {
+		s.scratch = make([]byte, n)
+	}
+	b := s.scratch[:n]
+	clear(b)
+	return b
+}
+
+// writeTerminator writes the zero sector that ends a log.
+func (s *Store) writeTerminator(lba uint64) error {
+	return s.dev.WriteSectors(lba, s.zeroed(SectorSize))
+}
+
 // encodeRecord fills buf (recordSectors worth, pre-zeroed) with op's
 // on-disk record, stamped with the store's current commit epoch.
 func encodeRecord(buf []byte, op Op, epoch uint64) {
@@ -336,9 +353,9 @@ func encodeRecord(buf []byte, op Op, epoch uint64) {
 	if op.Delete {
 		val = nil
 	}
-	binary.LittleEndian.PutUint32(buf[20:], recordCRC(buf, op.Key, val))
 	copy(buf[headerSize:], op.Key)
 	copy(buf[headerSize+len(op.Key):], val)
+	binary.LittleEndian.PutUint32(buf[20:], recordCRC(buf, len(op.Key)+len(val)))
 }
 
 func (s *Store) flush() error {
@@ -358,7 +375,7 @@ func (s *Store) flush() error {
 // device is already failing, and the original commit error is what the
 // caller sees.
 func (s *Store) seal(total uint64) {
-	_ = s.dev.WriteSectors(s.nextLBA, make([]byte, total*SectorSize))
+	_ = s.dev.WriteSectors(s.nextLBA, s.zeroed(int(total)*SectorSize))
 	_ = s.flush()
 	s.stats.SealedCommits++
 }
@@ -392,7 +409,7 @@ func (s *Store) Apply(ops []Op) error {
 	// exact-fit span has nowhere to put a terminator — replay's region
 	// bound is the terminator there, and the next commit reports ErrFull.
 	if s.nextLBA+total < s.maxLBA {
-		if err := writeTerminator(s.dev, s.nextLBA+total); err != nil {
+		if err := s.writeTerminator(s.nextLBA + total); err != nil {
 			return err
 		}
 	}
@@ -408,7 +425,7 @@ func (s *Store) Apply(ops []Op) error {
 			valLen = 0
 		}
 		n := recordSectors(len(op.Key), valLen)
-		buf := make([]byte, n*SectorSize)
+		buf := s.zeroed(n * SectorSize)
 		encodeRecord(buf, op, s.epoch)
 		if err := s.dev.WriteSectors(lba, buf); err != nil {
 			s.seal(total)
@@ -455,7 +472,7 @@ func (s *Store) Compact() error {
 	// it is live until the flip, but the final flush below must know the
 	// whole new log is on the device before the superblock moves.
 	if total < s.halfLen {
-		if err := writeTerminator(s.dev, dstBase+total); err != nil {
+		if err := s.writeTerminator(dstBase + total); err != nil {
 			return err
 		}
 	}
@@ -466,7 +483,7 @@ func (s *Store) Compact() error {
 	for _, k := range keys {
 		v := s.index[k]
 		n := recordSectors(len(k), len(v))
-		buf := make([]byte, n*SectorSize)
+		buf := s.zeroed(n * SectorSize)
 		encodeRecord(buf, Op{Key: k, Value: v}, newEpoch)
 		if err := s.dev.WriteSectors(lba, buf); err != nil {
 			return err // old half still live; new half is inert debris

@@ -109,7 +109,11 @@ func (s *Service) guestMain(t *tenant) xen.GuestFunc {
 
 		var sessionKey [32]byte
 		haveKey := false
-		var ctl, frame, out [SectorSize]byte
+		var ctl, out [SectorSize]byte
+		// Each request frame of a batch is read into its own slot, so the
+		// put values decodeRequest returns stay valid until the batch's
+		// group commit has copied them into the store.
+		reqs := make([]byte, frames*SectorSize)
 		resps := make([]stagedResp, 0, frames)
 		muts := make([]kv.Op, 0, frames)
 		overlay := make(map[string]overlayVal, frames)
@@ -164,10 +168,11 @@ func (s *Service) guestMain(t *tenant) xen.GuestFunc {
 				delete(overlay, k)
 			}
 			for i := uint32(0); i < count; i++ {
-				if err := g.ReadUnencrypted(reqGPA+uint64((i+1)*SectorSize), frame[:]); err != nil {
+				frame := reqs[i*SectorSize : (i+1)*SectorSize]
+				if err := g.ReadUnencrypted(reqGPA+uint64((i+1)*SectorSize), frame); err != nil {
 					return err
 				}
-				id, op, key, val, err := decodeRequest(frame[:])
+				id, op, key, val, err := decodeRequest(frame)
 				if err != nil {
 					return err
 				}

@@ -56,27 +56,30 @@ type loadGen struct {
 func buildLoad(tenantIdx, clients, opsPerClient, keySpace int, ratePerMCycle float64, putFrac, delFrac float64, valueBytes, window int, rng *rand.Rand) *loadGen {
 	total := clients * opsPerClient
 	g := &loadGen{
-		ops:      make([]genOp, 0, total),
+		ops:      make([]genOp, total),
 		next:     make([]int, clients),
 		inflight: make([]int, clients),
 		window:   window,
-		model:    make(map[string][]byte),
 	}
 	if g.window <= 0 {
 		g.window = 4
 	}
 	// Per-client op scripts: the first touch of every key is a put, later
-	// ops mix gets, overwrites and deletes over a small keyspace.
+	// ops mix gets, overwrites and deletes over a small keyspace. Ops are
+	// dealt to clients round-robin, so client c's j-th op is the tenant's
+	// op j*clients+c.
 	keyspace := keySpace
 	if keyspace <= 0 {
 		keyspace = opsPerClient/2 + 1
 	}
-	perClient := make([][]genOp, clients)
+	seen := make(map[string]bool)
+	keys := 0
 	for c := 0; c < clients; c++ {
-		seen := make(map[string]bool)
+		clear(seen)
 		for j := 0; j < opsPerClient; j++ {
 			key := fmt.Sprintf("t%d/c%d/k%d", tenantIdx, c, rng.Intn(keyspace))
-			op := genOp{client: c, key: key}
+			op := &g.ops[j*clients+c]
+			op.client, op.key = c, key
 			r := rng.Float64()
 			switch {
 			case !seen[key] || r < putFrac:
@@ -88,21 +91,17 @@ func buildLoad(tenantIdx, clients, opsPerClient, keySpace int, ratePerMCycle flo
 			default:
 				op.kind = OpGet
 			}
-			perClient[c] = append(perClient[c], op)
 		}
+		keys += len(seen)
 	}
-	// One Poisson arrival stream for the tenant, ops dealt round-robin.
+	g.model = make(map[string][]byte, keys)
+	// One Poisson arrival stream for the tenant.
 	meanGap := 1e6 / ratePerMCycle
 	now := 0.0
-	taken := make([]int, clients)
-	for i := 0; i < total; i++ {
+	for i := range g.ops {
 		now += rng.ExpFloat64() * meanGap
-		c := i % clients
-		op := perClient[c][taken[c]]
-		taken[c]++
-		op.seq = i
-		op.arrival = uint64(now)
-		g.ops = append(g.ops, op)
+		g.ops[i].seq = i
+		g.ops[i].arrival = uint64(now)
 	}
 	return g
 }

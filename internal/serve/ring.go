@@ -140,7 +140,7 @@ func encodeRequest(buf []byte, id uint64, op uint32, key string, val []byte) err
 	return nil
 }
 
-// decodeRequest unpacks one request frame.
+// decodeRequest unpacks one request frame. val aliases buf.
 func decodeRequest(buf []byte) (id uint64, op uint32, key string, val []byte, err error) {
 	if binary.LittleEndian.Uint32(buf[0:]) != ringMagic {
 		return 0, 0, "", nil, fmt.Errorf("serve: bad request frame magic")
@@ -153,8 +153,7 @@ func decodeRequest(buf []byte) (id uint64, op uint32, key string, val []byte, er
 		return 0, 0, "", nil, fmt.Errorf("serve: silly request lengths %d/%d", kl, vl)
 	}
 	key = string(buf[reqHeader : reqHeader+kl])
-	val = append([]byte{}, buf[reqHeader+kl:reqHeader+kl+vl]...)
-	return id, op, key, val, nil
+	return id, op, key, buf[reqHeader+kl : reqHeader+kl+vl], nil
 }
 
 // encodeResponse packs one response frame into a sector buffer.
@@ -173,7 +172,7 @@ func encodeResponse(buf []byte, id uint64, status uint32, val []byte) error {
 	return nil
 }
 
-// decodeResponse unpacks one response frame.
+// decodeResponse unpacks one response frame. val aliases buf.
 func decodeResponse(buf []byte) (id uint64, status uint32, val []byte, err error) {
 	if binary.LittleEndian.Uint32(buf[0:]) != ringMagic {
 		return 0, 0, nil, fmt.Errorf("serve: bad response frame magic")
@@ -184,8 +183,7 @@ func decodeResponse(buf []byte) (id uint64, status uint32, val []byte, err error
 	if vl < 0 || vl > SectorSize-respHeader {
 		return 0, 0, nil, fmt.Errorf("serve: silly response length %d", vl)
 	}
-	val = append([]byte{}, buf[respHeader:respHeader+vl]...)
-	return id, status, val, nil
+	return id, status, buf[respHeader : respHeader+vl], nil
 }
 
 // encodeReqCtl packs the request control sector.

@@ -19,6 +19,7 @@ package serve
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -480,15 +481,14 @@ func (s *Service) fillHandler(t *tenant) func() error {
 				t.nextID++
 				t.gen.markInjected(op, id)
 				t.observeArrival(op.arrival)
-				// Values cross the host-visible ring encrypted under the
-				// session key the client minted at admission.
-				payload := op.val
-				if op.kind == OpPut {
-					payload = append([]byte{}, op.val...)
-					xorSession(t.dataKey, op.key, payload)
-				}
-				if err := encodeRequest(frame[:], id, op.kind, op.key, payload); err != nil {
+				if err := encodeRequest(frame[:], id, op.kind, op.key, op.val); err != nil {
 					return err
+				}
+				if op.kind == OpPut {
+					// Values cross the host-visible ring encrypted under
+					// the session key the client minted at admission.
+					v := frame[reqHeader+len(op.key):]
+					xorSession(t.dataKey, op.key, v[:len(op.val)])
 				}
 				if err := s.writePA(framePA(t.reqPAs, n+1), frame[:]); err != nil {
 					return err
@@ -621,17 +621,12 @@ func responseOK(op *genOp, status uint32, val []byte) bool {
 // under the session data key — shared by the guest (encrypt on put,
 // decrypt on get) and by tests proving ring/disk bytes are ciphertext.
 func sessionKeystream(dataKey [32]byte, recordKey string, block int) [32]byte {
-	h := sha256.New()
-	h.Write(dataKey[:])
-	h.Write([]byte(recordKey))
-	var ctr [8]byte
-	for j := 0; j < 8; j++ {
-		ctr[j] = byte(uint64(block) >> (8 * j))
-	}
-	h.Write(ctr[:])
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	// Sized for the longest ring key, so the hash input stays on the stack.
+	var in [32 + MaxKeyLen + 8]byte
+	b := append(in[:0], dataKey[:]...)
+	b = append(b, recordKey...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(block))
+	return sha256.Sum256(b)
 }
 
 // xorSession applies the session cipher in place over data.

@@ -614,3 +614,46 @@ func TestLoadGenOpenLoop(t *testing.T) {
 		t.Fatal("generator not exhausted after full drain")
 	}
 }
+
+// TestSessionKeystreamKnownAnswer pins the session cipher's bytes: the
+// keystream is SHA-256(dataKey || recordKey || little-endian block
+// index), and xorSession applies it 32 bytes at a time, the last block
+// truncated.
+func TestSessionKeystreamKnownAnswer(t *testing.T) {
+	var dataKey [32]byte
+	for i := range dataKey {
+		dataKey[i] = byte(i * 7)
+	}
+	for _, c := range []struct {
+		key   string
+		block int
+		want  string
+	}{
+		{"t0/c1/k2", 0, "6b684f597fb25ae125b35d9b8e9d61ac1a165b9ed87eef11ae4508b4edb3428a"},
+		{"t0/c1/k2", 1, "89412631c0ff4e0e9e800f5cafd7e9602aef2f7f826486c6364d4d5d417def7e"},
+		{"t3/c15/k7", 258, "711fec1fe278283d8839decd12bee161bcb4948d0c78a9818f9c5752ce33f5e4"},
+	} {
+		if got := fmt.Sprintf("%x", sessionKeystream(dataKey, c.key, c.block)); got != c.want {
+			t.Errorf("sessionKeystream(%q, %d) = %s, want %s", c.key, c.block, got, c.want)
+		}
+	}
+	data := bytes.Repeat([]byte{0x5a}, 70)
+	xorSession(dataKey, "t0/c1/k2", data)
+	const wantXor = "3132150325e800bb7fe907c1d4c73bf6404c01c48224b54bf41f52eeb7e918d0d31b7c6b9aa51454c4da5506f58db33a70b57525d83edc9c6c1717071b27b524b1c777357619"
+	if got := fmt.Sprintf("%x", data); got != wantXor {
+		t.Errorf("xorSession = %s, want %s", got, wantXor)
+	}
+}
+
+// TestXorSessionAllocsNothing guards the session cipher: the keystream
+// hash input is assembled on the stack and hashed with sha256.Sum256.
+func TestXorSessionAllocsNothing(t *testing.T) {
+	var dataKey [32]byte
+	data := make([]byte, MaxValLen)
+	allocs := testing.AllocsPerRun(100, func() {
+		xorSession(dataKey, "t0/c1/k2", data)
+	})
+	if allocs != 0 {
+		t.Fatalf("xorSession over %d bytes allocated %v times, want 0", len(data), allocs)
+	}
+}
