@@ -123,12 +123,13 @@ type (
 // MigrateFramePage identifies a page-carrying migration frame.
 const MigrateFramePage = migrate.FramePage
 
+// cacheLines is every platform's CPU cache size in 64-byte lines.
+const cacheLines = 1024
+
 // Config sizes and configures a platform.
 type Config struct {
 	// MemPages is physical memory in 4 KiB pages (default 4096).
 	MemPages int
-	// CacheLines is the CPU cache size in 64-byte lines (default 1024).
-	CacheLines int
 	// Protected enables Fidelius (late launch at boot).
 	Protected bool
 }
@@ -139,10 +140,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	if cfg.MemPages == 0 {
 		cfg.MemPages = 4096
 	}
-	if cfg.CacheLines == 0 {
-		cfg.CacheLines = 1024
-	}
-	m, err := xen.NewMachine(xen.Config{MemPages: cfg.MemPages, CacheLines: cfg.CacheLines})
+	m, err := xen.NewMachine(xen.Config{MemPages: cfg.MemPages, CacheLines: cacheLines})
 	if err != nil {
 		return nil, err
 	}

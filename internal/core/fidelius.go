@@ -117,6 +117,14 @@ type Fidelius struct {
 	// through the type 3 gate.
 	savedVmrunPTE  mmu.PTE
 	savedMovCR3PTE mmu.PTE
+
+	// port is a detached controller port (its cycles reach no clock) and
+	// hostPT the host page table seen through it. The gate and shadow
+	// mechanics run on them, because their modelled constants (Section
+	// 7.2) already cover what those mechanics do. Both are shared root
+	// state: use them only under the gate lock.
+	port   *hw.Controller
+	hostPT *mmu.Space
 }
 
 // ErrNotMonopolised reports that binary scanning found unsanctioned
@@ -137,7 +145,11 @@ func Enable(x *xen.Xen) (*Fidelius, error) {
 		vms:       make(map[xen.DomID]*VMState),
 		writeOnce: make(map[hw.PFN]*onceVec),
 		execCount: make(map[uint64]int),
+		port:      x.M.Ctl.Detached(),
 	}
+	hostPT := *x.M.HostPT
+	hostPT.Ctl = f.port
+	f.hostPT = &hostPT
 	f.vmu.Init(lockrank.RankLeaf, nil)
 
 	// 1. Measure the hypervisor code and verify monopolisation.
@@ -415,16 +427,6 @@ func (f *Fidelius) gate2Check(c *cpu.CPU) error {
 	return nil
 }
 
-// quiet runs fn without accumulating simulated cycles: used for trusted
-// mechanics whose cost the gate constants already model (the paper's
-// 306/16/339-cycle figures are end-to-end).
-func (f *Fidelius) quiet(fn func() error) error {
-	t := f.M.Ctl.Cycles.Total()
-	err := fn()
-	f.M.Ctl.Cycles.SetTotal(t)
-	return err
-}
-
 // gate3 is the type 3 gate: temporarily add the mapping for an unmapped
 // stub page, sanity-check, execute, withdraw the mapping and flush the
 // affected TLB entries.
@@ -437,11 +439,12 @@ func (f *Fidelius) gate3(pageVA uint64, saved mmu.PTE, exec func() error) error 
 	}
 	c.Ctl.Cycles.Charge(cycles.Gate3)
 	return f.trusted(func() error {
-		if err := f.quiet(func() error { return f.M.HostPT.SetLeaf(pageVA, saved) }); err != nil {
+		// The map and unmap writes are part of the Gate3 constant.
+		if err := f.hostPT.SetLeaf(pageVA, saved); err != nil {
 			return err
 		}
 		err := exec()
-		if uerr := f.quiet(func() error { return f.M.HostPT.SetLeaf(pageVA, 0) }); uerr != nil && err == nil {
+		if uerr := f.hostPT.SetLeaf(pageVA, 0); uerr != nil && err == nil {
 			err = uerr
 		}
 		f.M.TLBs.FlushEntry(hw.HostASID, pageVA)

@@ -432,9 +432,7 @@ func (gk *Gatekeeper) IOCrypt(d *xen.Domain, write bool, mdGFN, lba, count, shar
 	if count == 0 || count > uint64(hw.PageSize/disk.SectorSize) {
 		return f.violation("io", "sector count exceeds the Md buffer")
 	}
-	h := f.hub()
-	h.M.IOCryptSectors.Add(count)
-	if h.Tracing() {
+	if h := f.hub(); h.Tracing() {
 		dir := "read"
 		if write {
 			dir = "write"

@@ -69,11 +69,9 @@ func (f *Fidelius) onVMExit(d *xen.Domain, vmcbPA hw.PhysAddr) error {
 			cycles.ShadowCheck/2+1, uint64(vmcbPA), 0)
 	}
 	f.M.Ctl.Cycles.Charge(cycles.ShadowCheck/2 + 1)
-	// The copy and mask costs are modelled by the ShadowCheck constant;
-	// the mechanics below run in a quiet section.
-	t0 := f.M.Ctl.Cycles.Total()
-	defer f.M.Ctl.Cycles.SetTotal(t0)
-	v, err := cpu.LoadVMCB(f.M.Ctl, vmcbPA)
+	// The copy and mask costs are modelled by the ShadowCheck constant,
+	// so the mechanics below run on the detached port.
+	v, err := cpu.LoadVMCB(f.port, vmcbPA)
 	if err != nil {
 		return err
 	}
@@ -87,7 +85,7 @@ func (f *Fidelius) onVMExit(d *xen.Domain, vmcbPA hw.PhysAddr) error {
 	sh.regs = f.M.CPU.Regs
 
 	masked := maskedVMCB(v)
-	if err := cpu.StoreVMCB(f.M.Ctl, vmcbPA, masked); err != nil {
+	if err := cpu.StoreVMCB(f.port, vmcbPA, masked); err != nil {
 		return err
 	}
 	f.M.CPU.Regs = masked.Regs
@@ -103,9 +101,7 @@ func (f *Fidelius) preVMRun(d *xen.Domain, vmcbPA hw.PhysAddr) error {
 	}
 	f.M.Ctl.Cycles.Charge(cycles.ShadowCheck / 2)
 	// Verification and restore costs are modelled by ShadowCheck.
-	t0 := f.M.Ctl.Cycles.Total()
-	defer f.M.Ctl.Cycles.SetTotal(t0)
-	cur, err := cpu.LoadVMCB(f.M.Ctl, vmcbPA)
+	cur, err := cpu.LoadVMCB(f.port, vmcbPA)
 	if err != nil {
 		return err
 	}
@@ -168,7 +164,7 @@ func (f *Fidelius) preVMRun(d *xen.Domain, vmcbPA hw.PhysAddr) error {
 	// updates from the hypervisor.
 	merged := sh.vmcb
 	copy(merged.Regs[:nAllowed], cur.Regs[:nAllowed])
-	if err := cpu.StoreVMCB(f.M.Ctl, vmcbPA, &merged); err != nil {
+	if err := cpu.StoreVMCB(f.port, vmcbPA, &merged); err != nil {
 		return err
 	}
 	regs := sh.regs

@@ -175,11 +175,6 @@ func (c *Counter) Reset() { c.total.Store(0) }
 // Sub returns the cycles elapsed since an earlier reading.
 func (c *Counter) Sub(earlier uint64) uint64 { return c.total.Load() - earlier }
 
-// SetTotal rewinds the counter to an earlier reading. Trusted-context
-// mechanics whose cost is already represented by a modelled constant
-// (the gate costs) use it to avoid double charging.
-func (c *Counter) SetTotal(v uint64) { c.total.Store(v) }
-
 // Clock is the machine's global cycle clock: a base counter (the boot
 // CPU's, charged by all single-owner hypervisor work) plus any number of
 // attached per-vCPU counters, each charged only by its owning goroutine.

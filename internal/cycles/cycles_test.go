@@ -18,10 +18,6 @@ func TestCounterBasics(t *testing.T) {
 	if c.Sub(100) != 23 {
 		t.Fatalf("sub %d", c.Sub(100))
 	}
-	c.SetTotal(50)
-	if c.Total() != 50 {
-		t.Fatal("SetTotal")
-	}
 	c.Reset()
 	if c.Total() != 0 {
 		t.Fatal("Reset")

@@ -94,9 +94,6 @@ func NewController(mem *Memory, cacheLines int) *Controller {
 	reg.RegisterFunc("dma.writes", s.dmaWrites.Load)
 	reg.RegisterFunc("cache.hits", func() uint64 { h, _ := c.Cache.Stats(); return h })
 	reg.RegisterFunc("cache.misses", func() uint64 { _, m := c.Cache.Stats(); return m })
-	reg.RegisterFunc("cache.lines", func() uint64 { return uint64(c.Cache.Len()) })
-	reg.RegisterFunc("cache.evictions", func() uint64 { return c.Cache.Evictions() })
-	reg.RegisterFunc("engine.keys", func() uint64 { return uint64(c.Eng.Keys()) })
 	return c
 }
 
@@ -105,12 +102,20 @@ func NewController(mem *Memory, cacheLines int) *Controller {
 // private cycle counter (attached to the machine clock) and a private rmw
 // staging buffer. Release the view when its owner goes offline.
 func (c *Controller) View() *Controller {
-	v := *c
+	v := c.Detached()
 	if c.Clock != nil {
 		v.Cycles = c.Clock.Attach()
-	} else {
-		v.Cycles = &cycles.Counter{}
 	}
+	return v
+}
+
+// Detached returns a port like View whose private cycle counter is
+// attached to no clock: nothing it charges ever reaches the machine
+// clock. Trusted mechanics whose cost a modelled constant already covers
+// run on such a port.
+func (c *Controller) Detached() *Controller {
+	v := *c
+	v.Cycles = &cycles.Counter{}
 	v.rmw = nil
 	return &v
 }

@@ -61,9 +61,6 @@ type Config struct {
 	// FinalPages converges when a round's dirty set is at most this many
 	// pages (default 8).
 	FinalPages int
-	// QuantaPerPage runs this many guest quanta per page sent during
-	// pre-copy rounds (default 1) — the "source keeps running" knob.
-	QuantaPerPage int
 	// MaxRetries bounds retransmissions per frame (default 4).
 	MaxRetries int
 	// AckTimeout is the initial ack wait; it doubles on every retry of a
@@ -83,9 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FinalPages <= 0 {
 		c.FinalPages = 8
-	}
-	if c.QuantaPerPage <= 0 {
-		c.QuantaPerPage = 1
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 4
@@ -153,14 +147,14 @@ func Send(src Source, conn Conn, cfg Config) (*Stats, error) {
 	err := s.run()
 	if err != nil {
 		s.abort(err)
-		if s.cfg.Hub != nil {
-			s.cfg.Hub.Reg.Counter("migrate.aborts").Inc()
-			if s.cfg.Hub.Auditing() {
-				s.cfg.Hub.Audit("migrate-abort", 0, err.Error())
-			}
+		if s.cfg.Hub.Auditing() {
+			s.cfg.Hub.Audit("migrate-abort", 0, err.Error())
 		}
 	}
-	s.publish()
+	if h := s.cfg.Hub; h.Tracing() {
+		h.Emit(telemetry.KindMigrateDone, 0, 0, s.stats.DowntimeCycles,
+			uint64(s.stats.Rounds), s.stats.DowntimeCycles)
+	}
 	return s.stats, err
 }
 
@@ -285,17 +279,13 @@ func (s *sender) sendRound(round int, gfns []uint64, live bool) error {
 			if round > 0 {
 				s.stats.Redirtied++
 			}
+			// The source keeps running: one guest quantum per page sent.
 			if live && !s.stats.GuestDone {
-				for q := 0; q < s.cfg.QuantaPerPage; q++ {
-					done, err := s.src.RunQuantum()
-					if err != nil {
-						return fmt.Errorf("migrate: source guest failed mid-migration: %w", err)
-					}
-					if done {
-						s.stats.GuestDone = true
-						break
-					}
+				done, err := s.src.RunQuantum()
+				if err != nil {
+					return fmt.Errorf("migrate: source guest failed mid-migration: %w", err)
 				}
+				s.stats.GuestDone = done
 			}
 		}
 	}
@@ -322,9 +312,6 @@ func (s *sender) xfer(f *Frame) error {
 	for attempt := 0; attempt <= s.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			s.stats.Retries++
-			if s.cfg.Hub != nil {
-				s.cfg.Hub.Reg.Counter("migrate.retries").Inc()
-			}
 		}
 		if err := s.conn.Send(f); err != nil {
 			return err
@@ -376,19 +363,4 @@ func (s *sender) abort(cause error) {
 	_ = s.conn.Send(&Frame{Type: FrameAbort, Seq: s.seq, Err: cause.Error()})
 	_ = s.src.StopDirty()
 	_ = s.src.Cancel()
-}
-
-func (s *sender) publish() {
-	h := s.cfg.Hub
-	if h == nil {
-		return
-	}
-	h.Reg.Counter("migrate.redirtied").Add(uint64(s.stats.Redirtied))
-	h.Reg.Counter("migrate.bytes_wire").Add(s.stats.BytesOnWire)
-	h.Reg.Gauge("migrate.downtime_cycles").Set(int64(s.stats.DowntimeCycles))
-	h.Reg.Gauge("migrate.last_rounds").Set(int64(s.stats.Rounds))
-	if h.Tracing() {
-		h.Emit(telemetry.KindMigrateDone, 0, 0, s.stats.DowntimeCycles,
-			uint64(s.stats.Rounds), s.stats.DowntimeCycles)
-	}
 }

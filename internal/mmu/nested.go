@@ -62,7 +62,6 @@ func (n *Nested) gpaToHPA(gpa uint64, access AccessType) (hw.PhysAddr, PTE, erro
 				}
 			}
 			if h := n.hub(); h != nil {
-				h.M.NPTViolations.Inc()
 				if h.Tracing() {
 					h.Emit(telemetry.KindNPTViolation,
 						h.VMForASID(uint32(n.ASID)), uint32(n.ASID),

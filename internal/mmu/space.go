@@ -82,9 +82,6 @@ type Translation struct {
 // the machinery Fidelius's type 1 gate exploits. user selects user-mode
 // permission checks.
 func (s *Space) Translate(va uint64, access AccessType, wp, user bool) (Translation, error) {
-	if s.Ctl != nil {
-		s.Ctl.Telem.M.PTWalks.Inc()
-	}
 	leaf, _, _, err := s.Walk(va)
 	if err != nil {
 		return Translation{}, err

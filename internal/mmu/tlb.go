@@ -163,5 +163,4 @@ func (t *TLB) Register(h *telemetry.Hub) {
 	h.Reg.RegisterFunc("tlb.full_flushes", read(func() uint64 { return t.FullFlushes }))
 	h.Reg.RegisterFunc("tlb.entry_flushes", read(func() uint64 { return t.EntryFlushes }))
 	h.Reg.RegisterFunc("tlb.asid_flushes", read(func() uint64 { return t.ASIDFlushes }))
-	h.Reg.RegisterFunc("tlb.entries", read(func() uint64 { return uint64(len(t.entries)) }))
 }

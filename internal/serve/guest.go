@@ -98,12 +98,12 @@ func (s *Service) guestMain(t *tenant) xen.GuestFunc {
 			cache = kv.NewValueCache(cacheCap)
 		}
 
-		frames := int(g.Info.ServeFrames)
-		if frames <= 0 {
-			return fmt.Errorf("serve: start info publishes no ring depth (ServeFrames %d)", g.Info.ServeFrames)
+		// The host publishes the ring depth, so the guest checks it.
+		if g.Info.ServeFrames != ringFrames {
+			return fmt.Errorf("serve: start info publishes ring depth %d, want %d", g.Info.ServeFrames, ringFrames)
 		}
 		reqGPA := g.Info.ServeGFN << hw.PageShift
-		respGPA := reqGPA + uint64(ringPagesPerDir(frames))*hw.PageSize
+		respGPA := reqGPA + ringPagesPerDir*hw.PageSize
 		doorbell := uint64(g.Info.ServePort)
 		completion := doorbell + 1
 
@@ -113,10 +113,10 @@ func (s *Service) guestMain(t *tenant) xen.GuestFunc {
 		// Each request frame of a batch is read into its own slot, so the
 		// put values decodeRequest returns stay valid until the batch's
 		// group commit has copied them into the store.
-		reqs := make([]byte, frames*SectorSize)
-		resps := make([]stagedResp, 0, frames)
-		muts := make([]kv.Op, 0, frames)
-		overlay := make(map[string]overlayVal, frames)
+		reqs := make([]byte, ringFrames*SectorSize)
+		resps := make([]stagedResp, 0, ringFrames)
+		muts := make([]kv.Op, 0, ringFrames)
+		overlay := make(map[string]overlayVal, ringFrames)
 		// Last published telemetry baselines: the guest exports deltas
 		// after every batch so host-side dashboards track it live.
 		var pubCoal kv.CoalesceStats
@@ -150,7 +150,7 @@ func (s *Service) guestMain(t *tenant) xen.GuestFunc {
 			if err != nil {
 				return err
 			}
-			if count > uint32(frames) {
+			if count > ringFrames {
 				return fmt.Errorf("serve: host posted %d requests", count)
 			}
 			if count == 0 {

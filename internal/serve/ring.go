@@ -17,11 +17,11 @@ import (
 //	request pages:  sector 0 = control, sectors 1..frames = request frames
 //	response pages: sector 0 = control, sectors 1..frames = response frames
 //
-// The frame count is configurable (Config.RingFrames, published to the
-// guest via StartInfo.ServeFrames) so the front door can pipeline deep
-// batches per doorbell: with the default 15 frames a put-heavy batch
-// amortizes one VMEXIT round trip and one kv group commit over twice the
-// ops the original 7-frame ring could carry.
+// The frame count is fixed at ringFrames and published to the guest via
+// StartInfo.ServeFrames; the guest refuses any other value. Fifteen
+// frames let the front door pipeline deep batches per doorbell: a
+// put-heavy batch amortizes one VMEXIT round trip and one kv group
+// commit over twice the ops a single-page (7-frame) ring could carry.
 //
 // Framing is sector-granular like the block protocol: one op per 512-byte
 // sector, so a frame never straddles a cache line boundary the host and
@@ -46,16 +46,13 @@ const SectorSize = 512
 // sectorsPerPage is the ring slots (control + frames) one page carries.
 const sectorsPerPage = hw.PageSize / SectorSize
 
-// DefaultRingFrames is the per-direction frame capacity when the config
-// does not say otherwise: two pages per direction (1 control sector + 15
-// frames), double the original single-page ring.
-const DefaultRingFrames = 15
+// ringFrames is the per-direction frame capacity: two pages per
+// direction (1 control sector + 15 frames).
+const ringFrames = 15
 
-// ringPagesPerDir returns the pages one ring direction occupies: the
-// control sector plus one sector per frame, rounded up to whole pages.
-func ringPagesPerDir(frames int) int {
-	return (frames + 1 + sectorsPerPage - 1) / sectorsPerPage
-}
+// ringPagesPerDir is the pages one ring direction occupies: the control
+// sector plus one sector per frame, rounded up to whole pages.
+const ringPagesPerDir = (ringFrames + 1 + sectorsPerPage - 1) / sectorsPerPage
 
 // framePA resolves ring slot `slot` (0 = control sector, 1..frames = op
 // frames) within one direction's shared pages. The pages are contiguous

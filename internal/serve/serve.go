@@ -57,30 +57,13 @@ type Config struct {
 	// log-structured put mix sustains through the seek-dominated disk
 	// model, so latency shows queueing without unbounded backlog).
 	RatePerMCycle float64
-	// Window caps each client's in-flight ops (default 4).
-	Window int
-	// DeadlineCycles is the per-op latency deadline for timeout
-	// accounting (default 16M cycles; 0 disables).
-	DeadlineCycles uint64
 	// PutFrac and DelFrac set the op mix beyond first-touch puts
 	// (defaults 0.35 / 0.10; the remainder are gets).
 	PutFrac, DelFrac float64
-	// ValueBytes is the value size (default 48).
-	ValueBytes int
 	// Seed makes the generated load deterministic (default 1).
 	Seed int64
-	// MemPages per tenant VM (default 64).
-	MemPages int
-	// DataPages of PV block shared area (default 2).
-	DataPages int
 	// StoreSectors is the kv store region length (default 384).
 	StoreSectors int
-	// DiskSectors sizes each tenant's disk (default 512).
-	DiskSectors int
-	// RingFrames is the serve-ring depth per direction (default
-	// DefaultRingFrames). Deeper rings pipeline more ops per doorbell
-	// VMEXIT and feed larger kv group commits.
-	RingFrames int
 	// ReadCacheEntries sizes the guest's LRU of session-encrypted hot
 	// values (0 = DefaultReadCacheEntries; negative disables the cache).
 	ReadCacheEntries int
@@ -114,38 +97,17 @@ func (c Config) withDefaults() Config {
 	if c.RatePerMCycle <= 0 {
 		c.RatePerMCycle = 0.15
 	}
-	if c.Window <= 0 {
-		c.Window = 4
-	}
-	if c.DeadlineCycles == 0 {
-		c.DeadlineCycles = 16 << 20
-	}
 	if c.PutFrac == 0 {
 		c.PutFrac = 0.35
 	}
 	if c.DelFrac == 0 {
 		c.DelFrac = 0.10
 	}
-	if c.ValueBytes <= 0 {
-		c.ValueBytes = 48
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.MemPages <= 0 {
-		c.MemPages = 64
-	}
-	if c.DataPages <= 0 {
-		c.DataPages = 2
-	}
 	if c.StoreSectors <= 0 {
 		c.StoreSectors = 384
-	}
-	if c.DiskSectors <= 0 {
-		c.DiskSectors = 512
-	}
-	if c.RingFrames <= 0 {
-		c.RingFrames = DefaultRingFrames
 	}
 	if c.ReadCacheEntries == 0 {
 		c.ReadCacheEntries = DefaultReadCacheEntries
@@ -155,6 +117,16 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// The fixed shape of every tenant and its clients.
+const (
+	clientWindow   = 4        // in-flight ops per client
+	deadlineCycles = 16 << 20 // per-op latency deadline for timeout accounting
+	valueBytes     = 48
+	tenantMemPages = 64
+	dataPages      = 2 // PV block shared area
+	diskSectors    = 512
+)
 
 // DefaultReadCacheEntries sizes each tenant guest's read cache of
 // session-encrypted hot values.
@@ -191,9 +163,8 @@ type tenant struct {
 	rejected      bool
 	dataKey       [32]byte
 
-	// Ring plumbing: per-direction shared pages and the frame depth.
+	// Ring plumbing: per-direction shared pages.
 	reqPAs, respPAs []hw.PhysAddr
-	frames          int
 
 	// Injection / completion state (handler-owned).
 	gen      *loadGen
@@ -246,8 +217,8 @@ func (t *tenant) depthTarget() int {
 	if d < 1 {
 		d = 1
 	}
-	if d > t.frames {
-		d = t.frames
+	if d > ringFrames {
+		d = ringFrames
 	}
 	return d
 }
@@ -293,7 +264,7 @@ func New(f *core.Fidelius, cfg Config) (*Service, error) {
 	for _, i := range cfg.TamperTenants {
 		tampered[i] = true
 	}
-	serveGFN := uint64(xen.BlkDataGFN + cfg.DataPages)
+	serveGFN := uint64(xen.BlkDataGFN + dataPages)
 	kernel := make([]byte, hw.PageSize)
 	copy(kernel, "FIDELIUS-SERVE-TENANT-KERNEL")
 
@@ -317,21 +288,19 @@ func New(f *core.Fidelius, cfg Config) (*Service, error) {
 			t.expectMeasure[0] ^= 0xA5 // supply-chain / rollback tampering
 		}
 
-		d, err := f.LaunchVM(t.name, cfg.MemPages, bundle)
+		d, err := f.LaunchVM(t.name, tenantMemPages, bundle)
 		if err != nil {
 			return nil, err
 		}
 		t.dom = d
 		t.kbase = f.KernelBase(d, bundle) * hw.PageSize
-		t.disk = disk.New(cfg.DiskSectors)
-		if _, err := f.AttachProtectedDisk(d, t.disk, cfg.DataPages, BlkPort, nil); err != nil {
+		t.disk = disk.New(diskSectors)
+		if _, err := f.AttachProtectedDisk(d, t.disk, dataPages, BlkPort, nil); err != nil {
 			return nil, err
 		}
 		// The serve ring rides directly after the block data pages; its
 		// sharing must be pre-declared to the gatekeeper like any other.
-		t.frames = cfg.RingFrames
-		pagesPerDir := ringPagesPerDir(t.frames)
-		ringPages := 2 * pagesPerDir
+		ringPages := 2 * ringPagesPerDir
 		if err := f.PreShare(d.ID, xen.Dom0, serveGFN, uint64(ringPages), 0); err != nil {
 			return nil, err
 		}
@@ -339,10 +308,10 @@ func New(f *core.Fidelius, cfg Config) (*Service, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.reqPAs, t.respPAs = pas[:pagesPerDir], pas[pagesPerDir:]
+		t.reqPAs, t.respPAs = pas[:ringPagesPerDir], pas[ringPagesPerDir:]
 		d.Info.ServeGFN = serveGFN
 		d.Info.ServePort = DoorbellPort
-		d.Info.ServeFrames = uint64(t.frames)
+		d.Info.ServeFrames = ringFrames
 		// Both devices are attached; publish the write-once start info.
 		if err := s.X.WriteStartInfo(d); err != nil {
 			return nil, err
@@ -351,7 +320,7 @@ func New(f *core.Fidelius, cfg Config) (*Service, error) {
 		s.X.Events.Bind(d.ID, CompletionPort, s.drainHandler(t))
 
 		t.gen = buildLoad(i, cfg.ClientsPerTenant, cfg.OpsPerClient, cfg.KeySpace,
-			cfg.RatePerMCycle, cfg.PutFrac, cfg.DelFrac, cfg.ValueBytes, cfg.Window,
+			cfg.RatePerMCycle, cfg.PutFrac, cfg.DelFrac, valueBytes, clientWindow,
 			rand.New(rand.NewSource(cfg.Seed+int64(i)+1)))
 		t.lat = s.hub().Reg.Histogram("serve.latency", telemetry.ServeLatencyBuckets, "tenant", t.name)
 
@@ -457,7 +426,7 @@ func (s *Service) fillHandler(t *tenant) func() error {
 		}
 		if t.keySent {
 			if n == 0 && s.cfg.HoldBudgetCycles > 0 {
-				due, muts, future := t.gen.duePressure(now, t.frames)
+				due, muts, future := t.gen.duePressure(now, ringFrames)
 				if muts > 0 && future && due < t.depthTarget() {
 					if t.holdSince == 0 {
 						t.holdSince = now
@@ -472,7 +441,7 @@ func (s *Service) fillHandler(t *tenant) func() error {
 				}
 			}
 			t.holdSince = 0
-			for n < uint32(t.frames) {
+			for n < ringFrames {
 				op := t.gen.nextDue(now)
 				if op == nil {
 					break
@@ -530,7 +499,7 @@ func (s *Service) drainHandler(t *tenant) func() error {
 		if err != nil {
 			return err
 		}
-		if count > uint32(t.frames) {
+		if count > ringFrames {
 			return fmt.Errorf("serve: guest posted %d responses", count)
 		}
 		now := hub.Now()
@@ -577,7 +546,7 @@ func (s *Service) drainHandler(t *tenant) func() error {
 			case OpDelete:
 				t.dels++
 			}
-			if s.cfg.DeadlineCycles > 0 && lat > s.cfg.DeadlineCycles {
+			if lat > deadlineCycles {
 				hub.M.ServeTimeouts.Inc()
 				t.timeouts++
 			}

@@ -195,13 +195,45 @@ func TestConcurrentServeTenants(t *testing.T) {
 	}
 }
 
+// TestServeGuestRefusesForgedRingDepth checks the guest's validation of
+// the ring depth the untrusted host publishes in the start info: a
+// forged depth would point the guest's response direction at the wrong
+// pages and size its batches past the ring, so the guest must stop its
+// vCPU with the error before it serves anything.
+func TestServeGuestRefusesForgedRingDepth(t *testing.T) {
+	for _, depth := range []uint64{0, 7, ringFrames + 1} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			f := newServePlatform(t)
+			s, err := New(f, Config{Tenants: 1, ClientsPerTenant: 4, OpsPerClient: 2, RatePerMCycle: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tn := s.tenants[0]
+			tn.dom.Info.ServeFrames = depth
+			errs := s.Run()
+			if err := errs[tn.dom.ID]; err == nil || !strings.Contains(err.Error(), "ring depth") {
+				t.Fatalf("guest accepted ring depth %d: vCPU error %v", depth, err)
+			}
+			if r := s.Reports()[0]; r.Ops != 0 {
+				t.Errorf("guest served %d ops over a forged ring", r.Ops)
+			}
+			if got := f.X.M.Ctl.Telem.M.ServeOps.Value(); got != 0 {
+				t.Errorf("serve.ops = %d after a forged ring depth", got)
+			}
+			if log := s.X.ConsoleLog(tn.dom.ID); strings.Contains(string(log), "served") {
+				t.Errorf("guest reported serving: %q", log)
+			}
+		})
+	}
+}
+
 // TestServeRingCiphertext proves the confidentiality property the ring
 // design claims: at every point where the hypervisor can observe the
 // shared pages — right after the host fills a request batch, and right
 // when the guest posts its responses — no plaintext client value appears
 // anywhere on the ring. The tenant disk image is scanned too (it must
-// hold only Kblk-encrypted kv sectors). Three run shapes are covered:
-// both ring geometries, and a read-cache-enabled overwrite-heavy run
+// hold only Kblk-encrypted kv sectors). Two run shapes are covered: a
+// plain put-heavy run, and a read-cache-enabled overwrite-heavy run
 // sized so the log compacts mid-flight — the disk is re-scanned right
 // after every compaction, since Compact rewrites the whole live set into
 // the other half and a plaintext rewrite would be a fresh leak.
@@ -215,19 +247,10 @@ func TestServeRingCiphertext(t *testing.T) {
 		wantCompact bool
 	}{
 		{
-			name: "legacy-frames",
-			cfg: Config{
-				Tenants: 1, ClientsPerTenant: 8, OpsPerClient: 4,
-				RatePerMCycle: 2, PutFrac: 0.6, DelFrac: 0.1,
-				RingFrames: 7, // the original one-page-per-direction ring
-			},
-		},
-		{
 			name: "default-frames",
 			cfg: Config{
 				Tenants: 1, ClientsPerTenant: 8, OpsPerClient: 4,
 				RatePerMCycle: 2, PutFrac: 0.6, DelFrac: 0.1,
-				RingFrames: DefaultRingFrames,
 			},
 		},
 		{
@@ -239,7 +262,6 @@ func TestServeRingCiphertext(t *testing.T) {
 				// volume (~80 record sectors) overflows the half, so the
 				// guest must compact while traffic is still flowing.
 				KeySpace: 3, StoreSectors: 97,
-				RingFrames: DefaultRingFrames,
 			},
 			wantCompact: true,
 		},
@@ -253,9 +275,6 @@ func TestServeRingCiphertext(t *testing.T) {
 				t.Fatal(err)
 			}
 			tn := s.tenants[0]
-			if tn.frames != tc.cfg.RingFrames {
-				t.Fatalf("tenant ring depth %d, want %d", tn.frames, tc.cfg.RingFrames)
-			}
 			// Every plaintext value a client will ever send. Values are
 			// random 48-byte strings, so a substring hit in host-visible
 			// bytes is an actual leak, not a coincidence.

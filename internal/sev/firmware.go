@@ -189,7 +189,6 @@ func (f *Firmware) command(name string, h Handle) {
 		return
 	}
 	t.M.SEVCommands.Inc()
-	t.Reg.Counter("sev.cmd", "cmd", name).Inc()
 	if t.Tracing() {
 		t.EmitDetail(telemetry.KindSEVCommand, 0, 0, cycles.SEVCommand, uint64(h), 0, name)
 		// The command cost was already charged, so the span ends now and

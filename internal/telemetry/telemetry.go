@@ -160,16 +160,12 @@ type Metrics struct {
 	Violations          *Counter // violations.total
 	VMRuns, VMExits     *Counter // cpu.vmruns, cpu.vmexits
 	Hypercalls          *Counter // xen.hypercalls
-	NPFHandled          *Counter // xen.npf_handled
 	NPTWalks            *Counter // mmu.npt_walks
-	NPTViolations       *Counter // mmu.npt_violations
-	PTWalks             *Counter // mmu.pt_walks
 	SEVCommands         *Counter // sev.commands
 	DirtyMarks          *Counter // mmu.dirty_marks
 	BlkRequests         *Counter // blk.requests
 	BlkSectors          *Counter // blk.sectors
 	EvtSignals          *Counter // evt.signals
-	IOCryptSectors      *Counter // io.crypt_sectors
 	AuditRecords        *Counter // audit.records
 	SLOAlerts           *Counter // slo.alerts
 	ServeOps            *Counter // serve.ops: completed serve requests
@@ -186,7 +182,6 @@ type Metrics struct {
 	ServeHolds          *Counter // serve.holds: doorbells answered empty to deepen the next batch
 
 	ExitCycles      *Histogram // vmexit.cycles: per-quantum round-trip cost
-	BlkReqSectors   *Histogram // blk.request_sectors: request size distribution
 	ServeLatency    *Histogram // serve.latency: arrival-to-response cycles, all tenants
 	ServeBatchDepth *Histogram // serve.batch_depth: ops posted per non-empty doorbell fill
 }
@@ -201,16 +196,12 @@ func newMetrics(r *Registry) Metrics {
 		VMRuns:         r.Counter("cpu.vmruns"),
 		VMExits:        r.Counter("cpu.vmexits"),
 		Hypercalls:     r.Counter("xen.hypercalls"),
-		NPFHandled:     r.Counter("xen.npf_handled"),
 		NPTWalks:       r.Counter("mmu.npt_walks"),
-		NPTViolations:  r.Counter("mmu.npt_violations"),
-		PTWalks:        r.Counter("mmu.pt_walks"),
 		SEVCommands:    r.Counter("sev.commands"),
 		DirtyMarks:     r.Counter("mmu.dirty_marks"),
 		BlkRequests:    r.Counter("blk.requests"),
 		BlkSectors:     r.Counter("blk.sectors"),
 		EvtSignals:     r.Counter("evt.signals"),
-		IOCryptSectors: r.Counter("io.crypt_sectors"),
 		AuditRecords:   r.Counter("audit.records"),
 		SLOAlerts:      r.Counter("slo.alerts"),
 		ServeOps:       r.Counter("serve.ops"),
@@ -226,7 +217,6 @@ func newMetrics(r *Registry) Metrics {
 		KVReclaimed:    r.Counter("kv.compact_reclaimed"),
 		ServeHolds:     r.Counter("serve.holds"),
 		ExitCycles:     r.Histogram("vmexit.cycles", CycleBuckets),
-		BlkReqSectors:  r.Histogram("blk.request_sectors", []uint64{1, 2, 4, 8, 16, 32, 64, 128}),
 		ServeLatency:   r.Histogram("serve.latency", ServeLatencyBuckets),
 		ServeBatchDepth: r.Histogram("serve.batch_depth",
 			[]uint64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}),

@@ -207,7 +207,6 @@ func (b *BlockBackend) handleKick() error {
 	tel := b.x.M.Ctl.Telem
 	tel.M.BlkRequests.Inc()
 	tel.M.BlkSectors.Add(count)
-	tel.M.BlkReqSectors.Observe(count)
 	if tel.Tracing() {
 		dir := "read"
 		if op == BlkOpWrite {

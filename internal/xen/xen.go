@@ -117,7 +117,6 @@ func New(m *Machine) (*Xen, error) {
 				"lock", lw.name)
 		}
 		tel.Reg.RegisterFunc("sev.asid_flushes", x.ASIDs.Flushes)
-		tel.Reg.RegisterFunc("sev.asid_recycles", x.ASIDs.Recycles)
 	}
 	return x, nil
 }
@@ -291,7 +290,6 @@ func (x *Xen) handleExit(d *Domain) error {
 // page is dirty-logging in action: the GFN is recorded before the W bit is
 // restored.
 func (x *Xen) handleNPF(d *Domain, gpa uint64, access mmu.AccessType) error {
-	d.ctl.Telem.M.NPFHandled.Inc()
 	gfn := gpa >> hw.PageShift
 	// The backing map is consulted and possibly grown under framesMu —
 	// released before MapNPT, whose interposed PTE write takes the gate
