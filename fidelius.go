@@ -257,7 +257,7 @@ func (p *Platform) Shutdown(d *Domain) error {
 			return p.F.ShutdownVM(d)
 		}
 	}
-	return p.X.DestroyDomain(d, false)
+	return p.X.DestroyDomain(d)
 }
 
 // MigrateOut snapshots a stopped protected VM for the target platform.

@@ -162,11 +162,24 @@ func TestProtectedVMLifecycle(t *testing.T) {
 }
 
 func TestLaunchRejectsTamperedImage(t *testing.T) {
-	_, f := newPlatform(t)
+	x, f := newPlatform(t)
 	b, _ := newBundle(t, f, bytes.Repeat([]byte{1}, hw.PageSize), nil)
 	b.Image.Pages[0].Data[7] ^= 0xFF
-	if _, err := f.LaunchVM("tampered", 32, b); err == nil {
-		t.Fatal("tampered kernel image booted")
+	// A refused launch leaves nothing behind, so more refusals than the
+	// machine has frames for still leave room for a genuine launch.
+	doms, live := len(x.Doms), x.ASIDs.Live()
+	for i := 0; i <= x.M.Alloc.Total()/32; i++ {
+		if _, err := f.LaunchVM("tampered", 32, b); err == nil {
+			t.Fatal("tampered kernel image booted")
+		}
+		if len(x.Doms) != doms || x.ASIDs.Live() != live {
+			t.Fatalf("refusal %d left %d domains and %d live asids, want %d and %d",
+				i, len(x.Doms), x.ASIDs.Live(), doms, live)
+		}
+	}
+	genuine, _ := newBundle(t, f, bytes.Repeat([]byte{1}, hw.PageSize), nil)
+	if _, err := f.LaunchVM("genuine", 32, genuine); err != nil {
+		t.Fatalf("genuine launch after refusals: %v", err)
 	}
 }
 
@@ -716,8 +729,13 @@ func TestMigrationTamperDetected(t *testing.T) {
 	}
 	bundle.Packets[3].Data[0] ^= 1
 	originPub, _ := f1.M.FW.PublicKey()
+	doms, live := len(f2.X.Doms), f2.X.ASIDs.Live()
 	if _, err := f2.MigrateIn(bundle, originPub); err == nil {
 		t.Fatal("tampered migration stream accepted")
+	}
+	if len(f2.X.Doms) != doms || f2.X.ASIDs.Live() != live {
+		t.Fatalf("refused bundle left %d domains and %d live asids, want %d and %d",
+			len(f2.X.Doms), f2.X.ASIDs.Live(), doms, live)
 	}
 }
 

@@ -97,38 +97,22 @@ func (f *Fidelius) LaunchVMFromGEK(name string, memPages int, b *GEKBundle) (*xe
 	if b.Image.NumPages() > memPages {
 		return nil, fmt.Errorf("core: kernel image (%d pages) exceeds VM memory", b.Image.NumPages())
 	}
-	d, err := f.X.CreateDomain(xen.DomainConfig{
-		Name:        name,
-		MemPages:    memPages,
-		SEV:         true,
-		ExternalSEV: true,
+	start := func() (sev.Handle, error) { return f.M.FW.LaunchStart(0) }
+	return f.admitVM(name, memPages, start, func(p *provisional) error {
+		if err := f.M.FW.SetEncGEK(p.h, b.GEKWrap, b.OwnerPub, b.Nonce); err != nil {
+			return err
+		}
+		p.gek = true
+		base := uint64(memPages - b.Image.NumPages())
+		for i, page := range b.Image.Pages {
+			pfn, ok := p.d.GPAFrame(base + uint64(i))
+			if !ok {
+				return fmt.Errorf("core: kernel gfn %d unbacked", base+uint64(i))
+			}
+			if err := f.M.FW.DecPage(p.h, pfn, page, uint64(i)); err != nil {
+				return err
+			}
+		}
+		return f.M.FW.LaunchFinish(p.h)
 	})
-	if err != nil {
-		return nil, err
-	}
-	h, err := f.M.FW.LaunchStart(0)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.M.FW.SetEncGEK(h, b.GEKWrap, b.OwnerPub, b.Nonce); err != nil {
-		return nil, err
-	}
-	base := uint64(memPages - b.Image.NumPages())
-	for i, page := range b.Image.Pages {
-		pfn, ok := d.GPAFrame(base + uint64(i))
-		if !ok {
-			return nil, fmt.Errorf("core: kernel gfn %d unbacked", base+uint64(i))
-		}
-		if err := f.M.FW.DecPage(h, pfn, page, uint64(i)); err != nil {
-			return nil, err
-		}
-	}
-	if err := f.M.FW.LaunchFinish(h); err != nil {
-		return nil, err
-	}
-	if err := f.M.FW.Activate(h, d.ASID); err != nil {
-		return nil, err
-	}
-	f.storeVM(&VMState{Dom: d, Handle: h, GEKReady: true})
-	return d, nil
 }

@@ -163,9 +163,17 @@ func TestGEKWrongPlatformCannotUnwrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Platform 2 presenting platform 1's bundle fails the unwrap.
-	if _, err := f2.LaunchVMFromGEK("stolen", 32, bundle); err == nil {
-		t.Fatal("bundle bound to platform 1 booted on platform 2")
+	// Platform 2 presenting platform 1's bundle fails the unwrap, and
+	// each refusal leaves nothing behind.
+	doms, live := len(f2.X.Doms), f2.X.ASIDs.Live()
+	for i := 0; i < 10; i++ {
+		if _, err := f2.LaunchVMFromGEK("stolen", 32, bundle); err == nil {
+			t.Fatal("bundle bound to platform 1 booted on platform 2")
+		}
+		if len(f2.X.Doms) != doms || f2.X.ASIDs.Live() != live {
+			t.Fatalf("refusal %d left %d domains and %d live asids, want %d and %d",
+				i, len(f2.X.Doms), f2.X.ASIDs.Live(), doms, live)
+		}
 	}
 }
 

@@ -533,16 +533,22 @@ func (gk *Gatekeeper) DomainDestroyed(d *xen.Domain) error {
 			return err
 		}
 	}
-	if err := f.PIT.Clear(d.Grant.PagePFN); err != nil {
-		return err
-	}
-	if err := f.trusted(func() error { return f.unprotect(d.Grant.PagePFN) }); err != nil {
-		return err
+	// A domain whose build failed part way may have no grant table or
+	// VMCB page yet.
+	if g := d.Grant; g != nil {
+		if err := f.PIT.Clear(g.PagePFN); err != nil {
+			return err
+		}
+		if err := f.trusted(func() error { return f.unprotect(g.PagePFN) }); err != nil {
+			return err
+		}
 	}
 	// The VMCB page returns to the pool too (it was adopted into the PIT
 	// at the domain's first VMRUN).
-	if err := f.PIT.Clear(d.VMCBPFN); err != nil {
-		return err
+	if d.VMCBPFN != 0 {
+		if err := f.PIT.Clear(d.VMCBPFN); err != nil {
+			return err
+		}
 	}
 	// The start-info page leaves the write-once policy with its frame:
 	// teardown returns it to the allocator, and a fresh owner must not

@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/ecdh"
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"io"
 
@@ -70,6 +71,85 @@ func PrepareGuest(owner *sev.Owner, platformPub *ecdh.PublicKey, kernel, diskPla
 	}, kblk, nil
 }
 
+// provisional is a protected VM on its way in: its domain exists and its
+// firmware context is started, but its key is not active and Fidelius
+// keeps no record of it. Its holder either admits it or scrubs it.
+type provisional struct {
+	f   *Fidelius
+	d   *xen.Domain
+	h   sev.Handle
+	gek bool // the context holds the owner's customized key
+}
+
+// provision creates the domain of an arriving VM and starts its firmware
+// context with start; a refused start leaves nothing behind. The caller
+// holds the trusted context, as for every provisional method.
+func (f *Fidelius) provision(name string, memPages int, start func() (sev.Handle, error)) (*provisional, error) {
+	d, err := f.X.CreateDomain(xen.DomainConfig{
+		Name:        name,
+		MemPages:    memPages,
+		SEV:         true,
+		ExternalSEV: true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	h, err := start()
+	if err != nil {
+		return nil, errors.Join(err, f.X.DestroyDomain(d))
+	}
+	return &provisional{f: f, d: d, h: h}, nil
+}
+
+// receive lands packets in the guest frames from gfn base up with one
+// RECEIVE_UPDATE, which re-encrypts them in place under Kvek and fans
+// the per-page AES work across the firmware's worker pool.
+func (p *provisional) receive(base uint64, pkts []sev.Packet) error {
+	pfns := make([]hw.PFN, len(pkts))
+	for i := range pkts {
+		pfn, ok := p.d.GPAFrame(base + uint64(i))
+		if !ok {
+			return fmt.Errorf("core: gfn %d unbacked", base+uint64(i))
+		}
+		pfns[i] = pfn
+	}
+	return p.f.M.FW.ReceiveUpdatePages(p.h, pfns, pkts)
+}
+
+// admit installs the VM's key under its ASID (ACTIVATE) and records the
+// VM. A refused ACTIVATE leaves it provisional.
+func (p *provisional) admit() error {
+	if err := p.f.M.FW.Activate(p.h, p.d.ASID); err != nil {
+		return err
+	}
+	p.f.storeVM(&VMState{Dom: p.d, Handle: p.h, GEKReady: p.gek})
+	return nil
+}
+
+// scrub erases the firmware context and destroys the domain, which
+// scrubs its frames and its PIT and GIT records (Section 4.3.8). The
+// context was never activated, so DECOMMISSION alone erases it.
+func (p *provisional) scrub() error {
+	return errors.Join(p.f.M.FW.Decommission(p.h), p.f.X.DestroyDomain(p.d))
+}
+
+// admitVM is the one way a whole protected VM comes in: provision it,
+// load its image with load, then admit it. A VM refused at any step is
+// scrubbed.
+func (f *Fidelius) admitVM(name string, memPages int, start func() (sev.Handle, error), load func(*provisional) error) (*xen.Domain, error) {
+	p, err := f.provision(name, memPages, start)
+	if err != nil {
+		return nil, err
+	}
+	if err = load(p); err == nil {
+		err = p.admit()
+	}
+	if err != nil {
+		return nil, errors.Join(err, p.scrub())
+	}
+	return p.d, nil
+}
+
 // LaunchVM boots a protected VM from an encrypted kernel image (Section
 // 4.3.3): RECEIVE_START unwraps the transport keys and creates the guest
 // context, RECEIVE_UPDATE re-encrypts each loaded page in place with the
@@ -82,44 +162,15 @@ func (f *Fidelius) LaunchVM(name string, memPages int, b *GuestBundle) (*xen.Dom
 	if b.Image.NumPages() > memPages {
 		return nil, fmt.Errorf("core: kernel image (%d pages) exceeds VM memory", b.Image.NumPages())
 	}
-	d, err := f.X.CreateDomain(xen.DomainConfig{
-		Name:        name,
-		MemPages:    memPages,
-		SEV:         true,
-		ExternalSEV: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	h, err := f.M.FW.ReceiveStart(b.Kwrap, b.OwnerPub, b.Nonce)
-	if err != nil {
-		return nil, err
-	}
-	// The hypervisor loads the encrypted image; Fidelius has the
-	// firmware re-encrypt it in place with Kvek — in bulk, so the
-	// per-page AES work fans across the firmware's worker pool. Kernel
-	// pages occupy the top of guest memory, clear of the shared I/O
-	// window.
-	base := uint64(memPages - b.Image.NumPages())
-	pfns := make([]hw.PFN, len(b.Image.Pages))
-	for i := range b.Image.Pages {
-		pfn, ok := d.GPAFrame(base + uint64(i))
-		if !ok {
-			return nil, fmt.Errorf("core: kernel gfn %d unbacked", base+uint64(i))
+	start := func() (sev.Handle, error) { return f.M.FW.ReceiveStart(b.Kwrap, b.OwnerPub, b.Nonce) }
+	return f.admitVM(name, memPages, start, func(p *provisional) error {
+		// Kernel pages occupy the top of guest memory, clear of the
+		// shared I/O window.
+		if err := p.receive(uint64(memPages-b.Image.NumPages()), b.Image.Pages); err != nil {
+			return err
 		}
-		pfns[i] = pfn
-	}
-	if err := f.M.FW.ReceiveUpdatePages(h, pfns, b.Image.Pages); err != nil {
-		return nil, err
-	}
-	if err := f.M.FW.ReceiveFinish(h, b.Image.Measurement); err != nil {
-		return nil, err
-	}
-	if err := f.M.FW.Activate(h, d.ASID); err != nil {
-		return nil, err
-	}
-	f.storeVM(&VMState{Dom: d, Handle: h})
-	return d, nil
+		return f.M.FW.ReceiveFinish(p.h, b.Image.Measurement)
+	})
 }
 
 // KernelBase returns the guest frame where the kernel image of a
@@ -215,7 +266,7 @@ func (f *Fidelius) ShutdownVM(d *xen.Domain) error {
 			}
 		}
 	}
-	return f.X.DestroyDomain(d, true)
+	return f.X.DestroyDomain(d)
 }
 
 // MigrationBundle is an offline VM snapshot in transit: transport packets
@@ -231,44 +282,34 @@ type MigrationBundle struct {
 }
 
 // MigrateOut snapshots a (stopped) protected VM for the target platform
-// identified by targetPub. SEND_START moves the guest to the sending
-// state, which stops execution — Fidelius does not support live
-// migration, exactly as the paper notes.
+// identified by targetPub: the SEND sequence of a live migration with
+// every backed page sent in one round.
 func (f *Fidelius) MigrateOut(d *xen.Domain, targetPub *ecdh.PublicKey) (*MigrationBundle, error) {
-	defer f.enterTrusted()()
 	st, _ := f.lookupVM(d.ID)
 	if st == nil {
 		return nil, fmt.Errorf("core: domain %d is not a Fidelius-protected VM", d.ID)
 	}
-	nonce := make([]byte, 16)
-	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
-		return nil, err
-	}
-	kwrap, err := f.M.FW.SendStart(st.Handle, targetPub, nonce)
+	s := &liveSource{f: f, d: d, st: st, targetPub: targetPub}
+	kwrap, nonce, err := s.SendStart()
 	if err != nil {
 		return nil, err
 	}
-	bundle := &MigrationBundle{
+	pkts, err := s.SendPages(d.BackedGFNs())
+	if err != nil {
+		return nil, err
+	}
+	mvm, err := s.SendFinish()
+	if err != nil {
+		return nil, err
+	}
+	return &MigrationBundle{
 		Name:     d.Name,
 		MemPages: d.MemPages,
 		Kwrap:    kwrap,
 		Nonce:    nonce,
-	}
-	var pfns []hw.PFN
-	for gfn := uint64(0); gfn < uint64(d.MemPages); gfn++ {
-		if pfn, ok := d.GPAFrame(gfn); ok {
-			pfns = append(pfns, pfn)
-		}
-	}
-	bundle.Packets, err = f.M.FW.SendUpdatePages(st.Handle, pfns)
-	if err != nil {
-		return nil, err
-	}
-	bundle.Mvm, err = f.M.FW.SendFinish(st.Handle)
-	if err != nil {
-		return nil, err
-	}
-	return bundle, nil
+		Packets:  pkts,
+		Mvm:      mvm,
+	}, nil
 }
 
 // MigrateIn materialises a migrated VM on this platform: a fresh domain
@@ -276,38 +317,13 @@ func (f *Fidelius) MigrateOut(d *xen.Domain, targetPub *ecdh.PublicKey) (*Migrat
 // originPub is the source platform's public key.
 func (f *Fidelius) MigrateIn(bundle *MigrationBundle, originPub *ecdh.PublicKey) (*xen.Domain, error) {
 	defer f.enterTrusted()()
-	d, err := f.X.CreateDomain(xen.DomainConfig{
-		Name:        bundle.Name,
-		MemPages:    bundle.MemPages,
-		SEV:         true,
-		ExternalSEV: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	h, err := f.M.FW.ReceiveStart(bundle.Kwrap, originPub, bundle.Nonce)
-	if err != nil {
-		return nil, err
-	}
-	pfns := make([]hw.PFN, len(bundle.Packets))
-	for i := range bundle.Packets {
-		pfn, ok := d.GPAFrame(uint64(i))
-		if !ok {
-			return nil, fmt.Errorf("core: migration gfn %d unbacked", i)
+	start := func() (sev.Handle, error) { return f.M.FW.ReceiveStart(bundle.Kwrap, originPub, bundle.Nonce) }
+	return f.admitVM(bundle.Name, bundle.MemPages, start, func(p *provisional) error {
+		if err := p.receive(0, bundle.Packets); err != nil {
+			return err
 		}
-		pfns[i] = pfn
-	}
-	if err := f.M.FW.ReceiveUpdatePages(h, pfns, bundle.Packets); err != nil {
-		return nil, err
-	}
-	if err := f.M.FW.ReceiveFinish(h, bundle.Mvm); err != nil {
-		return nil, err
-	}
-	if err := f.M.FW.Activate(h, d.ASID); err != nil {
-		return nil, err
-	}
-	f.storeVM(&VMState{Dom: d, Handle: h})
-	return d, nil
+		return f.M.FW.ReceiveFinish(p.h, bundle.Mvm)
+	})
 }
 
 // Attest produces a signed platform quote over the hypervisor-code

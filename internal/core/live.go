@@ -116,86 +116,64 @@ func (f *Fidelius) MigrateOutLive(d *xen.Domain, targetPub *ecdh.PublicKey, conn
 	return migrate.Send(&liveSource{f: f, d: d, st: st, targetPub: targetPub}, conn, cfg)
 }
 
-// liveTarget adapts this platform to migrate.Target: the domain is
-// created on FrameStart, pages land via RECEIVE_UPDATE, and the final
-// measurement check activates the VM.
+// liveTarget adapts this platform to migrate.Target: the VM is
+// provisioned on FrameStart, pages land via RECEIVE_UPDATE, and the final
+// measurement check admits it.
 type liveTarget struct {
 	f         *Fidelius
 	originPub *ecdh.PublicKey
-	d         *xen.Domain
-	h         sev.Handle
-	active    bool
+	p         *provisional // the VM being received, until admitted
+	d         *xen.Domain  // the admitted VM
 }
 
 func (t *liveTarget) ReceiveStart(name string, memPages int, kwrap sev.WrappedKeys, nonce []byte) error {
 	defer t.f.enterTrusted()()
-	if t.d != nil {
+	if t.p != nil || t.d != nil {
 		return fmt.Errorf("core: migration already started")
 	}
-	if memPages <= 0 {
-		return fmt.Errorf("core: bad migration geometry: %d pages", memPages)
-	}
-	d, err := t.f.X.CreateDomain(xen.DomainConfig{
-		Name:        name,
-		MemPages:    memPages,
-		SEV:         true,
-		ExternalSEV: true,
+	p, err := t.f.provision(name, memPages, func() (sev.Handle, error) {
+		return t.f.M.FW.ReceiveStart(kwrap, t.originPub, nonce)
 	})
 	if err != nil {
 		return err
 	}
-	h, err := t.f.M.FW.ReceiveStart(kwrap, t.originPub, nonce)
-	if err != nil {
-		_ = t.f.X.DestroyDomain(d, true)
-		return err
-	}
-	t.d, t.h = d, h
+	t.p = p
 	return nil
 }
 
 func (t *liveTarget) ReceivePage(gfn uint64, pkt sev.Packet) error {
 	defer t.f.enterTrusted()()
-	if t.d == nil {
+	if t.p == nil {
 		return fmt.Errorf("core: page before migration start")
-	}
-	pfn, ok := t.d.GPAFrame(gfn)
-	if !ok {
-		return fmt.Errorf("core: migration gfn %d unbacked", gfn)
 	}
 	// The stop-and-wait wire delivers one frame at a time, so each page
 	// is a one-page RECEIVE_UPDATE.
-	return t.f.M.FW.ReceiveUpdatePages(t.h, []hw.PFN{pfn}, []sev.Packet{pkt})
+	return t.p.receive(gfn, []sev.Packet{pkt})
 }
 
 func (t *liveTarget) ReceiveFinish(mvm sev.Measurement) error {
 	defer t.f.enterTrusted()()
-	if t.d == nil {
+	if t.p == nil {
 		return fmt.Errorf("core: finish before migration start")
 	}
-	if err := t.f.M.FW.ReceiveFinish(t.h, mvm); err != nil {
+	if err := t.f.M.FW.ReceiveFinish(t.p.h, mvm); err != nil {
 		return err
 	}
-	if err := t.f.M.FW.Activate(t.h, t.d.ASID); err != nil {
+	if err := t.p.admit(); err != nil {
 		return err
 	}
-	t.f.storeVM(&VMState{Dom: t.d, Handle: t.h})
-	t.active = true
+	t.d, t.p = t.p.d, nil
 	return nil
 }
 
-// Abort scrubs the half-received VM: the firmware context is erased and
-// the domain destroyed with its frames scrubbed.
+// Abort scrubs the half-received VM, if there is one.
 func (t *liveTarget) Abort() error {
 	defer t.f.enterTrusted()()
-	if t.active || t.d == nil {
-		return nil // nothing provisional to scrub
+	if t.p == nil {
+		return nil
 	}
-	if t.h != 0 {
-		_ = t.f.M.FW.Deactivate(t.h)
-		_ = t.f.M.FW.Decommission(t.h)
-	}
-	err := t.f.X.DestroyDomain(t.d, true)
-	t.d, t.h = nil, 0
+	err := t.p.scrub()
+	t.p = nil
 	return err
 }
 

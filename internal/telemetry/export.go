@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
@@ -274,12 +273,4 @@ func (s Snapshot) WriteTable(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Publish exposes the registry under name via the standard expvar
-// machinery (visible on /debug/vars when an HTTP server is running).
-// Publishing the same name twice panics in expvar, so callers own
-// uniqueness.
-func Publish(name string, r *Registry) {
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

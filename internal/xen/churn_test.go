@@ -217,7 +217,7 @@ func TestConcurrentLifecycleChurn(t *testing.T) {
 					errs <- fmt.Errorf("worker %d lifetime %d run: %v", w, l, serrs)
 					return
 				}
-				if err := x.DestroyDomain(d, false); err != nil {
+				if err := x.DestroyDomain(d); err != nil {
 					errs <- fmt.Errorf("worker %d lifetime %d destroy: %w", w, l, err)
 					return
 				}

@@ -1,6 +1,7 @@
 package xen
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -198,91 +199,11 @@ func (x *Xen) CreateDomain(cfg DomainConfig) (*Domain, error) {
 	d.ID = x.nextDom
 	x.nextDom++
 	x.domsMu.Unlock()
-
-	vmcb, err := x.M.Alloc.Alloc(UseVMCB, d.ID)
-	if err != nil {
-		return nil, err
+	if err := x.buildDomain(d, cfg); err != nil {
+		// A half-built domain unwinds through the ordinary teardown,
+		// which skips every piece the build did not reach.
+		return nil, errors.Join(err, x.DestroyDomain(d))
 	}
-	d.VMCBPFN = vmcb
-	if err := cpu.StoreVMCB(x.M.Ctl, d.VMCBPA(), &cpu.VMCB{GuestASID: uint32(d.ASID), SEVEnabled: d.SEV}); err != nil {
-		return nil, err
-	}
-
-	d.Grant, err = newGrantTable(x.M.Ctl, x.M.Alloc, d.ID)
-	if err != nil {
-		return nil, err
-	}
-
-	// NPT root.
-	root, err := x.newPTPage(d)
-	if err != nil {
-		return nil, err
-	}
-	d.NPT = &mmu.Space{Ctl: x.M.Ctl, Root: root}
-
-	// Guest memory: allocated up front; NPT populated eagerly in a
-	// batched manner during boot (Section 4.3.4) unless Lazy.
-	for gfn := 0; gfn < cfg.MemPages; gfn++ {
-		if cfg.Lazy {
-			continue
-		}
-		pfn, err := x.M.Alloc.Alloc(UseGuest, d.ID)
-		if err != nil {
-			return nil, err
-		}
-		d.Frames[gfn] = pfn
-		if err := x.MapNPT(d, uint64(gfn)<<hw.PageShift, mmu.MakePTE(pfn, mmu.FlagP|mmu.FlagW|mmu.FlagU)); err != nil {
-			return nil, err
-		}
-	}
-
-	// SEV context. The ASID comes from the pool, which recycles retired
-	// ASIDs behind a DF_FLUSH once the hardware limit is reached.
-	if cfg.SEV {
-		asid, err := x.ASIDs.Alloc()
-		if err != nil {
-			return nil, err
-		}
-		d.ASID = asid
-		if !cfg.ExternalSEV {
-			h, err := x.M.FW.LaunchStart(0)
-			if err != nil {
-				return nil, err
-			}
-			d.Handle = h
-			if err := x.M.FW.LaunchFinish(h); err != nil {
-				return nil, err
-			}
-			if err := x.M.FW.Activate(h, d.ASID); err != nil {
-				return nil, err
-			}
-		}
-		if err := x.updateVMCB(d, func(v *cpu.VMCB) {
-			v.GuestASID = uint32(d.ASID)
-			v.SEVEnabled = true
-			v.NPTRoot = uint64(d.NPT.Root.Addr())
-		}); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := x.updateVMCB(d, func(v *cpu.VMCB) {
-			v.NPTRoot = uint64(d.NPT.Root.Addr())
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Start-info page: allocated now, written exactly once by
-	// WriteStartInfo after the toolstack finishes attaching devices.
-	si, err := x.M.Alloc.Alloc(UseXenData, d.ID)
-	if err != nil {
-		return nil, err
-	}
-	d.StartInfoPFN = si
-	if err := x.Interpose.RegisterWriteOnce(si); err != nil {
-		return nil, err
-	}
-	d.Info = StartInfo{DomID: d.ID, MemPages: uint64(cfg.MemPages)}
 
 	// Register the domain with the machine's telemetry hub so events and
 	// per-VM metrics carry its name and ASID mapping.
@@ -301,6 +222,97 @@ func (x *Xen) CreateDomain(cfg DomainConfig) (*Domain, error) {
 	x.vmcbToDom[d.VMCBPA()] = d
 	x.domsMu.Unlock()
 	return d, nil
+}
+
+// buildDomain takes a new domain's frames, ASID and (unless ExternalSEV)
+// firmware context. It records each piece on d as soon as it holds it,
+// so DestroyDomain can give back whatever a failed build took.
+func (x *Xen) buildDomain(d *Domain, cfg DomainConfig) error {
+	vmcb, err := x.M.Alloc.Alloc(UseVMCB, d.ID)
+	if err != nil {
+		return err
+	}
+	d.VMCBPFN = vmcb
+	if err := cpu.StoreVMCB(x.M.Ctl, d.VMCBPA(), &cpu.VMCB{GuestASID: uint32(d.ASID), SEVEnabled: d.SEV}); err != nil {
+		return err
+	}
+
+	d.Grant, err = newGrantTable(x.M.Ctl, x.M.Alloc, d.ID)
+	if err != nil {
+		return err
+	}
+
+	// NPT root.
+	root, err := x.newPTPage(d)
+	if err != nil {
+		return err
+	}
+	d.NPT = &mmu.Space{Ctl: x.M.Ctl, Root: root}
+
+	// Guest memory: allocated up front; NPT populated eagerly in a
+	// batched manner during boot (Section 4.3.4) unless Lazy.
+	for gfn := 0; gfn < cfg.MemPages; gfn++ {
+		if cfg.Lazy {
+			continue
+		}
+		pfn, err := x.M.Alloc.Alloc(UseGuest, d.ID)
+		if err != nil {
+			return err
+		}
+		d.Frames[gfn] = pfn
+		if err := x.MapNPT(d, uint64(gfn)<<hw.PageShift, mmu.MakePTE(pfn, mmu.FlagP|mmu.FlagW|mmu.FlagU)); err != nil {
+			return err
+		}
+	}
+
+	// SEV context. The ASID comes from the pool, which recycles retired
+	// ASIDs behind a DF_FLUSH once the hardware limit is reached.
+	if cfg.SEV {
+		asid, err := x.ASIDs.Alloc()
+		if err != nil {
+			return err
+		}
+		d.ASID = asid
+		if !cfg.ExternalSEV {
+			h, err := x.M.FW.LaunchStart(0)
+			if err != nil {
+				return err
+			}
+			d.Handle = h
+			if err := x.M.FW.LaunchFinish(h); err != nil {
+				return err
+			}
+			if err := x.M.FW.Activate(h, d.ASID); err != nil {
+				return err
+			}
+		}
+		if err := x.updateVMCB(d, func(v *cpu.VMCB) {
+			v.GuestASID = uint32(d.ASID)
+			v.SEVEnabled = true
+			v.NPTRoot = uint64(d.NPT.Root.Addr())
+		}); err != nil {
+			return err
+		}
+	} else {
+		if err := x.updateVMCB(d, func(v *cpu.VMCB) {
+			v.NPTRoot = uint64(d.NPT.Root.Addr())
+		}); err != nil {
+			return err
+		}
+	}
+
+	// Start-info page: allocated now, written exactly once by
+	// WriteStartInfo after the toolstack finishes attaching devices.
+	si, err := x.M.Alloc.Alloc(UseXenData, d.ID)
+	if err != nil {
+		return err
+	}
+	d.StartInfoPFN = si
+	if err := x.Interpose.RegisterWriteOnce(si); err != nil {
+		return err
+	}
+	d.Info = StartInfo{DomID: d.ID, MemPages: uint64(cfg.MemPages)}
+	return nil
 }
 
 // WriteStartInfo publishes the domain's boot parameters to its start-info
@@ -407,12 +419,14 @@ func (x *Xen) updateVMCB(d *Domain, f func(*cpu.VMCB)) error {
 	return cpu.StoreVMCB(d.ctl, d.VMCBPA(), v)
 }
 
-// DestroyDomain tears a guest down: SEV deactivate/decommission (unless
-// externally managed), frame reclamation, ASID retirement into the pool's
-// dirty list, and interposer notification so Fidelius can scrub PIT/GIT
-// state (Section 4.3.8). It holds the domain lock: a teardown racing a
-// quantum waits for the quantum to finish.
-func (x *Xen) DestroyDomain(d *Domain, externalSEV bool) error {
+// DestroyDomain tears a guest down: SEV deactivate/decommission of the
+// firmware context CreateDomain started (an ExternalSEV owner erases its
+// own), frame reclamation, ASID retirement into the pool's dirty list,
+// and interposer notification so Fidelius can scrub PIT/GIT state
+// (Section 4.3.8). It also unwinds a domain whose build failed part way.
+// It holds the domain lock: a teardown racing a quantum waits for the
+// quantum to finish.
+func (x *Xen) DestroyDomain(d *Domain) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.Dead {
@@ -426,7 +440,7 @@ func (x *Xen) DestroyDomain(d *Domain, externalSEV bool) error {
 		v.out = exitEvent{reason: cpu.ExitShutdown, done: true,
 			err: fmt.Errorf("xen: domain %d destroyed", d.ID)}
 	}
-	if d.SEV && !externalSEV {
+	if d.Handle != 0 {
 		if err := x.M.FW.Deactivate(d.Handle); err != nil {
 			return err
 		}
@@ -450,8 +464,12 @@ func (x *Xen) DestroyDomain(d *Domain, externalSEV bool) error {
 	for _, pfn := range d.NPTPages {
 		x.M.Alloc.Free(pfn)
 	}
-	x.M.Alloc.Free(d.VMCBPFN)
-	x.M.Alloc.Free(d.Grant.PagePFN)
+	if d.VMCBPFN != 0 {
+		x.M.Alloc.Free(d.VMCBPFN)
+	}
+	if d.Grant != nil {
+		x.M.Alloc.Free(d.Grant.PagePFN)
+	}
 	if d.StartInfoPFN != 0 {
 		x.M.Alloc.Free(d.StartInfoPFN)
 	}

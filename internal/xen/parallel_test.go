@@ -351,7 +351,7 @@ func TestScheduleParallelSingleDomainParity(t *testing.T) {
 		}
 		elapsed := time.Since(start)
 		for _, d := range doms {
-			if err := x.DestroyDomain(d, false); err != nil {
+			if err := x.DestroyDomain(d); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -31,7 +31,7 @@ func TestVCPUDestroyUnwindsParkedGuest(t *testing.T) {
 			t.Fatalf("quantum %d: done=%v err=%v", i, done, err)
 		}
 	}
-	if err := x.DestroyDomain(d, false); err != nil {
+	if err := x.DestroyDomain(d); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -472,7 +472,7 @@ func TestDestroyDomainReclaimsFrames(t *testing.T) {
 	if mid >= before {
 		t.Fatal("domain creation should consume frames")
 	}
-	if err := x.DestroyDomain(d, false); err != nil {
+	if err := x.DestroyDomain(d); err != nil {
 		t.Fatal(err)
 	}
 	after := x.M.Alloc.FreeCount()
@@ -485,7 +485,35 @@ func TestDestroyDomainReclaimsFrames(t *testing.T) {
 		t.Fatal("domain still registered after destroy")
 	}
 	// Destroy is idempotent.
-	if err := x.DestroyDomain(d, false); err != nil {
+	if err := x.DestroyDomain(d); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRefusedCreateDomainKeepsNoFrames(t *testing.T) {
+	m, err := NewMachine(Config{MemPages: 1024, CacheLines: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := New(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := m.Alloc.FreeCount()
+	if _, err := x.CreateDomain(DomainConfig{Name: "huge", MemPages: 2000, SEV: true}); err == nil {
+		t.Fatal("a domain larger than the machine was created")
+	}
+	if got := m.Alloc.FreeCount(); got != before {
+		t.Fatalf("refused domain kept frames: free %d, want %d", got, before)
+	}
+	if len(x.Doms) != 0 || x.ASIDs.Live() != 0 {
+		t.Fatalf("refused domain left %d domains and %d live asids", len(x.Doms), x.ASIDs.Live())
+	}
+	d, err := x.CreateDomain(DomainConfig{Name: "small", MemPages: 16, SEV: true})
+	if err != nil {
+		t.Fatalf("small domain after a refused one: %v", err)
+	}
+	if err := x.DestroyDomain(d); err != nil {
 		t.Fatal(err)
 	}
 }
