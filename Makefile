@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all build test race bench benchsmoke benchdiff vet fmt check fuzz stress lockrank migrate trace examples tables attacks xsa demo serve serve-smoke benchmark-smoke clean
+.PHONY: all build test race bench benchsmoke benchdiff vet fmt fmtcheck check fuzz stress lockrank migrate trace examples tables attacks xsa demo serve serve-smoke benchmark-smoke clean
 
 all: build test
 
-check: build vet test lockrank race stress fuzz benchsmoke serve-smoke benchmark-smoke examples migrate
+check: build fmtcheck vet test lockrank race stress fuzz benchsmoke serve-smoke benchmark-smoke examples migrate
 	$(GO) run ./cmd/fidelius-serve -tenants 2 -clients 16 -duration 100 -tamper 1
 
 # The whole test suite with the debug lock-rank checker armed: every
@@ -88,6 +88,11 @@ vet:
 
 fmt:
 	gofmt -w .
+
+# Fails, naming the files, when any Go file is not gofmt-clean; `make fmt`
+# rewrites them.
+fmtcheck:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; }
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -368,11 +368,6 @@ func (c *Controller) ReadPage(pfn PFN, encrypted bool, asid ASID, buf *[PageSize
 	return c.Read(Access{PA: pfn.Addr(), Encrypted: encrypted, ASID: asid}, buf[:])
 }
 
-// WritePage writes a full page.
-func (c *Controller) WritePage(pfn PFN, encrypted bool, asid ASID, data *[PageSize]byte) error {
-	return c.Write(Access{PA: pfn.Addr(), Encrypted: encrypted, ASID: asid}, data[:])
-}
-
 // FirmwareWrite stores bytes on behalf of the SEV firmware: raw DRAM
 // write with cache invalidation and — because the firmware lives in the
 // secure processor next to the BMT root — an integrity-tree update.

@@ -233,7 +233,7 @@ func buildNested(t *testing.T) (*Nested, *bumpAlloc, *hw.Controller, hw.PFN) {
 		}
 	}
 
-	n := &Nested{Ctl: ctl, NPT: npt, ASID: 7, GuestPTEncrypted: true}
+	n := &Nested{Ctl: ctl, NPT: npt, ASID: 7}
 
 	// Guest page table lives at GPA page 0 (=HPA page 64), encrypted.
 	// Build it by writing through the controller with the guest key.
@@ -274,10 +274,10 @@ func TestNestedTranslate(t *testing.T) {
 	if tr.GPA != 5*hw.PageSize {
 		t.Fatalf("gpa %#x want %#x", tr.GPA, 5*hw.PageSize)
 	}
-	if tr.HPA != hw.PFN(5+int(off)).Addr() {
-		t.Fatalf("hpa %#x want %#x", tr.HPA, hw.PFN(5+int(off)).Addr())
+	if tr.Access.PA != hw.PFN(5+int(off)).Addr() {
+		t.Fatalf("hpa %#x want %#x", tr.Access.PA, hw.PFN(5+int(off)).Addr())
 	}
-	if !tr.Encrypted || tr.ASID != 7 {
+	if !tr.Access.Encrypted || tr.Access.ASID != 7 {
 		t.Fatalf("C-bit in guest PTE must select the guest key: %+v", tr)
 	}
 }
@@ -289,7 +289,7 @@ func TestNestedCBitPriority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Encrypted {
+	if tr.Access.Encrypted {
 		t.Fatalf("no C-bit anywhere, yet encrypted: %+v", tr)
 	}
 	// Set the C-bit in the NPT entry for GPA page 6 (the SME simulation
@@ -305,7 +305,7 @@ func TestNestedCBitPriority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Encrypted || tr.ASID != hw.HostASID {
+	if !tr.Access.Encrypted || tr.Access.ASID != hw.HostASID {
 		t.Fatalf("NPT C-bit must select host key: %+v", tr)
 	}
 	// Guest C-bit still takes priority over NPT C-bit.
@@ -313,7 +313,7 @@ func TestNestedCBitPriority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.ASID != 7 {
+	if tr.Access.ASID != 7 {
 		t.Fatalf("guest C-bit must take priority: %+v", tr)
 	}
 }
@@ -362,18 +362,18 @@ func TestEndToEndEncryptedGuestMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	secret := []byte("guest secret visible only with Kvek!")
-	if err := ctl.Write(hw.Access{PA: tr.HPA, Encrypted: tr.Encrypted, ASID: tr.ASID}, secret); err != nil {
+	if err := ctl.Write(tr.Access, secret); err != nil {
 		t.Fatal(err)
 	}
 	raw := make([]byte, len(secret))
-	if err := ctl.Mem.ReadRaw(tr.HPA, raw); err != nil {
+	if err := ctl.Mem.ReadRaw(tr.Access.PA, raw); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(raw, secret) {
 		t.Fatal("guest memory is plaintext in DRAM")
 	}
 	got := make([]byte, len(secret))
-	if err := ctl.Read(hw.Access{PA: tr.HPA, Encrypted: true, ASID: 7}, got); err != nil {
+	if err := ctl.Read(hw.Access{PA: tr.Access.PA, Encrypted: true, ASID: 7}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, secret) {
@@ -445,5 +445,40 @@ func TestMapOutOfFrames(t *testing.T) {
 	}
 	if want := "allocating"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q should mention %q", err, want)
+	}
+}
+
+// TestGuestAccessRule pins the one C-bit rule over its three inputs: an
+// SEV guest's private access uses its own key; everything else — every
+// access of a guest without SEV — uses the host key under an NPT C-bit
+// and is plaintext without one.
+func TestGuestAccessRule(t *testing.T) {
+	const pa = hw.PhysAddr(0x7000)
+	plain := hw.Access{PA: pa}
+	host := hw.Access{PA: pa, Encrypted: true, ASID: hw.HostASID}
+	guest := hw.Access{PA: pa, Encrypted: true, ASID: 7}
+	for _, tc := range []struct {
+		asid    hw.ASID
+		private bool
+		nptC    bool
+		want    hw.Access
+	}{
+		{7, true, false, guest},
+		{7, true, true, guest},
+		{7, false, false, plain},
+		{7, false, true, host},
+		{hw.HostASID, true, false, plain},
+		{hw.HostASID, true, true, host},
+		{hw.HostASID, false, false, plain},
+		{hw.HostASID, false, true, host},
+	} {
+		npte := MakePTE(7, FlagP|FlagW)
+		if tc.nptC {
+			npte = npte.WithFlags(FlagC)
+		}
+		if got := GuestAccess(pa, tc.asid, tc.private, npte); got != tc.want {
+			t.Errorf("asid %d private %v npt C-bit %v: got %+v, want %+v",
+				tc.asid, tc.private, tc.nptC, got, tc.want)
+		}
 	}
 }

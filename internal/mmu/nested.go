@@ -1,33 +1,29 @@
 package mmu
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"fidelius/internal/hw"
 	"fidelius/internal/telemetry"
 )
 
-// Nested performs the two-dimensional translation of an SEV guest: guest
-// virtual address → (guest page tables, themselves in encrypted guest
-// memory, themselves addressed by GPA through the NPT) → guest physical
-// address → (nested page table) → host physical address.
+// Nested performs the two-dimensional translation of a guest: guest
+// virtual address → (guest page tables, themselves in guest memory and
+// addressed by GPA through the NPT) → guest physical address → (nested
+// page table) → host physical address.
 //
 // Guest is the guest's own page-table space expressed over GPAs; NPT maps
-// GPA→HPA. The paper's C-bit priority rule is applied at the leaf: a C-bit
-// in the guest page table selects the guest's key; otherwise a C-bit in the
-// NPT selects the host (SME) key — that is how Fidelius-enc simulates SEV
-// with SME by setting C-bits in the nested tables (Section 7.1).
+// GPA→HPA. GuestAccess picks the key of every access the walk makes.
 type Nested struct {
 	Ctl *hw.Controller
 	// GuestRoot is the GPA of the guest's top-level page table (CR3).
 	GuestRoot uint64
 	// NPT is the nested page table (plaintext host memory).
 	NPT *Space
-	// ASID tags the guest's encrypted accesses.
+	// ASID is the guest's SEV key slot; hw.HostASID for a guest without
+	// SEV, which has no key of its own.
 	ASID hw.ASID
-	// GuestPTEncrypted reports whether the guest keeps its page tables in
-	// encrypted memory (the SEV default).
-	GuestPTEncrypted bool
 	// Dirty, when armed, logs the GPA of every write that faults on a
 	// write-protected NPT leaf — the dirty-page tracking live migration
 	// drives by clearing W bits on the nested table.
@@ -50,8 +46,8 @@ func (n *Nested) StopDirtyLog() { n.Dirty.Stop() }
 // (and faulted) since the previous collection.
 func (n *Nested) CollectDirty() []uint64 { return n.Dirty.Collect() }
 
-// npfAccess translates a guest-table GPA through the NPT, raising an
-// NPTViolation on failure.
+// gpaToHPA translates a GPA through the NPT, raising an NPTViolation on
+// failure.
 func (n *Nested) gpaToHPA(gpa uint64, access AccessType) (hw.PhysAddr, PTE, error) {
 	tr, err := n.NPT.Translate(gpa, access, true, false)
 	if err != nil {
@@ -85,35 +81,27 @@ func (n *Nested) gpaToHPA(gpa uint64, access AccessType) (hw.PhysAddr, PTE, erro
 }
 
 func (n *Nested) readGuestEntry(tableGPA uint64, idx int) (PTE, error) {
-	hpa, _, err := n.gpaToHPA(tableGPA+uint64(idx*8), Read)
+	hpa, npte, err := n.gpaToHPA(tableGPA+uint64(idx*8), Read)
 	if err != nil {
 		return 0, err
 	}
 	var b [8]byte
-	a := hw.Access{PA: hpa, Encrypted: n.GuestPTEncrypted, ASID: n.ASID}
-	if err := n.Ctl.Read(a, b[:]); err != nil {
+	if err := n.Ctl.Read(GuestAccess(hpa, n.ASID, true, npte), b[:]); err != nil {
 		return 0, err
 	}
-	return PTE(uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56), nil
+	return PTE(binary.LittleEndian.Uint64(b[:])), nil
 }
 
 // NestedTranslation is the outcome of a full two-dimensional walk.
 type NestedTranslation struct {
-	GPA uint64      // guest physical page base
-	HPA hw.PhysAddr // host physical page base
-	// Encrypted and ASID are the effective memory-controller attributes
-	// after applying the C-bit priority rule.
-	Encrypted bool
-	ASID      hw.ASID
-	GuestPTE  PTE
-	NPTE      PTE
+	GPA uint64 // guest physical page base
+	// Access reaches the host physical page base with the key GuestAccess
+	// picked for it.
+	Access   hw.Access
+	GuestPTE PTE
+	NPTE     PTE
 }
 
-// Translate resolves a guest virtual address with permission checks in both
-// dimensions. Guest-dimension faults return *PageFault (delivered to the
-// guest kernel); NPT-dimension faults return *NPTViolation (delivered to
-// the hypervisor as an NPF VMEXIT).
 func (n *Nested) hub() *telemetry.Hub {
 	if n.Ctl == nil {
 		return nil
@@ -121,6 +109,10 @@ func (n *Nested) hub() *telemetry.Hub {
 	return n.Ctl.Telem
 }
 
+// Translate resolves a guest virtual address with permission checks in both
+// dimensions. Guest-dimension faults return *PageFault (delivered to the
+// guest kernel); NPT-dimension faults return *NPTViolation (delivered to
+// the hypervisor as an NPF VMEXIT).
 func (n *Nested) Translate(gva uint64, access AccessType, user bool) (NestedTranslation, error) {
 	if h := n.hub(); h != nil {
 		h.M.NPTWalks.Inc()
@@ -145,36 +137,40 @@ func (n *Nested) Translate(gva uint64, access AccessType, user bool) (NestedTran
 		}
 		tableGPA = uint64(pte.PFN().Addr())
 	}
-	if user && !leaf.User() {
-		return NestedTranslation{}, &PageFault{VA: gva, Access: access, Reason: UserSupervisor}
-	}
-	switch access {
-	case Write:
-		if !leaf.Writable() {
-			return NestedTranslation{}, &PageFault{VA: gva, Access: access, Reason: WriteProtected}
-		}
-	case Execute:
-		if leaf.NoExec() {
-			return NestedTranslation{}, &PageFault{VA: gva, Access: access, Reason: NXViolation}
-		}
+	if err := checkLeaf(gva, leaf, access, true, user); err != nil {
+		return NestedTranslation{}, err
 	}
 	gpa := uint64(leaf.PFN().Addr())
 	hpa, npte, err := n.gpaToHPA(gpa, access)
 	if err != nil {
 		return NestedTranslation{}, err
 	}
-	out := NestedTranslation{
+	return NestedTranslation{
 		GPA:      gpa,
-		HPA:      hpa,
+		Access:   GuestAccess(hpa, n.ASID, leaf.Encrypted(), npte),
 		GuestPTE: leaf,
 		NPTE:     npte,
-	}
-	// C-bit priority: guest PT first, then NPT (SME via hypervisor).
+	}, nil
+}
+
+// GuestAccess is the C-bit rule for every access a guest makes: it picks
+// the key the memory controller uses to reach pa. asid is the guest's SEV
+// key slot, hw.HostASID for a guest without SEV. private is the guest's
+// own C-bit: always set for its page-table walks and for its accesses
+// before paging, and the guest leaf's C-bit after. npte is the NPT leaf
+// that maps the page.
+//
+// An SEV guest's private access uses the guest key: its page tables are
+// always private. Any other access — every access of a guest without SEV,
+// which has no key of its own — uses the host (SME) key when the NPT
+// leaf has the C-bit, the Fidelius-enc method of Section 7.1, and is
+// plaintext otherwise.
+func GuestAccess(pa hw.PhysAddr, asid hw.ASID, private bool, npte PTE) hw.Access {
 	switch {
-	case leaf.Encrypted():
-		out.Encrypted, out.ASID = true, n.ASID
+	case private && asid != hw.HostASID:
+		return hw.Access{PA: pa, Encrypted: true, ASID: asid}
 	case npte.Encrypted():
-		out.Encrypted, out.ASID = true, hw.HostASID
+		return hw.Access{PA: pa, Encrypted: true, ASID: hw.HostASID}
 	}
-	return out, nil
+	return hw.Access{PA: pa}
 }

@@ -86,27 +86,34 @@ func (s *Space) Translate(va uint64, access AccessType, wp, user bool) (Translat
 	if err != nil {
 		return Translation{}, err
 	}
-	if !leaf.Present() {
-		return Translation{}, &PageFault{VA: va, Access: access, Reason: NotPresent, Level: 0}
-	}
-	if user && !leaf.User() {
-		return Translation{}, &PageFault{VA: va, Access: access, Reason: UserSupervisor, Level: 0}
-	}
-	switch access {
-	case Write:
-		if !leaf.Writable() && (wp || user) {
-			return Translation{}, &PageFault{VA: va, Access: access, Reason: WriteProtected, Level: 0}
-		}
-	case Execute:
-		if leaf.NoExec() {
-			return Translation{}, &PageFault{VA: va, Access: access, Reason: NXViolation, Level: 0}
-		}
+	if err := checkLeaf(va, leaf, access, wp, user); err != nil {
+		return Translation{}, err
 	}
 	return Translation{
 		HPA:       leaf.PFN().Addr(),
 		PTE:       leaf,
 		Encrypted: leaf.Encrypted(),
 	}, nil
+}
+
+// checkLeaf enforces a leaf entry's permissions for access, the one check
+// both the host walk and the guest dimension of the nested walk make. wp
+// is CR0.WP: when clear, supervisor writes ignore the W bit.
+func checkLeaf(va uint64, leaf PTE, access AccessType, wp, user bool) error {
+	var reason FaultReason
+	switch {
+	case !leaf.Present():
+		reason = NotPresent
+	case user && !leaf.User():
+		reason = UserSupervisor
+	case access == Write && !leaf.Writable() && (wp || user):
+		reason = WriteProtected
+	case access == Execute && leaf.NoExec():
+		reason = NXViolation
+	default:
+		return nil
+	}
+	return &PageFault{VA: va, Access: access, Reason: reason}
 }
 
 // Map installs a leaf mapping for va, allocating intermediate table pages
@@ -145,14 +152,13 @@ func (s *Space) Map(alloc FrameAllocator, va uint64, pte PTE) error {
 
 // Unmap clears the leaf mapping for va. Missing mappings are not an error.
 func (s *Space) Unmap(va uint64) error {
-	leaf, table, idx, err := s.Walk(va)
+	_, table, idx, err := s.Walk(va)
 	if err != nil {
 		if _, ok := err.(*PageFault); ok {
 			return nil
 		}
 		return err
 	}
-	_ = leaf
 	return s.writeEntry(table, idx, 0)
 }
 

@@ -4,6 +4,7 @@
 package xen
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"iter"
@@ -93,7 +94,7 @@ type GuestEnv struct {
 type gTLBKey struct {
 	page uint64
 	acc  mmu.AccessType
-	raw  bool // the unencrypted (rawGPA) window
+	raw  bool // the shared window (WriteUnencrypted/ReadUnencrypted)
 }
 
 // Dom returns the domain this environment belongs to.
@@ -125,74 +126,63 @@ func (g *GuestEnv) exit(reason cpu.ExitReason, info1, info2 uint64) bool {
 // hypervisor could not or would not back.
 var ErrInjectedFault = errors.New("xen: hypervisor injected fault")
 
-// translate resolves a guest address. Before paging is enabled, addresses
-// are guest-physical and — when SEV is on — accesses are encrypted with
-// the guest key (early boot runs entirely in encrypted memory). After
-// EnablePaging, the full two-dimensional walk applies, including the
-// C-bit priority rule. NPT violations exit to the hypervisor and retry.
-func (g *GuestEnv) translate(addr uint64, acc mmu.AccessType) (hw.Access, error) {
-	d := g.v.dom
-	key := gTLBKey{page: mmu.PageBase(addr), acc: acc}
+// translate resolves a guest address to the controller access that
+// reaches it. The shared window (raw) and every access before
+// EnablePaging take a GPA and walk only the NPT; after EnablePaging the
+// full two-dimensional walk applies. mmu.GuestAccess picks the key,
+// except in the shared window: it is the host-visible mapping, so it is
+// plaintext whatever the C-bits say. NPT violations exit to the
+// hypervisor and retry.
+func (g *GuestEnv) translate(addr uint64, acc mmu.AccessType, raw bool) (hw.Access, error) {
+	key := gTLBKey{page: mmu.PageBase(addr), acc: acc, raw: raw}
+	off := hw.PhysAddr(addr & (hw.PageSize - 1))
 	if a, ok := g.tlb[key]; ok {
-		a.PA += hw.PhysAddr(addr & (hw.PageSize - 1))
+		a.PA += off
 		g.v.ctl.Cycles.Charge(1)
 		return a, nil
 	}
+	nptOnly := raw || !g.paging
 	for {
-		if !g.paging {
-			tr, err := g.nested.NPT.Translate(addr, acc, true, false)
-			if err != nil {
-				if pf, ok := err.(*mmu.PageFault); ok {
-					if g.exit(cpu.ExitNPF, uint64(pf.Access), mmu.PageBase(addr)) {
-						return hw.Access{}, ErrInjectedFault
-					}
-					continue
-				}
-				return hw.Access{}, err
+		var a hw.Access
+		var err error
+		if nptOnly {
+			var tr mmu.Translation
+			tr, err = g.nested.NPT.Translate(addr, acc, true, false)
+			if raw {
+				a = hw.Access{PA: tr.HPA}
+			} else {
+				a = mmu.GuestAccess(tr.HPA, g.nested.ASID, true, tr.PTE)
 			}
-			a := hw.Access{PA: tr.HPA + hw.PhysAddr(addr&(hw.PageSize-1))}
-			switch {
-			case d.SEV:
-				a.Encrypted, a.ASID = true, d.ASID
-			case tr.PTE.Encrypted():
-				// NPT C-bit: SME host-key encryption, the
-				// Fidelius-enc methodology of Section 7.1.
-				a.Encrypted, a.ASID = true, hw.HostASID
+		} else {
+			var tr mmu.NestedTranslation
+			tr, err = g.nested.Translate(addr, acc, false)
+			a = tr.Access
+		}
+		npfGPA, npfAcc := addr, acc
+		switch f := err.(type) {
+		case nil:
+			if g.tlb == nil {
+				g.tlb = make(map[gTLBKey]hw.Access)
 			}
-			g.tlbInsert(key, a, addr)
+			g.tlb[key] = a
+			a.PA += off
 			return a, nil
-		}
-		tr, err := g.nested.Translate(addr, acc, false)
-		if err != nil {
-			if nv, ok := err.(*mmu.NPTViolation); ok {
-				if g.exit(cpu.ExitNPF, uint64(nv.Access), mmu.PageBase(nv.GPA)) {
-					return hw.Access{}, ErrInjectedFault
-				}
-				continue
+		case *mmu.NPTViolation:
+			npfGPA, npfAcc = f.GPA, f.Access
+		case *mmu.PageFault:
+			if !nptOnly {
+				return hw.Access{}, err // guest-side page fault: guest kernel's problem
 			}
-			return hw.Access{}, err // guest-side page fault: guest kernel's problem
+		default:
+			return hw.Access{}, err
 		}
-		a := hw.Access{
-			PA:        tr.HPA + hw.PhysAddr(addr&(hw.PageSize-1)),
-			Encrypted: tr.Encrypted,
-			ASID:      tr.ASID,
+		if g.exit(cpu.ExitNPF, uint64(npfAcc), mmu.PageBase(npfGPA)) {
+			return hw.Access{}, ErrInjectedFault
 		}
-		g.tlbInsert(key, a, addr)
-		return a, nil
 	}
 }
 
-// tlbInsert caches the page-base translation for key.
-func (g *GuestEnv) tlbInsert(key gTLBKey, a hw.Access, addr uint64) {
-	if g.tlb == nil {
-		g.tlb = make(map[gTLBKey]hw.Access)
-	}
-	base := a
-	base.PA -= hw.PhysAddr(addr & (hw.PageSize - 1))
-	g.tlb[key] = base
-}
-
-func (g *GuestEnv) access(addr uint64, buf []byte, acc mmu.AccessType) error {
+func (g *GuestEnv) access(addr uint64, buf []byte, acc mmu.AccessType, raw bool) error {
 	done := 0
 	for done < len(buf) {
 		cur := addr + uint64(done)
@@ -200,7 +190,7 @@ func (g *GuestEnv) access(addr uint64, buf []byte, acc mmu.AccessType) error {
 		if n > len(buf)-done {
 			n = len(buf) - done
 		}
-		a, err := g.translate(cur, acc)
+		a, err := g.translate(cur, acc, raw)
 		if err != nil {
 			return err
 		}
@@ -218,10 +208,12 @@ func (g *GuestEnv) access(addr uint64, buf []byte, acc mmu.AccessType) error {
 }
 
 // Read reads guest memory at a guest (virtual, once paging is on) address.
-func (g *GuestEnv) Read(addr uint64, buf []byte) error { return g.access(addr, buf, mmu.Read) }
+func (g *GuestEnv) Read(addr uint64, buf []byte) error { return g.access(addr, buf, mmu.Read, false) }
 
 // Write writes guest memory.
-func (g *GuestEnv) Write(addr uint64, data []byte) error { return g.access(addr, data, mmu.Write) }
+func (g *GuestEnv) Write(addr uint64, data []byte) error {
+	return g.access(addr, data, mmu.Write, false)
+}
 
 // Read64 reads a little-endian word from guest memory.
 func (g *GuestEnv) Read64(addr uint64) (uint64, error) {
@@ -229,77 +221,26 @@ func (g *GuestEnv) Read64(addr uint64) (uint64, error) {
 	if err := g.Read(addr, b[:]); err != nil {
 		return 0, err
 	}
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v, nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // Write64 writes a little-endian word to guest memory.
 func (g *GuestEnv) Write64(addr, val uint64) error {
 	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(val >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(b[:], val)
 	return g.Write(addr, b[:])
 }
 
-// WriteUnencrypted writes guest memory forcing the C-bit off — used by PV
-// drivers to fill DMA-visible shared buffers before paging-based C-bit
-// control is set up.
+// WriteUnencrypted writes guest-physical memory through the shared
+// window, which is plaintext whatever the C-bits say — used by PV drivers
+// and cross-VM sharing to fill host-visible buffers.
 func (g *GuestEnv) WriteUnencrypted(gpa uint64, data []byte) error {
-	return g.rawGPA(gpa, data, mmu.Write)
+	return g.access(gpa, data, mmu.Write, true)
 }
 
-// ReadUnencrypted reads guest memory forcing the C-bit off.
+// ReadUnencrypted reads guest-physical memory through the shared window.
 func (g *GuestEnv) ReadUnencrypted(gpa uint64, buf []byte) error {
-	return g.rawGPA(gpa, buf, mmu.Read)
-}
-
-func (g *GuestEnv) rawGPA(gpa uint64, buf []byte, acc mmu.AccessType) error {
-	done := 0
-	for done < len(buf) {
-		cur := gpa + uint64(done)
-		n := int(hw.PageSize - cur&(hw.PageSize-1))
-		if n > len(buf)-done {
-			n = len(buf) - done
-		}
-		var a hw.Access
-		key := gTLBKey{page: mmu.PageBase(cur), acc: acc, raw: true}
-		if c, ok := g.tlb[key]; ok {
-			a = c
-			a.PA += hw.PhysAddr(cur & (hw.PageSize - 1))
-			g.v.ctl.Cycles.Charge(1)
-		} else {
-			for {
-				tr, err := g.nested.NPT.Translate(cur, acc, true, false)
-				if err != nil {
-					if pf, ok := err.(*mmu.PageFault); ok {
-						if g.exit(cpu.ExitNPF, uint64(pf.Access), mmu.PageBase(cur)) {
-							return ErrInjectedFault
-						}
-						continue
-					}
-					return err
-				}
-				a = hw.Access{PA: tr.HPA + hw.PhysAddr(cur&(hw.PageSize-1))}
-				g.tlbInsert(key, a, cur)
-				break
-			}
-		}
-		var err error
-		if acc == mmu.Write {
-			err = g.v.ctl.Write(a, buf[done:done+n])
-		} else {
-			err = g.v.ctl.Read(a, buf[done:done+n])
-		}
-		if err != nil {
-			return err
-		}
-		done += n
-	}
-	return nil
+	return g.access(gpa, buf, mmu.Read, true)
 }
 
 // Hypercall issues a hypercall: nr in R0, up to five arguments in R1..R5;
@@ -363,48 +304,28 @@ func (g *GuestEnv) ConsolePrint(s string) error {
 
 // BuildIdentityPT constructs an identity-mapped guest page table (GVA ==
 // GPA) in the top frames of guest memory, with the C-bit set on every
-// leaf except the frames listed in plainGFNs (the DMA-shared pages). It
-// returns the guest root GPA. Runs pre-paging, writing through
-// guest-physical access.
+// leaf except the frames listed in plainGFNs (the DMA-shared pages). The
+// leaf C-bits matter only to an SEV guest: a guest without SEV has no key
+// of its own, so only the NPT C-bit can encrypt its memory. It returns
+// the guest root GPA. Runs pre-paging, writing through guest-physical
+// access.
 func (g *GuestEnv) BuildIdentityPT(plainGFNs map[uint64]bool) (uint64, error) {
-	d := g.v.dom
-	n := uint64(d.MemPages)
+	n := uint64(g.v.dom.MemPages)
 	// Table pages from the top of guest memory downward.
 	nextTable := n
+	zero := make([]byte, hw.PageSize)
 	allocTable := func() (uint64, error) {
 		if nextTable == 0 {
 			return 0, fmt.Errorf("xen: guest out of frames for page tables")
 		}
 		nextTable--
-		zero := make([]byte, hw.PageSize)
-		if err := g.rawGPAEncrypted(nextTable<<hw.PageShift, zero); err != nil {
-			return 0, err
-		}
-		return nextTable, nil
+		return nextTable, g.Write(nextTable<<hw.PageShift, zero)
 	}
 	rootGFN, err := allocTable()
 	if err != nil {
 		return 0, err
 	}
-	// Walk-and-fill: 3 levels over [0, n) frames.
-	writePTE := func(tableGFN uint64, idx int, pte mmu.PTE) error {
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(uint64(pte) >> (8 * i))
-		}
-		return g.rawGPAEncrypted(tableGFN<<hw.PageShift+uint64(idx*8), b[:])
-	}
-	readPTE := func(tableGFN uint64, idx int) (mmu.PTE, error) {
-		var b [8]byte
-		if err := g.rawGPAReadEncrypted(tableGFN<<hw.PageShift+uint64(idx*8), b[:]); err != nil {
-			return 0, err
-		}
-		var v uint64
-		for i := 0; i < 8; i++ {
-			v |= uint64(b[i]) << (8 * i)
-		}
-		return mmu.PTE(v), nil
-	}
+	slot := func(tableGFN uint64, idx int) uint64 { return tableGFN<<hw.PageShift + uint64(idx*8) }
 	// Map the guest's own memory plus the grant window above it, where
 	// foreign shared pages appear. Shared memory must be plaintext
 	// (no C-bit): each guest has its own key, so cross-VM sharing and
@@ -414,17 +335,18 @@ func (g *GuestEnv) BuildIdentityPT(plainGFNs map[uint64]bool) (uint64, error) {
 		table := rootGFN
 		for level := mmu.Levels - 1; level > 0; level-- {
 			idx := mmu.Index(va, level)
-			entry, err := readPTE(table, idx)
+			v, err := g.Read64(slot(table, idx))
 			if err != nil {
 				return 0, err
 			}
+			entry := mmu.PTE(v)
 			if !entry.Present() {
 				nt, err := allocTable()
 				if err != nil {
 					return 0, err
 				}
 				entry = mmu.MakePTE(hw.PFN(nt), mmu.FlagP|mmu.FlagW|mmu.FlagU)
-				if err := writePTE(table, idx, entry); err != nil {
+				if err := g.Write64(slot(table, idx), uint64(entry)); err != nil {
 					return 0, err
 				}
 			}
@@ -434,28 +356,20 @@ func (g *GuestEnv) BuildIdentityPT(plainGFNs map[uint64]bool) (uint64, error) {
 		if plainGFNs[gfn] || gfn >= n {
 			flags &^= mmu.FlagC
 		}
-		if err := writePTE(table, mmu.Index(va, 0), mmu.MakePTE(hw.PFN(gfn), flags)); err != nil {
+		if err := g.Write64(slot(table, mmu.Index(va, 0)), uint64(mmu.MakePTE(hw.PFN(gfn), flags))); err != nil {
 			return 0, err
 		}
 	}
 	return rootGFN << hw.PageShift, nil
 }
 
-// rawGPAEncrypted writes guest-physical memory with the guest key (the
-// pre-paging default when SEV is on).
-func (g *GuestEnv) rawGPAEncrypted(gpa uint64, data []byte) error {
-	return g.access(gpa, data, mmu.Write)
-}
-
-func (g *GuestEnv) rawGPAReadEncrypted(gpa uint64, buf []byte) error {
-	return g.access(gpa, buf, mmu.Read)
-}
-
 // EnablePaging switches the guest to virtual addressing with the page
-// table rooted at rootGPA.
+// table rooted at rootGPA. Loading CR3 flushes the guest TLB, so no
+// translation made before paging outlives it.
 func (g *GuestEnv) EnablePaging(rootGPA uint64) {
 	g.nested.GuestRoot = rootGPA
 	g.paging = true
+	g.tlb = nil
 }
 
 // PagingEnabled reports whether the guest has enabled paging.
@@ -473,11 +387,10 @@ func (x *Xen) StartVCPU(d *Domain, fn GuestFunc) *VCPU {
 			Regs:  v.in.regs,
 			Info:  d.Info,
 			nested: &mmu.Nested{
-				Ctl:              v.ctl,
-				NPT:              d.NPT,
-				ASID:             d.ASID,
-				GuestPTEncrypted: d.SEV,
-				Dirty:            d.Dirty,
+				Ctl:   v.ctl,
+				NPT:   d.NPT,
+				ASID:  d.ASID,
+				Dirty: d.Dirty,
 			},
 		}
 		defer func() {

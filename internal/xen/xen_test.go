@@ -613,3 +613,38 @@ func TestRevokeAndUnmapGrant(t *testing.T) {
 		t.Fatal("mapping a revoked grant must fail")
 	}
 }
+
+// TestEnablePagingFlushesGuestTLB: loading CR3 flushes the TLB. A page an
+// SEV guest touched before paging, when its accesses were private, must
+// take the C-bit of its new guest mapping after EnablePaging: a C=0 page
+// written after paging is plaintext to the shared window.
+func TestEnablePagingFlushesGuestTLB(t *testing.T) {
+	x := newXen(t)
+	d, err := x.CreateDomain(DomainConfig{Name: "cr3", MemPages: 48, SEV: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const gfn = 9
+	msg := []byte("deliberately plain")
+	got := make([]byte, len(msg))
+	x.StartVCPU(d, func(g *GuestEnv) error {
+		if err := g.Write(gfn<<hw.PageShift, []byte("private before paging")); err != nil {
+			return err
+		}
+		root, err := g.BuildIdentityPT(map[uint64]bool{gfn: true})
+		if err != nil {
+			return err
+		}
+		g.EnablePaging(root)
+		if err := g.Write(gfn<<hw.PageShift, msg); err != nil {
+			return err
+		}
+		return g.ReadUnencrypted(gfn<<hw.PageShift, got)
+	})
+	if err := x.Run(d); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, msg) {
+		t.Fatalf("C=0 page written after paging reads %q through the shared window, want %q", got, msg)
+	}
+}
