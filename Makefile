@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench benchsmoke benchdiff vet fmt fmtcheck check fuzz stress lockrank migrate trace examples tables attacks xsa demo serve serve-smoke benchmark-smoke clean
+.PHONY: all build test race bench benchsmoke benchdiff benchpair vet fmt fmtcheck check fuzz stress lockrank migrate trace examples tables attacks xsa demo serve serve-smoke benchmark-smoke clean
 
 all: build test
 
@@ -82,6 +82,20 @@ benchdiff:
 	bash benchmark/run.sh -compare $(BENCH_OLD) $(BENCH_NEW) || status=1; \
 	bash benchmark/run.sh -compare BENCH_16.json $(BENCH_NEW) || status=1; \
 	exit $$status
+
+# Paired host-metric comparison of the working tree against a base
+# revision: alternating single-workload runs of both, then each side's
+# median and quartiles per end-to-end metric and the pairs the working
+# tree won, e.g.
+# `make benchpair BENCH_WORKLOAD=vm-lifecycle BENCH_PAIRS=10`.
+BENCH_BASE ?= HEAD
+BENCH_WORKLOAD ?= vm-lifecycle
+BENCH_SECONDS ?= 8
+BENCH_PAIRS ?= 10
+BENCH_SEED ?= 1
+benchpair:
+	bash scripts/benchpair.sh --base $(BENCH_BASE) --workload $(BENCH_WORKLOAD) \
+		--seconds $(BENCH_SECONDS) --pairs $(BENCH_PAIRS) --seed $(BENCH_SEED)
 
 vet:
 	$(GO) vet ./...

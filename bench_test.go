@@ -110,10 +110,11 @@ func BenchmarkBulkPageCrypt(b *testing.B) {
 			for i := range pfns {
 				pfns[i] = hw.PFN(i + 8)
 			}
+			dst := make([]byte, len(pfns)*PageSize)
 			b.SetBytes(int64(len(pfns)) * PageSize)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := fw.SendUpdatePages(h, pfns); err != nil {
+				if _, err := fw.SendUpdatePages(h, pfns, dst); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -294,6 +294,8 @@ func (f *Fidelius) MigrateOut(d *xen.Domain, targetPub *ecdh.PublicKey) (*Migrat
 	if err != nil {
 		return nil, err
 	}
+	// One SendPages call for every page: no later call reuses the slab,
+	// so the bundle owns its packets' bytes.
 	pkts, err := s.SendPages(d.BackedGFNs())
 	if err != nil {
 		return nil, err

@@ -30,6 +30,12 @@ type liveSource struct {
 	d         *xen.Domain
 	st        *VMState
 	targetPub *ecdh.PublicKey
+
+	// slab holds the packets of the last SendPages call and pfns its
+	// frames; both are reused by the next call, so a migration allocates
+	// them once rather than a page per packet.
+	slab []byte
+	pfns []hw.PFN
 }
 
 func (s *liveSource) Name() string         { return s.d.Name }
@@ -65,18 +71,25 @@ func (s *liveSource) SendStart() (sev.WrappedKeys, []byte, error) {
 }
 
 // SendPages is one SEND_UPDATE fan-out over the firmware's worker pool
-// per round chunk, with packets (and sequence numbers) in gfn order.
+// per round chunk, with packets (and sequence numbers) in gfn order. The
+// packets are sealed into the source's slab, which the next call
+// overwrites (the migrate.Source contract).
 func (s *liveSource) SendPages(gfns []uint64) ([]sev.Packet, error) {
 	defer s.f.enterTrusted()()
-	pfns := make([]hw.PFN, len(gfns))
-	for i, gfn := range gfns {
+	s.pfns = s.pfns[:0]
+	for _, gfn := range gfns {
 		pfn, ok := s.d.GPAFrame(gfn)
 		if !ok {
 			return nil, fmt.Errorf("core: live migration gfn %d unbacked", gfn)
 		}
-		pfns[i] = pfn
+		s.pfns = append(s.pfns, pfn)
 	}
-	return s.f.M.FW.SendUpdatePages(s.st.Handle, pfns)
+	n := len(gfns) * hw.PageSize
+	if cap(s.slab) < n {
+		s.slab = make([]byte, n)
+	}
+	s.slab = s.slab[:n]
+	return s.f.M.FW.SendUpdatePages(s.st.Handle, s.pfns, s.slab)
 }
 
 func (s *liveSource) SendFinish() (sev.Measurement, error) {

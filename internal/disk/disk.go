@@ -8,12 +8,11 @@
 package disk
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"fidelius/internal/hw"
 )
 
 // SectorSize is the disk sector size in bytes.
@@ -77,48 +76,31 @@ func (d *Disk) Snapshot() []byte {
 // Kblk. It is used by the owner to prepare the image and by the guest's
 // front-end driver (with AES-NI) at runtime.
 type ImageCipher struct {
-	data  cipher.Block
-	tweak cipher.Block
+	x *hw.XEX
 }
 
 // NewImageCipher derives the XEX subkeys from Kblk.
 func NewImageCipher(kblk [32]byte) (*ImageCipher, error) {
 	dk := sha256.Sum256(append([]byte("kblk-data:"), kblk[:]...))
 	tk := sha256.Sum256(append([]byte("kblk-tweak:"), kblk[:]...))
-	data, err := aes.NewCipher(dk[:16])
+	x, err := hw.NewXEX(dk[:16], tk[:16])
 	if err != nil {
 		return nil, err
 	}
-	tweak, err := aes.NewCipher(tk[:16])
-	if err != nil {
-		return nil, err
-	}
-	return &ImageCipher{data: data, tweak: tweak}, nil
+	return &ImageCipher{x: x}, nil
 }
 
 // xex transforms b in place, one 16-byte block at a time, each tweaked by
-// its byte offset on the disk. The tweak buffers are shared by every block
-// of the call: passed to the cipher interface they live on the heap, and
-// per-block buffers would be one allocation per 16 bytes.
+// its byte offset on the disk: the memory engine's XEX loop, positioned
+// by byte offset instead of physical address.
 func (c *ImageCipher) xex(lba uint64, b []byte, encrypt bool) error {
 	if len(b)%16 != 0 {
 		return fmt.Errorf("disk: buffer length %d not block aligned", len(b))
 	}
-	var in, t [16]byte
-	for i := 0; i < len(b); i += 16 {
-		binary.LittleEndian.PutUint64(in[:8], lba*SectorSize+uint64(i))
-		c.tweak.Encrypt(t[:], in[:])
-		for j := 0; j < 16; j++ {
-			b[i+j] ^= t[j]
-		}
-		if encrypt {
-			c.data.Encrypt(b[i:i+16], b[i:i+16])
-		} else {
-			c.data.Decrypt(b[i:i+16], b[i:i+16])
-		}
-		for j := 0; j < 16; j++ {
-			b[i+j] ^= t[j]
-		}
+	if encrypt {
+		c.x.EncryptLine(lba*SectorSize, b)
+	} else {
+		c.x.DecryptLine(lba*SectorSize, b)
 	}
 	return nil
 }

@@ -336,11 +336,11 @@ func (c *Controller) Write(a Access, data []byte) error {
 	fullEnd := first + PhysAddr(span-span%BlockSize)
 	if fullEnd > first {
 		if first < a.PA || first+BlockSize > end {
-			slot.DecryptBlock(first, buf[:BlockSize])
+			slot.DecryptLine(first, buf[:BlockSize])
 		}
 		if tail := fullEnd - BlockSize; tail > first && fullEnd > end {
 			o := int(tail - first)
-			slot.DecryptBlock(tail, buf[o:o+BlockSize])
+			slot.DecryptLine(tail, buf[o:o+BlockSize])
 		}
 	}
 	copy(buf[a.PA-first:], data)

@@ -36,32 +36,84 @@ type Key [KeySize]byte
 // ErrNoKey reports an encrypted access whose ASID has no installed key.
 var ErrNoKey = errors.New("hw: no key installed for ASID")
 
-// PageCipher is the XEX transform for one key: AES over 16-byte blocks,
-// tweaked by physical address. The SEV firmware holds one per guest
-// context (it must encrypt pages before the key is ever installed in the
-// controller), and the Engine holds one per active ASID.
-//
-// All methods are safe for concurrent use: the underlying cipher.Block
-// values are stateless after construction, so the bulk-crypto worker pool
-// can drive one PageCipher from several goroutines at once.
-type PageCipher struct {
+// XEX is the tweaked-block construction behind both memory and disk
+// encryption: each 16-byte block at position pos is encrypted as
+// E_data(P ^ T) ^ T with T = E_tweak(pos), pos being the block's physical
+// address for memory and its byte offset for a disk image. It is safe
+// for concurrent use: the cipher.Block values are stateless after
+// construction.
+type XEX struct {
 	data  cipher.Block
 	tweak cipher.Block
+}
+
+// NewXEX builds the construction from its data and tweak AES subkeys.
+func NewXEX(dataKey, tweakKey []byte) (*XEX, error) {
+	data, err := aes.NewCipher(dataKey)
+	if err != nil {
+		return nil, err
+	}
+	tweak, err := aes.NewCipher(tweakKey)
+	if err != nil {
+		return nil, err
+	}
+	return &XEX{data: data, tweak: tweak}, nil
+}
+
+// EncryptLine encrypts the whole blocks of b in place, b[0] sitting at
+// position pos (16-byte aligned); trailing sub-block bytes are left
+// untouched.
+func (x *XEX) EncryptLine(pos uint64, b []byte) { x.line(pos, b, true) }
+
+// DecryptLine inverts EncryptLine.
+func (x *XEX) DecryptLine(pos uint64, b []byte) { x.line(pos, b, false) }
+
+// line runs the XEX loop in either direction. The tweak is computed
+// inside the block's own 16 bytes — data saved, tweak input written,
+// encrypted in place, data restored XORed with the tweak — so no scratch
+// buffer is handed to the cipher.Block interface, which would move it to
+// the heap on every call. The XORs are two 64-bit words.
+func (x *XEX) line(pos uint64, b []byte, encrypt bool) {
+	le := binary.LittleEndian
+	for off := 0; off+BlockSize <= len(b); off += BlockSize {
+		blk := b[off : off+BlockSize : off+BlockSize]
+		lo, hi := le.Uint64(blk[:8]), le.Uint64(blk[8:])
+		le.PutUint64(blk[:8], pos+uint64(off))
+		le.PutUint64(blk[8:], 0)
+		x.tweak.Encrypt(blk, blk)
+		tlo, thi := le.Uint64(blk[:8]), le.Uint64(blk[8:])
+		le.PutUint64(blk[:8], lo^tlo)
+		le.PutUint64(blk[8:], hi^thi)
+		if encrypt {
+			x.data.Encrypt(blk, blk)
+		} else {
+			x.data.Decrypt(blk, blk)
+		}
+		le.PutUint64(blk[:8], le.Uint64(blk[:8])^tlo)
+		le.PutUint64(blk[8:], le.Uint64(blk[8:])^thi)
+	}
+}
+
+// PageCipher is the memory XEX transform for one key, tweaked by physical
+// address. The SEV firmware holds one per guest context (it must encrypt
+// pages before the key is ever installed in the controller), and the
+// Engine holds one per active ASID.
+//
+// All methods are safe for concurrent use, so the bulk-crypto worker
+// pool can drive one PageCipher from several goroutines at once.
+type PageCipher struct {
+	x XEX
 }
 
 // NewPageCipher derives the data and tweak AES subkeys from a raw key.
 func NewPageCipher(key Key) (*PageCipher, error) {
 	dk := sha256.Sum256(append([]byte("fidelius-data-key:"), key[:]...))
 	tk := sha256.Sum256(append([]byte("fidelius-tweak-key:"), key[:]...))
-	data, err := aes.NewCipher(dk[:16])
+	x, err := NewXEX(dk[:16], tk[:16])
 	if err != nil {
 		return nil, err
 	}
-	tweak, err := aes.NewCipher(tk[:16])
-	if err != nil {
-		return nil, err
-	}
-	return &PageCipher{data: data, tweak: tweak}, nil
+	return &PageCipher{x: *x}, nil
 }
 
 // tweakFor computes the XEX tweak block for the 16-byte-aligned physical
@@ -69,31 +121,33 @@ func NewPageCipher(key Key) (*PageCipher, error) {
 func (s *PageCipher) tweakFor(pa PhysAddr) [BlockSize]byte {
 	var in, out [BlockSize]byte
 	binary.LittleEndian.PutUint64(in[:8], uint64(pa))
-	s.tweak.Encrypt(out[:], in[:])
+	s.x.tweak.Encrypt(out[:], in[:])
 	return out
 }
 
 // EncryptBlock encrypts one 16-byte block in place, tweaked by its
-// physical address.
+// physical address: the byte-loop reference the line API is checked
+// against.
 func (s *PageCipher) EncryptBlock(pa PhysAddr, b []byte) {
 	t := s.tweakFor(pa)
 	for i := range b {
 		b[i] ^= t[i]
 	}
-	s.data.Encrypt(b, b)
+	s.x.data.Encrypt(b, b)
 	for i := range b {
 		b[i] ^= t[i]
 	}
 }
 
 // DecryptBlock decrypts one 16-byte block in place, tweaked by its
-// physical address.
+// physical address: the byte-loop reference the line API is checked
+// against.
 func (s *PageCipher) DecryptBlock(pa PhysAddr, b []byte) {
 	t := s.tweakFor(pa)
 	for i := range b {
 		b[i] ^= t[i]
 	}
-	s.data.Decrypt(b, b)
+	s.x.data.Decrypt(b, b)
 	for i := range b {
 		b[i] ^= t[i]
 	}
@@ -101,42 +155,14 @@ func (s *PageCipher) DecryptBlock(pa PhysAddr, b []byte) {
 
 // EncryptLine encrypts a block-aligned span in place, tweaked block by
 // block exactly as repeated EncryptBlock calls would — same ciphertext
-// bytes — but with the tweak input buffer reused across blocks and no
-// per-block function-call or error overhead. pa must be 16-byte aligned;
-// any trailing sub-block bytes are left untouched.
-func (s *PageCipher) EncryptLine(pa PhysAddr, b []byte) {
-	var in, t [BlockSize]byte
-	for off := 0; off+BlockSize <= len(b); off += BlockSize {
-		binary.LittleEndian.PutUint64(in[:8], uint64(pa)+uint64(off))
-		s.tweak.Encrypt(t[:], in[:])
-		blk := b[off : off+BlockSize]
-		for i := range blk {
-			blk[i] ^= t[i]
-		}
-		s.data.Encrypt(blk, blk)
-		for i := range blk {
-			blk[i] ^= t[i]
-		}
-	}
-}
+// bytes — with no allocation and no per-block call or error overhead.
+// pa must be 16-byte aligned; any trailing sub-block bytes are left
+// untouched.
+func (s *PageCipher) EncryptLine(pa PhysAddr, b []byte) { s.x.line(uint64(pa), b, true) }
 
 // DecryptLine decrypts a block-aligned span in place; the inverse of
 // EncryptLine with identical per-block tweak semantics.
-func (s *PageCipher) DecryptLine(pa PhysAddr, b []byte) {
-	var in, t [BlockSize]byte
-	for off := 0; off+BlockSize <= len(b); off += BlockSize {
-		binary.LittleEndian.PutUint64(in[:8], uint64(pa)+uint64(off))
-		s.tweak.Encrypt(t[:], in[:])
-		blk := b[off : off+BlockSize]
-		for i := range blk {
-			blk[i] ^= t[i]
-		}
-		s.data.Decrypt(blk, blk)
-		for i := range blk {
-			blk[i] ^= t[i]
-		}
-	}
-}
+func (s *PageCipher) DecryptLine(pa PhysAddr, b []byte) { s.x.line(uint64(pa), b, false) }
 
 // EncryptPage encrypts one full page in place. b must be PageSize bytes
 // and pa page aligned.

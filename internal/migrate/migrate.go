@@ -34,7 +34,12 @@ type Source interface {
 	// SendPages produces one transport packet per gfn, in order, in one
 	// firmware command (bulk page crypto). Sequence numbers advance per
 	// packet, so each transmitted packet is produced exactly once and
-	// retries re-send the same packet.
+	// retries re-send the same packet. The packets' Data stays valid only
+	// until the next SendPages call, which may reuse its buffer: the
+	// engine is stop-and-wait, asks for the next chunk only after the
+	// target acked every packet of this one, and the target acks a page
+	// only after applying it. A duplicate frame still in flight is
+	// re-acked on its sequence number alone, never read.
 	SendPages(gfns []uint64) ([]sev.Packet, error)
 	// SendFinish closes the session and returns Mvm.
 	SendFinish() (sev.Measurement, error)

@@ -489,3 +489,62 @@ func TestPipeCloseUnblocks(t *testing.T) {
 		t.Fatalf("send on closed pipe: want ErrClosed, got %v", err)
 	}
 }
+
+// slabSource seals every SendPages call into one reused buffer and
+// scribbles over the previous call's packets first: the Source contract
+// at its most hostile, where a packet is valid only until the next call.
+type slabSource struct {
+	*fakeSource
+	slab  []byte
+	calls int
+}
+
+func (s *slabSource) SendPages(gfns []uint64) ([]sev.Packet, error) {
+	for i := range s.slab {
+		s.slab[i] = 0xEE
+	}
+	s.calls++
+	pkts, err := s.fakeSource.SendPages(gfns)
+	if err != nil {
+		return nil, err
+	}
+	for i := range pkts {
+		d := s.slab[i*16 : (i+1)*16]
+		copy(d, pkts[i].Data)
+		pkts[i].Data = d
+	}
+	return pkts, nil
+}
+
+// TestReusedSendBufferSurvivesFaults runs a migration whose source
+// reuses one packet buffer across chunks through a transport that drops,
+// duplicates and corrupts frames in both directions: a stale duplicate of
+// an overwritten packet must never be applied, so the target still
+// reassembles every page.
+func TestReusedSendBufferSurvivesFaults(t *testing.T) {
+	src := &slabSource{
+		fakeSource: newFakeSource(3*batchPages, []uint64{1, 40, 70, 2, 41, 71}),
+		slab:       make([]byte, batchPages*16),
+	}
+	tgt := &fakeTarget{}
+	a, b := Pipe(16)
+	sender := &Faulty{Conn: a, DropEvery: 7, DupEvery: 3, CorruptEvery: 5}
+	receiver := &Faulty{Conn: b, DropEvery: 11, DupEvery: 4}
+	stats, err, rerr := runMigration(t, src, tgt, sender, receiver, Config{AckTimeout: 10 * time.Millisecond})
+	if err != nil || rerr != nil {
+		t.Fatalf("send err=%v recv err=%v", err, rerr)
+	}
+	if src.calls < 3 {
+		t.Fatalf("%d SendPages calls; the buffer was never reused", src.calls)
+	}
+	if stats.Retries == 0 {
+		t.Fatal("a faulty transport must cost retries")
+	}
+	if stats.PagesSent != tgt.applies {
+		t.Fatalf("sent %d pages, target applied %d", stats.PagesSent, tgt.applies)
+	}
+	if !tgt.finished {
+		t.Fatal("target did not finish")
+	}
+	checkMemEqual(t, src.fakeSource, tgt)
+}

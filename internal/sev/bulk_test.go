@@ -29,7 +29,8 @@ func twinContexts(t *testing.T, f *Firmware, state State) (*Context, *Context, H
 	tk := TransportKeys{}
 	copy(tk.TEK[:], bytes.Repeat([]byte{0x5a}, 32))
 	copy(tk.TIK[:], bytes.Repeat([]byte{0xa5}, 32))
-	c1.transport, c2.transport = tk, tk
+	c1.setTransport(tk)
+	c2.setTransport(tk)
 	c1.state, c2.state = state, state
 	return c1, c2, h1, h2
 }
@@ -135,7 +136,7 @@ func TestSendUpdatePagesParallelWidths(t *testing.T) {
 		pfns := []hw.PFN{2, 3, 5, 7, 11}
 		fillPages(t, ctl, pfns, 77)
 
-		batch, err := f.SendUpdatePages(h1, pfns)
+		batch, err := f.SendUpdatePages(h1, pfns, slab(len(pfns)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +144,7 @@ func TestSendUpdatePagesParallelWidths(t *testing.T) {
 			t.Fatalf("batch produced %d packets for %d pages", len(batch), len(pfns))
 		}
 		for i, pfn := range pfns {
-			one, err := f.SendUpdatePages(h2, []hw.PFN{pfn})
+			one, err := f.SendUpdatePages(h2, []hw.PFN{pfn}, slab(1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +175,7 @@ func TestReceiveUpdatePagesParallelWidths(t *testing.T) {
 		_, _, sh, _ := twinContexts(t, f, StateSending)
 		pfns := []hw.PFN{4, 6, 9, 10}
 		fillPages(t, ctl, pfns, 13)
-		pkts, err := f.SendUpdatePages(sh, pfns)
+		pkts, err := f.SendUpdatePages(sh, pfns, slab(len(pfns)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +220,7 @@ func TestBulkStateChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.SendUpdatePages(h, []hw.PFN{1}); err == nil {
+	if _, err := f.SendUpdatePages(h, []hw.PFN{1}, slab(1)); err == nil {
 		t.Fatal("send_update_pages in launching state should fail")
 	}
 	if err := f.ReceiveUpdatePages(h, []hw.PFN{1}, []Packet{{}}); err == nil {

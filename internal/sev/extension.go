@@ -30,10 +30,11 @@ type GEK = [32]byte
 // ErrNoGEK reports ENC/DEC on a context with no customized key installed.
 var ErrNoGEK = errors.New("sev: no customized key (GEK) installed")
 
-// gekCipher derives the stream cipher state for a GEK; sequence-tweaked
-// CTR, like the transport path.
-func gekXOR(key GEK, seq uint64, data []byte) error {
-	return transportXOR(key, seq, data)
+// gekSession expands a GEK into the transport session type: ENC and DEC
+// are sequence-tweaked CTR under it, like the transport path, and never
+// MAC.
+func gekSession(key GEK) *session {
+	return newSession(TransportKeys{TEK: key})
 }
 
 // SetEncGEK installs a customized guest encryption key into the guest's
@@ -53,8 +54,10 @@ func (f *Firmware) SetEncGEK(h Handle, wrapped WrappedKeys, ownerPub *ecdh.Publi
 	if err != nil {
 		return err
 	}
-	c.gek = tk.TEK
-	c.gekSet = true
+	if c.gek != nil {
+		c.gek.scrub()
+	}
+	c.gek = gekSession(tk.TEK)
 	f.charge(cycles.SEVCommand)
 	f.command("setenc-gek", h)
 	return nil
@@ -68,7 +71,7 @@ func (f *Firmware) Enc(h Handle, pa hw.PhysAddr, n int, seq uint64) ([]byte, err
 	if err != nil {
 		return nil, err
 	}
-	if !c.gekSet {
+	if c.gek == nil {
 		return nil, ErrNoGEK
 	}
 	if pa%hw.BlockSize != 0 || n%hw.BlockSize != 0 {
@@ -78,12 +81,8 @@ func (f *Firmware) Enc(h Handle, pa hw.PhysAddr, n int, seq uint64) ([]byte, err
 	if err := f.ctl.Mem.ReadRaw(pa, buf); err != nil {
 		return nil, err
 	}
-	for b := 0; b < n; b += hw.BlockSize {
-		c.cipher.DecryptBlock(pa+hw.PhysAddr(b), buf[b:b+hw.BlockSize])
-	}
-	if err := gekXOR(c.gek, seq, buf); err != nil {
-		return nil, err
-	}
+	c.cipher.DecryptLine(pa, buf)
+	c.gek.xor(seq, buf, buf)
 	f.charge(uint64(n) / hw.BlockSize * cycles.AESBlockSEV)
 	f.command("enc", h)
 	return buf, nil
@@ -96,19 +95,15 @@ func (f *Firmware) Dec(h Handle, pa hw.PhysAddr, data []byte, seq uint64) error 
 	if err != nil {
 		return err
 	}
-	if !c.gekSet {
+	if c.gek == nil {
 		return ErrNoGEK
 	}
 	if pa%hw.BlockSize != 0 || len(data)%hw.BlockSize != 0 {
 		return ErrNotAligned
 	}
-	plain := append([]byte{}, data...)
-	if err := gekXOR(c.gek, seq, plain); err != nil {
-		return err
-	}
-	for b := 0; b < len(plain); b += hw.BlockSize {
-		c.cipher.EncryptBlock(pa+hw.PhysAddr(b), plain[b:b+hw.BlockSize])
-	}
+	plain := make([]byte, len(data))
+	c.gek.xor(seq, plain, data)
+	c.cipher.EncryptLine(pa, plain)
 	f.charge(uint64(len(plain)) / hw.BlockSize * cycles.AESBlockSEV)
 	f.command("dec", h)
 	return f.ctl.FirmwareWrite(pa, plain)
@@ -142,14 +137,13 @@ func (o *Owner) PrepareGEKImage(kernel []byte) (*GEKImage, GEK, error) {
 	if err != nil {
 		return nil, GEK{}, err
 	}
+	s := gekSession(gek)
 	pages := (len(kernel) + hw.PageSize - 1) / hw.PageSize
 	img := &GEKImage{}
 	for i := 0; i < pages; i++ {
 		page := make([]byte, hw.PageSize)
 		copy(page, kernel[i*hw.PageSize:])
-		if err := gekXOR(gek, uint64(i), page); err != nil {
-			return nil, GEK{}, err
-		}
+		s.xor(uint64(i), page, page)
 		img.Pages = append(img.Pages, page)
 	}
 	return img, gek, nil

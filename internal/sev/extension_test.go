@@ -84,9 +84,7 @@ func TestSetEncGEKAndEncDec(t *testing.T) {
 	}
 	// The owner can decrypt the ENC output offline with the GEK.
 	offline := append([]byte{}, ct...)
-	if err := gekXOR(gek, 7, offline); err != nil {
-		t.Fatal(err)
-	}
+	gekSession(gek).xor(7, offline, offline)
 	if !bytes.Equal(offline, plain) {
 		t.Fatal("owner-side GEK decryption mismatch")
 	}

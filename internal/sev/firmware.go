@@ -67,11 +67,13 @@ var (
 	ErrBadTag         = errors.New("sev: transport tag verification failed")
 	ErrNotAligned     = errors.New("sev: buffer not block aligned")
 	ErrBadSequence    = errors.New("sev: receive_update out of sequence")
+	ErrBufferSize     = errors.New("sev: send_update buffer is not one page per pfn")
 )
 
 // Packet is one SEND_UPDATE output / RECEIVE_UPDATE input: a chunk of
 // guest data re-encrypted under the transport key, with its sequence
-// number (used as the CTR tweak) and integrity tag.
+// number (used as the CTR tweak) and integrity tag. A SEND_UPDATE packet's
+// Data aliases the buffer its caller passed in.
 type Packet struct {
 	Seq  uint64
 	Data []byte
@@ -85,14 +87,30 @@ type Context struct {
 	asid      hw.ASID // 0 = not activated
 	kvek      hw.Key
 	cipher    *hw.PageCipher
-	transport TransportKeys
+	transport *session // nil outside a SEND/RECEIVE session
 	measure   Measurement
 	seq       uint64
 	policy    uint32
 
-	// gek is the customized key of the Section 8 extension.
-	gek    GEK
-	gekSet bool
+	// gek is the customized key of the Section 8 extension (nil until
+	// SETENC_GEK), expanded like a transport session.
+	gek *session
+}
+
+// setTransport installs a transport session built from tk, scrubbing any
+// previous one.
+func (c *Context) setTransport(tk TransportKeys) {
+	c.dropTransport()
+	c.transport = newSession(tk)
+}
+
+// dropTransport scrubs and forgets the transport session, so the context
+// holds no usable transport key.
+func (c *Context) dropTransport() {
+	if c.transport != nil {
+		c.transport.scrub()
+		c.transport = nil
+	}
 }
 
 // State reports the context's lifecycle state.
@@ -486,6 +504,11 @@ func (f *Firmware) Decommission(h Handle) error {
 	}
 	delete(f.ctxs, h)
 	f.mu.Unlock()
+	c.dropTransport()
+	if c.gek != nil {
+		c.gek.scrub()
+		c.gek = nil
+	}
 	f.charge(cycles.SEVCommand)
 	f.command("decommission", h)
 	return nil
@@ -530,15 +553,16 @@ func (f *Firmware) SendStart(h Handle, peerPub *ecdh.PublicKey, nonce []byte) (W
 	if err != nil {
 		return WrappedKeys{}, err
 	}
-	c.transport = TransportKeys{TEK: tek, TIK: tik}
+	tk := TransportKeys{TEK: tek, TIK: tik}
 	shared, err := ECDHAgree(f.priv, peerPub)
 	if err != nil {
 		return WrappedKeys{}, err
 	}
-	w, err := wrapKeys(deriveKEK(shared, nonce), c.transport)
+	w, err := wrapKeys(deriveKEK(shared, nonce), tk)
 	if err != nil {
 		return WrappedKeys{}, err
 	}
+	c.setTransport(tk)
 	f.setState(c, StateSending)
 	c.measure = Measurement{}
 	c.seq = 0
@@ -547,26 +571,25 @@ func (f *Firmware) SendStart(h Handle, peerPub *ecdh.PublicKey, nonce []byte) (W
 	return w, nil
 }
 
-// sealPacket encrypts data in place under the transport key and tags it;
-// the returned packet owns data, so callers hand over a fresh buffer.
-func sealPacket(tk TransportKeys, seq uint64, data []byte) (Packet, error) {
-	if err := transportXOR(tk.TEK, seq, data); err != nil {
-		return Packet{}, err
-	}
-	return Packet{Seq: seq, Data: data, Tag: transportMAC(tk.TIK, seq, data)}, nil
+// sealPacket encrypts data in place under the session's TEK and tags it
+// with its TIK; the returned packet aliases data.
+func sealPacket(s *session, seq uint64, data []byte) Packet {
+	sc := s.get()
+	defer s.put(sc)
+	s.xorWith(sc, seq, data, data)
+	return Packet{Seq: seq, Data: data, Tag: s.tagWith(sc, seq, data)}
 }
 
 // openPacket verifies the packet's tag and decrypts its payload into
 // plain, which must be len(pkt.Data) bytes; the packet is left untouched.
-func openPacket(tk TransportKeys, pkt Packet, plain []byte) ([]byte, error) {
-	want := transportMAC(tk.TIK, pkt.Seq, pkt.Data)
+func openPacket(s *session, pkt Packet, plain []byte) ([]byte, error) {
+	sc := s.get()
+	defer s.put(sc)
+	want := s.tagWith(sc, pkt.Seq, pkt.Data)
 	if !hmac.Equal(want[:], pkt.Tag[:]) {
 		return nil, ErrBadTag
 	}
-	copy(plain, pkt.Data)
-	if err := transportXOR(tk.TEK, pkt.Seq, plain); err != nil {
-		return nil, err
-	}
+	s.xorWith(sc, pkt.Seq, plain, pkt.Data)
 	return plain, nil
 }
 
@@ -591,9 +614,7 @@ func (f *Firmware) SendIO(h Handle, pa hw.PhysAddr, n int, seq uint64) ([]byte, 
 		return nil, err
 	}
 	c.cipher.DecryptLine(pa, buf)
-	if err := transportXOR(c.transport.TEK, seq, buf); err != nil {
-		return nil, err
-	}
+	c.transport.xor(seq, buf, buf)
 	f.charge(uint64(n) / hw.BlockSize * cycles.AESBlockSEV)
 	f.command("send-io", h)
 	return buf, nil
@@ -613,10 +634,8 @@ func (f *Firmware) ReceiveIO(h Handle, pa hw.PhysAddr, data []byte, seq uint64) 
 	if pa%hw.BlockSize != 0 || len(data)%hw.BlockSize != 0 {
 		return ErrNotAligned
 	}
-	plain := append([]byte{}, data...)
-	if err := transportXOR(c.transport.TEK, seq, plain); err != nil {
-		return err
-	}
+	plain := make([]byte, len(data))
+	c.transport.xor(seq, plain, data)
 	c.cipher.EncryptLine(pa, plain)
 	f.charge(uint64(len(plain)) / hw.BlockSize * cycles.AESBlockSEV)
 	f.command("receive-io", h)
@@ -624,7 +643,8 @@ func (f *Firmware) ReceiveIO(h Handle, pa hw.PhysAddr, data []byte, seq uint64) 
 }
 
 // SendCancel aborts a SEND session (the SEND_CANCEL command): the
-// transport keys and partial measurement are scrubbed and the context
+// transport session (keys, expanded schedule and keyed HMAC states) and
+// the partial measurement are scrubbed and the context
 // returns to the running state, so a failed migration resumes the source
 // guest instead of leaving it stranded mid-send. Cancelling from the
 // sent state is also allowed: in this retrofit the memory key never
@@ -640,7 +660,7 @@ func (f *Firmware) SendCancel(h Handle) error {
 	if c.state != StateSending && c.state != StateSent {
 		return fmt.Errorf("%w: send_cancel in %v", ErrBadState, c.state)
 	}
-	c.transport = TransportKeys{}
+	c.dropTransport()
 	c.measure = Measurement{}
 	c.seq = 0
 	f.setState(c, StateRunning)
@@ -649,8 +669,8 @@ func (f *Firmware) SendCancel(h Handle) error {
 	return nil
 }
 
-// SendFinish closes the SEND session and returns the snapshot measurement
-// (the paper's Mvm).
+// SendFinish closes the SEND session, scrubbing its transport keys, and
+// returns the snapshot measurement (the paper's Mvm).
 func (f *Firmware) SendFinish(h Handle) (Measurement, error) {
 	c, err := f.ctx(h)
 	if err != nil {
@@ -659,6 +679,7 @@ func (f *Firmware) SendFinish(h Handle) (Measurement, error) {
 	if c.state != StateSending {
 		return Measurement{}, fmt.Errorf("%w: send_finish in %v", ErrBadState, c.state)
 	}
+	c.dropTransport()
 	f.setState(c, StateSent)
 	f.charge(cycles.SEVCommand)
 	f.command("send-finish", h)
@@ -684,7 +705,7 @@ func (f *Firmware) ReceiveStart(w WrappedKeys, originPub *ecdh.PublicKey, nonce 
 	if err != nil {
 		return 0, err
 	}
-	c.transport = tk
+	c.setTransport(tk)
 	f.setState(c, StateReceiving)
 	f.charge(cycles.SEVCommand)
 	f.command("receive-start", c.handle)
@@ -709,7 +730,7 @@ func (f *Firmware) ReceiveHelperStart(base Handle, w WrappedKeys, originPub *ecd
 	f.mu.Lock()
 	c := f.ctxs[h]
 	f.mu.Unlock()
-	c.transport = tk
+	c.setTransport(tk)
 	f.setState(c, StateReceiving)
 	f.command("receive-helper-start", h)
 	return h, nil
@@ -745,6 +766,10 @@ func (f *Firmware) LaunchUpdatePages(h Handle, pfns []hw.PFN) error {
 	if c.state != StateLaunching {
 		return fmt.Errorf("%w: launch_update in %v", ErrBadState, c.state)
 	}
+	// The launch digest is an HMAC keyed with Kvek, through a one-off
+	// session.
+	digest := newSession(TransportKeys{TIK: [32]byte(c.kvek)})
+	defer digest.scrub()
 	pages := make([][hw.PageSize]byte, len(pfns))
 	tags := make([][32]byte, len(pfns))
 	if err := f.pool.ForEach(len(pfns), func(i int) error {
@@ -752,7 +777,9 @@ func (f *Firmware) LaunchUpdatePages(h Handle, pfns []hw.PFN) error {
 		if err := f.ctl.Mem.ReadRaw(pfn.Addr(), pages[i][:]); err != nil {
 			return err
 		}
-		tags[i] = transportMAC([32]byte(c.kvek), uint64(pfn), pages[i][:])
+		sc := digest.get()
+		tags[i] = digest.tagWith(sc, uint64(pfn), pages[i][:])
+		digest.put(sc)
 		c.cipher.EncryptPage(pfn.Addr(), pages[i][:])
 		return nil
 	}); err != nil {
@@ -771,11 +798,14 @@ func (f *Firmware) LaunchUpdatePages(h Handle, pfns []hw.PFN) error {
 
 // SendUpdatePages is SEND_UPDATE: it re-encrypts each guest page from
 // Kvek to the transport key and returns one packet per pfn, with the
-// per-page decrypt/seal work spread across the worker pool. Sequence
-// numbers are pre-assigned by slice index and the measurement chain folded
-// serially afterwards, so one N-page call yields the same packets and
-// measurement as N one-page calls in the same order.
-func (f *Firmware) SendUpdatePages(h Handle, pfns []hw.PFN) ([]Packet, error) {
+// per-page decrypt/seal work spread across the worker pool. Packet i is
+// sealed into page i of dst, which the caller owns and must size at
+// exactly len(pfns) pages: any other size is refused before anything is
+// sealed. The packets alias dst, so they stay valid only until the caller
+// reuses it. Sequence numbers are pre-assigned by slice index and the
+// measurement chain folded serially afterwards, so one N-page call yields
+// the same packets and measurement as N one-page calls in the same order.
+func (f *Firmware) SendUpdatePages(h Handle, pfns []hw.PFN, dst []byte) ([]Packet, error) {
 	c, err := f.ctx(h)
 	if err != nil {
 		return nil, err
@@ -783,19 +813,18 @@ func (f *Firmware) SendUpdatePages(h Handle, pfns []hw.PFN) ([]Packet, error) {
 	if c.state != StateSending {
 		return nil, fmt.Errorf("%w: send_update in %v", ErrBadState, c.state)
 	}
+	if len(dst) != len(pfns)*hw.PageSize {
+		return nil, fmt.Errorf("%w: %d bytes for %d pages", ErrBufferSize, len(dst), len(pfns))
+	}
 	base := c.seq
 	pkts := make([]Packet, len(pfns))
 	if err := f.pool.ForEach(len(pfns), func(i int) error {
-		page := make([]byte, hw.PageSize)
+		page := dst[i*hw.PageSize : (i+1)*hw.PageSize : (i+1)*hw.PageSize]
 		if err := f.ctl.Mem.ReadRaw(pfns[i].Addr(), page); err != nil {
 			return err
 		}
 		c.cipher.DecryptPage(pfns[i].Addr(), page)
-		pkt, err := sealPacket(c.transport, base+uint64(i), page)
-		if err != nil {
-			return err
-		}
-		pkts[i] = pkt
+		pkts[i] = sealPacket(c.transport, base+uint64(i), page)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -871,7 +900,8 @@ func (f *Firmware) ReceiveUpdatePages(h Handle, pfns []hw.PFN, pkts []Packet) er
 }
 
 // ReceiveFinish verifies the accumulated measurement against the
-// sender's Mvm and makes the context runnable.
+// sender's Mvm and makes the context runnable, scrubbing the transport
+// keys. A refused measurement leaves the session open.
 func (f *Firmware) ReceiveFinish(h Handle, expect Measurement) error {
 	c, err := f.ctx(h)
 	if err != nil {
@@ -887,6 +917,7 @@ func (f *Firmware) ReceiveFinish(h Handle, expect Measurement) error {
 		}
 		return ErrBadMeasurement
 	}
+	c.dropTransport()
 	f.setState(c, StateRunning)
 	f.charge(cycles.SEVCommand)
 	f.command("receive-finish", h)

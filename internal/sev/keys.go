@@ -21,7 +21,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
+	"sync"
 )
 
 // TransportKeys are the transport encryption key (TEK) and transport
@@ -96,44 +98,107 @@ func unwrapKeys(kek [32]byte, w WrappedKeys) (TransportKeys, error) {
 	return tk, nil
 }
 
-// transportXOR applies the AES-256-CTR transport keystream for a chunk
-// identified by seq (page index or I/O request counter). Encrypt and
-// decrypt are the same operation.
-func transportXOR(tek [32]byte, seq uint64, data []byte) error {
-	blk, err := aes.NewCipher(tek[:])
-	if err != nil {
-		return err
-	}
-	var iv [16]byte
-	binary.LittleEndian.PutUint64(iv[:8], seq)
-	ctr := cipher.NewCTR(blk, iv[:])
-	ctr.XORKeyStream(data, data)
-	return nil
+// session is the transport crypto of one firmware context, built once
+// where its keys are set (SEND_START, RECEIVE_START, SETENC_GEK) and
+// used by every packet or I/O sector after: the expanded TEK schedule
+// plus a free list of per-packet scratch, each holding an HMAC state
+// keyed with the TIK. The block is safe for concurrent use; a scratch is
+// not, so each packet takes one from the free list (building it on a
+// miss) and puts it back.
+type session struct {
+	tek cipher.Block
+	tik [32]byte
+
+	mu   sync.Mutex // leaf; guards free
+	free []*scratch
 }
 
-// transportMAC computes the HMAC-SHA256 tag of one transport chunk.
-func transportMAC(tik [32]byte, seq uint64, ciphertext []byte) [32]byte {
-	m := hmac.New(sha256.New, tik[:])
-	var s [8]byte
-	binary.LittleEndian.PutUint64(s[:], seq)
-	m.Write(s[:])
-	m.Write(ciphertext)
-	var out [32]byte
-	copy(out[:], m.Sum(nil))
-	return out
+// scratch is what one packet's crypto writes: the keyed HMAC (built on
+// first use) and one buffer for the CTR IV, the sequence prefix and the
+// tag. A stack buffer handed to the cipher or hash interfaces would move
+// to the heap on every packet.
+type scratch struct {
+	mac hash.Hash
+	buf [sha256.Size]byte
+}
+
+// newSession expands the transport keys. A 32-byte key is always a
+// valid AES-256 key, so construction cannot fail.
+func newSession(tk TransportKeys) *session {
+	blk, err := aes.NewCipher(tk.TEK[:])
+	if err != nil {
+		panic(err)
+	}
+	return &session{tek: blk, tik: tk.TIK}
+}
+
+func (s *session) get() *scratch {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.free)
+	if n == 0 {
+		return new(scratch)
+	}
+	sc := s.free[n-1]
+	s.free = s.free[:n-1]
+	return sc
+}
+
+func (s *session) put(sc *scratch) {
+	s.mu.Lock()
+	s.free = append(s.free, sc)
+	s.mu.Unlock()
+}
+
+// xor applies the AES-256-CTR transport keystream of the chunk
+// identified by seq (page index or I/O request counter) to src, writing
+// dst; dst may be src. Encrypt and decrypt are the same operation.
+func (s *session) xor(seq uint64, dst, src []byte) {
+	sc := s.get()
+	s.xorWith(sc, seq, dst, src)
+	s.put(sc)
+}
+
+func (s *session) xorWith(sc *scratch, seq uint64, dst, src []byte) {
+	iv := sc.buf[:aes.BlockSize]
+	clear(iv)
+	binary.LittleEndian.PutUint64(iv, seq)
+	cipher.NewCTR(s.tek, iv).XORKeyStream(dst, src)
+}
+
+// tagWith computes the HMAC-SHA256 tag of one transport chunk.
+func (s *session) tagWith(sc *scratch, seq uint64, ciphertext []byte) [32]byte {
+	if sc.mac == nil {
+		sc.mac = hmac.New(sha256.New, s.tik[:])
+	}
+	binary.LittleEndian.PutUint64(sc.buf[:8], seq)
+	sc.mac.Write(sc.buf[:8])
+	sc.mac.Write(ciphertext)
+	tag := [32]byte(sc.mac.Sum(sc.buf[:0]))
+	sc.mac.Reset()
+	return tag
+}
+
+// scrub zeroes the integrity key and drops the expanded schedule and the
+// keyed HMAC states, so the session can no longer seal or open anything.
+func (s *session) scrub() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tek = nil
+	s.tik = [32]byte{}
+	s.free = nil
 }
 
 // Measurement is a running integrity measurement (the paper's Mvm).
 type Measurement [32]byte
 
-// measureChain folds a chunk tag into the running measurement.
+// measureChain folds a chunk tag into the running measurement:
+// SHA-256(cur || tag).
 func measureChain(cur Measurement, tag [32]byte) Measurement {
-	h := sha256.New()
-	h.Write(cur[:])
-	h.Write(tag[:])
-	var out Measurement
-	copy(out[:], h.Sum(nil))
-	return out
+	var in [64]byte
+	copy(in[:32], cur[:])
+	copy(in[32:], tag[:])
+	return sha256.Sum256(in[:])
 }
 
 // ECDHAgree computes the raw shared secret between a private and a peer

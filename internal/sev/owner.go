@@ -76,15 +76,13 @@ func (o *Owner) PrepareImage(platformPub *ecdh.PublicKey, kernel []byte) (*Encry
 		return nil, WrappedKeys{}, err
 	}
 
+	s := newSession(tk)
 	pages := (len(kernel) + hw.PageSize - 1) / hw.PageSize
 	img := &EncryptedImage{}
 	for i := 0; i < pages; i++ {
 		page := make([]byte, hw.PageSize)
 		copy(page, kernel[i*hw.PageSize:])
-		pkt, err := sealPacket(tk, uint64(i), page)
-		if err != nil {
-			return nil, WrappedKeys{}, err
-		}
+		pkt := sealPacket(s, uint64(i), page)
 		img.Pages = append(img.Pages, pkt)
 		img.Measurement = measureChain(img.Measurement, pkt.Tag)
 	}

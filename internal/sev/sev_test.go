@@ -10,6 +10,9 @@ import (
 	"fidelius/internal/hw"
 )
 
+// slab is a SEND_UPDATE buffer for n pages.
+func slab(n int) []byte { return make([]byte, n*hw.PageSize) }
+
 func newFW(t *testing.T, pages int) (*Firmware, *hw.Controller) {
 	t.Helper()
 	ctl := hw.NewController(hw.NewMemory(pages), 64)
@@ -189,10 +192,7 @@ func TestReceiveRefusesPartialPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, err := sealPacket(c.transport, 0, bytes.Repeat([]byte{9}, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
+	short := sealPacket(c.transport, 0, bytes.Repeat([]byte{9}, 100))
 	forged := short
 	forged.Tag[0] ^= 1
 	if err := fw.ReceiveUpdatePages(h, []hw.PFN{5}, []Packet{forged}); !errors.Is(err, ErrBadTag) {
@@ -306,7 +306,7 @@ func TestMigrationSendReceive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkts, err := origin.SendUpdatePages(h, srcPFNs)
+	pkts, err := origin.SendUpdatePages(h, srcPFNs, slab(len(srcPFNs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestMigrationSendReceive(t *testing.T) {
 		}
 	}
 	// SEND_FINISH retired the origin context: further updates illegal.
-	if _, err := origin.SendUpdatePages(h, srcPFNs[:1]); !errors.Is(err, ErrBadState) {
+	if _, err := origin.SendUpdatePages(h, srcPFNs[:1], slab(1)); !errors.Is(err, ErrBadState) {
 		t.Fatalf("want ErrBadState after finish, got %v", err)
 	}
 }
@@ -378,14 +378,14 @@ func TestSendCancelResumesGuest(t *testing.T) {
 	if _, err := origin.SendStart(h, targetPub, []byte("cancelled-run!")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := origin.SendUpdatePages(h, page); err != nil {
+	if _, err := origin.SendUpdatePages(h, page, slab(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := origin.SendCancel(h); err != nil {
 		t.Fatal(err)
 	}
 	// Back to running: a fresh SEND session starts from scratch.
-	if _, err := origin.SendUpdatePages(h, page); !errors.Is(err, ErrBadState) {
+	if _, err := origin.SendUpdatePages(h, page, slab(1)); !errors.Is(err, ErrBadState) {
 		t.Fatalf("want ErrBadState outside a session, got %v", err)
 	}
 	if err := origin.SendCancel(h); !errors.Is(err, ErrBadState) {
@@ -394,7 +394,7 @@ func TestSendCancelResumesGuest(t *testing.T) {
 	if _, err := origin.SendStart(h, targetPub, []byte("second-attempt")); err != nil {
 		t.Fatalf("fresh SEND after cancel: %v", err)
 	}
-	pkts, err := origin.SendUpdatePages(h, page)
+	pkts, err := origin.SendUpdatePages(h, page, slab(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,12 +516,10 @@ func TestPropertyTransportRoundTripAndTagging(t *testing.T) {
 	tk := TransportKeys{}
 	copy(tk.TEK[:], bytes.Repeat([]byte{1}, 32))
 	copy(tk.TIK[:], bytes.Repeat([]byte{2}, 32))
+	s := newSession(tk)
 	f := func(seq uint64, payload []byte) bool {
-		pkt, err := sealPacket(tk, seq, append([]byte{}, payload...))
-		if err != nil {
-			return false
-		}
-		plain, err := openPacket(tk, pkt, make([]byte, len(pkt.Data)))
+		pkt := sealPacket(s, seq, append([]byte{}, payload...))
+		plain, err := openPacket(s, pkt, make([]byte, len(pkt.Data)))
 		if err != nil {
 			return false
 		}
@@ -532,14 +530,14 @@ func TestPropertyTransportRoundTripAndTagging(t *testing.T) {
 			bad := pkt
 			bad.Data = append([]byte{}, pkt.Data...)
 			bad.Data[0] ^= 1
-			if _, err := openPacket(tk, bad, make([]byte, len(bad.Data))); err == nil {
+			if _, err := openPacket(s, bad, make([]byte, len(bad.Data))); err == nil {
 				return false // tamper must be detected
 			}
 		}
 		// Changing the seq breaks the tag too.
 		bad2 := pkt
 		bad2.Seq++
-		if _, err := openPacket(tk, bad2, make([]byte, len(bad2.Data))); err == nil {
+		if _, err := openPacket(s, bad2, make([]byte, len(bad2.Data))); err == nil {
 			return false
 		}
 		return true
