@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all build test race bench benchsmoke benchdiff benchpair vet fmt fmtcheck check fuzz stress lockrank migrate trace examples tables attacks xsa demo serve serve-smoke benchmark-smoke clean
+.PHONY: all build test inlinecheck race bench benchsmoke benchdiff benchpair vet fmt fmtcheck check fuzz stress lockrank migrate trace examples tables attacks xsa demo serve serve-smoke benchmark-smoke clean
 
 all: build test
 
-check: build fmtcheck vet test lockrank race stress fuzz benchsmoke serve-smoke benchmark-smoke examples migrate
+check: build fmtcheck vet inlinecheck test lockrank race stress fuzz benchsmoke serve-smoke benchmark-smoke examples migrate
 	$(GO) run ./cmd/fidelius-serve -tenants 2 -clients 16 -duration 100 -tamper 1
 
 # The whole test suite with the debug lock-rank checker armed: every
@@ -16,6 +16,13 @@ lockrank:
 
 build:
 	$(GO) build ./...
+
+# Fails unless the compiler still inlines the cold encrypted-miss helper
+# decryptFill into Controller.Read: when it stopped inlining, serve-get
+# run_s rose ~8% with no hot-path code changed, and nothing else notices.
+inlinecheck:
+	@$(GO) build -gcflags=-m ./internal/hw 2>&1 | grep -q 'inlining call to decryptFill' || \
+		{ echo "inlinecheck: decryptFill is no longer inlined into hw.Controller.Read" >&2; exit 1; }
 
 test:
 	$(GO) test ./...

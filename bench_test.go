@@ -189,7 +189,7 @@ func BenchmarkScheduleParallel(b *testing.B) {
 							}
 						}
 					} else {
-						if errs := plat.ScheduleParallel(doms, 0); len(errs) != 0 {
+						if errs := plat.X.ScheduleParallel(doms, 0); len(errs) != 0 {
 							b.Fatal(errs)
 						}
 					}
@@ -220,7 +220,7 @@ func churnLifetime(plat *Platform, name string) error {
 		_, err := g.Hypercall(HCVoid)
 		return err
 	})
-	if errs := plat.ScheduleParallel([]*Domain{vm}, 1); len(errs) != 0 {
+	if errs := plat.X.ScheduleParallel([]*Domain{vm}, 1); len(errs) != 0 {
 		return fmt.Errorf("run %s: %v", name, errs)
 	}
 	return plat.Shutdown(vm)

@@ -157,9 +157,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	return p, nil
 }
 
-// Protected reports whether Fidelius is active.
-func (p *Platform) Protected() bool { return p.F != nil }
-
 // PlatformKey returns the SEV platform public key guest owners encrypt
 // their images for.
 func (p *Platform) PlatformKey() *ecdh.PublicKey {
@@ -239,17 +236,6 @@ func (p *Platform) Run(d *Domain) error { return p.X.Run(d) }
 // functions return, returning per-domain errors.
 func (p *Platform) Schedule(doms []*Domain) map[xen.DomID]error { return p.X.Schedule(doms) }
 
-// ScheduleParallel runs several started VMs concurrently, one runner per
-// VM bounded by width scheduling slots (width <= 0 picks GOMAXPROCS).
-// Guest code overlaps in time and each domain's quanta run under that
-// domain's own lock; domains contend only at genuine sharing points —
-// grant operations, event signalling, XenStore, the gatekeeper's trusted
-// state — each behind its own lock. Use Schedule when deterministic
-// interleaving matters (the attack demos and golden traces do).
-func (p *Platform) ScheduleParallel(doms []*Domain, width int) map[xen.DomID]error {
-	return p.X.ScheduleParallel(doms, width)
-}
-
 // Shutdown terminates a VM with full key and metadata scrubbing.
 func (p *Platform) Shutdown(d *Domain) error {
 	if p.F != nil {
@@ -323,6 +309,9 @@ func LiveMigrate(source *Platform, d *Domain, target *Platform, cfg MigrateConfi
 		done <- inRes{vm, err}
 	}()
 	stats, err := source.MigrateOutLive(d, target, sc, cfg)
+	if err != nil {
+		a.Close() // a target still waiting for its first frame would wait forever
+	}
 	r := <-done
 	if err != nil {
 		return nil, stats, err
@@ -367,9 +356,6 @@ func (p *Platform) Metrics() telemetry.Snapshot { return p.Telemetry().Reg.Snaps
 // instrumentation reduces to a single atomic load.
 func (p *Platform) StartTrace(capacity int) { p.Telemetry().StartTrace(capacity) }
 
-// StopTrace stops capturing and detaches the current trace buffer.
-func (p *Platform) StopTrace() { p.Telemetry().StopTrace() }
-
 // WriteTrace renders the captured events as Chrome trace_event JSON,
 // loadable in chrome://tracing or Perfetto. Processes are VMs (pid =
 // domain ID), threads are ASIDs. Causal spans (scheduler sessions,
@@ -405,9 +391,6 @@ type AuditRecord = telemetry.Record
 // append records. When no ledger is armed the instrumentation reduces to
 // a single atomic load.
 func (p *Platform) StartAudit() { p.Telemetry().StartLedger() }
-
-// StopAudit disarms and detaches the current audit ledger.
-func (p *Platform) StopAudit() { p.Telemetry().StopLedger() }
 
 // AuditRecords returns a copy of the ledger's chain, oldest first.
 func (p *Platform) AuditRecords() []AuditRecord { return p.Telemetry().Ledger().Records() }
@@ -515,23 +498,6 @@ func (p *Platform) AttestationKey() (*ecdsa.PublicKey, error) {
 // VerifyQuote checks a quote against a platform attestation key.
 func VerifyQuote(pub *ecdsa.PublicKey, q *Quote, nonce []byte) error {
 	return sev.VerifyQuote(pub, q, nonce)
-}
-
-// SnapshotVM checkpoints a stopped protected VM into an encrypted bundle
-// restorable on this platform.
-func (p *Platform) SnapshotVM(d *Domain) (*MigrationBundle, error) {
-	if p.F == nil {
-		return nil, fmt.Errorf("fidelius: snapshots require a protected platform")
-	}
-	return p.F.SnapshotVM(d)
-}
-
-// RestoreVM materialises a snapshot taken on this platform.
-func (p *Platform) RestoreVM(b *MigrationBundle) (*Domain, error) {
-	if p.F == nil {
-		return nil, fmt.Errorf("fidelius: snapshots require a protected platform")
-	}
-	return p.F.RestoreVM(b)
 }
 
 // EnableIntegrity puts a protected VM's memory under the Bonsai-Merkle

@@ -129,6 +129,58 @@ func plantSecret(p *Platform) xen.GuestFunc {
 // optionally Fidelius, a victim VM that plants the secret in memory and on
 // disk (via the configuration's I/O path), and a conspirator VM.
 func Setup(protected bool) (*Platform, error) {
+	return boot(protected, launchStock)
+}
+
+// launchStock places the victim and the conspirator: under Fidelius as
+// attested launches with the victim's disk behind an SEV I/O session,
+// under plain Xen as bare SEV domains with a plain block device.
+func launchStock(p *Platform) error {
+	x, f := p.X, p.F
+	var err error
+	if f == nil {
+		if p.Victim, err = x.CreateDomain(xen.DomainConfig{Name: "victim", MemPages: memPages, SEV: true}); err != nil {
+			return err
+		}
+		if p.Backend, err = x.AttachBlockDevice(p.Victim, p.Disk, 2, ioPort); err != nil {
+			return err
+		}
+		p.Conspirator, err = x.CreateDomain(xen.DomainConfig{Name: "conspirator", MemPages: memPages, SEV: true})
+		return err
+	}
+	owner, err := sev.NewOwner()
+	if err != nil {
+		return err
+	}
+	pub, err := x.M.FW.PublicKey()
+	if err != nil {
+		return err
+	}
+	bundle, _, err := core.PrepareGuest(owner, pub, nil, nil)
+	if err != nil {
+		return err
+	}
+	if p.Victim, err = f.LaunchVM("victim", memPages, bundle); err != nil {
+		return err
+	}
+	if err := f.SetupIOSession(p.Victim); err != nil {
+		return err
+	}
+	if p.Backend, err = f.AttachProtectedDisk(p.Victim, p.Disk, 2, ioPort, nil); err != nil {
+		return err
+	}
+	bundle2, _, err := core.PrepareGuest(owner, pub, nil, nil)
+	if err != nil {
+		return err
+	}
+	p.Conspirator, err = f.LaunchVM("conspirator", memPages, bundle2)
+	return err
+}
+
+// boot builds the machine, the hypervisor and, when protected, Fidelius;
+// launch places the victim (with its disk) and the conspirator; then the
+// victim's start-info page is written and its workload plants the secret.
+func boot(protected bool, launch func(p *Platform) error) (*Platform, error) {
 	m, err := xen.NewMachine(xen.Config{MemPages: 4096, CacheLines: 2048})
 	if err != nil {
 		return nil, err
@@ -144,57 +196,13 @@ func Setup(protected bool) (*Platform, error) {
 		SecretLBA: secretLBA,
 		Disk:      disk.New(256),
 	}
-
 	if protected {
-		f, err := core.Enable(x)
-		if err != nil {
+		if p.F, err = core.Enable(x); err != nil {
 			return nil, err
 		}
-		p.F = f
-		owner, err := sev.NewOwner()
-		if err != nil {
-			return nil, err
-		}
-		pub, err := m.FW.PublicKey()
-		if err != nil {
-			return nil, err
-		}
-		bundle, _, err := core.PrepareGuest(owner, pub, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		p.Victim, err = f.LaunchVM("victim", memPages, bundle)
-		if err != nil {
-			return nil, err
-		}
-		if err := f.SetupIOSession(p.Victim); err != nil {
-			return nil, err
-		}
-		p.Backend, err = f.AttachProtectedDisk(p.Victim, p.Disk, 2, ioPort, nil)
-		if err != nil {
-			return nil, err
-		}
-		bundle2, _, err := core.PrepareGuest(owner, pub, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		p.Conspirator, err = f.LaunchVM("conspirator", memPages, bundle2)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		p.Victim, err = x.CreateDomain(xen.DomainConfig{Name: "victim", MemPages: memPages, SEV: true})
-		if err != nil {
-			return nil, err
-		}
-		p.Backend, err = x.AttachBlockDevice(p.Victim, p.Disk, 2, ioPort)
-		if err != nil {
-			return nil, err
-		}
-		p.Conspirator, err = x.CreateDomain(xen.DomainConfig{Name: "conspirator", MemPages: memPages, SEV: true})
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err := launch(p); err != nil {
+		return nil, err
 	}
 	if err := x.WriteStartInfo(p.Victim); err != nil {
 		return nil, err
@@ -204,69 +212,6 @@ func Setup(protected bool) (*Platform, error) {
 	x.StartVCPU(p.Victim, plantSecret(p))
 	if err := x.Run(p.Victim); err != nil {
 		return nil, fmt.Errorf("attack: victim workload: %w", err)
-	}
-	return p, nil
-}
-
-// SetupGEK boots a protected platform whose victim uses the Section 8
-// customized-key extension (GEK boot, GEK-backed I/O, no helper
-// contexts). The attack surface must be no wider than the stock path.
-func SetupGEK() (*Platform, error) {
-	m, err := xen.NewMachine(xen.Config{MemPages: 4096, CacheLines: 2048})
-	if err != nil {
-		return nil, err
-	}
-	x, err := xen.New(m)
-	if err != nil {
-		return nil, err
-	}
-	f, err := core.Enable(x)
-	if err != nil {
-		return nil, err
-	}
-	p := &Platform{
-		X: x, F: f,
-		Secret:    bytes.Repeat([]byte("TOP-SECRET-DATA!"), 32),
-		SecretGFN: secretGFN,
-		SecretLBA: secretLBA,
-		Disk:      disk.New(256),
-	}
-	owner, err := sev.NewOwner()
-	if err != nil {
-		return nil, err
-	}
-	img, gek, err := core.PrepareGEKGuest(owner, nil)
-	if err != nil {
-		return nil, err
-	}
-	pub, err := m.FW.PublicKey()
-	if err != nil {
-		return nil, err
-	}
-	bundle, err := core.BindGEKGuest(owner, pub, img, gek)
-	if err != nil {
-		return nil, err
-	}
-	if p.Victim, err = f.LaunchVMFromGEK("victim", memPages, bundle); err != nil {
-		return nil, err
-	}
-	if p.Backend, err = f.AttachProtectedDisk(p.Victim, p.Disk, 2, ioPort, nil); err != nil {
-		return nil, err
-	}
-	bundle2, err := core.BindGEKGuest(owner, pub, img, gek)
-	if err != nil {
-		return nil, err
-	}
-	if p.Conspirator, err = f.LaunchVMFromGEK("conspirator", memPages, bundle2); err != nil {
-		return nil, err
-	}
-	if err := x.WriteStartInfo(p.Victim); err != nil {
-		return nil, err
-	}
-	p.Backend.SnoopEnabled = true
-	x.StartVCPU(p.Victim, plantSecret(p))
-	if err := x.Run(p.Victim); err != nil {
-		return nil, fmt.Errorf("attack: gek victim workload: %w", err)
 	}
 	return p, nil
 }

@@ -2,6 +2,9 @@ package attack
 
 import (
 	"testing"
+
+	"fidelius/internal/core"
+	"fidelius/internal/sev"
 )
 
 // expectedBaseline is the paper's security analysis as a table: which
@@ -99,7 +102,7 @@ func TestOutcomeString(t *testing.T) {
 // platform whose victim booted through the Section 8 customized-key
 // extension: protection must be identical.
 func TestAttackMatrixGEKPlatform(t *testing.T) {
-	p, err := SetupGEK()
+	p, err := boot(true, launchGEK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,4 +113,38 @@ func TestAttackMatrixGEKPlatform(t *testing.T) {
 			t.Errorf("gek platform: %s succeeded (%s)", o.Name, o.Detail)
 		}
 	}
+}
+
+// launchGEK places a victim and a conspirator that both boot through the
+// Section 8 customized-key extension (GEK boot, GEK-backed I/O, no helper
+// contexts). The attack surface must be no wider than the stock path.
+func launchGEK(p *Platform) error {
+	owner, err := sev.NewOwner()
+	if err != nil {
+		return err
+	}
+	img, gek, err := core.PrepareGEKGuest(owner, nil)
+	if err != nil {
+		return err
+	}
+	pub, err := p.X.M.FW.PublicKey()
+	if err != nil {
+		return err
+	}
+	bundle, err := core.BindGEKGuest(owner, pub, img, gek)
+	if err != nil {
+		return err
+	}
+	if p.Victim, err = p.F.LaunchVMFromGEK("victim", memPages, bundle); err != nil {
+		return err
+	}
+	if p.Backend, err = p.F.AttachProtectedDisk(p.Victim, p.Disk, 2, ioPort, nil); err != nil {
+		return err
+	}
+	bundle2, err := core.BindGEKGuest(owner, pub, img, gek)
+	if err != nil {
+		return err
+	}
+	p.Conspirator, err = p.F.LaunchVMFromGEK("conspirator", memPages, bundle2)
+	return err
 }

@@ -123,6 +123,7 @@ func runMigration(wset int, stopCopy bool) (*migrate.Stats, error) {
 		return nil, err
 	}
 	a, b := migrate.Pipe(8)
+	defer a.Close() // unblocks the receiver if the sender fails first
 	link := &migrate.Link{
 		Conn:          a,
 		Counter:       src.M.Ctl.Cycles,

@@ -45,15 +45,6 @@ func (f *Fidelius) EnableIntegrity(d *xen.Domain) error {
 	return nil
 }
 
-// IntegrityRoot reports the engine's current tree root (the value a
-// hardware BMT keeps on-chip), for attestation.
-func (f *Fidelius) IntegrityRoot() ([32]byte, bool) {
-	if f.M.Ctl.Integ == nil {
-		return [32]byte{}, false
-	}
-	return f.M.Ctl.Integ.Root(), true
-}
-
 // GEKBundle is the portable counterpart of GuestBundle: the kernel image
 // is encrypted under the owner's customized key and can be deployed to
 // any platform by wrapping the GEK for it at deployment time.

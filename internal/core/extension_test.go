@@ -31,8 +31,8 @@ func TestIntegrityDetectsRowhammer(t *testing.T) {
 	if err := f.EnableIntegrity(d); err != nil {
 		t.Fatal(err)
 	}
-	root1, ok := f.IntegrityRoot()
-	if !ok || root1 == ([32]byte{}) {
+	root1 := f.M.Ctl.Integ.Root()
+	if root1 == ([32]byte{}) {
 		t.Fatal("no integrity root")
 	}
 
@@ -47,7 +47,7 @@ func TestIntegrityDetectsRowhammer(t *testing.T) {
 	if err := x.Run(d); err != nil {
 		t.Fatalf("benign writes must keep verifying: %v", err)
 	}
-	root2, _ := f.IntegrityRoot()
+	root2 := f.M.Ctl.Integ.Root()
 	if root1 == root2 {
 		t.Fatal("root did not change after a legitimate update")
 	}

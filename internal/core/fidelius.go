@@ -23,16 +23,6 @@ type Violation struct {
 	Detail string
 }
 
-// GateStats reports trusted-context transition counts, for the Section
-// 7.2 micro-benchmarks. It is a read-out of the machine's telemetry
-// registry (see Fidelius.Stats), not separate accounting.
-type GateStats struct {
-	Gate1   uint64 // type 1: clear WP
-	Gate2   uint64 // type 2: checking loop
-	Gate3   uint64 // type 3: add new mapping
-	Shadows uint64 // VMEXIT shadow+verify round trips
-}
-
 // VMState is Fidelius's private record of one protected VM: the SEV
 // metadata the hypervisor is no longer allowed to touch (Section 4.2.3).
 type VMState struct {
@@ -240,19 +230,6 @@ func Enable(x *xen.Xen) (*Fidelius, error) {
 // hub returns the machine's telemetry hub (always present: the memory
 // controller creates it).
 func (f *Fidelius) hub() *telemetry.Hub { return f.M.Ctl.Telem }
-
-// Stats reads the gate-transition counts from the unified telemetry
-// registry. The counters themselves live on the hub — the gates increment
-// them directly — so there is exactly one accounting mechanism.
-func (f *Fidelius) Stats() GateStats {
-	m := f.hub().M
-	return GateStats{
-		Gate1:   m.Gate1.Value(),
-		Gate2:   m.Gate2.Value(),
-		Gate3:   m.Gate3.Value(),
-		Shadows: m.Shadows.Value(),
-	}
-}
 
 // Name reports the configuration label.
 func (f *Fidelius) Name() string {
@@ -598,12 +575,6 @@ func (f *Fidelius) settlePending() {
 		_ = f.protectRO(pfn)
 	}
 	f.pendingReprotect = nil
-}
-
-// ExecPrivStub runs one of the monopolised, still-mapped privileged stubs
-// through its type 2 gate (benchmark entry point).
-func (f *Fidelius) ExecPrivStub(addr, r0 uint64) error {
-	return f.M.ExecStub(addr, r0)
 }
 
 // VMState returns Fidelius's record for a protected domain.

@@ -64,11 +64,6 @@ func unmarshalGITEntry(b []byte) GITEntry {
 	}
 }
 
-// CoversPFN reports whether the record covers a host frame.
-func (e GITEntry) CoversPFN(pfn hw.PFN) bool {
-	return e.Valid && pfn >= e.PFNStart && uint64(pfn-e.PFNStart) < e.Count
-}
-
 // CoversGFN reports whether the record covers an initiator frame.
 func (e GITEntry) CoversGFN(gfn uint64) bool {
 	return e.Valid && gfn >= e.GFNStart && gfn-e.GFNStart < e.Count

@@ -359,33 +359,6 @@ func (f *Fidelius) AttestVM(d *xen.Domain, nonce []byte) (*sev.Quote, error) {
 	return f.M.FW.AttestGuest(st.Handle, nonce, f.HypervisorMeasurement, root)
 }
 
-// SnapshotVM captures a stopped protected VM as an encrypted bundle the
-// same platform can later restore — the snapshot/restore interface the
-// paper notes SEV already provides (Section 4.3.6). It is migration to
-// self: the transport keys wrap under the platform's own identity.
-func (f *Fidelius) SnapshotVM(d *xen.Domain) (*MigrationBundle, error) {
-	selfPub, err := func() (pub *ecdh.PublicKey, err error) {
-		defer f.enterTrusted()()
-		return f.M.FW.PublicKey()
-	}()
-	if err != nil {
-		return nil, err
-	}
-	return f.MigrateOut(d, selfPub)
-}
-
-// RestoreVM materialises a snapshot taken on this platform.
-func (f *Fidelius) RestoreVM(bundle *MigrationBundle) (*xen.Domain, error) {
-	selfPub, err := func() (pub *ecdh.PublicKey, err error) {
-		defer f.enterTrusted()()
-		return f.M.FW.PublicKey()
-	}()
-	if err != nil {
-		return nil, err
-	}
-	return f.MigrateIn(bundle, selfPub)
-}
-
 // PreShare lets trusted tooling declare a sharing on behalf of a guest
 // (the guest itself uses the pre_sharing_op hypercall).
 func (f *Fidelius) PreShare(initiator, target xen.DomID, gfn, count, flags uint64) error {

@@ -72,10 +72,10 @@ func TestPropertyGITStorageRoundTrip(t *testing.T) {
 }
 
 func TestPropertyGITCoverage(t *testing.T) {
-	f := func(pfnStart uint32, count uint16, probe uint32) bool {
-		e := GITEntry{Valid: true, PFNStart: hw.PFN(pfnStart), Count: uint64(count)}
-		in := e.CoversPFN(hw.PFN(probe))
-		want := uint64(probe) >= uint64(pfnStart) && uint64(probe)-uint64(pfnStart) < uint64(count)
+	f := func(gfnStart uint32, count uint16, probe uint32) bool {
+		e := GITEntry{Valid: true, GFNStart: uint64(gfnStart), Count: uint64(count)}
+		in := e.CoversGFN(uint64(probe))
+		want := uint64(probe) >= uint64(gfnStart) && uint64(probe)-uint64(gfnStart) < uint64(count)
 		return in == want
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 
-	"fidelius/internal/cycles"
 	"fidelius/internal/hw"
 	"fidelius/internal/isa"
 	"fidelius/internal/mmu"
@@ -144,9 +143,6 @@ func New(ctl *hw.Controller) *CPU {
 }
 
 func (c *CPU) charge(n uint64) { c.Ctl.Cycles.Charge(n) }
-
-// Cycles exposes the shared cycle counter.
-func (c *CPU) Cycles() *cycles.Counter { return c.Ctl.Cycles }
 
 // PagingEnabled reports CR0.PG.
 func (c *CPU) PagingEnabled() bool { return c.CR0&CR0PG != 0 }

@@ -223,14 +223,3 @@ func (c *CPU) writeMSR(msr uint32, v uint64) error {
 	}
 	return nil
 }
-
-// SetWP sets or clears CR0.WP directly through the same hook path as the
-// MOV CR0 instruction. Fidelius's type 1 gate uses this from its own
-// (sanctioned) context.
-func (c *CPU) SetWP(on bool) error {
-	v := c.CR0 &^ CR0WP
-	if on {
-		v |= CR0WP
-	}
-	return c.writeCR0(v)
-}

@@ -77,13 +77,6 @@ type VMCB struct {
 // real hardware; the fields we model fit well within it.
 const VMCBSize = 4 + 4 + 8*6 + 1 + 7 + 8*6 + 8*NumRegs
 
-// Marshal encodes the VMCB little-endian into a fixed-size buffer.
-func (v *VMCB) Marshal() []byte {
-	var b [VMCBSize]byte
-	v.encode(&b)
-	return b[:]
-}
-
 // encode writes the VMCB's binary form into b.
 func (v *VMCB) encode(b *[VMCBSize]byte) {
 	le := binary.LittleEndian
@@ -105,16 +98,6 @@ func (v *VMCB) encode(b *[VMCBSize]byte) {
 	for i := 0; i < NumRegs; i++ {
 		le.PutUint64(b[112+8*i:], v.Regs[i])
 	}
-}
-
-// UnmarshalVMCB decodes a VMCB from its binary form.
-func UnmarshalVMCB(b []byte) (*VMCB, error) {
-	if len(b) < VMCBSize {
-		return nil, fmt.Errorf("cpu: short VMCB: %d < %d", len(b), VMCBSize)
-	}
-	v := new(VMCB)
-	v.decode((*[VMCBSize]byte)(b))
-	return v, nil
 }
 
 // decode overwrites v with the VMCB encoded in b.

@@ -11,8 +11,8 @@ import (
 func TestClockAttachFold(t *testing.T) {
 	base := &Counter{}
 	k := NewClock(base)
-	if k.Base() != base {
-		t.Fatal("Base() does not return the wrapped counter")
+	if k.base != base {
+		t.Fatal("the clock does not wrap the base counter")
 	}
 	base.Charge(100)
 	if k.Total() != 100 {

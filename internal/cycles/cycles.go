@@ -193,9 +193,6 @@ func NewClock(base *Counter) *Clock {
 	return &Clock{base: base}
 }
 
-// Base returns the base counter.
-func (k *Clock) Base() *Counter { return k.base }
-
 // Attach creates a fresh per-vCPU counter and includes it in Total until
 // it is folded back with Fold.
 func (k *Clock) Attach() *Counter {

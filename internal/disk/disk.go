@@ -33,9 +33,6 @@ func New(sectors int) *Disk {
 	return &Disk{data: make([]byte, sectors*SectorSize)}
 }
 
-// Sectors reports the disk capacity in sectors.
-func (d *Disk) Sectors() int { return len(d.data) / SectorSize }
-
 func (d *Disk) check(lba uint64, n int) error {
 	if (lba+uint64(n))*SectorSize > uint64(len(d.data)) {
 		return fmt.Errorf("%w: lba %d + %d", ErrOutOfRange, lba, n)

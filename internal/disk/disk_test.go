@@ -12,8 +12,8 @@ import (
 
 func TestDiskReadWrite(t *testing.T) {
 	d := New(16)
-	if d.Sectors() != 16 {
-		t.Fatalf("sectors = %d", d.Sectors())
+	if len(d.data) != 16*SectorSize {
+		t.Fatalf("capacity = %d bytes", len(d.data))
 	}
 	sector := bytes.Repeat([]byte{0xAB}, SectorSize)
 	if err := d.WriteSector(3, sector); err != nil {

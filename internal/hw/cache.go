@@ -138,8 +138,7 @@ func (c *Cache) ReadAt(pa PhysAddr, dst []byte) bool {
 
 // WriteAt updates cached plaintext for pa in place if the line is present
 // (no write-allocate), without touching hit/miss statistics or replacement
-// state — the write-buffer's view, mirroring Peek. data must not cross the
-// line boundary.
+// state — the write-buffer's view. data must not cross the line boundary.
 func (c *Cache) WriteAt(pa PhysAddr, data []byte) bool {
 	if c.sets == 0 {
 		return false
@@ -156,43 +155,6 @@ func (c *Cache) WriteAt(pa PhysAddr, data []byte) bool {
 	copy(c.data[i][off:], data)
 	c.locks[set].Unlock()
 	return true
-}
-
-// Lookup returns the cached plaintext line containing pa, if present.
-// The returned pointer aliases line storage; single-threaded callers only.
-func (c *Cache) Lookup(pa PhysAddr) (*[LineSize]byte, bool) {
-	if c.sets == 0 {
-		c.misses.Add(1)
-		return nil, false
-	}
-	base := lineBase(pa)
-	set := c.setOf(base)
-	c.locks[set].Lock()
-	defer c.locks[set].Unlock()
-	if i := c.findInSet(set, base); i >= 0 {
-		c.hits.Add(1)
-		c.ref[i] = true
-		return &c.data[i], true
-	}
-	c.misses.Add(1)
-	return nil, false
-}
-
-// Peek returns the cached line containing pa without touching hit/miss
-// statistics or replacement state. The returned pointer aliases line
-// storage; single-threaded callers only.
-func (c *Cache) Peek(pa PhysAddr) (*[LineSize]byte, bool) {
-	if c.sets == 0 {
-		return nil, false
-	}
-	base := lineBase(pa)
-	set := c.setOf(base)
-	c.locks[set].Lock()
-	defer c.locks[set].Unlock()
-	if i := c.findInSet(set, base); i >= 0 {
-		return &c.data[i], true
-	}
-	return nil, false
 }
 
 // Fill inserts a plaintext line, running CLOCK replacement in its set if
@@ -283,9 +245,6 @@ func (c *Cache) Flush() {
 
 // Len reports the number of valid lines currently held.
 func (c *Cache) Len() int { return int(c.live.Load()) }
-
-// Evictions reports how many lines CLOCK replacement has pushed out.
-func (c *Cache) Evictions() uint64 { return c.evictions.Load() }
 
 // Stats reports hit and miss counts since creation.
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits.Load(), c.misses.Load() }

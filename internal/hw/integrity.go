@@ -81,16 +81,6 @@ func (ig *Integrity) Protect(pfn PFN) error {
 	return nil
 }
 
-// Unprotect removes a page from protection (teardown).
-func (ig *Integrity) Unprotect(pfn PFN) {
-	ig.mu.Lock()
-	defer ig.mu.Unlock()
-	delete(ig.protected, pfn)
-	for off := PhysAddr(0); off < PageSize; off += LineSize {
-		delete(ig.leaf, pfn.Addr()+off)
-	}
-}
-
 // Protected reports whether a page is under protection.
 func (ig *Integrity) Protected(pfn PFN) bool {
 	ig.mu.Lock()

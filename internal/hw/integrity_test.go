@@ -185,3 +185,13 @@ func TestPropertyControllerCoherence(t *testing.T) {
 		}
 	}
 }
+
+// Unprotect removes a page from protection (teardown).
+func (ig *Integrity) Unprotect(pfn PFN) {
+	ig.mu.Lock()
+	defer ig.mu.Unlock()
+	delete(ig.protected, pfn)
+	for off := PhysAddr(0); off < PageSize; off += LineSize {
+		delete(ig.leaf, pfn.Addr()+off)
+	}
+}

@@ -86,9 +86,6 @@ func NewMemoryBytes(n int) *Memory {
 	}
 }
 
-// Pages reports the number of physical pages installed.
-func (m *Memory) Pages() int { return int(m.size / PageSize) }
-
 // Size reports the installed memory size in bytes.
 func (m *Memory) Size() uint64 { return m.size }
 
@@ -113,14 +110,6 @@ func (m *Memory) backing(f PFN) *[PageSize]byte {
 		return p
 	}
 	return slot.Load()
-}
-
-// InjectFault arms a one-shot DRAM fault: the next ReadRaw or WriteRaw
-// overlapping [pa, pa+n) fails with err before touching memory, then the
-// fault disarms. Tests use it to model a channel error striking mid-
-// transaction (e.g. during the write path's read-modify-write round trip).
-func (m *Memory) InjectFault(pa PhysAddr, n int, err error) {
-	m.fault = &memFault{pa: pa, n: n, err: err}
 }
 
 // takeFault consumes the armed fault if the access overlaps its window.

@@ -208,8 +208,8 @@ func TestInjectFaultFiresOnce(t *testing.T) {
 func TestNewMemoryBytesClampsTail(t *testing.T) {
 	const size = 2*PageSize + 100
 	m := NewMemoryBytes(size)
-	if m.Pages() != 2 || m.Size() != size {
-		t.Fatalf("Pages %d Size %d, want 2 and %d", m.Pages(), m.Size(), size)
+	if len(m.frames) != 3 || m.Size() != size {
+		t.Fatalf("frames %d Size %d, want 3 and %d", len(m.frames), m.Size(), size)
 	}
 	tail := bytes.Repeat([]byte{0x5A}, 100)
 	if err := m.WriteRaw(size-100, tail); err != nil {
@@ -285,4 +285,12 @@ func TestConcurrentFirstWrite(t *testing.T) {
 			}
 		}
 	}
+}
+
+// InjectFault arms a one-shot DRAM fault: the next ReadRaw or WriteRaw
+// overlapping [pa, pa+n) fails with err before touching memory, then the
+// fault disarms. Tests use it to model a channel error striking mid-
+// transaction (e.g. during the write path's read-modify-write round trip).
+func (m *Memory) InjectFault(pa PhysAddr, n int, err error) {
+	m.fault = &memFault{pa: pa, n: n, err: err}
 }

@@ -150,17 +150,3 @@ func Assemble(prog []Inst) []byte {
 	}
 	return out
 }
-
-// Disassemble decodes a full code region, failing on any undecodable tail.
-func Disassemble(code []byte) ([]Inst, error) {
-	var out []Inst
-	for off := 0; off < len(code); {
-		in, n, err := Decode(code[off:])
-		if err != nil {
-			return nil, fmt.Errorf("at offset %d: %w", off, err)
-		}
-		out = append(out, in)
-		off += n
-	}
-	return out, nil
-}

@@ -24,9 +24,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Op: OpHlt},
 	}
 	code := Assemble(prog)
-	got, err := Disassemble(code)
-	if err != nil {
-		t.Fatal(err)
+	var got []Inst
+	for off := 0; off < len(code); {
+		in, n, err := Decode(code[off:])
+		if err != nil {
+			t.Fatalf("at offset %d: %v", off, err)
+		}
+		got = append(got, in)
+		off += n
 	}
 	if !reflect.DeepEqual(got, prog) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, prog)

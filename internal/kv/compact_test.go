@@ -200,7 +200,7 @@ func TestCompactReclaimsGarbage(t *testing.T) {
 	if got := s.UsedSectors(); got != 9 {
 		t.Fatalf("fixture used %d sectors, want 9", got)
 	}
-	if got := s.LiveSectors(); got != 2 {
+	if got := s.live; got != 2 {
 		t.Fatalf("fixture live %d sectors, want 2", got)
 	}
 	if !s.NeedsCompact(0.5) {
@@ -218,8 +218,8 @@ func TestCompactReclaimsGarbage(t *testing.T) {
 	if s.GarbageRatio() != 0 {
 		t.Fatalf("garbage ratio %.2f after compact", s.GarbageRatio())
 	}
-	if s.Epoch() != 2 {
-		t.Fatalf("epoch %d after compact, want 2", s.Epoch())
+	if s.epoch != 2 {
+		t.Fatalf("epoch %d after compact, want 2", s.epoch)
 	}
 	// Live content preserved, in memory and across a reopen.
 	for _, r := range []*Store{s, reopen(t, dev, 41)} {
@@ -265,7 +265,7 @@ func TestCompactCrashAtEveryPoint(t *testing.T) {
 	want := map[string]string{"a": "A1", "b": "B1"}
 	for budget := 0; budget <= 12; budget++ {
 		dev, s := compactFixture(t)
-		preEpoch := s.Epoch()
+		preEpoch := s.epoch
 		torn := &tornDev{memDev: dev, budget: budget}
 		s.dev = torn // crash: writes past the budget silently vanish
 		_ = s.Compact()
@@ -287,7 +287,7 @@ func TestCompactCrashAtEveryPoint(t *testing.T) {
 		// The replayed log is wholly old or wholly new, visible in the
 		// epoch: pre-flip crashes keep the old epoch and full old log,
 		// post-flip ones the new epoch and the compacted log.
-		switch r.Epoch() {
+		switch r.epoch {
 		case preEpoch:
 			if r.UsedSectors() != 9 {
 				t.Fatalf("budget %d: old-half replay used %d sectors, want 9", budget, r.UsedSectors())
@@ -297,7 +297,7 @@ func TestCompactCrashAtEveryPoint(t *testing.T) {
 				t.Fatalf("budget %d: new-half replay used %d sectors, want 2", budget, r.UsedSectors())
 			}
 		default:
-			t.Fatalf("budget %d: epoch %d", budget, r.Epoch())
+			t.Fatalf("budget %d: epoch %d", budget, r.epoch)
 		}
 		// And the survivor keeps working.
 		if err := r.Put("post", []byte("crash")); err != nil {
@@ -326,8 +326,8 @@ func TestEpochRejectsStaleDebris(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Epoch() != 3 || s.UsedSectors() != 2 {
-		t.Fatalf("epoch %d, used %d after double compact", s.Epoch(), s.UsedSectors())
+	if s.epoch != 3 || s.UsedSectors() != 2 {
+		t.Fatalf("epoch %d, used %d after double compact", s.epoch, s.UsedSectors())
 	}
 	// Sanity: the debris really is there (old record for d at lba 4 of
 	// the pre-compaction log: a, b-old, c, then d).
@@ -427,8 +427,8 @@ func TestGarbageAccounting(t *testing.T) {
 			v, _ := st.GetView(k)
 			want += uint64(recordSectors(len(k), len(v)))
 		}
-		if st.LiveSectors() != want {
-			t.Fatalf("%s: live = %d, recomputed %d", tag, st.LiveSectors(), want)
+		if st.live != want {
+			t.Fatalf("%s: live = %d, recomputed %d", tag, st.live, want)
 		}
 	}
 	for i := 0; i < 8; i++ {

@@ -559,37 +559,15 @@ func (s *Store) GetView(key string) ([]byte, error) {
 	return v, nil
 }
 
-// Delete writes a tombstone record and drops the key from the index.
-// Deleting an absent key still logs a tombstone (idempotent on replay).
-func (s *Store) Delete(key string) error {
-	return s.Apply([]Op{{Key: key, Delete: true}})
-}
-
 // Len reports the number of live keys.
 func (s *Store) Len() int { return len(s.index) }
-
-// Keys returns the live keys (order unspecified).
-func (s *Store) Keys() []string {
-	out := make([]string, 0, len(s.index))
-	for k := range s.index {
-		out = append(out, k)
-	}
-	return out
-}
 
 // UsedSectors reports the active log length in sectors (superblock
 // excluded).
 func (s *Store) UsedSectors() uint64 { return s.nextLBA - s.logBase }
 
-// LiveSectors reports the sectors a compaction would keep.
-func (s *Store) LiveSectors() uint64 { return s.live }
-
 // HalfSectors reports the log capacity of each half.
 func (s *Store) HalfSectors() uint64 { return s.halfLen }
-
-// Epoch reports the current commit epoch (1 after Format; each Compact
-// advances it).
-func (s *Store) Epoch() uint64 { return s.epoch }
 
 // Stats reports maintenance counters accumulated since Open.
 func (s *Store) Stats() StoreStats { return s.stats }

@@ -609,3 +609,18 @@ func TestImageBytesPinned(t *testing.T) {
 		t.Fatalf("image sha256 %s, want %s", got, want)
 	}
 }
+
+// Keys returns the live keys (order unspecified).
+func (s *Store) Keys() []string {
+	out := make([]string, 0, len(s.index))
+	for k := range s.index {
+		out = append(out, k)
+	}
+	return out
+}
+
+// Delete writes a tombstone record and drops the key from the index.
+// Deleting an absent key still logs a tombstone (idempotent on replay).
+func (s *Store) Delete(key string) error {
+	return s.Apply([]Op{{Key: key, Delete: true}})
+}

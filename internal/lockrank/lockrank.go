@@ -108,9 +108,6 @@ func init() {
 // uses the FIDELIUS_LOCKRANK=1 environment variable).
 func SetEnabled(on bool) { enabled.Store(on) }
 
-// Enabled reports whether acquisitions are being validated.
-func Enabled() bool { return enabled.Load() }
-
 // Per-goroutine held-rank stacks. Only maintained while the checker is
 // enabled; the map is keyed by goroutine ID parsed from runtime.Stack
 // (the same trick the runtime's own lockrank debug mode documents).

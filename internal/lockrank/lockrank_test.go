@@ -10,7 +10,7 @@ import (
 // state (tests must not leak enablement into each other).
 func withChecker(t *testing.T, fn func()) {
 	t.Helper()
-	prev := Enabled()
+	prev := enabled.Load()
 	SetEnabled(true)
 	defer SetEnabled(prev)
 	fn()

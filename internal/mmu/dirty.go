@@ -9,15 +9,14 @@ import "fidelius/internal/hw"
 // the MMU cannot hook successful walks, only faults — so the log records
 // exactly the set of pages written since the last collection.
 //
-// DirtyLog is not internally locked. In the simulator's synchronous vCPU
-// model the guest goroutine and the host alternate through channel
-// handoffs, which provide the necessary happens-before edges; collection
-// only runs from host context while the vCPU is parked.
+// DirtyLog is not internally locked. The guest runs as a coroutine of the
+// host (one iter.Pull per vCPU), so guest writes and host collection never
+// overlap: collection only runs from host context while the vCPU is
+// parked.
 type DirtyLog struct {
 	enabled bool
 	pages   uint64
 	bits    []uint64
-	marks   uint64 // lifetime mark count, for telemetry
 }
 
 // NewDirtyLog sizes a log for a guest of the given page count.
@@ -53,43 +52,11 @@ func (l *DirtyLog) Mark(gfn uint64) bool {
 		return false
 	}
 	l.bits[w] |= 1 << b
-	l.marks++
 	return true
 }
 
 // MarkGPA records a faulting write by guest physical address.
 func (l *DirtyLog) MarkGPA(gpa uint64) bool { return l.Mark(gpa >> hw.PageShift) }
-
-// Test reports whether gfn is currently dirty.
-func (l *DirtyLog) Test(gfn uint64) bool {
-	if l == nil || gfn >= l.pages {
-		return false
-	}
-	return l.bits[gfn/64]&(1<<(gfn%64)) != 0
-}
-
-// Count returns the number of dirty pages without clearing them.
-func (l *DirtyLog) Count() int {
-	if l == nil {
-		return 0
-	}
-	n := 0
-	for _, w := range l.bits {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
-// Marks reports the lifetime number of distinct bits set, across all
-// collection rounds.
-func (l *DirtyLog) Marks() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.marks
-}
 
 // Collect drains the log: it returns the dirty GFNs in ascending order
 // and clears every bit, starting a fresh tracking round.

@@ -199,11 +199,6 @@ func TestTLB(t *testing.T) {
 	if _, ok := tlb.Lookup(2, 0x2000, Read); !ok {
 		t.Fatal("FlushEntry flushed the wrong ASID")
 	}
-	tlb.Insert(2, 0x9000, Write, tr)
-	tlb.FlushASID(2)
-	if tlb.Len() != 0 {
-		t.Fatalf("FlushASID left %d entries", tlb.Len())
-	}
 	tlb.Insert(3, 0x1000, Read, tr)
 	tlb.FlushAll()
 	if tlb.Len() != 0 || tlb.FullFlushes != 1 {

@@ -30,22 +30,6 @@ type Nested struct {
 	Dirty *DirtyLog
 }
 
-// StartDirtyLog arms the walker's dirty log, allocating it on first use
-// for a guest of the given page count.
-func (n *Nested) StartDirtyLog(pages int) {
-	if n.Dirty == nil {
-		n.Dirty = NewDirtyLog(pages)
-	}
-	n.Dirty.Start()
-}
-
-// StopDirtyLog disarms the walker's dirty log.
-func (n *Nested) StopDirtyLog() { n.Dirty.Stop() }
-
-// CollectDirty drains the walker's dirty log, returning the GFNs written
-// (and faulted) since the previous collection.
-func (n *Nested) CollectDirty() []uint64 { return n.Dirty.Collect() }
-
 // gpaToHPA translates a GPA through the NPT, raising an NPTViolation on
 // failure.
 func (n *Nested) gpaToHPA(gpa uint64, access AccessType) (hw.PhysAddr, PTE, error) {

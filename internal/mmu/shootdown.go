@@ -70,19 +70,6 @@ func (b *ShootdownBus) FlushEntry(asid hw.ASID, va uint64) {
 	}
 }
 
-// FlushASID invalidates every entry of one ASID on every registered core.
-func (b *ShootdownBus) FlushASID(asid hw.ASID) {
-	if b == nil {
-		return
-	}
-	b.lock.Lock()
-	defer b.lock.Unlock()
-	b.bcasts++
-	for _, t := range b.tlbs {
-		t.FlushASID(asid)
-	}
-}
-
 // FlushAll empties every registered core's TLB.
 func (b *ShootdownBus) FlushAll() {
 	if b == nil {
@@ -104,14 +91,4 @@ func (b *ShootdownBus) Cores() int {
 	b.lock.Lock()
 	defer b.lock.Unlock()
 	return len(b.tlbs)
-}
-
-// Broadcasts reports how many invalidation broadcasts have been sent.
-func (b *ShootdownBus) Broadcasts() uint64 {
-	if b == nil {
-		return 0
-	}
-	b.lock.Lock()
-	defer b.lock.Unlock()
-	return b.bcasts
 }

@@ -39,7 +39,6 @@ type TLB struct {
 	// under mu.
 	FullFlushes  uint64
 	EntryFlushes uint64
-	ASIDFlushes  uint64
 	Hits         uint64
 	Misses       uint64
 
@@ -111,32 +110,6 @@ func (t *TLB) FlushEntry(asid hw.ASID, va uint64) {
 	}
 }
 
-// FlushASID drops every entry of one ASID (the INVLPGA sweep a VMRUN with
-// a flush-by-ASID control performs). Each dropped entry counts as an entry
-// flush — the same accounting a loop of FlushEntry calls would produce —
-// and the sweep itself is counted and traced, so gate-cost analysis sees
-// ASID-wide invalidations instead of silently missing them.
-func (t *TLB) FlushASID(asid hw.ASID) {
-	t.mu.Lock()
-	removed := uint64(0)
-	for k := range t.entries {
-		if k.asid == asid {
-			delete(t.entries, k)
-			removed++
-		}
-	}
-	if t.lastOK && t.lastKey.asid == asid {
-		t.lastOK = false
-	}
-	t.EntryFlushes += removed
-	t.ASIDFlushes++
-	t.mu.Unlock()
-	if t.Hub.Tracing() {
-		t.Hub.Emit(telemetry.KindTLBFlushASID,
-			t.Hub.VMForASID(uint32(asid)), uint32(asid), 0, removed, 0)
-	}
-}
-
 // Len reports the number of cached translations.
 func (t *TLB) Len() int {
 	t.mu.Lock()
@@ -162,5 +135,4 @@ func (t *TLB) Register(h *telemetry.Hub) {
 	h.Reg.RegisterFunc("tlb.misses", read(func() uint64 { return t.Misses }))
 	h.Reg.RegisterFunc("tlb.full_flushes", read(func() uint64 { return t.FullFlushes }))
 	h.Reg.RegisterFunc("tlb.entry_flushes", read(func() uint64 { return t.EntryFlushes }))
-	h.Reg.RegisterFunc("tlb.asid_flushes", read(func() uint64 { return t.ASIDFlushes }))
 }

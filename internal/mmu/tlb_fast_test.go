@@ -4,7 +4,7 @@ import "testing"
 
 // TestTLBLastEntryCoherent exercises the one-entry last-translation cache
 // in front of the map: repeated lookups of the same page must hit without
-// going stale across Insert, FlushEntry, FlushASID and FlushAll.
+// going stale across Insert, FlushEntry and FlushAll.
 func TestTLBLastEntryCoherent(t *testing.T) {
 	tlb := NewTLB()
 	tr := Translation{HPA: 0x1000}
@@ -31,16 +31,6 @@ func TestTLBLastEntryCoherent(t *testing.T) {
 	tlb.FlushEntry(1, 0x2000)
 	if _, ok := tlb.Lookup(1, 0x2000, Read); ok {
 		t.Fatal("last-entry survived FlushEntry")
-	}
-
-	// FlushASID of the cached ASID must drop it.
-	tlb.Insert(2, 0x5000, Write, tr)
-	if _, ok := tlb.Lookup(2, 0x5000, Write); !ok {
-		t.Fatal("insert+lookup failed")
-	}
-	tlb.FlushASID(2)
-	if _, ok := tlb.Lookup(2, 0x5000, Write); ok {
-		t.Fatal("last-entry survived FlushASID")
 	}
 
 	// FlushAll must drop it.

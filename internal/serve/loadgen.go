@@ -212,6 +212,3 @@ func (g *loadGen) markDone(op *genOp) {
 
 // exhausted reports whether every generated op has been injected.
 func (g *loadGen) exhausted() bool { return g.injected == len(g.ops) }
-
-// total reports the schedule length.
-func (g *loadGen) total() int { return len(g.ops) }

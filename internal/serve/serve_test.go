@@ -95,7 +95,8 @@ func TestServeEndToEnd(t *testing.T) {
 	if evaluated == 0 {
 		t.Error("no serve SLO evaluated against the run")
 	}
-	if err := hub.Ledger().Verify(); err != nil {
+	led := hub.Ledger()
+	if err := telemetry.VerifyChain(led.Records(), led.Head()); err != nil {
 		t.Errorf("audit ledger: %v", err)
 	}
 }
@@ -676,3 +677,6 @@ func TestXorSessionAllocsNothing(t *testing.T) {
 		t.Fatalf("xorSession over %d bytes allocated %v times, want 0", len(data), allocs)
 	}
 }
+
+// total reports the schedule length.
+func (g *loadGen) total() int { return len(g.ops) }

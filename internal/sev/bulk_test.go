@@ -99,37 +99,6 @@ func forEachPoolWidth(t *testing.T, body func(t *testing.T, f *Firmware, ctl *hw
 	}
 }
 
-func TestLaunchUpdatePagesParallelWidths(t *testing.T) {
-	forEachPoolWidth(t, func(t *testing.T, f *Firmware, ctl *hw.Controller) {
-		c1, c2, h1, h2 := twinContexts(t, f, StateLaunching)
-		pfns := []hw.PFN{1, 8, 12, 13, 14}
-		fillPages(t, ctl, pfns, 5)
-		plain := snapshotPages(t, ctl, pfns)
-
-		if err := f.LaunchUpdatePages(h1, pfns); err != nil {
-			t.Fatal(err)
-		}
-		want := snapshotPages(t, ctl, pfns)
-		for i := range pfns {
-			if bytes.Equal(want[i], plain[i]) {
-				t.Fatalf("page %d: launch_update left plaintext in DRAM", i)
-			}
-		}
-
-		// Restore the plaintext and launch it again one page per call.
-		writePages(t, ctl, pfns, plain)
-		for _, pfn := range pfns {
-			if err := f.LaunchUpdatePages(h2, []hw.PFN{pfn}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		assertPagesEqual(t, ctl, pfns, want, "one-page launches")
-		if c1.measure != c2.measure {
-			t.Fatal("one-page launch measurement diverges from the batch")
-		}
-	})
-}
-
 func TestSendUpdatePagesParallelWidths(t *testing.T) {
 	forEachPoolWidth(t, func(t *testing.T, f *Firmware, ctl *hw.Controller) {
 		c1, c2, h1, h2 := twinContexts(t, f, StateSending)
@@ -225,8 +194,5 @@ func TestBulkStateChecks(t *testing.T) {
 	}
 	if err := f.ReceiveUpdatePages(h, []hw.PFN{1}, []Packet{{}}); err == nil {
 		t.Fatal("receive_update_pages in launching state should fail")
-	}
-	if err := f.LaunchUpdatePages(h, nil); err != nil {
-		t.Fatalf("empty launch_update_pages: %v", err)
 	}
 }

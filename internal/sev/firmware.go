@@ -113,12 +113,6 @@ func (c *Context) dropTransport() {
 	}
 }
 
-// State reports the context's lifecycle state.
-func (c *Context) State() State { return c.state }
-
-// ASID reports the active ASID binding (0 if inactive).
-func (c *Context) ASID() hw.ASID { return c.asid }
-
 // Firmware is the SEV firmware in the secure processor. All commands are
 // issued by host software (the hypervisor, or Fidelius once it has taken
 // the SEV metadata away from the hypervisor); the firmware itself is
@@ -321,10 +315,6 @@ func (f *Firmware) ctx(h Handle) (*Context, error) {
 	return c, nil
 }
 
-// Lookup returns the context for a handle, for inspection by trusted
-// tooling and tests.
-func (f *Firmware) Lookup(h Handle) (*Context, error) { return f.ctx(h) }
-
 func (f *Firmware) newContext() (*Context, error) {
 	if err := f.guard(); err != nil {
 		return nil, err
@@ -382,20 +372,6 @@ func (f *Firmware) LaunchHelper(h Handle) (Handle, error) {
 	f.charge(cycles.SEVCommand)
 	f.command("launch-helper", c.handle)
 	return c.handle, nil
-}
-
-// LaunchMeasure returns the running launch measurement.
-func (f *Firmware) LaunchMeasure(h Handle) (Measurement, error) {
-	c, err := f.ctx(h)
-	if err != nil {
-		return Measurement{}, err
-	}
-	if c.state != StateLaunching {
-		return Measurement{}, fmt.Errorf("%w: launch_measure in %v", ErrBadState, c.state)
-	}
-	f.charge(cycles.SEVCommand)
-	f.command("launch-measure", h)
-	return c.measure, nil
 }
 
 // LaunchFinish completes launching; the guest context becomes runnable.
@@ -749,51 +725,6 @@ func stagingBuf(page *[hw.PageSize]byte, n int) []byte {
 		return page[:]
 	}
 	return make([]byte, n)
-}
-
-// LaunchUpdatePages is LAUNCH_UPDATE_DATA: it encrypts a batch of
-// distinct plaintext pages in place with the guest's Kvek and folds each
-// into the launch measurement, fanning the per-page AES and MAC work
-// across the firmware's worker pool. The measurement chain is folded and
-// the pages committed to DRAM serially in slice order, so one N-page call
-// leaves the same measurement and memory image as N one-page calls. On
-// error nothing past the parallel phase is committed.
-func (f *Firmware) LaunchUpdatePages(h Handle, pfns []hw.PFN) error {
-	c, err := f.ctx(h)
-	if err != nil {
-		return err
-	}
-	if c.state != StateLaunching {
-		return fmt.Errorf("%w: launch_update in %v", ErrBadState, c.state)
-	}
-	// The launch digest is an HMAC keyed with Kvek, through a one-off
-	// session.
-	digest := newSession(TransportKeys{TIK: [32]byte(c.kvek)})
-	defer digest.scrub()
-	pages := make([][hw.PageSize]byte, len(pfns))
-	tags := make([][32]byte, len(pfns))
-	if err := f.pool.ForEach(len(pfns), func(i int) error {
-		pfn := pfns[i]
-		if err := f.ctl.Mem.ReadRaw(pfn.Addr(), pages[i][:]); err != nil {
-			return err
-		}
-		sc := digest.get()
-		tags[i] = digest.tagWith(sc, uint64(pfn), pages[i][:])
-		digest.put(sc)
-		c.cipher.EncryptPage(pfn.Addr(), pages[i][:])
-		return nil
-	}); err != nil {
-		return err
-	}
-	for i := range pfns {
-		c.measure = measureChain(c.measure, tags[i])
-		f.charge(cycles.SEVCommand + cycles.PageCopy + hw.PageSize/hw.BlockSize*cycles.AESBlockSEV)
-		f.command("launch-update-data", h)
-		if err := f.ctl.FirmwareWrite(pfns[i].Addr(), pages[i][:]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SendUpdatePages is SEND_UPDATE: it re-encrypts each guest page from

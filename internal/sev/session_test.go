@@ -19,9 +19,7 @@ func TestSendCancelScrubsSession(t *testing.T) {
 	h, _ := origin.LaunchStart(0)
 	octl.Mem.WriteRaw(hw.PFN(3).Addr(), bytes.Repeat([]byte{9}, hw.PageSize))
 	page := []hw.PFN{3}
-	if err := origin.LaunchUpdatePages(h, page); err != nil {
-		t.Fatal(err)
-	}
+	launchImage(t, origin, h, page)
 	if err := origin.LaunchFinish(h); err != nil {
 		t.Fatal(err)
 	}

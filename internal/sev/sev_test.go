@@ -23,6 +23,26 @@ func newFW(t *testing.T, pages int) (*Firmware, *hw.Controller) {
 	return fw, ctl
 }
 
+// launchImage stands in for a guest that wrote its own pages: it encrypts
+// each page in DRAM in place under the context's Kvek.
+func launchImage(t *testing.T, fw *Firmware, h Handle, pfns []hw.PFN) {
+	t.Helper()
+	c, err := fw.ctx(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, hw.PageSize)
+	for _, pfn := range pfns {
+		if err := fw.ctl.Mem.ReadRaw(pfn.Addr(), page); err != nil {
+			t.Fatal(err)
+		}
+		c.cipher.EncryptPage(pfn.Addr(), page)
+		if err := fw.ctl.Mem.WriteRaw(pfn.Addr(), page); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestInitRequired(t *testing.T) {
 	ctl := hw.NewController(hw.NewMemory(4), 0)
 	fw := NewFirmware(ctl)
@@ -46,42 +66,33 @@ func TestLaunchLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := bytes.Repeat([]byte("kernel page bits"), hw.PageSize/16)
-	if err := ctl.Mem.WriteRaw(hw.PFN(2).Addr(), plain); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.LaunchUpdatePages(h, []hw.PFN{2}); err != nil {
-		t.Fatal(err)
-	}
-	// DRAM now holds ciphertext.
-	raw := make([]byte, hw.PageSize)
-	ctl.Mem.ReadRaw(hw.PFN(2).Addr(), raw)
-	if bytes.Equal(raw, plain) {
-		t.Fatal("launch_update left plaintext in DRAM")
-	}
-	m, err := fw.LaunchMeasure(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m == (Measurement{}) {
-		t.Fatal("empty measurement after update")
-	}
 	if err := fw.LaunchFinish(h); err != nil {
 		t.Fatal(err)
 	}
-	// Activate installs the key; guest reads see plaintext.
+	// Activate installs the key: the guest's writes land as ciphertext in
+	// DRAM and read back as plaintext.
 	if err := fw.Activate(h, 3); err != nil {
 		t.Fatal(err)
 	}
+	plain := bytes.Repeat([]byte("kernel page bits"), hw.PageSize/16)
+	acc := hw.Access{PA: hw.PFN(2).Addr(), Encrypted: true, ASID: 3}
+	if err := ctl.Write(acc, plain); err != nil {
+		t.Fatal(err)
+	}
+	raw := make([]byte, hw.PageSize)
+	ctl.Mem.ReadRaw(hw.PFN(2).Addr(), raw)
+	if bytes.Equal(raw, plain) {
+		t.Fatal("an activated guest left plaintext in DRAM")
+	}
 	got := make([]byte, hw.PageSize)
-	if err := ctl.Read(hw.Access{PA: hw.PFN(2).Addr(), Encrypted: true, ASID: 3}, got); err != nil {
+	if err := ctl.Read(acc, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, plain) {
-		t.Fatal("activated guest cannot decrypt its launched image")
+		t.Fatal("activated guest cannot decrypt its own pages")
 	}
-	// State machine: update after finish is illegal.
-	if err := fw.LaunchUpdatePages(h, []hw.PFN{2}); !errors.Is(err, ErrBadState) {
+	// State machine: a second finish is illegal.
+	if err := fw.LaunchFinish(h); !errors.Is(err, ErrBadState) {
 		t.Fatalf("want ErrBadState, got %v", err)
 	}
 }
@@ -118,7 +129,7 @@ func TestActivateBindings(t *testing.T) {
 	if err := fw.Decommission(h1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fw.Lookup(h1); !errors.Is(err, ErrBadHandle) {
+	if _, err := fw.ctx(h1); !errors.Is(err, ErrBadHandle) {
 		t.Fatalf("context survived decommission: %v", err)
 	}
 	if err := fw.Activate(h2, 0); err == nil {
@@ -292,9 +303,7 @@ func TestMigrationSendReceive(t *testing.T) {
 		secrets[i] = bytes.Repeat([]byte(fmt.Sprintf("migrate me %04d!", i)), hw.PageSize/16)
 		octl.Mem.WriteRaw(pfn.Addr(), secrets[i])
 	}
-	if err := origin.LaunchUpdatePages(h, srcPFNs); err != nil {
-		t.Fatal(err)
-	}
+	launchImage(t, origin, h, srcPFNs)
 	if err := origin.LaunchFinish(h); err != nil {
 		t.Fatal(err)
 	}
@@ -368,9 +377,7 @@ func TestSendCancelResumesGuest(t *testing.T) {
 	h, _ := origin.LaunchStart(0)
 	octl.Mem.WriteRaw(hw.PFN(3).Addr(), bytes.Repeat([]byte{9}, hw.PageSize))
 	page := []hw.PFN{3}
-	if err := origin.LaunchUpdatePages(h, page); err != nil {
-		t.Fatal(err)
-	}
+	launchImage(t, origin, h, page)
 	if err := origin.LaunchFinish(h); err != nil {
 		t.Fatal(err)
 	}

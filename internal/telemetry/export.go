@@ -34,19 +34,14 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace renders events in Chrome trace_event JSON, loadable in
-// chrome://tracing and Perfetto. Each VM becomes a process (labelled from
-// vmNames), each ASID a thread, spans carry their modelled cycle duration,
-// and everything else is an instant event.
-func WriteChromeTrace(w io.Writer, events []Event, vmNames map[uint32]string) error {
-	return WriteChromeTraceSpans(w, events, nil, vmNames)
-}
-
-// WriteChromeTraceSpans is WriteChromeTrace plus the causal span tree:
-// each Span becomes a complete ("X") event carrying its span/parent IDs
-// and attributes, and each parent→child edge whose parent is present in
-// the capture becomes a flow-event pair ("s" on the parent's track, "f"
-// on the child's), which trace viewers draw as causal arrows.
+// WriteChromeTraceSpans renders events and the causal span tree in Chrome
+// trace_event JSON, loadable in chrome://tracing and Perfetto. Each VM
+// becomes a process (labelled from vmNames), each ASID a thread, events
+// with a cycle duration become spans and everything else an instant
+// event. Each Span becomes a complete ("X") event carrying its span/parent
+// IDs and attributes, and each parent→child edge whose parent is present
+// in the capture becomes a flow-event pair ("s" on the parent's track,
+// "f" on the child's), which trace viewers draw as causal arrows.
 func WriteChromeTraceSpans(w io.Writer, events []Event, spans []Span, vmNames map[uint32]string) error {
 	sorted := make([]Event, len(events))
 	copy(sorted, events)

@@ -30,7 +30,7 @@ func goldenEvents() []Event {
 func TestChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
 	names := map[uint32]string{1: "guest-a", 2: "guest-b"}
-	if err := WriteChromeTrace(&buf, goldenEvents(), names); err != nil {
+	if err := WriteChromeTraceSpans(&buf, goldenEvents(), nil, names); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "chrome_trace.golden")
@@ -57,7 +57,7 @@ func TestChromeTraceGolden(t *testing.T) {
 func TestChromeTraceStructure(t *testing.T) {
 	var buf bytes.Buffer
 	names := map[uint32]string{1: "guest-a", 2: "guest-b"}
-	if err := WriteChromeTrace(&buf, goldenEvents(), names); err != nil {
+	if err := WriteChromeTraceSpans(&buf, goldenEvents(), nil, names); err != nil {
 		t.Fatal(err)
 	}
 	var trace struct {

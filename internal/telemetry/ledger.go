@@ -138,14 +138,6 @@ func (l *Ledger) Head() [32]byte {
 	return l.head
 }
 
-// Verify checks the ledger's own chain.
-func (l *Ledger) Verify() error {
-	if l == nil {
-		return nil
-	}
-	return VerifyChain(l.Records(), l.Head())
-}
-
 // VerifyChain checks an exported copy of the ledger against the expected
 // head hash: the genesis record must chain from zero, sequence numbers
 // must be contiguous from zero, every record's hash must recompute, each

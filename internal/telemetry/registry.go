@@ -50,13 +50,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add adjusts the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
-	}
-}
-
 // Value reports the current reading.
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -102,22 +95,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.buckets[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-}
-
-// Count reports the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum reports the sum of all observed values.
-func (h *Histogram) Sum() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram.

@@ -19,9 +19,7 @@ package telemetry
 // clobber each other. In the deterministic serial mode this yields exact
 // nesting; under ScheduleParallel, code that needs exact attribution
 // passes an explicit parent (OpenSpan — what the parallel scheduler's
-// quanta do) or pins the ambient register with Hub.SetAmbient while
-// holding a lock that serializes the region, so cross-domain quanta
-// never mis-parent.
+// quanta do), so cross-domain quanta never mis-parent.
 
 // Attr is one labelled span attribute.
 type Attr struct {
@@ -99,17 +97,6 @@ func (h *Hub) Ambient() uint64 {
 	return h.ambient.Load()
 }
 
-// SetAmbient installs id as the ambient parent and returns the previous
-// value, for code that must pin attribution across a region it has
-// otherwise serialized (a lock, a single-goroutine phase). No-op
-// returning 0 when tracing is disabled.
-func (h *Hub) SetAmbient(id uint64) uint64 {
-	if h == nil || h.tracer.Load() == nil {
-		return 0
-	}
-	return h.ambient.Swap(id)
-}
-
 // CompleteSpan records an already-finished span in one call, for sites
 // whose cost model charges the clock before the fact (the SEV firmware
 // command constant): start/end are explicit cycle timestamps.
@@ -164,21 +151,6 @@ func (sp *OpenSpan) Close() {
 		sp.h.ambient.CompareAndSwap(sp.s.ID, sp.prev)
 	}
 	sp.s.End = sp.h.Now()
-	if t := sp.h.tracer.Load(); t != nil {
-		t.recordSpan(sp.s)
-	}
-}
-
-// CloseDur is Close with an explicit modelled duration in cycles,
-// overriding the wall-clock delta (End = Start + dur).
-func (sp *OpenSpan) CloseDur(dur uint64) {
-	if sp == nil {
-		return
-	}
-	if sp.scoped {
-		sp.h.ambient.CompareAndSwap(sp.s.ID, sp.prev)
-	}
-	sp.s.End = sp.s.Start + dur
 	if t := sp.h.tracer.Load(); t != nil {
 		t.recordSpan(sp.s)
 	}

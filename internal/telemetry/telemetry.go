@@ -42,7 +42,6 @@ const (
 	KindNPTViolation       // nested-page-table violation (arg1 = GPA)
 	KindTLBFlushFull       // full TLB flush
 	KindTLBFlushEntry      // single-entry TLB flush (arg1 = VA)
-	KindTLBFlushASID       // ASID-wide TLB flush (arg1 = entries removed)
 	KindMemEncrypt         // memory-controller inline encrypt (arg1 = PA, arg2 = bytes)
 	KindMemDecrypt         // memory-controller inline decrypt (arg1 = PA, arg2 = bytes)
 	KindHypercall          // hypercall dispatched (arg1 = number)
@@ -73,7 +72,6 @@ var kindNames = [numKinds]string{
 	KindNPTViolation:  "npt-violation",
 	KindTLBFlushFull:  "tlb-flush-full",
 	KindTLBFlushEntry: "tlb-flush-entry",
-	KindTLBFlushASID:  "tlb-flush-asid",
 	KindMemEncrypt:    "mem-encrypt",
 	KindMemDecrypt:    "mem-decrypt",
 	KindHypercall:     "hypercall",
@@ -102,7 +100,6 @@ var kindCats = [numKinds]string{
 	KindNPTViolation:  "mmu",
 	KindTLBFlushFull:  "mmu",
 	KindTLBFlushEntry: "mmu",
-	KindTLBFlushASID:  "mmu",
 	KindMemEncrypt:    "mem",
 	KindMemDecrypt:    "mem",
 	KindHypercall:     "xen",
@@ -362,14 +359,6 @@ func (h *Hub) StartLedger() *Ledger {
 	l := NewLedger(h.now)
 	h.ledger.Store(l)
 	return l
-}
-
-// StopLedger detaches and returns the current ledger (nil if none).
-func (h *Hub) StopLedger() *Ledger {
-	if h == nil {
-		return nil
-	}
-	return h.ledger.Swap(nil)
 }
 
 // Ledger returns the attached audit ledger without detaching it.

@@ -48,25 +48,6 @@ func (t *Tracer) recordSpan(s Span) {
 	t.mu.Unlock()
 }
 
-// Cap reports the ring capacity.
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.buf)
-}
-
-// Total reports how many events were ever recorded, including overwritten
-// ones.
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.next
-}
-
 // Dropped reports how many events were overwritten by wraparound.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {

@@ -117,16 +117,6 @@ func (a *FrameAlloc) Free(pfn hw.PFN) {
 	a.free = append(a.free, pfn)
 }
 
-// Info reports a frame's accounting record.
-func (a *FrameAlloc) Info(pfn hw.PFN) FrameInfo {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if int(pfn) >= len(a.frames) {
-		return FrameInfo{Use: UseReserved}
-	}
-	return a.frames[pfn]
-}
-
 // SetUse retags a frame (e.g. a guest page becoming shared).
 func (a *FrameAlloc) SetUse(pfn hw.PFN, use PageUse, owner DomID) {
 	a.mu.Lock()
@@ -134,13 +124,6 @@ func (a *FrameAlloc) SetUse(pfn hw.PFN, use PageUse, owner DomID) {
 	if int(pfn) < len(a.frames) {
 		a.frames[pfn] = FrameInfo{Use: use, Owner: owner}
 	}
-}
-
-// FreeCount reports the number of free frames.
-func (a *FrameAlloc) FreeCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.free)
 }
 
 // Total reports the number of tracked frames.

@@ -111,7 +111,7 @@ func (x *Xen) AttachBlockDevice(d *Domain, dk *disk.Disk, dataPages int, port ui
 	x.backends[d.ID] = b
 	x.domsMu.Unlock()
 	// Advertise the device in the XenStore, as the toolstack would.
-	prefix := fmt.Sprintf("device/vbd/%d/", d.ID)
+	prefix := vbdPath(d.ID) + "/"
 	x.Store.Set(prefix+"ring-gfn", fmt.Sprint(BlkRingGFN))
 	x.Store.Set(prefix+"data-gfn", fmt.Sprint(BlkDataGFN))
 	x.Store.Set(prefix+"data-pages", fmt.Sprint(dataPages))
@@ -153,6 +153,21 @@ func (x *Xen) SharePages(d *Domain, startGFN uint64, count int) ([]hw.PhysAddr, 
 		pas = append(pas, pfn.Addr())
 	}
 	return pas, nil
+}
+
+// vbdPath is the XenStore directory advertising a domain's block device.
+func vbdPath(id DomID) string { return fmt.Sprintf("device/vbd/%d", id) }
+
+// detachBlockDevice drops a dying domain's block backend and its
+// XenStore nodes.
+func (x *Xen) detachBlockDevice(id DomID) {
+	if _, ok := x.Backend(id); !ok {
+		return
+	}
+	x.Store.Delete(vbdPath(id))
+	x.domsMu.Lock()
+	delete(x.backends, id)
+	x.domsMu.Unlock()
 }
 
 // Backend returns the block backend attached to a domain.
@@ -282,13 +297,12 @@ func (b *BlockBackend) handleKick() error {
 // front-end moves plaintext through the shared pages; the Fidelius I/O
 // protection layers (internal/core) wrap it with encryption.
 type BlockFrontend struct {
-	g        *GuestEnv
-	ringGPA  uint64
-	dataGPA  uint64
-	dataLen  uint64
-	port     uint32
-	nextID   uint64
-	requests uint64
+	g       *GuestEnv
+	ringGPA uint64
+	dataGPA uint64
+	dataLen uint64
+	port    uint32
+	nextID  uint64
 }
 
 // NewBlockFrontend initialises the front-end from the guest's start info.
@@ -308,16 +322,12 @@ func NewBlockFrontend(g *GuestEnv) (*BlockFrontend, error) {
 // DataSectors reports the capacity of the shared data area in sectors.
 func (f *BlockFrontend) DataSectors() uint64 { return f.dataLen * SectorsPerPage }
 
-// Requests reports how many ring round trips the front-end has issued.
-func (f *BlockFrontend) Requests() uint64 { return f.requests }
-
 // Request posts one ring request and waits for its response. Exposed so
 // protected front-ends (internal/core) can drive the ring themselves
 // after staging ciphertext in the shared area.
 func (f *BlockFrontend) Request(op, lba, count, dataOff uint64) error {
 	id := f.nextID
 	f.nextID++
-	f.requests++
 	req := [5]uint64{id, op, lba, count, dataOff}
 	var buf [40]byte
 	for i, v := range req {

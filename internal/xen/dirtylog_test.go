@@ -84,7 +84,7 @@ func TestDirtyLogTracksGuestWrites(t *testing.T) {
 	if !leaf.Present() || !leaf.Writable() {
 		t.Fatalf("leaf for gfn 2 not restored writable: %#x", uint64(leaf))
 	}
-	if got := d.Dirty.Count(); got != 0 {
-		t.Fatalf("stopped log still holds %d marks", got)
+	if got := d.Dirty.Collect(); len(got) != 0 {
+		t.Fatalf("stopped log still holds marks %v", got)
 	}
 }

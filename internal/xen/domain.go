@@ -55,31 +55,6 @@ func (si *StartInfo) Marshal() []byte {
 	return b
 }
 
-// UnmarshalStartInfo decodes a start-info record.
-func UnmarshalStartInfo(b []byte) (*StartInfo, error) {
-	if len(b) < StartInfoSize {
-		return nil, fmt.Errorf("xen: short start info")
-	}
-	get := func(off int) uint64 {
-		var v uint64
-		for i := 0; i < 8; i++ {
-			v |= uint64(b[off+i]) << (8 * i)
-		}
-		return v
-	}
-	return &StartInfo{
-		DomID:       DomID(get(0)),
-		MemPages:    get(8),
-		RingGFN:     get(16),
-		DataGFN:     get(24),
-		DataLen:     get(32),
-		Port:        uint32(get(40)),
-		ServeGFN:    get(48),
-		ServePort:   uint32(get(56)),
-		ServeFrames: get(64),
-	}, nil
-}
-
 // Domain is one guest VM.
 type Domain struct {
 	ID       DomID
@@ -476,6 +451,11 @@ func (x *Xen) DestroyDomain(d *Domain) error {
 	// Drop the per-VM cycle reader so lifecycle churn does not accumulate
 	// registry entries (or keep dead domains reachable through them).
 	x.M.Ctl.Telem.Reg.UnregisterFunc("cycles.vm", "vm", fmt.Sprint(uint32(d.ID)))
+	// Its event channels (the block ring's, and any a service bound, such
+	// as the serve ring's doorbell and completion ports), its block
+	// backend and the backend's XenStore nodes die with it.
+	x.Events.UnbindDomain(d.ID)
+	x.detachBlockDevice(d.ID)
 	x.domsMu.Lock()
 	delete(x.Doms, d.ID)
 	delete(x.vmcbToDom, d.VMCBPA())

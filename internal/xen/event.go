@@ -2,6 +2,7 @@ package xen
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"fidelius/internal/cycles"
@@ -61,10 +62,15 @@ func (b *EventBus) Bind(dom DomID, port uint32, handler func() error) {
 	b.mu.Unlock()
 }
 
-// Unbind removes the handler for (dom, port).
-func (b *EventBus) Unbind(dom DomID, port uint32) {
+// UnbindDomain removes every handler bound for dom: a destroyed domain's
+// ports must not outlive it.
+func (b *EventBus) UnbindDomain(dom DomID) {
 	b.mu.Lock()
-	delete(b.handlers, evtKey{dom, port})
+	for k := range b.handlers {
+		if k.dom == dom {
+			delete(b.handlers, k)
+		}
+	}
 	b.mu.Unlock()
 }
 
@@ -111,17 +117,13 @@ func (s *XenStore) Set(key, val string) {
 	s.mu.Unlock()
 }
 
-// Get reads a value.
-func (s *XenStore) Get(key string) (string, bool) {
-	s.mu.RLock()
-	v, ok := s.kv[key]
-	s.mu.RUnlock()
-	return v, ok
-}
-
-// Delete removes a key.
-func (s *XenStore) Delete(key string) {
+// Delete removes a node and every node below it, as xenstore-rm does.
+func (s *XenStore) Delete(path string) {
 	s.mu.Lock()
-	delete(s.kv, key)
+	for k := range s.kv {
+		if k == path || strings.HasPrefix(k, path+"/") {
+			delete(s.kv, k)
+		}
+	}
 	s.mu.Unlock()
 }

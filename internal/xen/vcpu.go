@@ -86,8 +86,10 @@ type GuestEnv struct {
 	tlb    map[gTLBKey]hw.Access
 	tlbGen uint64
 
-	// Info is the guest's start info (read from the start-info page at
-	// boot).
+	// Info is the guest's start info: a copy of the hypervisor's
+	// Domain.Info taken when the vCPU first runs, not a read of the
+	// start-info page, so a later hypervisor edit of Domain.Info reaches
+	// the guest even though the page itself is write-once.
 	Info StartInfo
 }
 
@@ -96,9 +98,6 @@ type gTLBKey struct {
 	acc  mmu.AccessType
 	raw  bool // the shared window (WriteUnencrypted/ReadUnencrypted)
 }
-
-// Dom returns the domain this environment belongs to.
-func (g *GuestEnv) Dom() *Domain { return g.v.dom }
 
 // exit performs a VMEXIT and parks the guest until the hypervisor
 // resumes it. The register file crosses the boundary in both directions —
@@ -371,9 +370,6 @@ func (g *GuestEnv) EnablePaging(rootGPA uint64) {
 	g.paging = true
 	g.tlb = nil
 }
-
-// PagingEnabled reports whether the guest has enabled paging.
-func (g *GuestEnv) PagingEnabled() bool { return g.paging }
 
 // StartVCPU sets the guest function up as a vCPU coroutine. The guest
 // first runs at the first VMRUN.

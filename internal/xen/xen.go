@@ -380,14 +380,3 @@ func (x *Xen) ExitCount(r cpu.ExitReason) uint64 {
 	}
 	return x.exitCounts[r].Load()
 }
-
-// ExitCountsSnapshot returns the non-zero exit-reason tallies as a map.
-func (x *Xen) ExitCountsSnapshot() map[cpu.ExitReason]uint64 {
-	out := make(map[cpu.ExitReason]uint64)
-	for i := range x.exitCounts {
-		if n := x.exitCounts[i].Load(); n > 0 {
-			out[cpu.ExitReason(i)] = n
-		}
-	}
-	return out
-}

@@ -3,6 +3,7 @@ package xen
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"fidelius/internal/cpu"
@@ -430,7 +431,7 @@ func TestPVBlockLargeTransferChunks(t *testing.T) {
 		if !bytes.Equal(got, payload) {
 			t.Error("chunked transfer mismatch")
 		}
-		requests = f.Requests()
+		requests = f.nextID
 		return nil
 	})
 	if requests != 6 { // 20 sectors / 8-sector window = 3 writes + 3 reads
@@ -527,11 +528,11 @@ func TestFrameAllocAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi := a.Info(pfn); fi.Use != UseGuest || fi.Owner != 3 {
+	if fi := a.frames[pfn]; fi.Use != UseGuest || fi.Owner != 3 {
 		t.Fatalf("info %+v", fi)
 	}
 	a.SetUse(pfn, UseShared, 3)
-	if fi := a.Info(pfn); fi.Use != UseShared {
+	if fi := a.frames[pfn]; fi.Use != UseShared {
 		t.Fatal("SetUse failed")
 	}
 	a.Free(pfn)
@@ -542,7 +543,7 @@ func TestFrameAllocAccounting(t *testing.T) {
 	if a.FreeCount() != 8 {
 		t.Fatal("double free changed accounting")
 	}
-	if a.Info(0).Use != UseReserved {
+	if a.frames[0].Use != UseReserved {
 		t.Fatal("reserved frame")
 	}
 	count := 0
@@ -565,9 +566,13 @@ func TestEventBusBinding(t *testing.T) {
 	if err := x.Events.Notify(5, 3); err == nil {
 		t.Fatal("unbound port should error")
 	}
-	x.Events.Unbind(5, 2)
+	x.Events.Bind(6, 2, func() error { return nil })
+	x.Events.UnbindDomain(5)
 	if err := x.Events.Notify(5, 2); err == nil {
 		t.Fatal("unbound port should error")
+	}
+	if err := x.Events.Notify(6, 2); err != nil {
+		t.Fatalf("another domain's port was unbound: %v", err)
 	}
 }
 
@@ -580,6 +585,45 @@ func TestXenStore(t *testing.T) {
 	s.Delete("device/vbd/0/ring-ref")
 	if _, ok := s.Get("device/vbd/0/ring-ref"); ok {
 		t.Fatal("get after delete")
+	}
+	// Deleting a directory removes the nodes below it and nothing else.
+	s.Set("device/vbd/1/ring-gfn", "1")
+	s.Set("device/vbd/1/port", "2")
+	s.Set("device/vbd/10/port", "3")
+	s.Delete("device/vbd/1")
+	if _, ok := s.Get("device/vbd/1/port"); ok || len(s.kv) != 1 {
+		t.Fatalf("delete of device/vbd/1 left %v", s.kv)
+	}
+}
+
+// TestDestroyDomainReleasesDevices pins that a destroyed domain takes its
+// block backend, every event channel bound for it (the block ring's and a
+// service's, as the serve ring binds) and its XenStore nodes with it:
+// repeated attach and destroy cycles leave none of them behind.
+func TestDestroyDomainReleasesDevices(t *testing.T) {
+	x := newXen(t)
+	handlers, keys := len(x.Events.handlers), len(x.Store.kv)
+	for i := 0; i < 3; i++ {
+		d, err := x.CreateDomain(DomainConfig{Name: "dev", MemPages: 32, SEV: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.AttachBlockDevice(d, disk.New(64), 2, 1); err != nil {
+			t.Fatal(err)
+		}
+		x.Events.Bind(d.ID, 7, func() error { return nil })
+		if err := x.DestroyDomain(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(x.Doms) != 0 || len(x.backends) != 0 {
+		t.Errorf("after destroy: %d domains, %d backends, want 0 and 0", len(x.Doms), len(x.backends))
+	}
+	if n := len(x.Events.handlers); n != handlers {
+		t.Errorf("after destroy: %d event handlers, want %d", n, handlers)
+	}
+	if n := len(x.Store.kv); n != keys {
+		t.Errorf("after destroy: %d XenStore keys, want %d: %v", n, keys, x.Store.kv)
 	}
 }
 
@@ -647,4 +691,55 @@ func TestEnablePagingFlushesGuestTLB(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("C=0 page written after paging reads %q through the shared window, want %q", got, msg)
 	}
+}
+
+// Get reads a value.
+func (s *XenStore) Get(key string) (string, bool) {
+	s.mu.RLock()
+	v, ok := s.kv[key]
+	s.mu.RUnlock()
+	return v, ok
+}
+
+// UnmarshalStartInfo decodes a start-info record.
+func UnmarshalStartInfo(b []byte) (*StartInfo, error) {
+	if len(b) < StartInfoSize {
+		return nil, fmt.Errorf("xen: short start info")
+	}
+	get := func(off int) uint64 {
+		var v uint64
+		for i := 0; i < 8; i++ {
+			v |= uint64(b[off+i]) << (8 * i)
+		}
+		return v
+	}
+	return &StartInfo{
+		DomID:       DomID(get(0)),
+		MemPages:    get(8),
+		RingGFN:     get(16),
+		DataGFN:     get(24),
+		DataLen:     get(32),
+		Port:        uint32(get(40)),
+		ServeGFN:    get(48),
+		ServePort:   uint32(get(56)),
+		ServeFrames: get(64),
+	}, nil
+}
+
+// FreeCount reports the number of free frames.
+func (a *FrameAlloc) FreeCount() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.free)
+}
+
+// ExitCountsSnapshot returns the non-zero exit-reason tallies as a map.
+func (x *Xen) ExitCountsSnapshot() map[cpu.ExitReason]uint64 {
+	out := make(map[cpu.ExitReason]uint64)
+	for i := range x.exitCounts {
+		if n := x.exitCounts[i].Load(); n > 0 {
+			out[cpu.ExitReason(i)] = n
+		}
+	}
+	return out
 }

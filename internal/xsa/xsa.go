@@ -185,9 +185,6 @@ func Analyze(advs []Advisory) Report {
 	return r
 }
 
-// Thwarted reports the total advisories Fidelius blocks.
-func (r Report) Thwarted() int { return r.ThwartedPrivEsc + r.ThwartedInfoLeak }
-
 // Pct formats n as a percentage of the hypervisor-relevant advisories.
 func (r Report) Pct(n int) float64 {
 	if r.Hypervisor == 0 {

@@ -43,8 +43,8 @@ func TestXSAQuantitative(t *testing.T) {
 	if r.GuestFlaws != 14 {
 		t.Errorf("guest flaws = %d, want 14", r.GuestFlaws)
 	}
-	if r.Thwarted() != 53 {
-		t.Errorf("thwarted total = %d, want 53", r.Thwarted())
+	if n := r.ThwartedPrivEsc + r.ThwartedInfoLeak; n != 53 {
+		t.Errorf("thwarted total = %d, want 53", n)
 	}
 	// Percentages as printed in the paper: 17.5% and 12.4%.
 	if got := r.Pct(r.ThwartedPrivEsc); got < 17.4 || got > 17.6 {

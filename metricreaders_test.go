@@ -38,23 +38,7 @@ func TestEveryMetricHasAReader(t *testing.T) {
 	literals := map[string][]string{} // literal value -> files using it
 	handles := map[string][]string{}  // Metrics field -> files reading it
 
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if n := d.Name(); path != "." && (strings.HasPrefix(n, ".") || n == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	parseModule(t, fset, func(path string, file *ast.File) {
 		isTest := strings.HasSuffix(path, "_test.go")
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -89,11 +73,7 @@ func TestEveryMetricHasAReader(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(regs) == 0 {
 		t.Fatal("found no metric registrations; is the test running from the module root?")
 	}
@@ -125,6 +105,35 @@ func TestEveryMetricHasAReader(t *testing.T) {
 	sort.Strings(unread)
 	for _, u := range unread {
 		t.Errorf("metric %s has no reader outside the file that registers it", u)
+	}
+}
+
+// parseModule parses every Go file of the module, benchmark/ included,
+// skipping hidden and testdata directories, and hands each to fn.
+func parseModule(t *testing.T, fset *token.FileSet, fn func(path string, file *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); path != "." && (strings.HasPrefix(n, ".") || n == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(path, file)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

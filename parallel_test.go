@@ -75,7 +75,7 @@ func TestScheduleParallelProtectedVMs(t *testing.T) {
 	if err := plat.Run(serialVM); err != nil {
 		t.Fatalf("serial run: %v", err)
 	}
-	if errs := plat.ScheduleParallel([]*Domain{parA, parB}, 2); len(errs) != 0 {
+	if errs := plat.X.ScheduleParallel([]*Domain{parA, parB}, 2); len(errs) != 0 {
 		t.Fatalf("parallel run: %v", errs)
 	}
 
@@ -150,7 +150,7 @@ func TestScheduleParallelFacadeUnprotected(t *testing.T) {
 		doms = append(doms, vm)
 	}
 	before := plat.X.M.Ctl.Now()
-	if errs := plat.ScheduleParallel(doms, 0); len(errs) != 0 {
+	if errs := plat.X.ScheduleParallel(doms, 0); len(errs) != 0 {
 		t.Fatalf("parallel run: %v", errs)
 	}
 	after := plat.X.M.Ctl.Now()

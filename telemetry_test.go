@@ -64,17 +64,9 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One accounting mechanism: GateStats is a read-out of the registry.
 	snap := plat.Metrics()
-	stats := plat.F.Stats()
-	if stats.Gate1 != snap.Counters["gate.type1"] ||
-		stats.Gate2 != snap.Counters["gate.type2"] ||
-		stats.Gate3 != snap.Counters["gate.type3"] ||
-		stats.Shadows != snap.Counters["vmcb.shadows"] {
-		t.Fatalf("GateStats diverges from registry: %+v vs %v", stats, snap.Counters)
-	}
-	if stats.Gate1 == 0 || stats.Shadows == 0 {
-		t.Fatalf("protected run recorded no gate activity: %+v", stats)
+	if snap.Counters["gate.type1"] == 0 || snap.Counters["vmcb.shadows"] == 0 {
+		t.Fatalf("protected run recorded no gate activity: %v", snap.Counters)
 	}
 	if snap.Counters["cpu.vmexits"] == 0 || snap.Counters["sev.commands"] == 0 {
 		t.Fatalf("missing core counters: %v", snap.Counters)
