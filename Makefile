@@ -4,7 +4,7 @@ GO ?= go
 
 all: build test
 
-check: build fmtcheck vet inlinecheck test lockrank race stress fuzz benchsmoke serve-smoke benchmark-smoke examples migrate
+check: build fmtcheck vet inlinecheck test lockrank race stress fuzz benchsmoke serve-smoke benchmark-smoke examples migrate demo attacks
 	$(GO) run ./cmd/fidelius-serve -tenants 2 -clients 16 -duration 100 -tamper 1
 
 # The whole test suite with the debug lock-rank checker armed: every

@@ -407,9 +407,9 @@ func (f *Fidelius) encryptFrameInPlace(pfn hw.PFN) error {
 }
 
 // IOCrypt implements xen.Interposer: the retrofitted event channel of the
-// SEV-based I/O path (Section 4.3.5). For writes, SEND_UPDATE re-encrypts
-// sectors from the guest's dedicated buffer Md (Kvek) into the shared
-// area (TEK); for reads, RECEIVE_UPDATE goes the other way.
+// SEV-based I/O path (Section 4.3.5). For writes, SEND_IO (or ENC under a
+// GEK) re-encrypts sectors from the guest's dedicated buffer Md (Kvek)
+// into the shared area; for reads, RECEIVE_IO (or DEC) goes the other way.
 func (gk *Gatekeeper) IOCrypt(d *xen.Domain, write bool, mdGFN, lba, count, sharedIdx uint64) error {
 	f := gk.F
 	f.M.Host.Lock()
@@ -440,6 +440,13 @@ func (gk *Gatekeeper) IOCrypt(d *xen.Domain, write bool, mdGFN, lba, count, shar
 		h.EmitDetail(telemetry.KindIOCrypt, uint32(d.ID), uint32(d.ASID),
 			cycles.SEVCommand, lba, count, dir)
 	}
+	// The command pair and its contexts are fixed for the whole request:
+	// ENC/DEC on the guest's own context under the Section 8 extension,
+	// otherwise SEND_IO/RECEIVE_IO on the s-dom and r-dom helpers.
+	send, recv, sh, rh := f.M.FW.SendIO, f.M.FW.ReceiveIO, st.SDom, st.RDom
+	if st.GEKReady {
+		send, recv, sh, rh = f.M.FW.Enc, f.M.FW.Dec, st.Handle, st.Handle
+	}
 	f.M.Ctl.Cycles.Charge(cycles.SEVCommand)
 	defer f.enterTrusted()()
 	for s := uint64(0); s < count; s++ {
@@ -449,34 +456,21 @@ func (gk *Gatekeeper) IOCrypt(d *xen.Domain, write bool, mdGFN, lba, count, shar
 			return err
 		}
 		if write {
-			var ct []byte
-			var err error
-			if st.GEKReady {
-				// Section 8 extension: ENC on the guest's own context.
-				ct, err = f.M.FW.Enc(st.Handle, mdPA, disk.SectorSize, lba+s)
-			} else {
-				ct, err = f.M.FW.SendIO(st.SDom, mdPA, disk.SectorSize, lba+s)
-			}
+			ct, err := send(sh, mdPA, disk.SectorSize, lba+s)
 			if err != nil {
 				return err
 			}
 			if err := f.M.Ctl.Write(hw.Access{PA: sharedPA}, ct); err != nil {
 				return err
 			}
-		} else {
-			ct := make([]byte, disk.SectorSize)
-			if err := f.M.Ctl.Read(hw.Access{PA: sharedPA}, ct); err != nil {
-				return err
-			}
-			var err error
-			if st.GEKReady {
-				err = f.M.FW.Dec(st.Handle, mdPA, ct, lba+s)
-			} else {
-				err = f.M.FW.ReceiveIO(st.RDom, mdPA, ct, lba+s)
-			}
-			if err != nil {
-				return err
-			}
+			continue
+		}
+		ct := make([]byte, disk.SectorSize)
+		if err := f.M.Ctl.Read(hw.Access{PA: sharedPA}, ct); err != nil {
+			return err
+		}
+		if err := recv(rh, mdPA, ct, lba+s); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -514,9 +508,14 @@ func (gk *Gatekeeper) DomainDestroyed(d *xen.Domain) error {
 	f := gk.F
 	f.M.Host.Lock()
 	defer f.M.Host.Unlock()
+	integ := f.M.Ctl.Integ
 	for _, pfn := range d.Frames {
 		if pfn == 0 {
 			continue
+		}
+		// A frame leaves the Section 8 integrity engine with its VM.
+		if integ != nil {
+			integ.Unprotect(pfn)
 		}
 		if err := f.PIT.Clear(pfn); err != nil {
 			return err

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"fidelius/internal/cycles"
 	"fidelius/internal/disk"
 	"fidelius/internal/hw"
@@ -46,40 +44,7 @@ const aesniSectorCost = disk.SectorSize / 16 * cycles.AESBlockHW
 // Encryption happens in a batched manner off the critical path. data is
 // copied before it is encrypted, so the caller's plaintext is untouched.
 func (a *AESNIFront) WriteSectors(lba uint64, data []byte) error {
-	if len(data)%disk.SectorSize != 0 {
-		return fmt.Errorf("core: write of %d bytes is not sector aligned", len(data))
-	}
-	total := uint64(len(data) / disk.SectorSize)
-	window := a.f.DataSectors()
-	buf := a.sector[:]
-	for done := uint64(0); done < total; {
-		n := total - done
-		if n > window {
-			n = window
-		}
-		// Batched write encryption overlaps the previous request's disk
-		// time: large batches hide ~70% of the AES latency, small ones
-		// only ~30% (the fio write asymmetry of Table 3).
-		factor := uint64(7)
-		if n >= 16 {
-			factor = 3
-		}
-		a.g.Charge(n * aesniSectorCost * factor / 10)
-		for s := uint64(0); s < n; s++ {
-			copy(buf, data[(done+s)*disk.SectorSize:])
-			if err := a.cipher.EncryptSector(lba+done+s, buf); err != nil {
-				return err
-			}
-			if err := a.f.PutData(s, buf); err != nil {
-				return err
-			}
-		}
-		if err := a.f.Request(xen.BlkOpWrite, lba+done, n, 0); err != nil {
-			return err
-		}
-		done += n
-	}
-	return nil
+	return a.f.Transfer(xen.BlkOpWrite, lba, data, a.f.DataSectors(), a.encrypt)
 }
 
 // ReadSectors reads through the PV path and decrypts with Kblk. The
@@ -87,32 +52,48 @@ func (a *AESNIFront) WriteSectors(lba uint64, data []byte) error {
 // sector granularity — can be duplicated, which the paper identifies as
 // the seq-read overhead source; the duplication is modelled in the cost.
 func (a *AESNIFront) ReadSectors(lba uint64, buf []byte) error {
-	if len(buf)%disk.SectorSize != 0 {
-		return fmt.Errorf("core: read of %d bytes is not sector aligned", len(buf))
+	return a.f.Transfer(xen.BlkOpRead, lba, buf, a.f.DataSectors(), a.decrypt)
+}
+
+// encrypt is the AES-NI write stage: it charges one chunk's batched
+// encryption and stages each sector's Kblk ciphertext in the shared area.
+func (a *AESNIFront) encrypt(lba uint64, chunk []byte) error {
+	n := uint64(len(chunk) / disk.SectorSize)
+	// Batched write encryption overlaps the previous request's disk
+	// time: large batches hide ~70% of the AES latency, small ones
+	// only ~30% (the fio write asymmetry of Table 3).
+	factor := uint64(7)
+	if n >= 16 {
+		factor = 3
 	}
-	total := uint64(len(buf) / disk.SectorSize)
-	window := a.f.DataSectors()
-	for done := uint64(0); done < total; {
-		n := total - done
-		if n > window {
-			n = window
-		}
-		if err := a.f.Request(xen.BlkOpRead, lba+done, n, 0); err != nil {
+	a.g.Charge(n * aesniSectorCost * factor / 10)
+	buf := a.sector[:]
+	for s := uint64(0); s < n; s++ {
+		copy(buf, chunk[s*disk.SectorSize:])
+		if err := a.cipher.EncryptSector(lba+s, buf); err != nil {
 			return err
 		}
-		for s := uint64(0); s < n; s++ {
-			sector := buf[(done+s)*disk.SectorSize : (done+s+1)*disk.SectorSize]
-			if err := a.f.GetData(s, sector); err != nil {
-				return err
-			}
-			// Decryption on the critical path, duplicated at sector
-			// granularity.
-			a.g.Charge(2 * aesniSectorCost)
-			if err := a.cipher.DecryptSector(lba+done+s, sector); err != nil {
-				return err
-			}
+		if err := a.f.PutData(s, buf); err != nil {
+			return err
 		}
-		done += n
+	}
+	return nil
+}
+
+// decrypt is the AES-NI read stage: it copies each sector out of the
+// shared area and decrypts it with Kblk.
+func (a *AESNIFront) decrypt(lba uint64, chunk []byte) error {
+	for s := uint64(0); s < uint64(len(chunk)/disk.SectorSize); s++ {
+		sector := chunk[s*disk.SectorSize : (s+1)*disk.SectorSize]
+		if err := a.f.GetData(s, sector); err != nil {
+			return err
+		}
+		// Decryption on the critical path, duplicated at sector
+		// granularity.
+		a.g.Charge(2 * aesniSectorCost)
+		if err := a.cipher.DecryptSector(lba+s, sector); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -135,67 +116,28 @@ func NewSEVFront(g *xen.GuestEnv, f *xen.BlockFrontend) *SEVFront {
 
 // window is the per-request sector budget: bounded by both the shared
 // area and the one-page Md buffer.
-func (s *SEVFront) window() uint64 {
-	w := s.f.DataSectors()
-	if w > xen.SectorsPerPage {
-		w = xen.SectorsPerPage
-	}
-	return w
-}
+func (s *SEVFront) window() uint64 { return min(s.f.DataSectors(), xen.SectorsPerPage) }
 
 // WriteSectors copies plaintext into Md (ordinary encrypted guest
 // memory), has the firmware re-encrypt it into the shared area, then
 // issues the ring request.
 func (s *SEVFront) WriteSectors(lba uint64, data []byte) error {
-	if len(data)%disk.SectorSize != 0 {
-		return fmt.Errorf("core: write of %d bytes is not sector aligned", len(data))
-	}
-	total := uint64(len(data) / disk.SectorSize)
-	window := s.window()
-	mdBase := s.mdGFN << hw.PageShift
-	for done := uint64(0); done < total; {
-		n := total - done
-		if n > window {
-			n = window
-		}
-		if err := s.g.Write(mdBase, data[done*disk.SectorSize:(done+n)*disk.SectorSize]); err != nil {
+	return s.f.Transfer(xen.BlkOpWrite, lba, data, s.window(), func(lba uint64, chunk []byte) error {
+		if err := s.g.Write(s.mdGFN<<hw.PageShift, chunk); err != nil {
 			return err
 		}
-		if _, err := s.g.Hypercall(xen.HCFideliusIO, 1, s.mdGFN, lba+done, n, 0); err != nil {
-			return err
-		}
-		if err := s.f.Request(xen.BlkOpWrite, lba+done, n, 0); err != nil {
-			return err
-		}
-		done += n
-	}
-	return nil
+		_, err := s.g.Hypercall(xen.HCFideliusIO, 1, s.mdGFN, lba, uint64(len(chunk)/disk.SectorSize), 0)
+		return err
+	})
 }
 
 // ReadSectors issues the ring request, then has the firmware re-encrypt
 // the shared-area ciphertext into Md under Kvek, and copies it out.
 func (s *SEVFront) ReadSectors(lba uint64, buf []byte) error {
-	if len(buf)%disk.SectorSize != 0 {
-		return fmt.Errorf("core: read of %d bytes is not sector aligned", len(buf))
-	}
-	total := uint64(len(buf) / disk.SectorSize)
-	window := s.window()
-	mdBase := s.mdGFN << hw.PageShift
-	for done := uint64(0); done < total; {
-		n := total - done
-		if n > window {
-			n = window
-		}
-		if err := s.f.Request(xen.BlkOpRead, lba+done, n, 0); err != nil {
+	return s.f.Transfer(xen.BlkOpRead, lba, buf, s.window(), func(lba uint64, chunk []byte) error {
+		if _, err := s.g.Hypercall(xen.HCFideliusIO, 0, s.mdGFN, lba, uint64(len(chunk)/disk.SectorSize), 0); err != nil {
 			return err
 		}
-		if _, err := s.g.Hypercall(xen.HCFideliusIO, 0, s.mdGFN, lba+done, n, 0); err != nil {
-			return err
-		}
-		if err := s.g.Read(mdBase, buf[done*disk.SectorSize:(done+n)*disk.SectorSize]); err != nil {
-			return err
-		}
-		done += n
-	}
-	return nil
+		return s.g.Read(s.mdGFN<<hw.PageShift, chunk)
+	})
 }

@@ -106,10 +106,3 @@ func TestPropertyOnceVec(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

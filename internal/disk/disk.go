@@ -8,7 +8,6 @@
 package disk
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 
@@ -78,13 +77,7 @@ type ImageCipher struct {
 
 // NewImageCipher derives the XEX subkeys from Kblk.
 func NewImageCipher(kblk [32]byte) (*ImageCipher, error) {
-	dk := sha256.Sum256(append([]byte("kblk-data:"), kblk[:]...))
-	tk := sha256.Sum256(append([]byte("kblk-tweak:"), kblk[:]...))
-	x, err := hw.NewXEX(dk[:16], tk[:16])
-	if err != nil {
-		return nil, err
-	}
-	return &ImageCipher{x: x}, nil
+	return &ImageCipher{x: hw.NewXEX(kblk, "kblk-data:", "kblk-tweak:")}, nil
 }
 
 // xex transforms b in place, one 16-byte block at a time, each tweaked by

@@ -47,17 +47,15 @@ type XEX struct {
 	tweak cipher.Block
 }
 
-// NewXEX builds the construction from its data and tweak AES subkeys.
-func NewXEX(dataKey, tweakKey []byte) (*XEX, error) {
-	data, err := aes.NewCipher(dataKey)
-	if err != nil {
-		return nil, err
-	}
-	tweak, err := aes.NewCipher(tweakKey)
-	if err != nil {
-		return nil, err
-	}
-	return &XEX{data: data, tweak: tweak}, nil
+// NewXEX derives the construction's data and tweak AES-128 subkeys from
+// a 32-byte key, each the SHA-256 of its label followed by the key.
+func NewXEX(key [32]byte, dataLabel, tweakLabel string) *XEX {
+	dk := sha256.Sum256(append([]byte(dataLabel), key[:]...))
+	tk := sha256.Sum256(append([]byte(tweakLabel), key[:]...))
+	// A 16-byte key is always a valid AES-128 key.
+	data, _ := aes.NewCipher(dk[:16])
+	tweak, _ := aes.NewCipher(tk[:16])
+	return &XEX{data: data, tweak: tweak}
 }
 
 // EncryptLine encrypts the whole blocks of b in place, b[0] sitting at
@@ -107,13 +105,7 @@ type PageCipher struct {
 
 // NewPageCipher derives the data and tweak AES subkeys from a raw key.
 func NewPageCipher(key Key) (*PageCipher, error) {
-	dk := sha256.Sum256(append([]byte("fidelius-data-key:"), key[:]...))
-	tk := sha256.Sum256(append([]byte("fidelius-tweak-key:"), key[:]...))
-	x, err := NewXEX(dk[:16], tk[:16])
-	if err != nil {
-		return nil, err
-	}
-	return &PageCipher{x: *x}, nil
+	return &PageCipher{x: *NewXEX(key, "fidelius-data-key:", "fidelius-tweak-key:")}, nil
 }
 
 // EncryptLine encrypts a block-aligned span in place, tweaked block by
@@ -126,13 +118,6 @@ func (s *PageCipher) EncryptLine(pa PhysAddr, b []byte) { s.x.line(uint64(pa), b
 // DecryptLine decrypts a block-aligned span in place; the inverse of
 // EncryptLine with identical per-block tweak semantics.
 func (s *PageCipher) DecryptLine(pa PhysAddr, b []byte) { s.x.line(uint64(pa), b, false) }
-
-// EncryptPage encrypts one full page in place. b must be PageSize bytes
-// and pa page aligned.
-func (s *PageCipher) EncryptPage(pa PhysAddr, b []byte) { s.EncryptLine(pa, b) }
-
-// DecryptPage decrypts one full page in place.
-func (s *PageCipher) DecryptPage(pa PhysAddr, b []byte) { s.DecryptLine(pa, b) }
 
 // Engine is the inline AES memory-encryption engine living in the memory
 // controller. Keys are installed per ASID by the SEV firmware (ACTIVATE)

@@ -82,13 +82,6 @@ func TestLineAPIMatchesPerBlockGolden(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("EncryptLine(pa=%#x, n=%d) diverges from per-block path", pa, n)
 			}
-			if n == PageSize {
-				got2 := append([]byte{}, plain...)
-				s.EncryptPage(pa, got2)
-				if !bytes.Equal(got2, want) {
-					t.Fatalf("EncryptPage(pa=%#x) diverges from per-block path", pa)
-				}
-			}
 			s.DecryptLine(pa, got)
 			if !bytes.Equal(got, plain) {
 				t.Fatalf("DecryptLine(pa=%#x, n=%d) does not invert EncryptLine", pa, n)

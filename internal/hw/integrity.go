@@ -88,6 +88,18 @@ func (ig *Integrity) Protected(pfn PFN) bool {
 	return ig.protected[pfn]
 }
 
+// Unprotect removes a page from protection, dropping its leaves: a frame
+// that leaves its VM must not charge or verify its next owner against
+// tags that owner never asked for.
+func (ig *Integrity) Unprotect(pfn PFN) {
+	ig.mu.Lock()
+	defer ig.mu.Unlock()
+	delete(ig.protected, pfn)
+	for off := PhysAddr(0); off < PageSize; off += LineSize {
+		delete(ig.leaf, pfn.Addr()+off)
+	}
+}
+
 // Update refreshes the tree for a legitimate (controller-mediated) write
 // covering [pa, pa+n).
 func (ig *Integrity) Update(pa PhysAddr, n int) error {

@@ -16,20 +16,17 @@ type FrameAllocator interface {
 // host CR3), a guest page table (rooted at the guest's CR3, stored in
 // encrypted guest memory), or a nested page table (GPA→HPA).
 //
-// Table pages are read and written through the memory controller with the
-// space's own (Encrypted, ASID) attributes: SEV guest page tables live in
-// guest-key-encrypted memory, host and nested tables in plaintext (or
-// host-key) memory.
+// Table pages are read and written through the memory controller as
+// plaintext: the walker models host and nested tables, which live in
+// unencrypted memory.
 type Space struct {
-	Ctl       *hw.Controller
-	Root      hw.PFN
-	Encrypted bool
-	ASID      hw.ASID
+	Ctl  *hw.Controller
+	Root hw.PFN
 }
 
 func (s *Space) readEntry(table hw.PFN, idx int) (PTE, error) {
 	var b [8]byte
-	a := hw.Access{PA: table.Addr() + hw.PhysAddr(idx*8), Encrypted: s.Encrypted, ASID: s.ASID}
+	a := hw.Access{PA: table.Addr() + hw.PhysAddr(idx*8)}
 	if err := s.Ctl.Read(a, b[:]); err != nil {
 		return 0, err
 	}
@@ -39,7 +36,7 @@ func (s *Space) readEntry(table hw.PFN, idx int) (PTE, error) {
 func (s *Space) writeEntry(table hw.PFN, idx int, pte PTE) error {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(pte))
-	a := hw.Access{PA: table.Addr() + hw.PhysAddr(idx*8), Encrypted: s.Encrypted, ASID: s.ASID}
+	a := hw.Access{PA: table.Addr() + hw.PhysAddr(idx*8)}
 	return s.Ctl.Write(a, b[:])
 }
 
@@ -231,5 +228,5 @@ func (s *Space) TablePages() ([]hw.PFN, error) {
 
 func (s *Space) zeroFrame(pfn hw.PFN) error {
 	var zero [hw.PageSize]byte
-	return s.Ctl.Write(hw.Access{PA: pfn.Addr(), Encrypted: s.Encrypted, ASID: s.ASID}, zero[:])
+	return s.Ctl.Write(hw.Access{PA: pfn.Addr()}, zero[:])
 }

@@ -31,8 +31,7 @@ type GEK = [32]byte
 var ErrNoGEK = errors.New("sev: no customized key (GEK) installed")
 
 // gekSession expands a GEK into the transport session type: ENC and DEC
-// are sequence-tweaked CTR under it, like the transport path, and never
-// MAC.
+// use its I/O transform, like SEND_IO and RECEIVE_IO, and never MAC.
 func gekSession(key GEK) *session {
 	return newSession(TransportKeys{TEK: key})
 }
@@ -74,18 +73,7 @@ func (f *Firmware) Enc(h Handle, pa hw.PhysAddr, n int, seq uint64) ([]byte, err
 	if c.gek == nil {
 		return nil, ErrNoGEK
 	}
-	if pa%hw.BlockSize != 0 || n%hw.BlockSize != 0 {
-		return nil, ErrNotAligned
-	}
-	buf := make([]byte, n)
-	if err := f.ctl.Mem.ReadRaw(pa, buf); err != nil {
-		return nil, err
-	}
-	c.cipher.DecryptLine(pa, buf)
-	c.gek.xor(seq, buf, buf)
-	f.charge(uint64(n) / hw.BlockSize * cycles.AESBlockSEV)
-	f.command("enc", h)
-	return buf, nil
+	return f.ioOut(c, c.gek, "enc", h, pa, n, seq)
 }
 
 // Dec decrypts GEK ciphertext and writes it Kvek-encrypted at pa — the
@@ -98,15 +86,7 @@ func (f *Firmware) Dec(h Handle, pa hw.PhysAddr, data []byte, seq uint64) error 
 	if c.gek == nil {
 		return ErrNoGEK
 	}
-	if pa%hw.BlockSize != 0 || len(data)%hw.BlockSize != 0 {
-		return ErrNotAligned
-	}
-	plain := make([]byte, len(data))
-	c.gek.xor(seq, plain, data)
-	c.cipher.EncryptLine(pa, plain)
-	f.charge(uint64(len(plain)) / hw.BlockSize * cycles.AESBlockSEV)
-	f.command("dec", h)
-	return f.ctl.FirmwareWrite(pa, plain)
+	return f.ioIn(c, c.gek, "dec", h, pa, data, seq)
 }
 
 // DecPage is the page-granularity DEC used to boot from a GEK-encrypted
@@ -143,7 +123,7 @@ func (o *Owner) PrepareGEKImage(kernel []byte) (*GEKImage, GEK, error) {
 	for i := 0; i < pages; i++ {
 		page := make([]byte, hw.PageSize)
 		copy(page, kernel[i*hw.PageSize:])
-		s.xor(uint64(i), page, page)
+		s.ioSeal(uint64(i), page)
 		img.Pages = append(img.Pages, page)
 	}
 	return img, gek, nil

@@ -84,7 +84,7 @@ func TestSetEncGEKAndEncDec(t *testing.T) {
 	}
 	// The owner can decrypt the ENC output offline with the GEK.
 	offline := append([]byte{}, ct...)
-	gekSession(gek).xor(7, offline, offline)
+	gekSession(gek).ioOpen(7, offline)
 	if !bytes.Equal(offline, plain) {
 		t.Fatal("owner-side GEK decryption mismatch")
 	}

@@ -65,7 +65,7 @@ var (
 	ErrActive         = errors.New("sev: guest still activated")
 	ErrBadMeasurement = errors.New("sev: measurement mismatch")
 	ErrBadTag         = errors.New("sev: transport tag verification failed")
-	ErrNotAligned     = errors.New("sev: buffer not block aligned")
+	ErrNotAligned     = errors.New("sev: I/O buffer not block aligned or longer than a page")
 	ErrBadSequence    = errors.New("sev: receive_update out of sequence")
 	ErrBufferSize     = errors.New("sev: send_update buffer is not one page per pfn")
 )
@@ -570,10 +570,10 @@ func openPacket(s *session, pkt Packet, plain []byte) ([]byte, error) {
 }
 
 // SendIO is the I/O-path variant of SEND_UPDATE: it reads n bytes of
-// guest data at pa (Kvek-encrypted) and returns the TEK ciphertext, with
-// the caller-chosen per-sector sequence tweak but no integrity tag. The
-// paper's I/O protection provides confidentiality only; integrity is the
-// hardware suggestion of Section 8.
+// guest data at pa (Kvek-encrypted) and returns them encrypted under the
+// TEK's I/O transform, tweaked by the caller-chosen sector number, with
+// no integrity tag. The paper's I/O protection provides confidentiality
+// only; integrity is the hardware suggestion of Section 8.
 func (f *Firmware) SendIO(h Handle, pa hw.PhysAddr, n int, seq uint64) ([]byte, error) {
 	c, err := f.ctx(h)
 	if err != nil {
@@ -582,22 +582,11 @@ func (f *Firmware) SendIO(h Handle, pa hw.PhysAddr, n int, seq uint64) ([]byte, 
 	if c.state != StateSending {
 		return nil, fmt.Errorf("%w: send_io in %v", ErrBadState, c.state)
 	}
-	if pa%hw.BlockSize != 0 || n%hw.BlockSize != 0 {
-		return nil, ErrNotAligned
-	}
-	buf := make([]byte, n)
-	if err := f.ctl.Mem.ReadRaw(pa, buf); err != nil {
-		return nil, err
-	}
-	c.cipher.DecryptLine(pa, buf)
-	c.transport.xor(seq, buf, buf)
-	f.charge(uint64(n) / hw.BlockSize * cycles.AESBlockSEV)
-	f.command("send-io", h)
-	return buf, nil
+	return f.ioOut(c, c.transport, "send-io", h, pa, n, seq)
 }
 
-// ReceiveIO is the I/O-path variant of RECEIVE_UPDATE: it decrypts TEK
-// ciphertext with the per-sector sequence tweak and writes it
+// ReceiveIO is the I/O-path variant of RECEIVE_UPDATE: it decrypts
+// SendIO output with the same sector number and writes it
 // Kvek-encrypted at pa.
 func (f *Firmware) ReceiveIO(h Handle, pa hw.PhysAddr, data []byte, seq uint64) error {
 	c, err := f.ctx(h)
@@ -607,15 +596,46 @@ func (f *Firmware) ReceiveIO(h Handle, pa hw.PhysAddr, data []byte, seq uint64) 
 	if c.state != StateReceiving {
 		return fmt.Errorf("%w: receive_io in %v", ErrBadState, c.state)
 	}
-	if pa%hw.BlockSize != 0 || len(data)%hw.BlockSize != 0 {
+	return f.ioIn(c, c.transport, "receive-io", h, pa, data, seq)
+}
+
+// ioOut is the outbound body SEND_IO and ENC share once each has checked
+// its own precondition: it reads n bytes of guest memory at pa, decrypts
+// them under the context's Kvek and seals them under s as I/O chunk seq.
+func (f *Firmware) ioOut(c *Context, s *session, name string, h Handle, pa hw.PhysAddr, n int, seq uint64) ([]byte, error) {
+	if !ioChunk(pa, n) {
+		return nil, ErrNotAligned
+	}
+	buf := make([]byte, n)
+	if err := f.ctl.Mem.ReadRaw(pa, buf); err != nil {
+		return nil, err
+	}
+	c.cipher.DecryptLine(pa, buf)
+	s.ioSeal(seq, buf)
+	f.charge(uint64(n) / hw.BlockSize * cycles.AESBlockSEV)
+	f.command(name, h)
+	return buf, nil
+}
+
+// ioIn is the inbound body RECEIVE_IO and DEC share: it opens I/O chunk
+// seq under s and writes it at pa encrypted under the context's Kvek.
+func (f *Firmware) ioIn(c *Context, s *session, name string, h Handle, pa hw.PhysAddr, data []byte, seq uint64) error {
+	if !ioChunk(pa, len(data)) {
 		return ErrNotAligned
 	}
-	plain := make([]byte, len(data))
-	c.transport.xor(seq, plain, data)
+	plain := append([]byte(nil), data...)
+	s.ioOpen(seq, plain)
 	c.cipher.EncryptLine(pa, plain)
 	f.charge(uint64(len(plain)) / hw.BlockSize * cycles.AESBlockSEV)
-	f.command("receive-io", h)
+	f.command(name, h)
 	return f.ctl.FirmwareWrite(pa, plain)
+}
+
+// ioChunk reports whether n bytes at pa make one I/O chunk: block
+// aligned and at most one tweak span long, so no two chunks share a
+// tweak.
+func ioChunk(pa hw.PhysAddr, n int) bool {
+	return pa%hw.BlockSize == 0 && n%hw.BlockSize == 0 && n <= ioSpan
 }
 
 // SendCancel aborts a SEND session (the SEND_CANCEL command): the
@@ -754,7 +774,7 @@ func (f *Firmware) SendUpdatePages(h Handle, pfns []hw.PFN, dst []byte) ([]Packe
 		if err := f.ctl.Mem.ReadRaw(pfns[i].Addr(), page); err != nil {
 			return err
 		}
-		c.cipher.DecryptPage(pfns[i].Addr(), page)
+		c.cipher.DecryptLine(pfns[i].Addr(), page)
 		pkts[i] = sealPacket(c.transport, base+uint64(i), page)
 		return nil
 	}); err != nil {
@@ -813,7 +833,7 @@ func (f *Firmware) ReceiveUpdatePages(h Handle, pfns []hw.PFN, pkts []Packet) er
 		if len(plain) != hw.PageSize {
 			return fmt.Errorf("sev: receive_update packet is %d bytes, want a page", len(plain))
 		}
-		c.cipher.EncryptPage(pfns[i].Addr(), plain)
+		c.cipher.EncryptLine(pfns[i].Addr(), plain)
 		return nil
 	}); err != nil {
 		return err

@@ -8,7 +8,8 @@
 // kernel image and to encrypt disk I/O — is a protocol over this API, so
 // the firmware is modelled at full API granularity with real cryptography:
 // ECDH over P-256, AES-256-GCM key wrapping, AES-CTR transport encryption
-// and HMAC-SHA256 integrity, all from the standard library.
+// with HMAC-SHA256 integrity, and an XEX transform for the I/O commands,
+// all from the standard library.
 package sev
 
 import (
@@ -24,6 +25,8 @@ import (
 	"hash"
 	"io"
 	"sync"
+
+	"fidelius/internal/hw"
 )
 
 // TransportKeys are the transport encryption key (TEK) and transport
@@ -102,12 +105,14 @@ func unwrapKeys(kek [32]byte, w WrappedKeys) (TransportKeys, error) {
 // where its keys are set (SEND_START, RECEIVE_START, SETENC_GEK) and
 // used by every packet or I/O sector after: the expanded TEK schedule
 // plus a free list of per-packet scratch, each holding an HMAC state
-// keyed with the TIK. The block is safe for concurrent use; a scratch is
+// keyed with the TIK, and the XEX transform of the I/O commands. The
+// block and the transform are safe for concurrent use; a scratch is
 // not, so each packet takes one from the free list (building it on a
 // miss) and puts it back.
 type session struct {
 	tek cipher.Block
 	tik [32]byte
+	io  *hw.XEX
 
 	mu   sync.Mutex // leaf; guards free
 	free []*scratch
@@ -122,14 +127,15 @@ type scratch struct {
 	buf [sha256.Size]byte
 }
 
-// newSession expands the transport keys. A 32-byte key is always a
-// valid AES-256 key, so construction cannot fail.
+// newSession expands the transport keys, deriving the I/O transform's
+// XEX subkeys from the TEK. A 32-byte key is always a valid AES-256 key,
+// so construction cannot fail.
 func newSession(tk TransportKeys) *session {
 	blk, err := aes.NewCipher(tk.TEK[:])
 	if err != nil {
 		panic(err)
 	}
-	return &session{tek: blk, tik: tk.TIK}
+	return &session{tek: blk, tik: tk.TIK, io: hw.NewXEX(tk.TEK, "sev-io-data:", "sev-io-tweak:")}
 }
 
 func (s *session) get() *scratch {
@@ -150,21 +156,31 @@ func (s *session) put(sc *scratch) {
 	s.mu.Unlock()
 }
 
-// xor applies the AES-256-CTR transport keystream of the chunk
-// identified by seq (page index or I/O request counter) to src, writing
-// dst; dst may be src. Encrypt and decrypt are the same operation.
-func (s *session) xor(seq uint64, dst, src []byte) {
-	sc := s.get()
-	s.xorWith(sc, seq, dst, src)
-	s.put(sc)
-}
-
+// xorWith applies the AES-256-CTR transport keystream of the packet
+// identified by seq to src, writing dst; dst may be src. Encrypt and
+// decrypt are the same operation. A keystream is only safe once per
+// seq, which holds for migration and image packets (one per page) but
+// not for a disk sector that is rewritten: the I/O commands use ioSeal
+// and ioOpen instead.
 func (s *session) xorWith(sc *scratch, seq uint64, dst, src []byte) {
 	iv := sc.buf[:aes.BlockSize]
 	clear(iv)
 	binary.LittleEndian.PutUint64(iv, seq)
 	cipher.NewCTR(s.tek, iv).XORKeyStream(dst, src)
 }
+
+// ioSpan is the tweak span of one I/O chunk: the chunk identified by seq
+// (a sector's LBA, or a page's index in a GEK image) is tweaked from
+// position seq*ioSpan plus each block's byte offset, so no two chunks of
+// at most ioSpan bytes share a tweak.
+const ioSpan = hw.PageSize
+
+// ioSeal XEX-encrypts the I/O chunk identified by seq in place. Unlike
+// the CTR packets, rewriting a chunk with new data reveals no keystream.
+func (s *session) ioSeal(seq uint64, b []byte) { s.io.EncryptLine(seq*ioSpan, b) }
+
+// ioOpen inverts ioSeal.
+func (s *session) ioOpen(seq uint64, b []byte) { s.io.DecryptLine(seq*ioSpan, b) }
 
 // tagWith computes the HMAC-SHA256 tag of one transport chunk.
 func (s *session) tagWith(sc *scratch, seq uint64, ciphertext []byte) [32]byte {
@@ -179,12 +195,14 @@ func (s *session) tagWith(sc *scratch, seq uint64, ciphertext []byte) [32]byte {
 	return tag
 }
 
-// scrub zeroes the integrity key and drops the expanded schedule and the
-// keyed HMAC states, so the session can no longer seal or open anything.
+// scrub zeroes the integrity key and drops the expanded schedule, the
+// I/O transform and the keyed HMAC states, so the session can no longer
+// seal or open anything.
 func (s *session) scrub() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tek = nil
+	s.io = nil
 	s.tik = [32]byte{}
 	s.free = nil
 }

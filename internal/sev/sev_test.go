@@ -36,7 +36,7 @@ func launchImage(t *testing.T, fw *Firmware, h Handle, pfns []hw.PFN) {
 		if err := fw.ctl.Mem.ReadRaw(pfn.Addr(), page); err != nil {
 			t.Fatal(err)
 		}
-		c.cipher.EncryptPage(pfn.Addr(), page)
+		c.cipher.EncryptLine(pfn.Addr(), page)
 		if err := fw.ctl.Mem.WriteRaw(pfn.Addr(), page); err != nil {
 			t.Fatal(err)
 		}

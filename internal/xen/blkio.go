@@ -322,13 +322,13 @@ func NewBlockFrontend(g *GuestEnv) (*BlockFrontend, error) {
 // DataSectors reports the capacity of the shared data area in sectors.
 func (f *BlockFrontend) DataSectors() uint64 { return f.dataLen * SectorsPerPage }
 
-// Request posts one ring request and waits for its response. Exposed so
-// protected front-ends (internal/core) can drive the ring themselves
-// after staging ciphertext in the shared area.
-func (f *BlockFrontend) Request(op, lba, count, dataOff uint64) error {
+// request posts one ring request and waits for its response. Every
+// request stages its sectors at the start of the shared area, so the
+// data offset it posts is always 0.
+func (f *BlockFrontend) request(op, lba, count uint64) error {
 	id := f.nextID
 	f.nextID++
-	req := [5]uint64{id, op, lba, count, dataOff}
+	req := [5]uint64{id, op, lba, count, 0}
 	var buf [40]byte
 	for i, v := range req {
 		for j := 0; j < 8; j++ {
@@ -369,50 +369,52 @@ func (f *BlockFrontend) GetData(sectorIdx uint64, buf []byte) error {
 	return f.g.ReadUnencrypted(f.dataGPA+sectorIdx*disk.SectorSize, buf)
 }
 
-// WriteSectors writes len(data)/512 sectors at lba, staging through the
-// shared area in plaintext (the unprotected baseline).
-func (f *BlockFrontend) WriteSectors(lba uint64, data []byte) error {
+// Transfer is the one chunked I/O loop every front-end shares: it moves
+// len(data)/512 sectors at lba through the shared area in chunks of at
+// most window sectors, one ring request per chunk. stage is the
+// front-end's work on one chunk, whose first sector is at chunkLBA: on a
+// write (op BlkOpWrite) it runs before the request and must leave the
+// chunk, in whatever form the front-end protects it, at the start of the
+// shared area; on a read it runs after the request and must move the
+// chunk from there into its bytes. A length that is not a whole number
+// of sectors is refused before any request is made.
+func (f *BlockFrontend) Transfer(op, lba uint64, data []byte, window uint64, stage func(chunkLBA uint64, chunk []byte) error) error {
 	if len(data)%disk.SectorSize != 0 {
-		return fmt.Errorf("xen: write of %d bytes is not sector aligned", len(data))
+		return fmt.Errorf("xen: transfer of %d bytes is not sector aligned", len(data))
 	}
 	total := uint64(len(data) / disk.SectorSize)
-	window := f.DataSectors()
 	for done := uint64(0); done < total; {
-		n := total - done
-		if n > window {
-			n = window
-		}
+		n := min(total-done, window)
 		chunk := data[done*disk.SectorSize : (done+n)*disk.SectorSize]
-		if err := f.PutData(0, chunk); err != nil {
+		if op == BlkOpWrite {
+			if err := stage(lba+done, chunk); err != nil {
+				return err
+			}
+		}
+		if err := f.request(op, lba+done, n); err != nil {
 			return err
 		}
-		if err := f.Request(BlkOpWrite, lba+done, n, 0); err != nil {
-			return err
+		if op == BlkOpRead {
+			if err := stage(lba+done, chunk); err != nil {
+				return err
+			}
 		}
 		done += n
 	}
 	return nil
 }
 
+// WriteSectors writes len(data)/512 sectors at lba, staging through the
+// shared area in plaintext (the unprotected baseline).
+func (f *BlockFrontend) WriteSectors(lba uint64, data []byte) error {
+	return f.Transfer(BlkOpWrite, lba, data, f.DataSectors(), func(_ uint64, chunk []byte) error {
+		return f.PutData(0, chunk)
+	})
+}
+
 // ReadSectors reads len(buf)/512 sectors at lba through the shared area.
 func (f *BlockFrontend) ReadSectors(lba uint64, buf []byte) error {
-	if len(buf)%disk.SectorSize != 0 {
-		return fmt.Errorf("xen: read of %d bytes is not sector aligned", len(buf))
-	}
-	total := uint64(len(buf) / disk.SectorSize)
-	window := f.DataSectors()
-	for done := uint64(0); done < total; {
-		n := total - done
-		if n > window {
-			n = window
-		}
-		if err := f.Request(BlkOpRead, lba+done, n, 0); err != nil {
-			return err
-		}
-		if err := f.GetData(0, buf[done*disk.SectorSize:(done+n)*disk.SectorSize]); err != nil {
-			return err
-		}
-		done += n
-	}
-	return nil
+	return f.Transfer(BlkOpRead, lba, buf, f.DataSectors(), func(_ uint64, chunk []byte) error {
+		return f.GetData(0, chunk)
+	})
 }
