@@ -243,7 +243,7 @@ func TestGEKFirmwareStateMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ENC/DEC before SETENC_GEK fail.
-	if _, err := f.M.FW.Enc(h, 0x1000, 16, 0); !errors.Is(err, sev.ErrNoGEK) {
+	if err := f.M.FW.Enc(h, 0x1000, make([]byte, 16), 0); !errors.Is(err, sev.ErrNoGEK) {
 		t.Fatalf("want ErrNoGEK, got %v", err)
 	}
 	if err := f.M.FW.Dec(h, 0x1000, make([]byte, 16), 0); !errors.Is(err, sev.ErrNoGEK) {
@@ -261,7 +261,7 @@ func TestGEKFirmwareStateMachine(t *testing.T) {
 	if err := f.M.FW.SetEncGEK(h, wrap, owner.PublicKey(), owner.Nonce()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.M.FW.Enc(h, 0x1001, 16, 0); !errors.Is(err, sev.ErrNotAligned) {
+	if err := f.M.FW.Enc(h, 0x1001, make([]byte, 16), 0); !errors.Is(err, sev.ErrNotAligned) {
 		t.Fatalf("want ErrNotAligned, got %v", err)
 	}
 	if err := f.M.FW.DecPage(h, 2, make([]byte, 100), 0); err == nil {

@@ -449,6 +449,9 @@ func (gk *Gatekeeper) IOCrypt(d *xen.Domain, write bool, mdGFN, lba, count, shar
 	}
 	f.M.Ctl.Cycles.Charge(cycles.SEVCommand)
 	defer f.enterTrusted()()
+	// One sector buffer carries every sector of the request: SEND_IO/ENC
+	// seal into it, RECEIVE_IO/DEC open it in place.
+	ct := make([]byte, disk.SectorSize)
 	for s := uint64(0); s < count; s++ {
 		mdPA := mdPFN.Addr() + hw.PhysAddr(s*disk.SectorSize)
 		sharedPA, err := f.sharedSectorPA(d, sharedIdx+s)
@@ -456,8 +459,7 @@ func (gk *Gatekeeper) IOCrypt(d *xen.Domain, write bool, mdGFN, lba, count, shar
 			return err
 		}
 		if write {
-			ct, err := send(sh, mdPA, disk.SectorSize, lba+s)
-			if err != nil {
+			if err := send(sh, mdPA, ct, lba+s); err != nil {
 				return err
 			}
 			if err := f.M.Ctl.Write(hw.Access{PA: sharedPA}, ct); err != nil {
@@ -465,7 +467,6 @@ func (gk *Gatekeeper) IOCrypt(d *xen.Domain, write bool, mdGFN, lba, count, shar
 			}
 			continue
 		}
-		ct := make([]byte, disk.SectorSize)
 		if err := f.M.Ctl.Read(hw.Access{PA: sharedPA}, ct); err != nil {
 			return err
 		}

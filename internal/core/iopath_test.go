@@ -240,3 +240,28 @@ func TestShutdownLeavesNoFrameUnderIntegrity(t *testing.T) {
 		t.Fatal("integrity root still covers the destroyed VM's frames")
 	}
 }
+
+// TestIOCryptAllocatesPerRequest guards the SEV I/O path against
+// per-sector heap buffers: SEND_IO/ENC seal into, and RECEIVE_IO/DEC
+// open in place, one sector buffer per request, so an 8-sector request
+// allocates no more than a 1-sector one.
+func TestIOCryptAllocatesPerRequest(t *testing.T) {
+	for _, gek := range []bool{false, true} {
+		t.Run(fmt.Sprintf("gek=%v", gek), func(t *testing.T) {
+			x, _, d, _, _ := ioGuest(t, gek)
+			gk := x.Interpose.(*Gatekeeper)
+			for _, write := range []bool{true, false} {
+				allocs := func(count uint64) float64 {
+					return testing.AllocsPerRun(20, func() {
+						if err := gk.IOCrypt(d, write, 5, 0, count, 0); err != nil {
+							t.Fatal(err)
+						}
+					})
+				}
+				if one, eight := allocs(1), allocs(8); eight > one {
+					t.Errorf("write=%v: an 8-sector request allocated %v times, a 1-sector one %v", write, eight, one)
+				}
+			}
+		})
+	}
+}

@@ -243,9 +243,10 @@ func (c *Controller) Read(a Access, buf []byte) error {
 }
 
 // decryptFill decrypts the first span bytes of a line-fill buffer in
-// place. PageCipher hands its buffer to a cipher.Block, which makes the
-// buffer escape, so the ciphertext is decrypted in a copy: the caller's
-// fill buffer stays on its stack and only encrypted misses allocate.
+// place. XEX's Go loop hands its buffer to a cipher.Block, which makes
+// the buffer escape on either XEX path, so the ciphertext is decrypted
+// in a copy: the caller's fill buffer stays on its stack and only
+// encrypted misses allocate.
 func decryptFill(slot *PageCipher, base PhysAddr, fill *[LineSize]byte, span int) {
 	line := *fill
 	slot.DecryptLine(base, line[:span])

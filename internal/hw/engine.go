@@ -1,10 +1,6 @@
 package hw
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -36,62 +32,6 @@ type Key [KeySize]byte
 // ErrNoKey reports an encrypted access whose ASID has no installed key.
 var ErrNoKey = errors.New("hw: no key installed for ASID")
 
-// XEX is the tweaked-block construction behind both memory and disk
-// encryption: each 16-byte block at position pos is encrypted as
-// E_data(P ^ T) ^ T with T = E_tweak(pos), pos being the block's physical
-// address for memory and its byte offset for a disk image. It is safe
-// for concurrent use: the cipher.Block values are stateless after
-// construction.
-type XEX struct {
-	data  cipher.Block
-	tweak cipher.Block
-}
-
-// NewXEX derives the construction's data and tweak AES-128 subkeys from
-// a 32-byte key, each the SHA-256 of its label followed by the key.
-func NewXEX(key [32]byte, dataLabel, tweakLabel string) *XEX {
-	dk := sha256.Sum256(append([]byte(dataLabel), key[:]...))
-	tk := sha256.Sum256(append([]byte(tweakLabel), key[:]...))
-	// A 16-byte key is always a valid AES-128 key.
-	data, _ := aes.NewCipher(dk[:16])
-	tweak, _ := aes.NewCipher(tk[:16])
-	return &XEX{data: data, tweak: tweak}
-}
-
-// EncryptLine encrypts the whole blocks of b in place, b[0] sitting at
-// position pos (16-byte aligned); trailing sub-block bytes are left
-// untouched.
-func (x *XEX) EncryptLine(pos uint64, b []byte) { x.line(pos, b, true) }
-
-// DecryptLine inverts EncryptLine.
-func (x *XEX) DecryptLine(pos uint64, b []byte) { x.line(pos, b, false) }
-
-// line runs the XEX loop in either direction. The tweak is computed
-// inside the block's own 16 bytes — data saved, tweak input written,
-// encrypted in place, data restored XORed with the tweak — so no scratch
-// buffer is handed to the cipher.Block interface, which would move it to
-// the heap on every call. The XORs are two 64-bit words.
-func (x *XEX) line(pos uint64, b []byte, encrypt bool) {
-	le := binary.LittleEndian
-	for off := 0; off+BlockSize <= len(b); off += BlockSize {
-		blk := b[off : off+BlockSize : off+BlockSize]
-		lo, hi := le.Uint64(blk[:8]), le.Uint64(blk[8:])
-		le.PutUint64(blk[:8], pos+uint64(off))
-		le.PutUint64(blk[8:], 0)
-		x.tweak.Encrypt(blk, blk)
-		tlo, thi := le.Uint64(blk[:8]), le.Uint64(blk[8:])
-		le.PutUint64(blk[:8], lo^tlo)
-		le.PutUint64(blk[8:], hi^thi)
-		if encrypt {
-			x.data.Encrypt(blk, blk)
-		} else {
-			x.data.Decrypt(blk, blk)
-		}
-		le.PutUint64(blk[:8], le.Uint64(blk[:8])^tlo)
-		le.PutUint64(blk[8:], le.Uint64(blk[8:])^thi)
-	}
-}
-
 // PageCipher is the memory XEX transform for one key, tweaked by physical
 // address. The SEV firmware holds one per guest context (it must encrypt
 // pages before the key is ever installed in the controller), and the
@@ -105,7 +45,9 @@ type PageCipher struct {
 
 // NewPageCipher derives the data and tweak AES subkeys from a raw key.
 func NewPageCipher(key Key) (*PageCipher, error) {
-	return &PageCipher{x: *NewXEX(key, "fidelius-data-key:", "fidelius-tweak-key:")}, nil
+	s := new(PageCipher)
+	s.x.derive(key, "fidelius-data-key:", "fidelius-tweak-key:", haveKernel)
+	return s, nil
 }
 
 // EncryptLine encrypts a block-aligned span in place, tweaked block by

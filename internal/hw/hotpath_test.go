@@ -2,18 +2,33 @@ package hw
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
 )
 
+// blocks returns the construction's data and tweak ciphers: its own on
+// the Go path; on the kernel path, new crypto/aes ciphers keyed with
+// round key 0 of each encryption schedule, which for AES-128 is the
+// subkey itself. The reference below therefore never runs the kernel.
+func (x *XEX) blocks() (data, tweak cipher.Block) {
+	if x.data != nil {
+		return x.data, x.tweak
+	}
+	data, _ = aes.NewCipher(x.keys.enc[0][:])
+	tweak, _ = aes.NewCipher(x.keys.tweak[0][:])
+	return data, tweak
+}
+
 // tweakFor computes the XEX tweak block for the 16-byte-aligned physical
 // address.
-func (s *PageCipher) tweakFor(pa PhysAddr) [BlockSize]byte {
+func tweakFor(tweak cipher.Block, pa PhysAddr) [BlockSize]byte {
 	var in, out [BlockSize]byte
 	binary.LittleEndian.PutUint64(in[:8], uint64(pa))
-	s.x.tweak.Encrypt(out[:], in[:])
+	tweak.Encrypt(out[:], in[:])
 	return out
 }
 
@@ -21,11 +36,12 @@ func (s *PageCipher) tweakFor(pa PhysAddr) [BlockSize]byte {
 // physical address: the byte-loop reference the line API is checked
 // against.
 func (s *PageCipher) EncryptBlock(pa PhysAddr, b []byte) {
-	t := s.tweakFor(pa)
+	data, tweak := s.x.blocks()
+	t := tweakFor(tweak, pa)
 	for i := range b {
 		b[i] ^= t[i]
 	}
-	s.x.data.Encrypt(b, b)
+	data.Encrypt(b, b)
 	for i := range b {
 		b[i] ^= t[i]
 	}
@@ -35,11 +51,12 @@ func (s *PageCipher) EncryptBlock(pa PhysAddr, b []byte) {
 // physical address: the byte-loop reference the line API is checked
 // against.
 func (s *PageCipher) DecryptBlock(pa PhysAddr, b []byte) {
-	t := s.tweakFor(pa)
+	data, tweak := s.x.blocks()
+	t := tweakFor(tweak, pa)
 	for i := range b {
 		b[i] ^= t[i]
 	}
-	s.x.data.Decrypt(b, b)
+	data.Decrypt(b, b)
 	for i := range b {
 		b[i] ^= t[i]
 	}

@@ -62,22 +62,24 @@ func (f *Firmware) SetEncGEK(h Handle, wrapped WrappedKeys, ownerPub *ecdh.Publi
 	return nil
 }
 
-// Enc re-encrypts n bytes of guest memory at pa from Kvek to the GEK and
-// returns the ciphertext — the proposed ENC instruction. Unlike
-// SEND_UPDATE it works in the running state.
-func (f *Firmware) Enc(h Handle, pa hw.PhysAddr, n int, seq uint64) ([]byte, error) {
+// Enc re-encrypts len(dst) bytes of guest memory at pa from Kvek to the
+// GEK, sealing them into dst, which the caller owns — the proposed ENC
+// instruction. Unlike SEND_UPDATE it works in the running state.
+func (f *Firmware) Enc(h Handle, pa hw.PhysAddr, dst []byte, seq uint64) error {
 	c, err := f.ctx(h)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if c.gek == nil {
-		return nil, ErrNoGEK
+		return ErrNoGEK
 	}
-	return f.ioOut(c, c.gek, "enc", h, pa, n, seq)
+	return f.ioOut(c, c.gek, "enc", h, pa, dst, seq)
 }
 
 // Dec decrypts GEK ciphertext and writes it Kvek-encrypted at pa — the
-// proposed DEC instruction. Also legal in the running state.
+// proposed DEC instruction. Also legal in the running state. It opens
+// data in place: on success data holds the Kvek ciphertext written at
+// pa, never the plaintext.
 func (f *Firmware) Dec(h Handle, pa hw.PhysAddr, data []byte, seq uint64) error {
 	c, err := f.ctx(h)
 	if err != nil {
@@ -90,13 +92,15 @@ func (f *Firmware) Dec(h Handle, pa hw.PhysAddr, data []byte, seq uint64) error 
 }
 
 // DecPage is the page-granularity DEC used to boot from a GEK-encrypted
-// image: one command per page, seq = page index within the image.
+// image: one command per page, seq = page index within the image. The
+// firmware copies the page in (the charged PageCopy) and opens the copy,
+// so data is left untouched.
 func (f *Firmware) DecPage(h Handle, pfn hw.PFN, data []byte, seq uint64) error {
 	if len(data) != hw.PageSize {
 		return fmt.Errorf("sev: DecPage needs a full page, got %d bytes", len(data))
 	}
 	f.charge(cycles.SEVCommand + cycles.PageCopy)
-	return f.Dec(h, pfn.Addr(), data, seq)
+	return f.Dec(h, pfn.Addr(), append([]byte(nil), data...), seq)
 }
 
 // GEKImage is a portable encrypted kernel image: pages under the owner's

@@ -63,13 +63,15 @@ func TestSetEncGEKAndEncDec(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ENC: Kvek -> GEK, in the *running* state (impossible with SEND).
-	ct, err := fw.Enc(h, pa, len(plain), 7)
-	if err != nil {
+	ct := make([]byte, len(plain))
+	if err := fw.Enc(h, pa, ct, 7); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(ct, []byte("gek payload data")) {
 		t.Fatal("ENC output holds plaintext")
 	}
+	// DEC opens its input in place, so keep the ENC output for the owner.
+	offline := append([]byte{}, ct...)
 	// DEC back into another Kvek page.
 	dst := hw.PFN(6).Addr()
 	if err := fw.Dec(h, dst, ct, 7); err != nil {
@@ -83,7 +85,6 @@ func TestSetEncGEKAndEncDec(t *testing.T) {
 		t.Fatal("ENC/DEC round trip mismatch")
 	}
 	// The owner can decrypt the ENC output offline with the GEK.
-	offline := append([]byte{}, ct...)
 	gekSession(gek).ioOpen(7, offline)
 	if !bytes.Equal(offline, plain) {
 		t.Fatal("owner-side GEK decryption mismatch")
@@ -172,7 +173,7 @@ func TestFirmwareGuardBlocksAllCommands(t *testing.T) {
 	if _, err := fw.SendStart(h, nil, nil); !errors.Is(err, ErrUnauthorized) {
 		t.Errorf("SendStart: %v", err)
 	}
-	if _, err := fw.Enc(h, 0, 16, 0); !errors.Is(err, ErrUnauthorized) {
+	if err := fw.Enc(h, 0, make([]byte, 16), 0); !errors.Is(err, ErrUnauthorized) {
 		t.Errorf("Enc: %v", err)
 	}
 	if _, err := fw.Attest(nil, [32]byte{}, [32]byte{}); !errors.Is(err, ErrUnauthorized) {

@@ -569,25 +569,27 @@ func openPacket(s *session, pkt Packet, plain []byte) ([]byte, error) {
 	return plain, nil
 }
 
-// SendIO is the I/O-path variant of SEND_UPDATE: it reads n bytes of
-// guest data at pa (Kvek-encrypted) and returns them encrypted under the
-// TEK's I/O transform, tweaked by the caller-chosen sector number, with
-// no integrity tag. The paper's I/O protection provides confidentiality
-// only; integrity is the hardware suggestion of Section 8.
-func (f *Firmware) SendIO(h Handle, pa hw.PhysAddr, n int, seq uint64) ([]byte, error) {
+// SendIO is the I/O-path variant of SEND_UPDATE: it reads len(dst)
+// bytes of guest data at pa (Kvek-encrypted) and seals them into dst,
+// which the caller owns, under the TEK's I/O transform, tweaked by the
+// caller-chosen sector number, with no integrity tag. The paper's I/O
+// protection provides confidentiality only; integrity is the hardware
+// suggestion of Section 8.
+func (f *Firmware) SendIO(h Handle, pa hw.PhysAddr, dst []byte, seq uint64) error {
 	c, err := f.ctx(h)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if c.state != StateSending {
-		return nil, fmt.Errorf("%w: send_io in %v", ErrBadState, c.state)
+		return fmt.Errorf("%w: send_io in %v", ErrBadState, c.state)
 	}
-	return f.ioOut(c, c.transport, "send-io", h, pa, n, seq)
+	return f.ioOut(c, c.transport, "send-io", h, pa, dst, seq)
 }
 
 // ReceiveIO is the I/O-path variant of RECEIVE_UPDATE: it decrypts
 // SendIO output with the same sector number and writes it
-// Kvek-encrypted at pa.
+// Kvek-encrypted at pa. It opens data in place: on success data holds
+// the Kvek ciphertext written at pa, never the plaintext.
 func (f *Firmware) ReceiveIO(h Handle, pa hw.PhysAddr, data []byte, seq uint64) error {
 	c, err := f.ctx(h)
 	if err != nil {
@@ -600,35 +602,35 @@ func (f *Firmware) ReceiveIO(h Handle, pa hw.PhysAddr, data []byte, seq uint64) 
 }
 
 // ioOut is the outbound body SEND_IO and ENC share once each has checked
-// its own precondition: it reads n bytes of guest memory at pa, decrypts
-// them under the context's Kvek and seals them under s as I/O chunk seq.
-func (f *Firmware) ioOut(c *Context, s *session, name string, h Handle, pa hw.PhysAddr, n int, seq uint64) ([]byte, error) {
-	if !ioChunk(pa, n) {
-		return nil, ErrNotAligned
+// its own precondition: it reads len(dst) bytes of guest memory at pa
+// into dst, decrypts them under the context's Kvek and seals them under
+// s as I/O chunk seq.
+func (f *Firmware) ioOut(c *Context, s *session, name string, h Handle, pa hw.PhysAddr, dst []byte, seq uint64) error {
+	if !ioChunk(pa, len(dst)) {
+		return ErrNotAligned
 	}
-	buf := make([]byte, n)
-	if err := f.ctl.Mem.ReadRaw(pa, buf); err != nil {
-		return nil, err
+	if err := f.ctl.Mem.ReadRaw(pa, dst); err != nil {
+		return err
 	}
-	c.cipher.DecryptLine(pa, buf)
-	s.ioSeal(seq, buf)
-	f.charge(uint64(n) / hw.BlockSize * cycles.AESBlockSEV)
+	c.cipher.DecryptLine(pa, dst)
+	s.ioSeal(seq, dst)
+	f.charge(uint64(len(dst)) / hw.BlockSize * cycles.AESBlockSEV)
 	f.command(name, h)
-	return buf, nil
+	return nil
 }
 
 // ioIn is the inbound body RECEIVE_IO and DEC share: it opens I/O chunk
-// seq under s and writes it at pa encrypted under the context's Kvek.
+// seq under s in place, re-encrypts it under the context's Kvek and
+// writes it at pa.
 func (f *Firmware) ioIn(c *Context, s *session, name string, h Handle, pa hw.PhysAddr, data []byte, seq uint64) error {
 	if !ioChunk(pa, len(data)) {
 		return ErrNotAligned
 	}
-	plain := append([]byte(nil), data...)
-	s.ioOpen(seq, plain)
-	c.cipher.EncryptLine(pa, plain)
-	f.charge(uint64(len(plain)) / hw.BlockSize * cycles.AESBlockSEV)
+	s.ioOpen(seq, data)
+	c.cipher.EncryptLine(pa, data)
+	f.charge(uint64(len(data)) / hw.BlockSize * cycles.AESBlockSEV)
 	f.command(name, h)
-	return f.ctl.FirmwareWrite(pa, plain)
+	return f.ctl.FirmwareWrite(pa, data)
 }
 
 // ioChunk reports whether n bytes at pa make one I/O chunk: block

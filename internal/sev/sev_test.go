@@ -446,11 +446,11 @@ func TestHelperContextsIOPath(t *testing.T) {
 	}
 	// I/O write: SendIO re-encrypts Kvek -> TEK, tweaked by the sector
 	// number, into ciphertext for the shared buffer.
-	ct, err := fw.SendIO(sdom, md, len(data), 42)
-	if err != nil {
+	ct := make([]byte, len(data))
+	if err := fw.SendIO(sdom, md, ct, 42); err != nil {
 		t.Fatal(err)
 	}
-	if len(ct) != len(data) || bytes.Contains(ct, []byte("disk sector data")) {
+	if bytes.Contains(ct, []byte("disk sector data")) {
 		t.Fatal("I/O ciphertext leaks plaintext")
 	}
 	// I/O read: ReceiveIO re-encrypts TEK -> Kvek into another guest
@@ -467,10 +467,10 @@ func TestHelperContextsIOPath(t *testing.T) {
 		t.Fatal("I/O round trip through s-dom/r-dom mismatch")
 	}
 	// Alignment enforcement on the address and the length.
-	if _, err := fw.SendIO(sdom, md+1, 16, 0); !errors.Is(err, ErrNotAligned) {
+	if err := fw.SendIO(sdom, md+1, make([]byte, 16), 0); !errors.Is(err, ErrNotAligned) {
 		t.Fatalf("send_io misaligned address: want ErrNotAligned, got %v", err)
 	}
-	if _, err := fw.SendIO(sdom, md, 17, 0); !errors.Is(err, ErrNotAligned) {
+	if err := fw.SendIO(sdom, md, make([]byte, 17), 0); !errors.Is(err, ErrNotAligned) {
 		t.Fatalf("send_io misaligned length: want ErrNotAligned, got %v", err)
 	}
 	if err := fw.ReceiveIO(rdom, dst+1, ct, 42); !errors.Is(err, ErrNotAligned) {
@@ -480,7 +480,7 @@ func TestHelperContextsIOPath(t *testing.T) {
 		t.Fatalf("receive_io misaligned length: want ErrNotAligned, got %v", err)
 	}
 	// Each command is legal only on the helper in its own state.
-	if _, err := fw.SendIO(rdom, md, len(data), 42); !errors.Is(err, ErrBadState) {
+	if err := fw.SendIO(rdom, md, make([]byte, len(data)), 42); !errors.Is(err, ErrBadState) {
 		t.Fatalf("send_io on the receiving helper: want ErrBadState, got %v", err)
 	}
 	if err := fw.ReceiveIO(sdom, dst, ct, 42); !errors.Is(err, ErrBadState) {
