@@ -1,9 +1,6 @@
 package hw
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // LineSize is the cache line size in bytes.
 const LineSize = 64
@@ -30,27 +27,41 @@ const DefaultWays = 8
 //
 // Locking is sharded per set (the lock order is the set index, and no
 // operation ever holds two set locks at once), so concurrent vCPUs racing
-// on different sets never contend. Statistics are atomics. ReadAt, WriteAt,
-// Fill, Invalidate and Flush are safe for concurrent use; Lookup and Peek
-// return a pointer into line storage and are for single-threaded callers
-// (tests and the attack demos) only.
+// on different sets never contend. Every counter lives in its set's
+// record next to the lock and is a plain field, bumped by the access that
+// already holds that lock; Stats and Len sum the sets one lock at a time,
+// as Flush does. ReadAt, WriteAt, Fill, Invalidate and Flush are safe for
+// concurrent use; Lookup and Peek return a pointer into line storage and
+// are for single-threaded callers (tests and the attack demos) only.
 type Cache struct {
-	sets int // power of two; 0 disables the cache
-	ways int
+	ways int // 0 disables the cache
+	mask int // set count - 1; the set count is a power of two
 
 	// Flat per-way state, indexed set*ways+way, guarded by the set's lock.
-	data  [][LineSize]byte
-	tags  []PhysAddr
-	valid []bool
-	ref   []bool
-	hand  []int // CLOCK hand, one per set
+	// A way's tag is its line's base with bit 0 set (a base is 64-byte
+	// aligned), or 0 while the way is empty.
+	data [][LineSize]byte
+	tags []PhysAddr
+	ref  []bool
 
-	locks []sync.Mutex // one per set
+	// sets holds one record per set. A disabled cache keeps one, which
+	// only counts.
+	sets []cacheSet
+}
 
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
-	live      atomic.Int64
+// cacheSet is one set's lock, CLOCK hand and counters, all guarded by mu.
+// reads, readBytes, writes and writeBytes are the memory controller's
+// transaction counts (mem.reads and friends): each transaction is counted
+// once, in the set of its first line, by the ReadAt or WriteAt call that
+// holds that set's lock anyway.
+type cacheSet struct {
+	mu   sync.Mutex
+	hand int32
+	live int32
+
+	hits, misses, evictions uint64
+	reads, readBytes        uint64
+	writes, writeBytes      uint64
 }
 
 // NewCache returns a cache holding at least capacity lines (rounded up to
@@ -66,7 +77,7 @@ func NewCache(capacity int) *Cache {
 // capacity/ways lines.
 func NewCacheWays(capacity, ways int) *Cache {
 	if capacity <= 0 {
-		return &Cache{}
+		return &Cache{sets: make([]cacheSet, 1)}
 	}
 	if ways < 1 {
 		ways = 1
@@ -80,14 +91,12 @@ func NewCacheWays(capacity, ways int) *Cache {
 	}
 	n := sets * ways
 	return &Cache{
-		sets:  sets,
-		ways:  ways,
-		data:  make([][LineSize]byte, n),
-		tags:  make([]PhysAddr, n),
-		valid: make([]bool, n),
-		ref:   make([]bool, n),
-		hand:  make([]int, sets),
-		locks: make([]sync.Mutex, sets),
+		ways: ways,
+		mask: sets - 1,
+		data: make([][LineSize]byte, n),
+		tags: make([]PhysAddr, n),
+		ref:  make([]bool, n),
+		sets: make([]cacheSet, sets),
 	}
 }
 
@@ -95,16 +104,16 @@ func lineBase(pa PhysAddr) PhysAddr { return pa &^ (LineSize - 1) }
 
 // setOf maps a line base address to its set index (physically indexed).
 func (c *Cache) setOf(base PhysAddr) int {
-	return int(uint64(base)/LineSize) & (c.sets - 1)
+	return int(uint64(base)/LineSize) & c.mask
 }
 
 // findInSet returns the flat way index holding base within set, or -1.
 // The caller must hold the set's lock.
 func (c *Cache) findInSet(set int, base PhysAddr) int {
-	i := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[i+w] && c.tags[i+w] == base {
-			return i + w
+	first := set * c.ways
+	for w, tag := range c.tags[first : first+c.ways] {
+		if tag == base|1 {
+			return first + w
 		}
 	}
 	return -1
@@ -113,60 +122,64 @@ func (c *Cache) findInSet(set int, base PhysAddr) int {
 // ReadAt copies cached plaintext for pa into dst, which must not cross the
 // line boundary. It reports whether the line was present, counting a hit
 // or a miss. This is the memory controller's load path: the bytes are
-// copied out under the set lock, so concurrent fills never tear a read.
-func (c *Cache) ReadAt(pa PhysAddr, dst []byte) bool {
-	if c.sets == 0 {
-		c.misses.Add(1)
-		return false
-	}
+// copied out under the set lock, so concurrent fills never tear a read. A
+// tx above zero marks the first line of a controller read of tx bytes,
+// which the same set counts.
+func (c *Cache) ReadAt(pa PhysAddr, dst []byte, tx int) bool {
 	base := lineBase(pa)
 	set := c.setOf(base)
-	c.locks[set].Lock()
+	s := &c.sets[set]
+	s.mu.Lock()
+	if tx > 0 {
+		s.reads++
+		s.readBytes += uint64(tx)
+	}
 	i := c.findInSet(set, base)
 	if i < 0 {
-		c.locks[set].Unlock()
-		c.misses.Add(1)
+		s.misses++
+		s.mu.Unlock()
 		return false
 	}
+	s.hits++
 	c.ref[i] = true
-	off := int(pa - base)
-	copy(dst, c.data[i][off:])
-	c.locks[set].Unlock()
-	c.hits.Add(1)
+	copy(dst, c.data[i][pa-base:])
+	s.mu.Unlock()
 	return true
 }
 
 // WriteAt updates cached plaintext for pa in place if the line is present
 // (no write-allocate), without touching hit/miss statistics or replacement
 // state — the write-buffer's view. data must not cross the line boundary.
-func (c *Cache) WriteAt(pa PhysAddr, data []byte) bool {
-	if c.sets == 0 {
-		return false
-	}
+// A tx above zero marks the first line of a controller write of tx bytes,
+// which the same set counts.
+func (c *Cache) WriteAt(pa PhysAddr, data []byte, tx int) bool {
 	base := lineBase(pa)
 	set := c.setOf(base)
-	c.locks[set].Lock()
-	i := c.findInSet(set, base)
-	if i < 0 {
-		c.locks[set].Unlock()
-		return false
+	s := &c.sets[set]
+	s.mu.Lock()
+	if tx > 0 {
+		s.writes++
+		s.writeBytes += uint64(tx)
 	}
-	off := int(pa - base)
-	copy(c.data[i][off:], data)
-	c.locks[set].Unlock()
-	return true
+	i := c.findInSet(set, base)
+	if i >= 0 {
+		copy(c.data[i][pa-base:], data)
+	}
+	s.mu.Unlock()
+	return i >= 0
 }
 
 // Fill inserts a plaintext line, running CLOCK replacement in its set if
 // every way is occupied.
 func (c *Cache) Fill(pa PhysAddr, data *[LineSize]byte) {
-	if c.sets == 0 {
+	if c.ways == 0 {
 		return
 	}
 	base := lineBase(pa)
 	set := c.setOf(base)
-	c.locks[set].Lock()
-	defer c.locks[set].Unlock()
+	s := &c.sets[set]
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if i := c.findInSet(set, base); i >= 0 {
 		c.data[i] = *data
 		c.ref[i] = true
@@ -175,7 +188,7 @@ func (c *Cache) Fill(pa PhysAddr, data *[LineSize]byte) {
 	first := set * c.ways
 	w := -1
 	for v := 0; v < c.ways; v++ {
-		if !c.valid[first+v] {
+		if c.tags[first+v] == 0 {
 			w = first + v
 			break
 		}
@@ -184,41 +197,41 @@ func (c *Cache) Fill(pa PhysAddr, data *[LineSize]byte) {
 		// CLOCK: sweep the hand, clearing reference bits, until a way
 		// without a second chance comes up.
 		for {
-			h := first + c.hand[set]
-			c.hand[set] = (c.hand[set] + 1) % c.ways
+			h := first + int(s.hand)
+			s.hand = (s.hand + 1) % int32(c.ways)
 			if !c.ref[h] {
 				w = h
 				break
 			}
 			c.ref[h] = false
 		}
-		c.evictions.Add(1)
-		c.live.Add(-1)
+		s.evictions++
+		s.live--
 	}
 	c.data[w] = *data
-	c.tags[w] = base
-	c.valid[w] = true
+	c.tags[w] = base | 1
 	c.ref[w] = true
-	c.live.Add(1)
+	s.live++
 }
 
 // Invalidate drops any line overlapping [pa, pa+n), taking one set lock at
 // a time.
 func (c *Cache) Invalidate(pa PhysAddr, n int) {
-	if c.sets == 0 || n <= 0 {
+	if c.ways == 0 || n <= 0 {
 		return
 	}
 	first := lineBase(pa)
 	last := lineBase(pa + PhysAddr(n) - 1)
 	for b := first; b <= last; b += LineSize {
 		set := c.setOf(b)
-		c.locks[set].Lock()
+		s := &c.sets[set]
+		s.mu.Lock()
 		if i := c.findInSet(set, b); i >= 0 {
-			c.valid[i] = false
+			c.tags[i] = 0
 			c.ref[i] = false
-			c.live.Add(-1)
+			s.live--
 		}
-		c.locks[set].Unlock()
+		s.mu.Unlock()
 		if b+LineSize < b { // overflow guard
 			break
 		}
@@ -228,23 +241,39 @@ func (c *Cache) Invalidate(pa PhysAddr, n int) {
 // Flush empties the cache (WBINVD), sweeping the sets in ascending order
 // one lock at a time.
 func (c *Cache) Flush() {
-	for s := 0; s < c.sets; s++ {
-		c.locks[s].Lock()
-		first := s * c.ways
+	for set := range c.sets {
+		s := &c.sets[set]
+		s.mu.Lock()
+		first := set * c.ways
 		for w := 0; w < c.ways; w++ {
-			if c.valid[first+w] {
-				c.valid[first+w] = false
-				c.live.Add(-1)
-			}
+			c.tags[first+w] = 0
 			c.ref[first+w] = false
 		}
-		c.hand[s] = 0
-		c.locks[s].Unlock()
+		s.hand, s.live = 0, 0
+		s.mu.Unlock()
 	}
 }
 
+// sum adds up one counter of every set, taking one set lock at a time, as
+// Flush does. Concurrent accesses may land on either side of the sweep.
+func (c *Cache) sum(counter func(*cacheSet) uint64) uint64 {
+	var t uint64
+	for set := range c.sets {
+		s := &c.sets[set]
+		s.mu.Lock()
+		t += counter(s)
+		s.mu.Unlock()
+	}
+	return t
+}
+
 // Len reports the number of valid lines currently held.
-func (c *Cache) Len() int { return int(c.live.Load()) }
+func (c *Cache) Len() int {
+	return int(c.sum(func(s *cacheSet) uint64 { return uint64(s.live) }))
+}
 
 // Stats reports hit and miss counts since creation.
-func (c *Cache) Stats() (hits, misses uint64) { return c.hits.Load(), c.misses.Load() }
+func (c *Cache) Stats() (hits, misses uint64) {
+	return c.sum(func(s *cacheSet) uint64 { return s.hits }),
+		c.sum(func(s *cacheSet) uint64 { return s.misses })
+}

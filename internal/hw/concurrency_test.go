@@ -52,19 +52,19 @@ func TestCacheConcurrentOps(t *testing.T) {
 							c.Fill(base, &line)
 						case 1:
 							var dst [LineSize]byte
-							if c.ReadAt(base, dst[:]) && dst != line {
+							if c.ReadAt(base, dst[:], 0) && dst != line {
 								t.Errorf("worker %d: torn line at %#x", w, base)
 								return
 							}
 						case 2:
-							c.WriteAt(base, line[:LineSize/2])
+							c.WriteAt(base, line[:LineSize/2], 0)
 						case 3:
 							c.Invalidate(base, LineSize)
 						case 4:
 							// Partial read at an offset inside the line.
 							var dst [LineSize / 4]byte
 							off := PhysAddr(LineSize / 2)
-							if c.ReadAt(base+off, dst[:]) {
+							if c.ReadAt(base+off, dst[:], 0) {
 								for j, b := range dst {
 									if b != line[int(off)+j] {
 										t.Errorf("worker %d: torn partial read at %#x", w, base)

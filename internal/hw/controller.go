@@ -16,16 +16,17 @@ type Access struct {
 	ASID      ASID
 }
 
-// ctlStats is the controller's transaction accounting, shared between the
-// root controller and every per-vCPU view. Atomics, because concurrent
-// domain runners bump them from their own goroutines; they are served
-// through Telem.Reg as reader funcs — one accounting mechanism, no
-// duplicate registrations per view.
+// ctlStats is the controller's rare-event accounting, shared between the
+// root controller and every per-vCPU view: lines through the AES engine
+// and DMA transfers. Atomics, because concurrent domain runners bump them
+// from their own goroutines. The per-access transaction counts
+// (mem.reads, mem.read_bytes, mem.writes, mem.write_bytes) are not here:
+// the cache keeps them in its per-set records, under the set lock each
+// access already takes. All of them are served through Telem.Reg as
+// reader funcs — one registration per machine, none per view.
 type ctlStats struct {
-	reads, writes         atomic.Uint64
-	readBytes, writeBytes atomic.Uint64
-	decLines, encLines    atomic.Uint64 // cache lines through the AES engine
-	dmaReads, dmaWrites   atomic.Uint64
+	decLines, encLines  atomic.Uint64
+	dmaReads, dmaWrites atomic.Uint64
 }
 
 // Controller is the memory controller: every CPU-originated access goes
@@ -37,6 +38,13 @@ type ctlStats struct {
 // thread-safe on its own), while Cycles and the rmw staging buffer are
 // private to the port's owning goroutine. View clones a port for another
 // vCPU; the serial platform just uses the root controller everywhere.
+//
+// Accounting rides on locks the access takes anyway. A read or write
+// counts its transaction in the cache set of its first line, under that
+// set's lock, and charges its port's cycle counter once for all its
+// lines. A one-line cache-hit read therefore costs three locked
+// instructions (the set lock, its unlock and the one cycle charge) where
+// per-line charging and shared atomic counters took six.
 type Controller struct {
 	Mem    *Memory
 	Eng    *Engine
@@ -84,16 +92,17 @@ func NewController(mem *Memory, cacheLines int) *Controller {
 	reg := c.Telem.Reg
 	s := c.stats
 	reg.RegisterFunc("cycles.total", c.Clock.Total)
-	reg.RegisterFunc("mem.reads", s.reads.Load)
-	reg.RegisterFunc("mem.writes", s.writes.Load)
-	reg.RegisterFunc("mem.read_bytes", s.readBytes.Load)
-	reg.RegisterFunc("mem.write_bytes", s.writeBytes.Load)
+	cache := c.Cache
+	reg.RegisterFunc("mem.reads", func() uint64 { return cache.sum(func(s *cacheSet) uint64 { return s.reads }) })
+	reg.RegisterFunc("mem.writes", func() uint64 { return cache.sum(func(s *cacheSet) uint64 { return s.writes }) })
+	reg.RegisterFunc("mem.read_bytes", func() uint64 { return cache.sum(func(s *cacheSet) uint64 { return s.readBytes }) })
+	reg.RegisterFunc("mem.write_bytes", func() uint64 { return cache.sum(func(s *cacheSet) uint64 { return s.writeBytes }) })
 	reg.RegisterFunc("mem.dec_lines", s.decLines.Load)
 	reg.RegisterFunc("mem.enc_lines", s.encLines.Load)
 	reg.RegisterFunc("dma.reads", s.dmaReads.Load)
 	reg.RegisterFunc("dma.writes", s.dmaWrites.Load)
-	reg.RegisterFunc("cache.hits", func() uint64 { h, _ := c.Cache.Stats(); return h })
-	reg.RegisterFunc("cache.misses", func() uint64 { _, m := c.Cache.Stats(); return m })
+	reg.RegisterFunc("cache.hits", func() uint64 { return cache.sum(func(s *cacheSet) uint64 { return s.hits }) })
+	reg.RegisterFunc("cache.misses", func() uint64 { return cache.sum(func(s *cacheSet) uint64 { return s.misses }) })
 	return c
 }
 
@@ -109,13 +118,14 @@ func (c *Controller) View() *Controller {
 	return v
 }
 
-// Detached returns a port like View whose private cycle counter is
-// attached to no clock: nothing it charges ever reaches the machine
-// clock. Trusted mechanics whose cost a modelled constant already covers
-// run on such a port.
+// Detached returns a port like View with no cycle counter at all:
+// nothing it charges is counted anywhere. Trusted mechanics whose cost a
+// modelled constant already covers run on such a port. Its transactions
+// still count in the shared stats, and its cache traffic (fills, CLOCK
+// reference bits) is part of the model.
 func (c *Controller) Detached() *Controller {
 	v := *c
-	v.Cycles = &cycles.Counter{}
+	v.Cycles = nil
 	v.rmw = nil
 	return &v
 }
@@ -140,6 +150,7 @@ func (c *Controller) Now() uint64 {
 	return 0
 }
 
+// charge adds n cycles to the port's counter; a detached port has none.
 func (c *Controller) charge(n uint64) {
 	if c.Cycles != nil {
 		c.Cycles.Charge(n)
@@ -163,6 +174,10 @@ func touchedLines(pa PhysAddr, n int) uint64 {
 // resolved lazily, on the first line actually fetched from DRAM: a fully
 // cache-resident read never consults the engine, exactly as the hardware
 // never would.
+//
+// The lines' cycles are summed and charged once, before anything else
+// can read the clock: the decrypt event, an integrity audit record, or a
+// caller handed an error.
 func (c *Controller) Read(a Access, buf []byte) error {
 	if err := c.Mem.check(a.PA, len(buf)); err != nil {
 		return err
@@ -170,12 +185,10 @@ func (c *Controller) Read(a Access, buf []byte) error {
 	if len(buf) == 0 {
 		return nil
 	}
-	if s := c.stats; s != nil {
-		s.reads.Add(1)
-		s.readBytes.Add(uint64(len(buf)))
-	}
 	var slot *PageCipher // resolved once, on the first decrypting miss
 	decrypted := uint64(0)
+	cost := uint64(0)
+	tx := len(buf) // counted by the first line's set
 	done := 0
 	for done < len(buf) {
 		pa := a.PA + PhysAddr(done)
@@ -185,18 +198,21 @@ func (c *Controller) Read(a Access, buf []byte) error {
 		if n > len(buf)-done {
 			n = len(buf) - done
 		}
-		if c.Cache.ReadAt(pa, buf[done:done+n]) {
-			c.charge(cycles.CacheAccess)
+		hit := c.Cache.ReadAt(pa, buf[done:done+n], tx)
+		tx = 0
+		if hit {
+			cost += cycles.CacheAccess
 			done += n
 			continue
 		}
-		c.charge(cycles.MemAccess)
+		cost += cycles.MemAccess
 		if a.Encrypted {
-			c.charge(cycles.MemEncryptExtra)
+			cost += cycles.MemEncryptExtra
 		}
 		if c.Integ != nil && c.Integ.Protected(base.Frame()) {
-			c.charge(cycles.IntegrityCheck)
+			cost += cycles.IntegrityCheck
 			if err := c.Integ.Verify(base, LineSize); err != nil {
+				c.charge(cost)
 				// A failed tag is physical tampering caught in the act:
 				// ledger it before surfacing the machine-check.
 				if c.Telem.Auditing() {
@@ -212,12 +228,14 @@ func (c *Controller) Read(a Access, buf []byte) error {
 			span = int(PhysAddr(c.Mem.Size()) - base)
 		}
 		if err := c.Mem.ReadRaw(base, fill[:span]); err != nil {
+			c.charge(cost)
 			return err
 		}
 		if a.Encrypted {
 			if slot == nil {
 				s, err := c.Eng.Slot(a.ASID)
 				if err != nil {
+					c.charge(cost)
 					return err
 				}
 				slot = s
@@ -234,6 +252,7 @@ func (c *Controller) Read(a Access, buf []byte) error {
 		copy(buf[done:done+n], fill[off:off+n])
 		done += n
 	}
+	c.charge(cost)
 	if decrypted > 0 && c.Telem.Tracing() {
 		c.Telem.Emit(telemetry.KindMemDecrypt,
 			c.Telem.VMForASID(uint32(a.ASID)), uint32(a.ASID),
@@ -243,14 +262,10 @@ func (c *Controller) Read(a Access, buf []byte) error {
 }
 
 // decryptFill decrypts the first span bytes of a line-fill buffer in
-// place. XEX's Go loop hands its buffer to a cipher.Block, which makes
-// the buffer escape on either XEX path, so the ciphertext is decrypted
-// in a copy: the caller's fill buffer stays on its stack and only
-// encrypted misses allocate.
+// place. The buffer stays on the caller's stack: XEX.decryptArray lets
+// it escape on neither XEX path.
 func decryptFill(slot *PageCipher, base PhysAddr, fill *[LineSize]byte, span int) {
-	line := *fill
-	slot.DecryptLine(base, line[:span])
-	*fill = line
+	slot.x.decryptArray(uint64(base), fill, span)
 }
 
 // Write performs a CPU write. The cache is write-through: DRAM always holds
@@ -276,11 +291,9 @@ func (c *Controller) Write(a Access, data []byte) error {
 		}
 		slot = s
 	}
-	if s := c.stats; s != nil {
-		s.writes.Add(1)
-		s.writeBytes.Add(uint64(len(data)))
-	}
-	// Update any cached plaintext lines in place (no write-allocate).
+	// Update any cached plaintext lines in place (no write-allocate); the
+	// first line's set counts the transaction.
+	tx := len(data)
 	done := 0
 	for done < len(data) {
 		pa := a.PA + PhysAddr(done)
@@ -290,19 +303,20 @@ func (c *Controller) Write(a Access, data []byte) error {
 		if n > len(data)-done {
 			n = len(data) - done
 		}
-		c.Cache.WriteAt(pa, data[done:done+n])
+		c.Cache.WriteAt(pa, data[done:done+n], tx)
+		tx = 0
 		done += n
 	}
 	// Charge per cache line touched, as the write buffer drains them.
 	lines := touchedLines(a.PA, len(data))
-	c.charge(lines * cycles.MemAccess)
 	if !a.Encrypted {
+		c.charge(lines * cycles.MemAccess)
 		if err := c.Mem.WriteRaw(a.PA, data); err != nil {
 			return err
 		}
 		return c.integUpdate(a.PA, len(data), lines)
 	}
-	c.charge(lines * cycles.MemEncryptExtra)
+	c.charge(lines * (cycles.MemAccess + cycles.MemEncryptExtra))
 	if s := c.stats; s != nil {
 		s.encLines.Add(lines)
 	}

@@ -329,8 +329,8 @@ func TestSetAssociativeEviction(t *testing.T) {
 	if _, ok := c.Peek(128); !ok {
 		t.Fatal("line 128 missing after eviction in its set")
 	}
-	if c.evictions.Load() != 1 {
-		t.Fatalf("evictions = %d, want 1", c.evictions.Load())
+	if c.evictions() != 1 {
+		t.Fatalf("evictions = %d, want 1", c.evictions())
 	}
 	// Set 1 was never touched by set 0's pressure.
 	fill(64)
@@ -372,8 +372,8 @@ func TestClockSecondChance(t *testing.T) {
 	if _, ok := c.Peek(192); ok {
 		t.Fatal("unreferenced line 192 should have been the CLOCK victim")
 	}
-	if c.evictions.Load() != 3 {
-		t.Fatalf("evictions = %d, want 3", c.evictions.Load())
+	if c.evictions() != 3 {
+		t.Fatalf("evictions = %d, want 3", c.evictions())
 	}
 }
 
@@ -427,20 +427,17 @@ func TestCacheDisabled(t *testing.T) {
 // Lookup returns the cached plaintext line containing pa, if present.
 // The returned pointer aliases line storage; single-threaded callers only.
 func (c *Cache) Lookup(pa PhysAddr) (*[LineSize]byte, bool) {
-	if c.sets == 0 {
-		c.misses.Add(1)
-		return nil, false
-	}
 	base := lineBase(pa)
 	set := c.setOf(base)
-	c.locks[set].Lock()
-	defer c.locks[set].Unlock()
+	s := &c.sets[set]
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if i := c.findInSet(set, base); i >= 0 {
-		c.hits.Add(1)
+		s.hits++
 		c.ref[i] = true
 		return &c.data[i], true
 	}
-	c.misses.Add(1)
+	s.misses++
 	return nil, false
 }
 
@@ -448,15 +445,18 @@ func (c *Cache) Lookup(pa PhysAddr) (*[LineSize]byte, bool) {
 // statistics or replacement state. The returned pointer aliases line
 // storage; single-threaded callers only.
 func (c *Cache) Peek(pa PhysAddr) (*[LineSize]byte, bool) {
-	if c.sets == 0 {
-		return nil, false
-	}
 	base := lineBase(pa)
 	set := c.setOf(base)
-	c.locks[set].Lock()
-	defer c.locks[set].Unlock()
+	s := &c.sets[set]
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if i := c.findInSet(set, base); i >= 0 {
 		return &c.data[i], true
 	}
 	return nil, false
+}
+
+// evictions reports the CLOCK evictions since creation.
+func (c *Cache) evictions() uint64 {
+	return c.sum(func(s *cacheSet) uint64 { return s.evictions })
 }

@@ -68,6 +68,21 @@ func (x *XEX) EncryptLine(pos uint64, b []byte) { x.line(pos, b, true) }
 // DecryptLine inverts EncryptLine.
 func (x *XEX) DecryptLine(pos uint64, b []byte) { x.line(pos, b, false) }
 
+// decryptArray is DecryptLine over the first n bytes of a line-sized
+// array that must not move to the heap. The kernel decrypts it where it
+// lies. The Go loop hands its buffer to a cipher.Block, which would make
+// the array escape, so there a copy is decrypted, and only the copy is
+// allocated.
+func (x *XEX) decryptArray(pos uint64, b *[LineSize]byte, n int) {
+	if x.data == nil {
+		xexLine(&x.keys, pos, b[:n], false)
+		return
+	}
+	line := *b
+	x.line(pos, line[:n], false)
+	*b = line
+}
+
 // line runs the XEX loop in either direction: the AES-NI kernel, four
 // blocks in flight, or the Go loop, one block at a time. The Go loop
 // computes the tweak inside the block's own 16 bytes — data saved,
