@@ -7,8 +7,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-
-	"fidelius/internal/cycles"
 )
 
 // Remote attestation: the paper's system initialisation "leverages
@@ -121,12 +119,9 @@ func (f *Firmware) Attest(nonce []byte, hvMeasurement, integrityRoot [32]byte) (
 // receive protocol: a running guest retains the measurement RECEIVE_FINISH
 // verified; contexts mid-transport have had it scrubbed or not yet folded.
 func (f *Firmware) AttestGuest(h Handle, nonce []byte, hvMeasurement, integrityRoot [32]byte) (*Quote, error) {
-	c, err := f.ctx(h)
+	c, err := f.enter("attest-guest", h)
 	if err != nil {
 		return nil, err
-	}
-	if c.state != StateRunning {
-		return nil, fmt.Errorf("%w: attest_guest in %v", ErrBadState, c.state)
 	}
 	q := &Quote{
 		Nonce:         append([]byte{}, nonce...),
@@ -137,8 +132,7 @@ func (f *Firmware) AttestGuest(h Handle, nonce []byte, hvMeasurement, integrityR
 	if err := f.sign(q); err != nil {
 		return nil, err
 	}
-	f.charge(cycles.SEVCommand)
-	f.command("attest-guest", h)
+	f.exit("attest-guest", c)
 	if f.auditing() {
 		f.audit("attest-quote", 0,
 			fmt.Sprintf("guest quote issued: handle %d, vm measurement %x..",

@@ -182,17 +182,3 @@ func TestReceiveUpdatePagesParallelWidths(t *testing.T) {
 		assertPagesEqual(t, ctl, pfns, zeros, "a refused replay")
 	})
 }
-
-func TestBulkStateChecks(t *testing.T) {
-	f, _ := newFW(t, 8)
-	h, err := f.LaunchStart(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.SendUpdatePages(h, []hw.PFN{1}, slab(1)); err == nil {
-		t.Fatal("send_update_pages in launching state should fail")
-	}
-	if err := f.ReceiveUpdatePages(h, []hw.PFN{1}, []Packet{{}}); err == nil {
-		t.Fatal("receive_update_pages in launching state should fail")
-	}
-}

@@ -41,15 +41,11 @@ func gekSession(key GEK) *session {
 // wrapped under the owner-platform ECDH agreement, so the hypervisor
 // relaying it learns nothing.
 func (f *Firmware) SetEncGEK(h Handle, wrapped WrappedKeys, ownerPub *ecdh.PublicKey, nonce []byte) error {
-	c, err := f.ctx(h)
+	c, err := f.enter("setenc-gek", h)
 	if err != nil {
 		return err
 	}
-	shared, err := ECDHAgree(f.priv, ownerPub)
-	if err != nil {
-		return err
-	}
-	tk, err := unwrapKeys(deriveKEK(shared, nonce), wrapped)
+	tk, err := openWrappedKeys(f.priv, ownerPub, nonce, wrapped)
 	if err != nil {
 		return err
 	}
@@ -57,8 +53,7 @@ func (f *Firmware) SetEncGEK(h Handle, wrapped WrappedKeys, ownerPub *ecdh.Publi
 		c.gek.scrub()
 	}
 	c.gek = gekSession(tk.TEK)
-	f.charge(cycles.SEVCommand)
-	f.command("setenc-gek", h)
+	f.exit("setenc-gek", c)
 	return nil
 }
 
@@ -66,12 +61,9 @@ func (f *Firmware) SetEncGEK(h Handle, wrapped WrappedKeys, ownerPub *ecdh.Publi
 // GEK, sealing them into dst, which the caller owns — the proposed ENC
 // instruction. Unlike SEND_UPDATE it works in the running state.
 func (f *Firmware) Enc(h Handle, pa hw.PhysAddr, dst []byte, seq uint64) error {
-	c, err := f.ctx(h)
+	c, err := f.enter("enc", h)
 	if err != nil {
 		return err
-	}
-	if c.gek == nil {
-		return ErrNoGEK
 	}
 	return f.ioOut(c, c.gek, "enc", h, pa, dst, seq)
 }
@@ -81,12 +73,9 @@ func (f *Firmware) Enc(h Handle, pa hw.PhysAddr, dst []byte, seq uint64) error {
 // data in place: on success data holds the Kvek ciphertext written at
 // pa, never the plaintext.
 func (f *Firmware) Dec(h Handle, pa hw.PhysAddr, data []byte, seq uint64) error {
-	c, err := f.ctx(h)
+	c, err := f.enter("dec", h)
 	if err != nil {
 		return err
-	}
-	if c.gek == nil {
-		return ErrNoGEK
 	}
 	return f.ioIn(c, c.gek, "dec", h, pa, data, seq)
 }
@@ -94,13 +83,17 @@ func (f *Firmware) Dec(h Handle, pa hw.PhysAddr, data []byte, seq uint64) error 
 // DecPage is the page-granularity DEC used to boot from a GEK-encrypted
 // image: one command per page, seq = page index within the image. The
 // firmware copies the page in (the charged PageCopy) and opens the copy,
-// so data is left untouched.
+// so data is left untouched. A DecPage refused at entry charges nothing.
 func (f *Firmware) DecPage(h Handle, pfn hw.PFN, data []byte, seq uint64) error {
 	if len(data) != hw.PageSize {
 		return fmt.Errorf("sev: DecPage needs a full page, got %d bytes", len(data))
 	}
+	c, err := f.enter("dec", h)
+	if err != nil {
+		return err
+	}
 	f.charge(cycles.SEVCommand + cycles.PageCopy)
-	return f.Dec(h, pfn.Addr(), append([]byte(nil), data...), seq)
+	return f.ioIn(c, c.gek, "dec", h, pfn.Addr(), append([]byte(nil), data...), seq)
 }
 
 // GEKImage is a portable encrypted kernel image: pages under the owner's
@@ -136,10 +129,10 @@ func (o *Owner) PrepareGEKImage(kernel []byte) (*GEKImage, GEK, error) {
 // WrapGEK wraps the GEK for a specific platform at deployment time — the
 // late-binding step the extension enables.
 func (o *Owner) WrapGEK(platformPub *ecdh.PublicKey, gek GEK) (WrappedKeys, error) {
-	shared, err := ECDHAgree(o.priv, platformPub)
+	kek, err := deriveKEK(o.priv, platformPub, o.nonce[:])
 	if err != nil {
 		return WrappedKeys{}, err
 	}
 	// Reuse the TEK slot of the transport wrap; TIK is unused.
-	return wrapKeys(deriveKEK(shared, o.nonce[:]), TransportKeys{TEK: gek})
+	return wrapKeys(kek, TransportKeys{TEK: gek})
 }

@@ -185,3 +185,26 @@ func TestFirmwareGuardBlocksAllCommands(t *testing.T) {
 		t.Errorf("post-reauth Activate: %v", err)
 	}
 }
+
+// TestDecPageRefusalChargesNothing: a DecPage refused on an unknown
+// handle or on a context without a GEK charges no cycle.
+func TestDecPageRefusalChargesNothing(t *testing.T) {
+	fw, ctl := newFW(t, 8)
+	h, err := fw.LaunchStart(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, hw.PageSize)
+	for _, c := range []struct {
+		h    Handle
+		want error
+	}{{h + 7, ErrBadHandle}, {h, ErrNoGEK}} {
+		before := ctl.Cycles.Total()
+		if err := fw.DecPage(c.h, 2, page, 0); !errors.Is(err, c.want) {
+			t.Fatalf("DecPage on handle %d: got %v, want %v", c.h, err, c.want)
+		}
+		if d := ctl.Cycles.Total() - before; d != 0 {
+			t.Errorf("DecPage refused with %v charged %d cycles", c.want, d)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"crypto/hmac"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,6 +48,45 @@ func (s State) String() string {
 		return "sent"
 	}
 	return fmt.Sprintf("state(%d)", int(s))
+}
+
+// rule is one guest command's row of the state table.
+type rule struct {
+	from []State // states the context the command names may be in; nil for any
+	to   State   // where the exit step moves the context; StateInvalid, which no command enters, leaves it in place
+	gek  bool    // the context must hold a GEK
+	free bool    // the exit step charges nothing: RECEIVE_HELPER_START's cost is the LAUNCH_HELPER it runs
+}
+
+// allows reports whether the command may run on a context in state s.
+func (r rule) allows(s State) bool { return r.from == nil || slices.Contains(r.from, s) }
+
+// table is the SEV API guest state machine, keyed by each command's span
+// name; the entry step checks it and the exit step applies it. A command
+// that makes a context from nothing runs from invalid, the state of a
+// context not yet made. LAUNCH_HELPER and RECEIVE_HELPER_START name the
+// base guest, in any state, and move the helper context they make.
+var table = map[string]rule{
+	"launch-start":         {from: []State{StateInvalid}, to: StateLaunching},
+	"launch-helper":        {to: StateRunning},
+	"launch-finish":        {from: []State{StateLaunching}, to: StateRunning},
+	"activate":             {},
+	"deactivate":           {},
+	"decommission":         {},
+	"send-start":           {from: []State{StateRunning}, to: StateSending},
+	"send-update":          {from: []State{StateSending}},
+	"send-io":              {from: []State{StateSending}},
+	"send-cancel":          {from: []State{StateSending, StateSent}, to: StateRunning},
+	"send-finish":          {from: []State{StateSending}, to: StateSent},
+	"receive-start":        {from: []State{StateInvalid}, to: StateReceiving},
+	"receive-helper-start": {to: StateReceiving, free: true},
+	"receive-update":       {from: []State{StateReceiving}},
+	"receive-io":           {from: []State{StateReceiving}},
+	"receive-finish":       {from: []State{StateReceiving}, to: StateRunning},
+	"attest-guest":         {from: []State{StateRunning}},
+	"setenc-gek":           {},
+	"enc":                  {gek: true},
+	"dec":                  {gek: true},
 }
 
 // Handle identifies a guest context inside the firmware. Handles are the
@@ -254,16 +294,48 @@ func (f *Firmware) openGuarded(c *Context, pkt Packet, plain []byte) ([]byte, er
 	return plain, err
 }
 
-// setState moves a context through its lifecycle and records the
-// transition in the audit ledger: "Insecure Until Proven Updated" showed
-// that unrecorded firmware state is exactly what a rollback hides behind.
-func (f *Firmware) setState(c *Context, to State) {
-	from := c.state
-	c.state = to
-	if from != to && f.auditing() {
-		f.audit("sev-state", c.asid,
-			"handle "+fmt.Sprint(uint32(c.handle))+": "+from.String()+" -> "+to.String())
+// enter is the entry step of every guest command that names a context:
+// the authorization guard, the handle lookup, and the table's check of
+// the context's state and GEK.
+func (f *Firmware) enter(name string, h Handle) (*Context, error) {
+	if err := f.guard(); err != nil {
+		return nil, err
 	}
+	f.mu.Lock()
+	c, ok := f.ctxs[h]
+	f.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %d", ErrBadHandle, h)
+	}
+	r := table[name]
+	if !r.allows(c.state) {
+		return nil, fmt.Errorf("%w: %s in %v", ErrBadState, name, c.state)
+	}
+	if r.gek && c.gek == nil {
+		return nil, ErrNoGEK
+	}
+	return c, nil
+}
+
+// exit is the exit step of every guest command charged the fixed command
+// cost: the table's state move, the charge and the command's accounting,
+// in that order. The move is recorded in the audit ledger: "Insecure
+// Until Proven Updated" showed that unrecorded firmware state is exactly
+// what a rollback hides behind.
+func (f *Firmware) exit(name string, c *Context) {
+	r := table[name]
+	if r.to != StateInvalid {
+		from := c.state
+		c.state = r.to
+		if f.auditing() {
+			f.audit("sev-state", c.asid,
+				"handle "+fmt.Sprint(uint32(c.handle))+": "+from.String()+" -> "+r.to.String())
+		}
+	}
+	if !r.free {
+		f.charge(cycles.SEVCommand)
+	}
+	f.command(name, c.handle)
 }
 
 // Init generates the platform identity and moves the platform to the
@@ -302,19 +374,6 @@ func (f *Firmware) guard() error {
 	return nil
 }
 
-func (f *Firmware) ctx(h Handle) (*Context, error) {
-	if err := f.guard(); err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	c, ok := f.ctxs[h]
-	f.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrBadHandle, h)
-	}
-	return c, nil
-}
-
 func (f *Firmware) newContext() (*Context, error) {
 	if err := f.guard(); err != nil {
 		return nil, err
@@ -346,10 +405,8 @@ func (f *Firmware) LaunchStart(policy uint32) (Handle, error) {
 	if err != nil {
 		return 0, err
 	}
-	f.setState(c, StateLaunching)
 	c.policy = policy
-	f.charge(cycles.SEVCommand)
-	f.command("launch-start", c.handle)
+	f.exit("launch-start", c)
 	return c.handle, nil
 }
 
@@ -357,35 +414,37 @@ func (f *Firmware) LaunchStart(policy uint32) (Handle, error) {
 // This is Fidelius's use of the LAUNCH API to build the s-dom and r-dom
 // helper contexts for SEV-based I/O encryption.
 func (f *Firmware) LaunchHelper(h Handle) (Handle, error) {
-	base, err := f.ctx(h)
+	base, err := f.enter("launch-helper", h)
 	if err != nil {
 		return 0, err
 	}
-	c, err := f.newContext()
+	c, err := f.helper(base)
 	if err != nil {
 		return 0, err
+	}
+	return c.handle, nil
+}
+
+// helper makes a running context sharing base's Kvek and policy.
+func (f *Firmware) helper(base *Context) (*Context, error) {
+	c, err := f.newContext()
+	if err != nil {
+		return nil, err
 	}
 	c.kvek = base.kvek
 	c.cipher = base.cipher
-	f.setState(c, StateRunning)
 	c.policy = base.policy
-	f.charge(cycles.SEVCommand)
-	f.command("launch-helper", c.handle)
-	return c.handle, nil
+	f.exit("launch-helper", c)
+	return c, nil
 }
 
 // LaunchFinish completes launching; the guest context becomes runnable.
 func (f *Firmware) LaunchFinish(h Handle) error {
-	c, err := f.ctx(h)
+	c, err := f.enter("launch-finish", h)
 	if err != nil {
 		return err
 	}
-	if c.state != StateLaunching {
-		return fmt.Errorf("%w: launch_finish in %v", ErrBadState, c.state)
-	}
-	f.setState(c, StateRunning)
-	f.charge(cycles.SEVCommand)
-	f.command("launch-finish", h)
+	f.exit("launch-finish", c)
 	return nil
 }
 
@@ -395,7 +454,7 @@ func (f *Firmware) LaunchFinish(h Handle) error {
 // state, which is the key-sharing attack surface Fidelius closes by
 // self-maintaining the SEV metadata (Section 4.2.3).
 func (f *Firmware) Activate(h Handle, asid hw.ASID) error {
-	c, err := f.ctx(h)
+	c, err := f.enter("activate", h)
 	if err != nil {
 		return err
 	}
@@ -440,8 +499,7 @@ func (f *Firmware) Activate(h Handle, asid hw.ASID) error {
 	c.asid = asid
 	f.active[asid] = h
 	f.mu.Unlock()
-	f.charge(cycles.SEVCommand)
-	f.command("activate", h)
+	f.exit("activate", c)
 	return nil
 }
 
@@ -449,7 +507,7 @@ func (f *Firmware) Activate(h Handle, asid hw.ASID) error {
 // memory controller. The ASID is marked dirty: until a DF_FLUSH scrubs
 // the fabric, Activate refuses to hand it to any guest.
 func (f *Firmware) Deactivate(h Handle) error {
-	c, err := f.ctx(h)
+	c, err := f.enter("deactivate", h)
 	if err != nil {
 		return err
 	}
@@ -461,14 +519,13 @@ func (f *Firmware) Deactivate(h Handle) error {
 		c.asid = 0
 	}
 	f.mu.Unlock()
-	f.charge(cycles.SEVCommand)
-	f.command("deactivate", h)
+	f.exit("deactivate", c)
 	return nil
 }
 
 // Decommission erases the guest context. The guest must be deactivated.
 func (f *Firmware) Decommission(h Handle) error {
-	c, err := f.ctx(h)
+	c, err := f.enter("decommission", h)
 	if err != nil {
 		return err
 	}
@@ -485,8 +542,7 @@ func (f *Firmware) Decommission(h Handle) error {
 		c.gek.scrub()
 		c.gek = nil
 	}
-	f.charge(cycles.SEVCommand)
-	f.command("decommission", h)
+	f.exit("decommission", c)
 	return nil
 }
 
@@ -514,36 +570,18 @@ func (f *Firmware) DFFlush() error {
 // moves the context to the sending state (stopping guest execution — the
 // reason Fidelius does not support live migration, Section 4.3.6).
 func (f *Firmware) SendStart(h Handle, peerPub *ecdh.PublicKey, nonce []byte) (WrappedKeys, error) {
-	c, err := f.ctx(h)
+	c, err := f.enter("send-start", h)
 	if err != nil {
 		return WrappedKeys{}, err
 	}
-	if c.state != StateRunning {
-		return WrappedKeys{}, fmt.Errorf("%w: send_start in %v", ErrBadState, c.state)
-	}
-	tek, err := randomKey()
-	if err != nil {
-		return WrappedKeys{}, err
-	}
-	tik, err := randomKey()
-	if err != nil {
-		return WrappedKeys{}, err
-	}
-	tk := TransportKeys{TEK: tek, TIK: tik}
-	shared, err := ECDHAgree(f.priv, peerPub)
-	if err != nil {
-		return WrappedKeys{}, err
-	}
-	w, err := wrapKeys(deriveKEK(shared, nonce), tk)
+	tk, w, err := newWrappedKeys(f.priv, peerPub, nonce)
 	if err != nil {
 		return WrappedKeys{}, err
 	}
 	c.setTransport(tk)
-	f.setState(c, StateSending)
 	c.measure = Measurement{}
 	c.seq = 0
-	f.charge(cycles.SEVCommand)
-	f.command("send-start", h)
+	f.exit("send-start", c)
 	return w, nil
 }
 
@@ -576,12 +614,9 @@ func openPacket(s *session, pkt Packet, plain []byte) ([]byte, error) {
 // protection provides confidentiality only; integrity is the hardware
 // suggestion of Section 8.
 func (f *Firmware) SendIO(h Handle, pa hw.PhysAddr, dst []byte, seq uint64) error {
-	c, err := f.ctx(h)
+	c, err := f.enter("send-io", h)
 	if err != nil {
 		return err
-	}
-	if c.state != StateSending {
-		return fmt.Errorf("%w: send_io in %v", ErrBadState, c.state)
 	}
 	return f.ioOut(c, c.transport, "send-io", h, pa, dst, seq)
 }
@@ -591,20 +626,16 @@ func (f *Firmware) SendIO(h Handle, pa hw.PhysAddr, dst []byte, seq uint64) erro
 // Kvek-encrypted at pa. It opens data in place: on success data holds
 // the Kvek ciphertext written at pa, never the plaintext.
 func (f *Firmware) ReceiveIO(h Handle, pa hw.PhysAddr, data []byte, seq uint64) error {
-	c, err := f.ctx(h)
+	c, err := f.enter("receive-io", h)
 	if err != nil {
 		return err
-	}
-	if c.state != StateReceiving {
-		return fmt.Errorf("%w: receive_io in %v", ErrBadState, c.state)
 	}
 	return f.ioIn(c, c.transport, "receive-io", h, pa, data, seq)
 }
 
-// ioOut is the outbound body SEND_IO and ENC share once each has checked
-// its own precondition: it reads len(dst) bytes of guest memory at pa
-// into dst, decrypts them under the context's Kvek and seals them under
-// s as I/O chunk seq.
+// ioOut is the outbound body SEND_IO and ENC share after their entry
+// step: it reads len(dst) bytes of guest memory at pa into dst, decrypts
+// them under the context's Kvek and seals them under s as I/O chunk seq.
 func (f *Firmware) ioOut(c *Context, s *session, name string, h Handle, pa hw.PhysAddr, dst []byte, seq uint64) error {
 	if !ioChunk(pa, len(dst)) {
 		return ErrNotAligned
@@ -651,36 +682,26 @@ func ioChunk(pa hw.PhysAddr, n int) bool {
 // target rejects that measurement, the source rolls back and keeps
 // running.
 func (f *Firmware) SendCancel(h Handle) error {
-	c, err := f.ctx(h)
+	c, err := f.enter("send-cancel", h)
 	if err != nil {
 		return err
-	}
-	if c.state != StateSending && c.state != StateSent {
-		return fmt.Errorf("%w: send_cancel in %v", ErrBadState, c.state)
 	}
 	c.dropTransport()
 	c.measure = Measurement{}
 	c.seq = 0
-	f.setState(c, StateRunning)
-	f.charge(cycles.SEVCommand)
-	f.command("send-cancel", h)
+	f.exit("send-cancel", c)
 	return nil
 }
 
 // SendFinish closes the SEND session, scrubbing its transport keys, and
 // returns the snapshot measurement (the paper's Mvm).
 func (f *Firmware) SendFinish(h Handle) (Measurement, error) {
-	c, err := f.ctx(h)
+	c, err := f.enter("send-finish", h)
 	if err != nil {
 		return Measurement{}, err
 	}
-	if c.state != StateSending {
-		return Measurement{}, fmt.Errorf("%w: send_finish in %v", ErrBadState, c.state)
-	}
 	c.dropTransport()
-	f.setState(c, StateSent)
-	f.charge(cycles.SEVCommand)
-	f.command("send-finish", h)
+	f.exit("send-finish", c)
 	return c.measure, nil
 }
 
@@ -688,50 +709,37 @@ func (f *Firmware) SendFinish(h Handle) (Measurement, error) {
 // Kvek and unwraps the transport keys using the ECDH agreement with the
 // origin's public key and nonce.
 func (f *Firmware) ReceiveStart(w WrappedKeys, originPub *ecdh.PublicKey, nonce []byte) (Handle, error) {
-	if !f.initialized {
-		return 0, ErrNotInitialized
-	}
-	shared, err := ECDHAgree(f.priv, originPub)
-	if err != nil {
-		return 0, err
-	}
-	tk, err := unwrapKeys(deriveKEK(shared, nonce), w)
-	if err != nil {
-		return 0, err
-	}
-	c, err := f.newContext()
-	if err != nil {
-		return 0, err
-	}
-	c.setTransport(tk)
-	f.setState(c, StateReceiving)
-	f.charge(cycles.SEVCommand)
-	f.command("receive-start", c.handle)
-	return c.handle, nil
+	return f.receiveStart("receive-start", w, originPub, nonce, f.newContext)
 }
 
 // ReceiveHelperStart opens a RECEIVE session on a helper context that
 // shares an existing guest's Kvek — the r-dom of Fidelius's I/O path.
+// The helper is launched only once the keys have unwrapped.
 func (f *Firmware) ReceiveHelperStart(base Handle, w WrappedKeys, originPub *ecdh.PublicKey, nonce []byte) (Handle, error) {
-	h, err := f.LaunchHelper(base)
+	b, err := f.enter("receive-helper-start", base)
 	if err != nil {
 		return 0, err
 	}
-	shared, err := ECDHAgree(f.priv, originPub)
+	return f.receiveStart("receive-helper-start", w, originPub, nonce, func() (*Context, error) { return f.helper(b) })
+}
+
+// receiveStart is the body RECEIVE_START and RECEIVE_HELPER_START share:
+// unwrap the transport keys, then make the context and open its session.
+func (f *Firmware) receiveStart(name string, w WrappedKeys, originPub *ecdh.PublicKey, nonce []byte, newCtx func() (*Context, error)) (Handle, error) {
+	if !f.initialized {
+		return 0, ErrNotInitialized
+	}
+	tk, err := openWrappedKeys(f.priv, originPub, nonce, w)
 	if err != nil {
 		return 0, err
 	}
-	tk, err := unwrapKeys(deriveKEK(shared, nonce), w)
+	c, err := newCtx()
 	if err != nil {
 		return 0, err
 	}
-	f.mu.Lock()
-	c := f.ctxs[h]
-	f.mu.Unlock()
 	c.setTransport(tk)
-	f.setState(c, StateReceiving)
-	f.command("receive-helper-start", h)
-	return h, nil
+	f.exit(name, c)
+	return c.handle, nil
 }
 
 // stagingPages recycles RECEIVE_UPDATE's plaintext staging pages,
@@ -759,12 +767,9 @@ func stagingBuf(page *[hw.PageSize]byte, n int) []byte {
 // measurement chain folded serially afterwards, so one N-page call yields
 // the same packets and measurement as N one-page calls in the same order.
 func (f *Firmware) SendUpdatePages(h Handle, pfns []hw.PFN, dst []byte) ([]Packet, error) {
-	c, err := f.ctx(h)
+	c, err := f.enter("send-update", h)
 	if err != nil {
 		return nil, err
-	}
-	if c.state != StateSending {
-		return nil, fmt.Errorf("%w: send_update in %v", ErrBadState, c.state)
 	}
 	if len(dst) != len(pfns)*hw.PageSize {
 		return nil, fmt.Errorf("%w: %d bytes for %d pages", ErrBufferSize, len(dst), len(pfns))
@@ -804,12 +809,9 @@ func (f *Firmware) SendUpdatePages(h Handle, pfns []hw.PFN, dst []byte) ([]Packe
 // measurement untouched, so the sender can retry with the genuine
 // packets.
 func (f *Firmware) ReceiveUpdatePages(h Handle, pfns []hw.PFN, pkts []Packet) error {
-	c, err := f.ctx(h)
+	c, err := f.enter("receive-update", h)
 	if err != nil {
 		return err
-	}
-	if c.state != StateReceiving {
-		return fmt.Errorf("%w: receive_update in %v", ErrBadState, c.state)
 	}
 	if len(pfns) != len(pkts) {
 		return fmt.Errorf("sev: receive_update_pages: %d pfns, %d packets", len(pfns), len(pkts))
@@ -856,12 +858,9 @@ func (f *Firmware) ReceiveUpdatePages(h Handle, pfns []hw.PFN, pkts []Packet) er
 // sender's Mvm and makes the context runnable, scrubbing the transport
 // keys. A refused measurement leaves the session open.
 func (f *Firmware) ReceiveFinish(h Handle, expect Measurement) error {
-	c, err := f.ctx(h)
+	c, err := f.enter("receive-finish", h)
 	if err != nil {
 		return err
-	}
-	if c.state != StateReceiving {
-		return fmt.Errorf("%w: receive_finish in %v", ErrBadState, c.state)
 	}
 	if c.measure != expect {
 		if f.auditing() {
@@ -871,8 +870,6 @@ func (f *Firmware) ReceiveFinish(h Handle, expect Measurement) error {
 		return ErrBadMeasurement
 	}
 	c.dropTransport()
-	f.setState(c, StateRunning)
-	f.charge(cycles.SEVCommand)
-	f.command("receive-finish", h)
+	f.exit("receive-finish", c)
 	return nil
 }

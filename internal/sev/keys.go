@@ -47,16 +47,19 @@ type WrappedKeys struct {
 // ErrBadWrap reports a wrapped-key blob that fails authentication.
 var ErrBadWrap = errors.New("sev: wrapped keys fail authentication")
 
-// deriveKEK derives the key-encryption key from an ECDH shared secret and
-// the session nonce (the paper's Nvm).
-func deriveKEK(shared []byte, nonce []byte) [32]byte {
+// deriveKEK derives the key-encryption key both ends of a wrap compute:
+// the ECDH agreement between priv and peer, hashed with the session nonce
+// (the paper's Nvm).
+func deriveKEK(priv *ecdh.PrivateKey, peer *ecdh.PublicKey, nonce []byte) ([32]byte, error) {
+	shared, err := priv.ECDH(peer)
+	if err != nil {
+		return [32]byte{}, fmt.Errorf("sev: key agreement: %w", err)
+	}
 	h := sha256.New()
 	h.Write([]byte("sev-kek-v1"))
 	h.Write(shared)
 	h.Write(nonce)
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	return [32]byte(h.Sum(nil)), nil
 }
 
 func newGCM(key [32]byte) (cipher.AEAD, error) {
@@ -219,10 +222,33 @@ func measureChain(cur Measurement, tag [32]byte) Measurement {
 	return sha256.Sum256(in[:])
 }
 
-// ECDHAgree computes the raw shared secret between a private and a peer
-// public key.
-func ECDHAgree(priv *ecdh.PrivateKey, pub *ecdh.PublicKey) ([]byte, error) {
-	return priv.ECDH(pub)
+// newWrappedKeys makes fresh transport keys and wraps them under the KEK
+// of priv's agreement with peer and nonce: the sending end of a
+// SEND_START, run by the firmware and by the owner preparing an image.
+func newWrappedKeys(priv *ecdh.PrivateKey, peer *ecdh.PublicKey, nonce []byte) (TransportKeys, WrappedKeys, error) {
+	kek, err := deriveKEK(priv, peer, nonce)
+	if err != nil {
+		return TransportKeys{}, WrappedKeys{}, err
+	}
+	var tk TransportKeys
+	if tk.TEK, err = randomKey(); err != nil {
+		return TransportKeys{}, WrappedKeys{}, err
+	}
+	if tk.TIK, err = randomKey(); err != nil {
+		return TransportKeys{}, WrappedKeys{}, err
+	}
+	w, err := wrapKeys(kek, tk)
+	return tk, w, err
+}
+
+// openWrappedKeys is the receiving end: it unwraps w under the KEK of
+// priv's agreement with peer and nonce.
+func openWrappedKeys(priv *ecdh.PrivateKey, peer *ecdh.PublicKey, nonce []byte, w WrappedKeys) (TransportKeys, error) {
+	kek, err := deriveKEK(priv, peer, nonce)
+	if err != nil {
+		return TransportKeys{}, err
+	}
+	return unwrapKeys(kek, w)
 }
 
 // GenerateIdentity creates a fresh P-256 ECDH identity.

@@ -3,7 +3,6 @@ package sev
 import (
 	"crypto/ecdh"
 	"crypto/rand"
-	"fmt"
 	"io"
 
 	"fidelius/internal/hw"
@@ -57,25 +56,10 @@ func (img *EncryptedImage) NumPages() int { return len(img.Pages) }
 // the image and the wrapped transport keys (Kwrap) that Fidelius needs to
 // boot it.
 func (o *Owner) PrepareImage(platformPub *ecdh.PublicKey, kernel []byte) (*EncryptedImage, WrappedKeys, error) {
-	tek, err := randomKey()
+	tk, w, err := newWrappedKeys(o.priv, platformPub, o.nonce[:])
 	if err != nil {
 		return nil, WrappedKeys{}, err
 	}
-	tik, err := randomKey()
-	if err != nil {
-		return nil, WrappedKeys{}, err
-	}
-	tk := TransportKeys{TEK: tek, TIK: tik}
-
-	shared, err := ECDHAgree(o.priv, platformPub)
-	if err != nil {
-		return nil, WrappedKeys{}, fmt.Errorf("sev: owner key agreement: %w", err)
-	}
-	w, err := wrapKeys(deriveKEK(shared, o.nonce[:]), tk)
-	if err != nil {
-		return nil, WrappedKeys{}, err
-	}
-
 	s := newSession(tk)
 	pages := (len(kernel) + hw.PageSize - 1) / hw.PageSize
 	img := &EncryptedImage{}

@@ -34,10 +34,7 @@ func TestSendCancelScrubsSession(t *testing.T) {
 	if _, err := origin.SendUpdatePages(h, page, slab(1)); err != nil {
 		t.Fatal(err)
 	}
-	c, err := origin.ctx(h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := origin.ctxs[h]
 	old := c.transport
 	if err := origin.SendCancel(h); err != nil {
 		t.Fatal(err)
@@ -80,10 +77,7 @@ func TestSendCancelScrubsSession(t *testing.T) {
 	if err := target.ReceiveFinish(fresh, mvm); err != nil {
 		t.Fatal(err)
 	}
-	r, err := target.ctx(fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := target.ctxs[fresh]
 	if c.transport != nil || r.transport != nil {
 		t.Fatal("a finished SEND or RECEIVE left its transport session behind")
 	}
@@ -145,10 +139,7 @@ func TestBulkTransportAllocations(t *testing.T) {
 
 	// Packets for every RECEIVE_UPDATE AllocsPerRun makes (one warm-up
 	// call plus runs), in sequence, sealed under the receiver's keys.
-	r, err := f.ctx(rh)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := f.ctxs[rh]
 	r.state = StateReceiving
 	pkts := make([]Packet, runs+1)
 	for i := range pkts {

@@ -2,6 +2,7 @@ package sev
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"testing"
@@ -27,10 +28,7 @@ func newFW(t *testing.T, pages int) (*Firmware, *hw.Controller) {
 // each page in DRAM in place under the context's Kvek.
 func launchImage(t *testing.T, fw *Firmware, h Handle, pfns []hw.PFN) {
 	t.Helper()
-	c, err := fw.ctx(h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := fw.ctxs[h]
 	page := make([]byte, hw.PageSize)
 	for _, pfn := range pfns {
 		if err := fw.ctl.Mem.ReadRaw(pfn.Addr(), page); err != nil {
@@ -129,8 +127,8 @@ func TestActivateBindings(t *testing.T) {
 	if err := fw.Decommission(h1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fw.ctx(h1); !errors.Is(err, ErrBadHandle) {
-		t.Fatalf("context survived decommission: %v", err)
+	if _, ok := fw.ctxs[h1]; ok {
+		t.Fatal("context survived decommission")
 	}
 	if err := fw.Activate(h2, 0); err == nil {
 		t.Fatal("asid 0 must be rejected")
@@ -199,10 +197,7 @@ func TestReceiveRefusesPartialPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := fw.ctx(h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := fw.ctxs[h]
 	short := sealPacket(c.transport, 0, bytes.Repeat([]byte{9}, 100))
 	forged := short
 	forged.Tag[0] ^= 1
@@ -244,10 +239,7 @@ func TestReceiveDetectsTamper(t *testing.T) {
 	// The migration receiver nacks a bad frame and the sender re-sends the
 	// same packet, so the refusal must leave the context as it was: the
 	// genuine packet is then accepted on the same handle.
-	c, err := fw.ctx(h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := fw.ctxs[h]
 	if c.seq != 0 || c.measure != (Measurement{}) {
 		t.Fatalf("refused packet moved the context: seq %d, measurement %x", c.seq, c.measure)
 	}
@@ -502,8 +494,7 @@ func TestStateStrings(t *testing.T) {
 
 func TestPropertyWrapUnwrapRoundTrip(t *testing.T) {
 	f := func(tek, tik [32]byte, nonce []byte) bool {
-		kekSeed := append([]byte("shared"), nonce...)
-		kek := deriveKEK(kekSeed, nonce)
+		kek := sha256.Sum256(append([]byte("shared"), nonce...))
 		w, err := wrapKeys(kek, TransportKeys{TEK: tek, TIK: tik})
 		if err != nil {
 			return false
@@ -551,5 +542,29 @@ func TestPropertyTransportRoundTripAndTagging(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReceiveHelperStartBadWrapMakesNoContext: RECEIVE_HELPER_START with
+// wrapped keys that do not open is refused before the helper context is
+// made, so the refusal strands no context holding the guest's Kvek and
+// charges nothing.
+func TestReceiveHelperStartBadWrapMakesNoContext(t *testing.T) {
+	fw, ctl := newFW(t, 8)
+	h, err := fw.LaunchStart(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	selfPub, _ := fw.PublicKey()
+	junk := WrappedKeys{Ciphertext: bytes.Repeat([]byte{1}, 80)}
+	before := ctl.Cycles.Total()
+	if _, err := fw.ReceiveHelperStart(h, junk, selfPub, []byte("nonce")); !errors.Is(err, ErrBadWrap) {
+		t.Fatalf("junk wrapped keys: got %v, want ErrBadWrap", err)
+	}
+	if n := len(fw.ctxs); n != 1 {
+		t.Fatalf("%d contexts after a refused RECEIVE_HELPER_START, want 1", n)
+	}
+	if d := ctl.Cycles.Total() - before; d != 0 {
+		t.Fatalf("refused RECEIVE_HELPER_START charged %d cycles", d)
 	}
 }
