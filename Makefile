@@ -132,6 +132,7 @@ examples:
 	$(GO) run ./examples/memsharing
 	$(GO) run ./examples/extensions
 	$(GO) run ./examples/kvstore
+	$(GO) run ./examples/attackdemo
 
 tables:
 	$(GO) run ./cmd/benchtab

@@ -52,7 +52,7 @@ func ledgerLine(o attack.Outcome) string {
 }
 
 func run(protected bool) {
-	outcomes, err := attack.RunAllTo(protected, *traceDir)
+	outcomes, err := attack.RunAll(protected, *traceDir)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-// Attack demo: the full 17-attack adversary suite of the paper's security analysis
+// Attack demo: the full adversary suite of the paper's security analysis
 // (Section 6), run side by side against plain Xen with SEV guests and
 // against Fidelius.
 //
@@ -18,11 +18,11 @@ func main() {
 	fmt.Printf("%-28s %-9s %-9s %s\n", "attack", "config", "verdict", "detail")
 	fmt.Println("--------------------------------------------------------------------------------")
 
-	baseline, err := attack.RunAll(false)
+	baseline, err := attack.RunAll(false, "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	protected, err := attack.RunAll(true)
+	protected, err := attack.RunAll(true, "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,6 +46,6 @@ func main() {
 	fmt.Println()
 	fmt.Println("Attack descriptions:")
 	for _, a := range attack.All() {
-		fmt.Printf("  %-28s %s\n", a.Name(), a.Description())
+		fmt.Printf("  %-28s %s\n", a.Name, a.Description)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"fidelius/internal/core"
 	"fidelius/internal/disk"
@@ -26,14 +27,13 @@ type Outcome struct {
 	Succeeded bool   // the attacker achieved the goal
 	Detail    string
 
-	// Metrics is the platform's telemetry snapshot after the attack
-	// (filled by RunAllTo; zero for directly constructed outcomes).
+	// Metrics is the platform's telemetry snapshot after the attack.
 	Metrics telemetry.Snapshot
 
 	// Audit is the security audit ledger accumulated during the attack,
-	// with its head hash and verification verdict (filled by RunAllTo):
-	// the attack's outcome proven from the tamper-evident record rather
-	// than from in-memory state the hypervisor could scrub.
+	// with its head hash and verification verdict: the attack's outcome
+	// proven from the tamper-evident record rather than from in-memory
+	// state the hypervisor could scrub.
 	Audit     []telemetry.Record
 	AuditHead [32]byte
 	AuditOK   bool
@@ -47,15 +47,40 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("%-28s %-9s %-9s %s", o.Name, o.Config, verdict, o.Detail)
 }
 
-// Attack is one adversarial procedure.
-type Attack interface {
-	Name() string
-	// Description explains the attack and which paper section covers it.
-	Description() string
-	// Run executes the attack against the platform and reports whether
-	// the attacker's goal was achieved.
-	Run(p *Platform) Outcome
+// Attack is one row of the suite: the attack's name, what it does and
+// which paper section covers it, and the procedure that runs it against
+// a booted platform. The procedure reports only whether the attacker
+// reached its goal and a one-line detail; RunAll labels the outcome.
+type Attack struct {
+	Name        string
+	Description string
+	run         func(p *Platform) (succeeded bool, detail string)
 }
+
+// suite is every attack, in the order the matrix prints them.
+var suite = []Attack{
+	{"cold-boot", "physically dump DRAM and search for guest secrets (§6.1)", coldBoot},
+	{"dma-snoop", "device-initiated DMA read of guest memory (§2.2)", dmaSnoop},
+	{"direct-map-read", "hypervisor reads guest memory through its own mapping; cache hits leak plaintext (§6.2)", directMapRead},
+	{"inter-vm-remap", "map victim memory into a conspirator VM's NPT and read via cache hit (§6.2)", interVMRemap},
+	{"npt-replay", "remap a guest GPA to a different (stale) frame of the same guest (§2.2)", nptReplay},
+	{"grant-forgery", "flip a read-only grant's permission bit in the grant table (§2.2)", grantForgery},
+	{"key-sharing-abuse", "DEACTIVATE the victim's handle and ACTIVATE it under the attacker's ASID (§2.2)", keySharingAbuse},
+	{"register-theft", "read guest general-purpose registers at VMEXIT (§2.2)", registerTheft},
+	{"vmcb-tamper", "rewrite VMCB control fields (NPT root) between exit and entry (§2.2)", vmcbTamper},
+	{"disable-wp", "clear CR0.WP via the privileged stub, then rewrite protected structures (§6.2)", disableWP},
+	{"cr3-pivot", "switch CR3 to an attacker page table mapping everything writable (§4.1.2)", cr3Pivot},
+	{"hidden-gadget", "plant and execute an unsanctioned VMRUN after disabling NX (§4.1.2)", hiddenGadget},
+	{"iago-cpuid", "return forged CPUID values to the guest (§6.2)", iagoCPUID},
+	{"io-data-theft", "driver domain snoops the PV block path and the disk (§6.2)", ioDataTheft},
+	{"code-patch", "remap a hypervisor code page writable and patch it (§5.3)", codePatch},
+	{"rowhammer", "flip one DRAM bit in guest memory, aiming for a controlled plaintext change (§6.2)", rowhammer},
+	{"hypercall-fuzz", "adversarial guest fuzzes the hypercall interface for leaks or corruption (§6.2)", hypercallFuzz},
+	{"audit-ledger-tamper", "rewrite and truncate the security audit ledger to erase the record of a denied operation (forensic counterpart of SEVered's unrecorded remaps)", ledgerTamper},
+}
+
+// All returns the attack suite in its stable order.
+func All() []Attack { return slices.Clone(suite) }
 
 // Platform is a booted system with a victim VM holding a known secret (in
 // memory and on disk) and a conspirator VM colluding with the hypervisor.
@@ -123,13 +148,6 @@ func plantSecret(p *Platform) xen.GuestFunc {
 		}
 		return bf.WriteSectors(p.SecretLBA, p.Secret)
 	}
-}
-
-// Setup boots a platform in the given configuration: machine, hypervisor,
-// optionally Fidelius, a victim VM that plants the secret in memory and on
-// disk (via the configuration's I/O path), and a conspirator VM.
-func Setup(protected bool) (*Platform, error) {
-	return boot(protected, launchStock)
 }
 
 // launchStock places the victim and the conspirator: under Fidelius as
@@ -216,77 +234,55 @@ func boot(protected bool, launch func(p *Platform) error) (*Platform, error) {
 	return p, nil
 }
 
-// All returns the full attack suite in a stable order.
-func All() []Attack {
-	return []Attack{
-		ColdBoot{},
-		DMASnoop{},
-		HypervisorDirectRead{},
-		InterVMRemap{},
-		NPTReplay{},
-		GrantForgery{},
-		KeyAbuse{},
-		RegisterTheft{},
-		VMCBControlTamper{},
-		DisableWP{},
-		CR3Pivot{},
-		HiddenGadget{},
-		IagoCPUID{},
-		IODataTheft{},
-		CodePatch{},
-		Rowhammer{},
-		HypercallFuzz{},
-		LedgerTamper{},
-	}
-}
-
-// RunAll executes every attack against a fresh platform per attack (some
-// attacks perturb global state).
-func RunAll(protected bool) ([]Outcome, error) {
-	return RunAllTo(protected, "")
-}
-
-// RunAllTo is RunAll with observability: each outcome carries the
-// platform's telemetry snapshot, and when traceDir is non-empty a Chrome
-// trace_event timeline of each attack is written to
+// RunAll runs every attack against the configuration, each on a freshly
+// booted platform (some attacks perturb global state). Each outcome
+// carries the attack's name, the configuration, the platform's telemetry
+// snapshot and the audit ledger the attack left behind. When traceDir is
+// non-empty, a Chrome trace_event timeline of each attack is written to
 // <traceDir>/<attack-name>.<config>.json.
-func RunAllTo(protected bool, traceDir string) ([]Outcome, error) {
+func RunAll(protected bool, traceDir string) ([]Outcome, error) {
 	if traceDir != "" {
 		if err := os.MkdirAll(traceDir, 0o755); err != nil {
 			return nil, err
 		}
 	}
-	var out []Outcome
-	for _, a := range All() {
-		p, err := Setup(protected)
+	out := make([]Outcome, 0, len(suite))
+	for _, a := range suite {
+		p, err := boot(protected, launchStock)
 		if err != nil {
-			return nil, fmt.Errorf("setting up for %s: %w", a.Name(), err)
+			return nil, fmt.Errorf("setting up for %s: %w", a.Name, err)
 		}
 		hub := p.X.M.Ctl.Telem
 		if traceDir != "" {
 			hub.StartTrace(0)
 		}
 		led := hub.StartLedger()
-		o := a.Run(p)
+		o := Outcome{Name: a.Name, Config: p.ConfigName()}
+		o.Succeeded, o.Detail = a.run(p)
 		o.Metrics = hub.Reg.Snapshot()
 		o.Audit = led.Records()
 		o.AuditHead = led.Head()
 		o.AuditOK = telemetry.VerifyChain(o.Audit, o.AuditHead) == nil
 		if traceDir != "" {
-			name := filepath.Join(traceDir, fmt.Sprintf("%s.%s.json", a.Name(), o.Config))
-			f, err := os.Create(name)
-			if err != nil {
-				return nil, err
-			}
-			if err := hub.WriteChromeTrace(f); err != nil {
-				f.Close()
-				return nil, err
-			}
-			if err := f.Close(); err != nil {
+			if err := writeTrace(hub, filepath.Join(traceDir, o.Name+"."+o.Config+".json")); err != nil {
 				return nil, err
 			}
 		}
 		out = append(out, o)
 	}
 	return out, nil
+}
+
+// writeTrace writes the hub's Chrome trace_event timeline to the named
+// file.
+func writeTrace(hub *telemetry.Hub, name string) error {
+	f, err := os.Create(name)
+	if err != nil {
+		return err
+	}
+	if err := hub.WriteChromeTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"slices"
 	"testing"
 
 	"fidelius/internal/core"
@@ -43,14 +44,16 @@ var expectedBaseline = map[string]bool{
 }
 
 func TestAttackMatrixBaseline(t *testing.T) {
-	outcomes, err := RunAll(false)
+	outcomes, err := RunAll(false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(outcomes) != len(All()) {
 		t.Fatalf("ran %d attacks, want %d", len(outcomes), len(All()))
 	}
+	ran := map[string]bool{}
 	for _, o := range outcomes {
+		ran[o.Name] = true
 		want, ok := expectedBaseline[o.Name]
 		if !ok {
 			t.Errorf("attack %q missing from the expectation table", o.Name)
@@ -60,10 +63,15 @@ func TestAttackMatrixBaseline(t *testing.T) {
 			t.Errorf("baseline %s: got succeeded=%v want %v (%s)", o.Name, o.Succeeded, want, o.Detail)
 		}
 	}
+	for name := range expectedBaseline {
+		if !ran[name] {
+			t.Errorf("expectation row %q names no attack in the suite", name)
+		}
+	}
 }
 
 func TestAttackMatrixFidelius(t *testing.T) {
-	outcomes, err := RunAll(true)
+	outcomes, err := RunAll(true, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +85,13 @@ func TestAttackMatrixFidelius(t *testing.T) {
 func TestAttackMetadata(t *testing.T) {
 	seen := map[string]bool{}
 	for _, a := range All() {
-		if a.Name() == "" || a.Description() == "" {
-			t.Errorf("attack %T lacks metadata", a)
+		if a.Name == "" || a.Description == "" || a.run == nil {
+			t.Errorf("attack %q lacks metadata or a procedure", a.Name)
 		}
-		if seen[a.Name()] {
-			t.Errorf("duplicate attack name %q", a.Name())
+		if seen[a.Name] {
+			t.Errorf("duplicate attack name %q", a.Name)
 		}
-		seen[a.Name()] = true
+		seen[a.Name] = true
 	}
 }
 
@@ -106,11 +114,15 @@ func TestAttackMatrixGEKPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range []Attack{
-		ColdBoot{}, DMASnoop{}, HypervisorDirectRead{}, IODataTheft{}, KeyAbuse{},
+	for _, name := range []string{
+		"cold-boot", "dma-snoop", "direct-map-read", "io-data-theft", "key-sharing-abuse",
 	} {
-		if o := a.Run(p); o.Succeeded {
-			t.Errorf("gek platform: %s succeeded (%s)", o.Name, o.Detail)
+		i := slices.IndexFunc(suite, func(a Attack) bool { return a.Name == name })
+		if i < 0 {
+			t.Fatalf("no attack named %q in the suite", name)
+		}
+		if ok, detail := suite[i].run(p); ok {
+			t.Errorf("gek platform: %s succeeded (%s)", name, detail)
 		}
 	}
 }

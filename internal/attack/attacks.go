@@ -10,107 +10,47 @@ import (
 	"fidelius/internal/xen"
 )
 
-// ColdBoot dumps all of DRAM and searches for the secret (Section 6.1).
+// coldBoot dumps all of DRAM and searches for the secret (Section 6.1).
 // SEV hardware alone defeats this: DRAM holds ciphertext.
-type ColdBoot struct{}
-
-// Name implements Attack.
-func (ColdBoot) Name() string { return "cold-boot" }
-
-// Description implements Attack.
-func (ColdBoot) Description() string {
-	return "physically dump DRAM and search for guest secrets (§6.1)"
-}
-
-// Run implements Attack.
-func (ColdBoot) Run(p *Platform) Outcome {
+func coldBoot(p *Platform) (bool, string) {
 	dump := make([]byte, p.X.M.Ctl.Mem.Size())
 	if err := p.X.M.Ctl.Mem.ReadRaw(0, dump); err != nil {
-		return Outcome{Name: "cold-boot", Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	found := bytes.Contains(dump, p.Secret[:16])
-	return Outcome{
-		Name: "cold-boot", Config: p.ConfigName(), Succeeded: found,
-		Detail: fmt.Sprintf("secret in DRAM dump: %v", found),
-	}
+	return found, fmt.Sprintf("secret in DRAM dump: %v", found)
 }
 
-// DMASnoop reads the victim's page through the DMA port (Section 2.2:
+// dmaSnoop reads the victim's page through the DMA port (Section 2.2:
 // DMA cannot operate on encrypted guest memory).
-type DMASnoop struct{}
-
-// Name implements Attack.
-func (DMASnoop) Name() string { return "dma-snoop" }
-
-// Description implements Attack.
-func (DMASnoop) Description() string {
-	return "device-initiated DMA read of guest memory (§2.2)"
-}
-
-// Run implements Attack.
-func (DMASnoop) Run(p *Platform) Outcome {
+func dmaSnoop(p *Platform) (bool, string) {
 	buf := make([]byte, len(p.Secret))
 	if err := p.X.M.Ctl.DMA().Read(p.VictimFrame().Addr(), buf); err != nil {
-		return Outcome{Name: "dma-snoop", Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	ok := bytes.Equal(buf, p.Secret)
-	return Outcome{
-		Name: "dma-snoop", Config: p.ConfigName(), Succeeded: ok,
-		Detail: fmt.Sprintf("plaintext via DMA: %v", ok),
-	}
+	return ok, fmt.Sprintf("plaintext via DMA: %v", ok)
 }
 
-// HypervisorDirectRead maps and reads the victim's page from hypervisor
-// context. On pre-SNP hardware a cache hit returns the victim's plaintext
-// even though DRAM is encrypted (Section 6.2, "Breaking memory privacy").
-type HypervisorDirectRead struct{}
-
-// Name implements Attack.
-func (HypervisorDirectRead) Name() string { return "direct-map-read" }
-
-// Description implements Attack.
-func (HypervisorDirectRead) Description() string {
-	return "hypervisor reads guest memory through its own mapping; cache hits leak plaintext (§6.2)"
-}
-
-// Run implements Attack.
-func (HypervisorDirectRead) Run(p *Platform) Outcome {
+// directMapRead maps and reads the victim's page from hypervisor context.
+// On pre-SNP hardware a cache hit returns the victim's plaintext even
+// though DRAM is encrypted (Section 6.2, "Breaking memory privacy").
+func directMapRead(p *Platform) (bool, string) {
 	buf := make([]byte, len(p.Secret))
-	err := p.X.M.CPU.ReadVA(uint64(p.VictimFrame().Addr()), buf)
-	if err != nil {
-		return Outcome{
-			Name: "direct-map-read", Config: p.ConfigName(),
-			Detail: fmt.Sprintf("guest page unreachable: %v", err),
-		}
+	if err := p.X.M.CPU.ReadVA(uint64(p.VictimFrame().Addr()), buf); err != nil {
+		return false, fmt.Sprintf("guest page unreachable: %v", err)
 	}
 	ok := bytes.Equal(buf, p.Secret)
-	return Outcome{
-		Name: "direct-map-read", Config: p.ConfigName(), Succeeded: ok,
-		Detail: fmt.Sprintf("plaintext via cached read: %v", ok),
-	}
+	return ok, fmt.Sprintf("plaintext via cached read: %v", ok)
 }
 
-// InterVMRemap maps the victim's frame into the conspirator VM's NPT; the
+// interVMRemap maps the victim's frame into the conspirator VM's NPT; the
 // conspirator's access hits the plaintext cache line (Section 6.2).
-type InterVMRemap struct{}
-
-// Name implements Attack.
-func (InterVMRemap) Name() string { return "inter-vm-remap" }
-
-// Description implements Attack.
-func (InterVMRemap) Description() string {
-	return "map victim memory into a conspirator VM's NPT and read via cache hit (§6.2)"
-}
-
-// Run implements Attack.
-func (InterVMRemap) Run(p *Platform) Outcome {
+func interVMRemap(p *Platform) (bool, string) {
 	dst := uint64(p.Conspirator.MemPages) // grant-window slot
 	err := p.X.MapNPT(p.Conspirator, dst<<hw.PageShift, mmu.MakePTE(p.VictimFrame(), mmu.FlagP|mmu.FlagU))
 	if err != nil {
-		return Outcome{
-			Name: "inter-vm-remap", Config: p.ConfigName(),
-			Detail: fmt.Sprintf("NPT update rejected: %v", err),
-		}
+		return false, fmt.Sprintf("NPT update rejected: %v", err)
 	}
 	got := make([]byte, len(p.Secret))
 	var readErr error
@@ -119,33 +59,19 @@ func (InterVMRemap) Run(p *Platform) Outcome {
 		return nil
 	})
 	if err := p.X.Run(p.Conspirator); err != nil {
-		return Outcome{Name: "inter-vm-remap", Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	if readErr != nil {
-		return Outcome{Name: "inter-vm-remap", Config: p.ConfigName(), Detail: readErr.Error()}
+		return false, readErr.Error()
 	}
 	ok := bytes.Equal(got, p.Secret)
-	return Outcome{
-		Name: "inter-vm-remap", Config: p.ConfigName(), Succeeded: ok,
-		Detail: fmt.Sprintf("conspirator read plaintext: %v", ok),
-	}
+	return ok, fmt.Sprintf("conspirator read plaintext: %v", ok)
 }
 
-// NPTReplay swaps the victim's NPT mapping between two of its own pages,
+// nptReplay swaps the victim's NPT mapping between two of its own pages,
 // making the guest observe stale/substituted state — the Hetzelt-Buhren
 // replay (Section 2.2, defeated per Section 6.2).
-type NPTReplay struct{}
-
-// Name implements Attack.
-func (NPTReplay) Name() string { return "npt-replay" }
-
-// Description implements Attack.
-func (NPTReplay) Description() string {
-	return "remap a guest GPA to a different (stale) frame of the same guest (§2.2)"
-}
-
-// Run implements Attack.
-func (a NPTReplay) Run(p *Platform) Outcome {
+func nptReplay(p *Platform) (bool, string) {
 	// Victim writes distinct values into two pages.
 	p.X.StartVCPU(p.Victim, func(g *xen.GuestEnv) error {
 		if err := g.Write(10<<hw.PageShift, []byte("CURRENT-VALUE-AA")); err != nil {
@@ -154,13 +80,13 @@ func (a NPTReplay) Run(p *Platform) Outcome {
 		return g.Write(11<<hw.PageShift, []byte("STALE-SNAPSHOT-B"))
 	})
 	if err := p.X.Run(p.Victim); err != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	// The hypervisor redirects GPA 10 to the frame backing GPA 11.
 	frameB, _ := p.Victim.GPAFrame(11)
 	slot, err := p.X.NPTLeafSlot(p.Victim, 10<<hw.PageShift)
 	if err != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	// Direct store first (baseline path)...
 	werr := p.X.M.CPU.Write64(uint64(slot), uint64(mmu.MakePTE(frameB, mmu.FlagP|mmu.FlagW|mmu.FlagU)))
@@ -170,10 +96,7 @@ func (a NPTReplay) Run(p *Platform) Outcome {
 		werr = p.X.Interpose.WritePTE(p.Victim, slot, mmu.MakePTE(frameB, mmu.FlagP|mmu.FlagW|mmu.FlagU))
 	}
 	if werr != nil {
-		return Outcome{
-			Name: a.Name(), Config: p.ConfigName(),
-			Detail: fmt.Sprintf("remap rejected: %v", werr),
-		}
+		return false, fmt.Sprintf("remap rejected: %v", werr)
 	}
 	// Victim reads GPA 10: does it see the substituted content?
 	got := make([]byte, 16)
@@ -181,31 +104,17 @@ func (a NPTReplay) Run(p *Platform) Outcome {
 		return g.Read(10<<hw.PageShift, got)
 	})
 	if err := p.X.Run(p.Victim); err != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	ok := bytes.Equal(got, []byte("STALE-SNAPSHOT-B"))
-	return Outcome{
-		Name: a.Name(), Config: p.ConfigName(), Succeeded: ok,
-		Detail: fmt.Sprintf("victim observed substituted page: %v", ok),
-	}
+	return ok, fmt.Sprintf("victim observed substituted page: %v", ok)
 }
 
-// GrantForgery escalates a read-only grant to writable by editing the
+// grantForgery escalates a read-only grant to writable by editing the
 // grant table directly (Section 2.2: "the hypervisor can tamper the
 // permission to writable, while the origin VM shares its memory with only
 // read permission").
-type GrantForgery struct{}
-
-// Name implements Attack.
-func (GrantForgery) Name() string { return "grant-forgery" }
-
-// Description implements Attack.
-func (GrantForgery) Description() string {
-	return "flip a read-only grant's permission bit in the grant table (§2.2)"
-}
-
-// Run implements Attack.
-func (a GrantForgery) Run(p *Platform) Outcome {
+func grantForgery(p *Platform) (bool, string) {
 	// Victim shares page 12 read-only with the conspirator.
 	var ref uint64
 	var grantErr error
@@ -220,24 +129,21 @@ func (a GrantForgery) Run(p *Platform) Outcome {
 		return nil
 	})
 	if err := p.X.Run(p.Victim); err != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	if grantErr != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Detail: grantErr.Error()}
+		return false, grantErr.Error()
 	}
 	// The hypervisor rewrites the entry without the read-only bit.
 	slot, err := p.Victim.Grant.SlotPA(int(ref))
 	if err != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	forged := xen.GrantEntry{Flags: xen.GrantInUse, Grantee: p.Conspirator.ID, GFN: 12}
 	var buf [xen.GrantEntrySize]byte
 	forged.Marshal(buf[:])
 	if werr := p.X.M.CPU.WriteVA(uint64(slot), buf[:]); werr != nil {
-		return Outcome{
-			Name: a.Name(), Config: p.ConfigName(),
-			Detail: fmt.Sprintf("grant table write rejected: %v", werr),
-		}
+		return false, fmt.Sprintf("grant table write rejected: %v", werr)
 	}
 	// The conspirator maps it and writes.
 	var writeErr error
@@ -250,30 +156,16 @@ func (a GrantForgery) Run(p *Platform) Outcome {
 		return nil
 	})
 	if err := p.X.Run(p.Conspirator); err != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	ok := writeErr == nil
-	return Outcome{
-		Name: a.Name(), Config: p.ConfigName(), Succeeded: ok,
-		Detail: fmt.Sprintf("conspirator wrote through forged grant: %v", ok),
-	}
+	return ok, fmt.Sprintf("conspirator wrote through forged grant: %v", ok)
 }
 
-// KeyAbuse rebinds the victim's SEV handle to an attacker-chosen ASID so
-// the victim's key decrypts for the attacker (Section 2.2: the
+// keySharingAbuse rebinds the victim's SEV handle to an attacker-chosen
+// ASID so the victim's key decrypts for the attacker (Section 2.2: the
 // handle-ASID relationship is hypervisor-managed and unprotected).
-type KeyAbuse struct{}
-
-// Name implements Attack.
-func (KeyAbuse) Name() string { return "key-sharing-abuse" }
-
-// Description implements Attack.
-func (KeyAbuse) Description() string {
-	return "DEACTIVATE the victim's handle and ACTIVATE it under the attacker's ASID (§2.2)"
-}
-
-// Run implements Attack.
-func (a KeyAbuse) Run(p *Platform) Outcome {
+func keySharingAbuse(p *Platform) (bool, string) {
 	fw := p.X.M.FW
 	handle := p.Victim.Handle
 	if p.Protected() {
@@ -281,32 +173,23 @@ func (a KeyAbuse) Run(p *Platform) Outcome {
 		// self-maintained. Try every plausible handle.
 		for h := uint32(1); h < 16; h++ {
 			if err := fw.Deactivate(sev.Handle(h)); err == nil {
-				return Outcome{
-					Name: a.Name(), Config: p.ConfigName(), Succeeded: true,
-					Detail: "firmware accepted a hypervisor-issued DEACTIVATE",
-				}
+				return true, "firmware accepted a hypervisor-issued DEACTIVATE"
 			}
 		}
-		return Outcome{
-			Name: a.Name(), Config: p.ConfigName(),
-			Detail: "firmware rejects hypervisor-issued SEV commands",
-		}
+		return false, "firmware rejects hypervisor-issued SEV commands"
 	}
 	const evilASID = 99
 	if err := fw.Deactivate(handle); err != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	if err := fw.Activate(handle, evilASID); err != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	p.X.M.Ctl.Cache.Flush() // go straight to the engine
 	got := make([]byte, len(p.Secret))
 	if err := p.X.M.Ctl.Read(hw.Access{PA: p.VictimFrame().Addr(), Encrypted: true, ASID: evilASID}, got); err != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	ok := bytes.Equal(got, p.Secret)
-	return Outcome{
-		Name: a.Name(), Config: p.ConfigName(), Succeeded: ok,
-		Detail: fmt.Sprintf("victim key decrypts under attacker ASID: %v", ok),
-	}
+	return ok, fmt.Sprintf("victim key decrypts under attacker ASID: %v", ok)
 }

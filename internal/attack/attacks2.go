@@ -11,124 +11,87 @@ import (
 	"fidelius/internal/xen"
 )
 
-// RegisterTheft inspects the CPU register file during a VMEXIT, where SEV
-// (without -ES) leaves guest registers in plaintext (Section 2.2).
-type RegisterTheft struct{}
-
-// Name implements Attack.
-func (RegisterTheft) Name() string { return "register-theft" }
-
-// Description implements Attack.
-func (RegisterTheft) Description() string {
-	return "read guest general-purpose registers at VMEXIT (§2.2)"
+// hook wraps the platform's interposer for one attack: afterExit runs
+// once the exit boundary is crossed, where ordinary hypervisor handler
+// code executes, and beforeEntry runs before the entry checks. Either
+// may be nil; each gets the VMCB's physical address.
+type hook struct {
+	xen.Interposer
+	afterExit, beforeEntry func(vmcb hw.PhysAddr) error
 }
 
-// Run implements Attack.
-func (a RegisterTheft) Run(p *Platform) Outcome {
+func (h *hook) OnVMExit(d *xen.Domain, pa hw.PhysAddr) error {
+	if err := h.Interposer.OnVMExit(d, pa); err != nil || h.afterExit == nil {
+		return err
+	}
+	return h.afterExit(pa)
+}
+
+func (h *hook) PreVMRun(d *xen.Domain, pa hw.PhysAddr) error {
+	if h.beforeEntry != nil {
+		if err := h.beforeEntry(pa); err != nil {
+			return err
+		}
+	}
+	return h.Interposer.PreVMRun(d, pa)
+}
+
+// interpose installs a hook on p's hypervisor and returns the func that
+// puts back the interposer it wrapped.
+func interpose(p *Platform, afterExit, beforeEntry func(vmcb hw.PhysAddr) error) (restore func()) {
+	prev := p.X.Interpose
+	p.X.Interpose = &hook{Interposer: prev, afterExit: afterExit, beforeEntry: beforeEntry}
+	return func() { p.X.Interpose = prev }
+}
+
+// registerTheft inspects the CPU register file during a VMEXIT, where SEV
+// (without -ES) leaves guest registers in plaintext (Section 2.2).
+func registerTheft(p *Platform) (bool, string) {
 	const marker = 0x5EC12E75EC12E75
 	var observed uint64
-	prev := p.X.Interpose
-	p.X.Interpose = &exitSnooper{Interposer: prev, fn: func() {
+	defer interpose(p, func(hw.PhysAddr) error {
 		observed = p.X.M.CPU.Regs[6]
-	}}
-	defer func() { p.X.Interpose = prev }()
+		return nil
+	}, nil)()
 	p.X.StartVCPU(p.Victim, func(g *xen.GuestEnv) error {
 		g.Regs[6] = marker
 		_, err := g.Hypercall(xen.HCVoid)
 		return err
 	})
 	if err := p.X.Run(p.Victim); err != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	ok := observed == marker
-	return Outcome{
-		Name: a.Name(), Config: p.ConfigName(), Succeeded: ok,
-		Detail: fmt.Sprintf("guest register visible at exit: %v", ok),
-	}
+	return ok, fmt.Sprintf("guest register visible at exit: %v", ok)
 }
 
-// exitSnooper wraps an interposer, running fn after the exit boundary —
-// i.e. at the point ordinary hypervisor handler code executes.
-type exitSnooper struct {
-	xen.Interposer
-	fn func()
-}
-
-func (s *exitSnooper) OnVMExit(d *xen.Domain, pa hw.PhysAddr) error {
-	err := s.Interposer.OnVMExit(d, pa)
-	s.fn()
-	return err
-}
-
-// VMCBControlTamper rewrites the VMCB's NPT root during exit handling,
-// the canonical VMCB integrity attack of Section 2.2.
-type VMCBControlTamper struct{}
-
-// Name implements Attack.
-func (VMCBControlTamper) Name() string { return "vmcb-tamper" }
-
-// Description implements Attack.
-func (VMCBControlTamper) Description() string {
-	return "rewrite VMCB control fields (NPT root) between exit and entry (§2.2)"
-}
-
-// Run implements Attack.
-func (a VMCBControlTamper) Run(p *Platform) Outcome {
+// vmcbTamper rewrites the VMCB's NPT root during exit handling, the
+// canonical VMCB integrity attack of Section 2.2.
+func vmcbTamper(p *Platform) (bool, string) {
 	evilRoot := uint64(p.Conspirator.NPT.Root.Addr())
-	prev := p.X.Interpose
-	p.X.Interpose = &vmcbTamperer{Interposer: prev, x: p.X, evil: evilRoot}
-	defer func() { p.X.Interpose = prev }()
+	defer interpose(p, func(pa hw.PhysAddr) error {
+		v, err := cpu.LoadVMCB(p.X.M.Ctl, pa)
+		if err != nil {
+			return err
+		}
+		v.NPTRoot = evilRoot
+		return cpu.StoreVMCB(p.X.M.Ctl, pa, v)
+	}, nil)()
 	p.X.StartVCPU(p.Victim, func(g *xen.GuestEnv) error {
 		_, err := g.Hypercall(xen.HCVoid)
 		return err
 	})
-	err := p.X.Run(p.Victim)
-	if err != nil {
-		return Outcome{
-			Name: a.Name(), Config: p.ConfigName(),
-			Detail: fmt.Sprintf("tamper detected: %v", err),
-		}
+	if err := p.X.Run(p.Victim); err != nil {
+		return false, fmt.Sprintf("tamper detected: %v", err)
 	}
 	// Undetected: the forged control field reached VMRUN.
-	return Outcome{
-		Name: a.Name(), Config: p.ConfigName(), Succeeded: true,
-		Detail: "forged NPT root accepted at VMRUN",
-	}
+	return true, "forged NPT root accepted at VMRUN"
 }
 
-type vmcbTamperer struct {
-	xen.Interposer
-	x    *xen.Xen
-	evil uint64
-}
-
-func (t *vmcbTamperer) OnVMExit(d *xen.Domain, pa hw.PhysAddr) error {
-	if err := t.Interposer.OnVMExit(d, pa); err != nil {
-		return err
-	}
-	v, err := cpu.LoadVMCB(t.x.M.Ctl, pa)
-	if err != nil {
-		return err
-	}
-	v.NPTRoot = t.evil
-	return cpu.StoreVMCB(t.x.M.Ctl, pa, v)
-}
-
-// DisableWP executes the MOV CR0 stub to clear write protection, then
+// disableWP executes the MOV CR0 stub to clear write protection, then
 // rewrites a page-table entry — "disable SEV protection completely"
 // (Sections 2.2 and 6.2).
-type DisableWP struct{}
-
-// Name implements Attack.
-func (DisableWP) Name() string { return "disable-wp" }
-
-// Description implements Attack.
-func (DisableWP) Description() string {
-	return "clear CR0.WP via the privileged stub, then rewrite protected structures (§6.2)"
-}
-
-// Run implements Attack.
-func (a DisableWP) Run(p *Platform) Outcome {
+func disableWP(p *Platform) (bool, string) {
 	c := p.X.M.CPU
 	savedCR0 := c.CR0
 	execErr := p.X.M.ExecStub(p.X.M.Stubs.MovCR0, savedCR0&^cpu.CR0WP)
@@ -138,70 +101,42 @@ func (a DisableWP) Run(p *Platform) Outcome {
 		c.TrustedContext = false
 	}()
 	if execErr != nil {
-		return Outcome{
-			Name: a.Name(), Config: p.ConfigName(),
-			Detail: fmt.Sprintf("WP clear rejected: %v", execErr),
-		}
+		return false, fmt.Sprintf("WP clear rejected: %v", execErr)
 	}
 	// With WP off, rewrite the victim's NPT to point its secret page at
 	// a hypervisor-controlled frame.
 	slot, err := p.X.NPTLeafSlot(p.Victim, p.SecretGFN<<hw.PageShift)
 	if err != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	if werr := c.Write64(uint64(slot), uint64(mmu.MakePTE(1, mmu.FlagP|mmu.FlagW))); werr != nil {
-		return Outcome{
-			Name: a.Name(), Config: p.ConfigName(),
-			Detail: fmt.Sprintf("NPT write still blocked: %v", werr),
-		}
+		return false, fmt.Sprintf("NPT write still blocked: %v", werr)
 	}
-	return Outcome{
-		Name: a.Name(), Config: p.ConfigName(), Succeeded: true,
-		Detail: "WP cleared and protected structure rewritten",
-	}
+	return true, "WP cleared and protected structure rewritten"
 }
 
-// CR3Pivot switches to an attacker-built page table that maps everything
+// cr3Pivot switches to an attacker-built page table that maps everything
 // writable, bypassing all page-level protection (Table 2's MOV CR3 row).
-type CR3Pivot struct{}
-
-// Name implements Attack.
-func (CR3Pivot) Name() string { return "cr3-pivot" }
-
-// Description implements Attack.
-func (CR3Pivot) Description() string {
-	return "switch CR3 to an attacker page table mapping everything writable (§4.1.2)"
-}
-
-// Run implements Attack.
-func (a CR3Pivot) Run(p *Platform) Outcome {
+func cr3Pivot(p *Platform) (bool, string) {
 	c := p.X.M.CPU
 	// Build the evil identity table in free frames (plain data pages —
 	// writable in any configuration).
 	evil, err := buildEvilSpace(p.X)
 	if err != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	savedCR3 := c.CR3
-	restore := func() {
+	defer func() {
 		c.TrustedContext = true
 		c.CR3 = savedCR3
 		c.TLB.FlushAll()
 		c.TrustedContext = false
-	}
-	defer restore()
-	execErr := p.X.M.ExecStub(p.X.M.Stubs.MovCR3, uint64(evil.Root.Addr()))
-	if execErr != nil {
-		return Outcome{
-			Name: a.Name(), Config: p.ConfigName(),
-			Detail: fmt.Sprintf("CR3 pivot rejected: %v", execErr),
-		}
+	}()
+	if execErr := p.X.M.ExecStub(p.X.M.Stubs.MovCR3, uint64(evil.Root.Addr())); execErr != nil {
+		return false, fmt.Sprintf("CR3 pivot rejected: %v", execErr)
 	}
 	pivoted := c.CR3 == uint64(evil.Root.Addr())
-	return Outcome{
-		Name: a.Name(), Config: p.ConfigName(), Succeeded: pivoted,
-		Detail: fmt.Sprintf("running on attacker page table: %v", pivoted),
-	}
+	return pivoted, fmt.Sprintf("running on attacker page table: %v", pivoted)
 }
 
 // buildEvilSpace constructs an identity map with everything writable and
@@ -232,30 +167,19 @@ func (e evilAlloc) AllocFrame() (hw.PFN, error) {
 	return e.x.M.Alloc.Alloc(xen.UseXenData, 0)
 }
 
-// HiddenGadget plants a VMRUN instruction in a writable data page and
+// hiddenGadget plants a VMRUN instruction in a writable data page and
 // jumps to it, first clearing EFER.NXE to defeat DEP (Section 4.1.2's
 // unaligned/unsanctioned instruction threat).
-type HiddenGadget struct{}
-
-// Name implements Attack.
-func (HiddenGadget) Name() string { return "hidden-gadget" }
-
-// Description implements Attack.
-func (HiddenGadget) Description() string {
-	return "plant and execute an unsanctioned VMRUN after disabling NX (§4.1.2)"
-}
-
-// Run implements Attack.
-func (a HiddenGadget) Run(p *Platform) Outcome {
+func hiddenGadget(p *Platform) (bool, string) {
 	c := p.X.M.CPU
 	frame, err := p.X.M.Alloc.Alloc(xen.UseXenData, 0)
 	if err != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	gadget := isa.Inst{Op: isa.OpVmrun, Reg: 0}.Encode(nil)
 	gadget = isa.Inst{Op: isa.OpHlt}.Encode(gadget)
 	if err := c.WriteVA(uint64(frame.Addr()), gadget); err != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	savedEFER := c.EFER
 	defer func() {
@@ -267,180 +191,91 @@ func (a HiddenGadget) Run(p *Platform) Outcome {
 	c.Regs[0] = cpu.MSREFER
 	c.Regs[1] = savedEFER &^ cpu.EFERNXE
 	if err := c.Run(p.X.M.Stubs.Wrmsr, 4); err != nil {
-		return Outcome{
-			Name: a.Name(), Config: p.ConfigName(),
-			Detail: fmt.Sprintf("NXE clear rejected: %v", err),
-		}
+		return false, fmt.Sprintf("NXE clear rejected: %v", err)
 	}
 	// Step 2: execute the gadget with the victim's VMCB.
 	c.TLB.FlushAll()
 	c.Regs[0] = uint64(p.Victim.VMCBPA())
-	execErr := c.Run(uint64(frame.Addr()), 8)
-	if execErr != nil {
+	if execErr := c.Run(uint64(frame.Addr()), 8); execErr != nil {
 		if _, isPF := execErr.(*mmu.PageFault); isPF {
-			return Outcome{
-				Name: a.Name(), Config: p.ConfigName(),
-				Detail: fmt.Sprintf("gadget blocked: %v", execErr),
-			}
+			return false, fmt.Sprintf("gadget blocked: %v", execErr)
 		}
 	}
 	// Reaching the world switch (even if it then errors) means the
 	// unsanctioned VMRUN executed.
-	return Outcome{
-		Name: a.Name(), Config: p.ConfigName(), Succeeded: true,
-		Detail: "unsanctioned VMRUN executed from a data page",
-	}
+	return true, "unsanctioned VMRUN executed from a data page"
 }
 
-// IagoCPUID forges the CPUID result the hypervisor returns to the guest
+// iagoCPUID forges the CPUID result the hypervisor returns to the guest
 // (Section 6.2, "Other issues").
-type IagoCPUID struct{}
-
-// Name implements Attack.
-func (IagoCPUID) Name() string { return "iago-cpuid" }
-
-// Description implements Attack.
-func (IagoCPUID) Description() string {
-	return "return forged CPUID values to the guest (§6.2)"
-}
-
-// Run implements Attack.
-func (a IagoCPUID) Run(p *Platform) Outcome {
-	prev := p.X.Interpose
-	p.X.Interpose = &iagoForger{Interposer: prev, x: p.X}
-	defer func() { p.X.Interpose = prev }()
+func iagoCPUID(p *Platform) (bool, string) {
+	var lastCPUID bool
+	defer interpose(p, func(pa hw.PhysAddr) error {
+		v, err := cpu.LoadVMCB(p.X.M.Ctl, pa)
+		if err != nil {
+			return err
+		}
+		lastCPUID = v.ExitCode == cpu.ExitCPUID
+		return nil
+	}, func(pa hw.PhysAddr) error {
+		if !lastCPUID {
+			return nil
+		}
+		v, err := cpu.LoadVMCB(p.X.M.Ctl, pa)
+		if err != nil {
+			return err
+		}
+		v.Regs[0] = 0xBADC0DE
+		return cpu.StoreVMCB(p.X.M.Ctl, pa, v)
+	})()
 	var got [4]uint64
 	p.X.StartVCPU(p.Victim, func(g *xen.GuestEnv) error {
 		got = g.CPUID(0)
 		return nil
 	})
 	if err := p.X.Run(p.Victim); err != nil {
-		return Outcome{
-			Name: a.Name(), Config: p.ConfigName(),
-			Detail: fmt.Sprintf("forgery detected: %v", err),
-		}
+		return false, fmt.Sprintf("forgery detected: %v", err)
 	}
 	forged := got[0] == 0xBADC0DE
-	return Outcome{
-		Name: a.Name(), Config: p.ConfigName(), Succeeded: forged,
-		Detail: fmt.Sprintf("guest received forged CPUID: %v", forged),
-	}
+	return forged, fmt.Sprintf("guest received forged CPUID: %v", forged)
 }
 
-type iagoForger struct {
-	xen.Interposer
-	x       *xen.Xen
-	lastCPU bool
-}
-
-func (f *iagoForger) OnVMExit(d *xen.Domain, pa hw.PhysAddr) error {
-	if err := f.Interposer.OnVMExit(d, pa); err != nil {
-		return err
-	}
-	v, err := cpu.LoadVMCB(f.x.M.Ctl, pa)
-	if err != nil {
-		return err
-	}
-	f.lastCPU = v.ExitCode == cpu.ExitCPUID
-	return nil
-}
-
-func (f *iagoForger) PreVMRun(d *xen.Domain, pa hw.PhysAddr) error {
-	if f.lastCPU {
-		v, err := cpu.LoadVMCB(f.x.M.Ctl, pa)
-		if err != nil {
-			return err
-		}
-		v.Regs[0] = 0xBADC0DE
-		if err := cpu.StoreVMCB(f.x.M.Ctl, pa, v); err != nil {
-			return err
-		}
-	}
-	return f.Interposer.PreVMRun(d, pa)
-}
-
-// IODataTheft is the curious driver domain: it records everything moving
+// ioDataTheft is the curious driver domain: it records everything moving
 // through the PV block path and inspects the physical disk (Section 6.2,
 // "I/O data stealing and tampering").
-type IODataTheft struct{}
-
-// Name implements Attack.
-func (IODataTheft) Name() string { return "io-data-theft" }
-
-// Description implements Attack.
-func (IODataTheft) Description() string {
-	return "driver domain snoops the PV block path and the disk (§6.2)"
-}
-
-// Run implements Attack.
-func (a IODataTheft) Run(p *Platform) Outcome {
+func ioDataTheft(p *Platform) (bool, string) {
 	inRing := bytes.Contains(p.Backend.Snoop, p.Secret[:16])
 	onDisk := bytes.Contains(p.Disk.Snapshot(), p.Secret[:16])
-	ok := inRing || onDisk
-	return Outcome{
-		Name: a.Name(), Config: p.ConfigName(), Succeeded: ok,
-		Detail: fmt.Sprintf("secret visible in ring: %v, on disk: %v", inRing, onDisk),
-	}
+	return inRing || onDisk, fmt.Sprintf("secret visible in ring: %v, on disk: %v", inRing, onDisk)
 }
 
-// CodePatch makes a hypervisor code page writable by editing the host
+// codePatch makes a hypervisor code page writable by editing the host
 // page table, then patches it (the write-forbidding policy of §5.3).
-type CodePatch struct{}
-
-// Name implements Attack.
-func (CodePatch) Name() string { return "code-patch" }
-
-// Description implements Attack.
-func (CodePatch) Description() string {
-	return "remap a hypervisor code page writable and patch it (§5.3)"
-}
-
-// Run implements Attack.
-func (a CodePatch) Run(p *Platform) Outcome {
+func codePatch(p *Platform) (bool, string) {
 	c := p.X.M.CPU
 	codeVA := p.X.M.Stubs.Base
 	slot, err := p.X.M.HostPT.LeafSlot(codeVA)
 	if err != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	writable := mmu.MakePTE(hw.PhysAddr(codeVA).Frame(), mmu.FlagP|mmu.FlagW)
 	if werr := c.Write64(uint64(slot), uint64(writable)); werr != nil {
-		return Outcome{
-			Name: a.Name(), Config: p.ConfigName(),
-			Detail: fmt.Sprintf("PTE rewrite blocked: %v", werr),
-		}
+		return false, fmt.Sprintf("PTE rewrite blocked: %v", werr)
 	}
 	c.TLB.FlushAll()
 	if werr := c.WriteVA(codeVA, []byte{byte(isa.OpNop)}); werr != nil {
-		return Outcome{
-			Name: a.Name(), Config: p.ConfigName(),
-			Detail: fmt.Sprintf("code write blocked: %v", werr),
-		}
+		return false, fmt.Sprintf("code write blocked: %v", werr)
 	}
-	return Outcome{
-		Name: a.Name(), Config: p.ConfigName(), Succeeded: true,
-		Detail: "hypervisor code page patched",
-	}
+	return true, "hypervisor code page patched"
 }
 
-// Rowhammer flips a bit in the victim's DRAM. With memory encryption the
+// rowhammer flips a bit in the victim's DRAM. With memory encryption the
 // flip avalanches through the 16-byte block, denying the attacker
 // controlled corruption (Section 6.2, "Violating memory integrity").
-type Rowhammer struct{}
-
-// Name implements Attack.
-func (Rowhammer) Name() string { return "rowhammer" }
-
-// Description implements Attack.
-func (Rowhammer) Description() string {
-	return "flip one DRAM bit in guest memory, aiming for a controlled plaintext change (§6.2)"
-}
-
-// Run implements Attack.
-func (a Rowhammer) Run(p *Platform) Outcome {
+func rowhammer(p *Platform) (bool, string) {
 	target := p.VictimFrame().Addr()
 	if err := p.X.M.Ctl.Mem.FlipBit(target+3, 1); err != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	p.X.M.Ctl.Cache.Flush()
 	got := make([]byte, len(p.Secret))
@@ -450,10 +285,10 @@ func (a Rowhammer) Run(p *Platform) Outcome {
 		return nil
 	})
 	if err := p.X.Run(p.Victim); err != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Detail: err.Error()}
+		return false, err.Error()
 	}
 	if readErr != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Detail: readErr.Error()}
+		return false, readErr.Error()
 	}
 	// Controlled corruption = exactly the targeted bit changed.
 	diff := 0
@@ -463,8 +298,5 @@ func (a Rowhammer) Run(p *Platform) Outcome {
 		}
 	}
 	controlled := diff == 1 && got[3]^p.Secret[3] == 1<<1
-	return Outcome{
-		Name: a.Name(), Config: p.ConfigName(), Succeeded: controlled,
-		Detail: fmt.Sprintf("%d bytes corrupted (controlled: %v)", diff, controlled),
-	}
+	return controlled, fmt.Sprintf("%d bytes corrupted (controlled: %v)", diff, controlled)
 }

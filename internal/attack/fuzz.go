@@ -7,24 +7,13 @@ import (
 	"fidelius/internal/xen"
 )
 
-// HypercallFuzz is the conspirator guest hammering the hypercall interface
+// hypercallFuzz is the conspirator guest hammering the hypercall interface
 // with adversarial arguments: out-of-range domains, wild GFNs, forged
 // grant references, bogus sub-ops. The attacker's goal is to reach any
 // state that discloses the victim's secret or corrupts the platform —
 // modelling the XSA-style interface bugs of Section 6.2's quantitative
 // analysis.
-type HypercallFuzz struct{}
-
-// Name implements Attack.
-func (HypercallFuzz) Name() string { return "hypercall-fuzz" }
-
-// Description implements Attack.
-func (HypercallFuzz) Description() string {
-	return "adversarial guest fuzzes the hypercall interface for leaks or corruption (§6.2)"
-}
-
-// Run implements Attack.
-func (a HypercallFuzz) Run(p *Platform) Outcome {
+func hypercallFuzz(p *Platform) (bool, string) {
 	const rounds = 400
 	lcg := uint64(0x9E3779B97F4A7C15)
 	next := func() uint64 {
@@ -60,10 +49,7 @@ func (a HypercallFuzz) Run(p *Platform) Outcome {
 	if err := p.X.Run(p.Conspirator); err != nil {
 		// The platform must survive adversarial guests: a scheduler
 		// error here is itself a finding.
-		return Outcome{
-			Name: a.Name(), Config: p.ConfigName(), Succeeded: true,
-			Detail: fmt.Sprintf("platform destabilised: %v", err),
-		}
+		return true, fmt.Sprintf("platform destabilised: %v", err)
 	}
 	// Victim integrity check: its secret is still intact and private.
 	got := make([]byte, len(p.Secret))
@@ -73,22 +59,13 @@ func (a HypercallFuzz) Run(p *Platform) Outcome {
 		return nil
 	})
 	if err := p.X.Run(p.Victim); err != nil {
-		return Outcome{Name: a.Name(), Config: p.ConfigName(), Succeeded: true, Detail: err.Error()}
+		return true, err.Error()
 	}
 	if readErr != nil || !bytes.Equal(got, p.Secret) {
-		return Outcome{
-			Name: a.Name(), Config: p.ConfigName(), Succeeded: true,
-			Detail: "fuzzing corrupted the victim's memory",
-		}
+		return true, "fuzzing corrupted the victim's memory"
 	}
 	if reached != nil {
-		return Outcome{
-			Name: a.Name(), Config: p.ConfigName(), Succeeded: true,
-			Detail: "fuzzed grant mapping exposed victim data",
-		}
+		return true, "fuzzed grant mapping exposed victim data"
 	}
-	return Outcome{
-		Name: a.Name(), Config: p.ConfigName(),
-		Detail: fmt.Sprintf("%d adversarial hypercalls survived without leak or corruption", rounds),
-	}
+	return false, fmt.Sprintf("%d adversarial hypercalls survived without leak or corruption", rounds)
 }

@@ -6,7 +6,7 @@ import (
 	"fidelius/internal/telemetry"
 )
 
-// LedgerTamper is the forensic-erasure adversary: after one of its
+// ledgerTamper is the forensic-erasure adversary: after one of its
 // operations is denied and recorded, the hypervisor tries to launder the
 // audit trail — first by rewriting the incriminating record (with and
 // without recomputing its hash), then by truncating the trail as if the
@@ -16,19 +16,7 @@ import (
 // and unlike the other attacks its defence is configuration-independent
 // — the chain is pure hash arithmetic, so the attack is blocked on the
 // plain-Xen baseline too.
-type LedgerTamper struct{}
-
-// Name implements Attack.
-func (LedgerTamper) Name() string { return "audit-ledger-tamper" }
-
-// Description implements Attack.
-func (LedgerTamper) Description() string {
-	return "rewrite and truncate the security audit ledger to erase the record of a denied operation (forensic counterpart of SEVered's unrecorded remaps)"
-}
-
-// Run implements Attack.
-func (at LedgerTamper) Run(p *Platform) Outcome {
-	o := Outcome{Name: at.Name(), Config: p.ConfigName()}
+func ledgerTamper(p *Platform) (bool, string) {
 	hub := p.X.M.Ctl.Telem
 	led := hub.Ledger()
 	if led == nil {
@@ -49,14 +37,10 @@ func (at LedgerTamper) Run(p *Platform) Outcome {
 	recs := led.Records()
 	head := led.Head()
 	if len(recs) <= before {
-		o.Succeeded = true
-		o.Detail = "denied operation left no forensic record"
-		return o
+		return true, "denied operation left no forensic record"
 	}
 	if err := telemetry.VerifyChain(recs, head); err != nil {
-		o.Succeeded = true
-		o.Detail = fmt.Sprintf("honest ledger fails its own verification: %v", err)
-		return o
+		return true, fmt.Sprintf("honest ledger fails its own verification: %v", err)
 	}
 	last := len(recs) - 1
 
@@ -64,9 +48,7 @@ func (at LedgerTamper) Run(p *Platform) Outcome {
 	forged := append([]telemetry.Record{}, recs...)
 	forged[last].Detail = "benign: routine maintenance"
 	if telemetry.VerifyChain(forged, head) == nil {
-		o.Succeeded = true
-		o.Detail = "rewritten record passed verification"
-		return o
+		return true, "rewritten record passed verification"
 	}
 
 	// Step 2b: smarter rewrite — recompute the edited record's hash so it
@@ -76,18 +58,13 @@ func (at LedgerTamper) Run(p *Platform) Outcome {
 	rehashed[last].Detail = "benign: routine maintenance"
 	rehashed[last].Hash = telemetry.HashRecord(rehashed[last])
 	if telemetry.VerifyChain(rehashed, head) == nil {
-		o.Succeeded = true
-		o.Detail = "rehashed forgery passed verification against the live head"
-		return o
+		return true, "rehashed forgery passed verification against the live head"
 	}
 
 	// Step 3: truncation — present the prefix from before the denial.
 	if telemetry.VerifyChain(recs[:last], head) == nil {
-		o.Succeeded = true
-		o.Detail = "truncated ledger passed verification"
-		return o
+		return true, "truncated ledger passed verification"
 	}
 
-	o.Detail = fmt.Sprintf("rewrite, rehash and truncation all detected across %d records", len(recs))
-	return o
+	return false, fmt.Sprintf("rewrite, rehash and truncation all detected across %d records", len(recs))
 }

@@ -179,7 +179,7 @@ func touchedLines(pa PhysAddr, n int) uint64 {
 // can read the clock: the decrypt event, an integrity audit record, or a
 // caller handed an error.
 func (c *Controller) Read(a Access, buf []byte) error {
-	if err := c.Mem.check(a.PA, len(buf)); err != nil {
+	if err := c.Mem.Check(a.PA, len(buf)); err != nil {
 		return err
 	}
 	if len(buf) == 0 {
@@ -271,7 +271,7 @@ func decryptFill(slot *PageCipher, base PhysAddr, fill *[LineSize]byte, span int
 // Write performs a CPU write. The cache is write-through: DRAM always holds
 // the current (ciphertext, for encrypted pages) contents.
 func (c *Controller) Write(a Access, data []byte) error {
-	if err := c.Mem.check(a.PA, len(data)); err != nil {
+	if err := c.Mem.Check(a.PA, len(data)); err != nil {
 		return err
 	}
 	if len(data) == 0 {
@@ -412,7 +412,7 @@ func (c *Controller) DMA() *DMA { return &DMA{ctl: c} }
 // line beats on the bus, not one. An out-of-range transfer is refused
 // before anything is charged.
 func (d *DMA) Read(pa PhysAddr, buf []byte) error {
-	if err := d.ctl.Mem.check(pa, len(buf)); err != nil {
+	if err := d.ctl.Mem.Check(pa, len(buf)); err != nil {
 		return err
 	}
 	if len(buf) == 0 {
@@ -429,7 +429,7 @@ func (d *DMA) Read(pa PhysAddr, buf []byte) error {
 // as a coherent DMA write would. Charged per overlapped cache line; an
 // out-of-range transfer is refused before it charges or invalidates.
 func (d *DMA) Write(pa PhysAddr, data []byte) error {
-	if err := d.ctl.Mem.check(pa, len(data)); err != nil {
+	if err := d.ctl.Mem.Check(pa, len(data)); err != nil {
 		return err
 	}
 	if len(data) == 0 {

@@ -89,9 +89,10 @@ func NewMemoryBytes(n int) *Memory {
 // Size reports the installed memory size in bytes.
 func (m *Memory) Size() uint64 { return m.size }
 
-// check bounds [pa, pa+n) by the installed size without forming pa+n,
-// which would wrap for an address near 2^64.
-func (m *Memory) check(pa PhysAddr, n int) error {
+// Check refuses [pa, pa+n) with ErrOutOfRange unless it lies within the
+// installed size. It never forms pa+n, which would wrap for an address
+// near 2^64.
+func (m *Memory) Check(pa PhysAddr, n int) error {
 	if uint64(pa) > m.size || uint64(n) > m.size-uint64(pa) {
 		return fmt.Errorf("%w: %#x+%d > %#x", ErrOutOfRange, pa, n, m.size)
 	}
@@ -128,7 +129,7 @@ func (m *Memory) takeFault(pa PhysAddr, n int) error {
 // ReadRaw copies bytes exactly as stored in DRAM. This is the view of a
 // cold-boot attacker, a bus snooper, or a DMA engine.
 func (m *Memory) ReadRaw(pa PhysAddr, buf []byte) error {
-	if err := m.check(pa, len(buf)); err != nil {
+	if err := m.Check(pa, len(buf)); err != nil {
 		return err
 	}
 	if err := m.takeFault(pa, len(buf)); err != nil {
@@ -164,7 +165,7 @@ func (m *Memory) ReadRaw(pa PhysAddr, buf []byte) error {
 // WriteRaw stores bytes directly into DRAM, bypassing the encryption
 // engine. This is the view of a DMA write or a physical tamper.
 func (m *Memory) WriteRaw(pa PhysAddr, data []byte) error {
-	if err := m.check(pa, len(data)); err != nil {
+	if err := m.Check(pa, len(data)); err != nil {
 		return err
 	}
 	if err := m.takeFault(pa, len(data)); err != nil {
@@ -180,7 +181,7 @@ func (m *Memory) WriteRaw(pa PhysAddr, data []byte) error {
 
 // FlipBit flips a single bit in DRAM, modelling a rowhammer disturbance.
 func (m *Memory) FlipBit(pa PhysAddr, bit uint) error {
-	if err := m.check(pa, 1); err != nil {
+	if err := m.Check(pa, 1); err != nil {
 		return err
 	}
 	m.backing(pa.Frame())[pa.Offset()] ^= 1 << (bit & 7)

@@ -182,3 +182,46 @@ func TestReceiveUpdatePagesParallelWidths(t *testing.T) {
 		assertPagesEqual(t, ctl, pfns, zeros, "a refused replay")
 	})
 }
+
+// TestOutOfRangeReceiveCommitsNothing: a RECEIVE_IO chunk or a
+// RECEIVE_UPDATE batch aimed past the installed memory is refused before
+// it charges a cycle, counts a command, advances the sequence or folds
+// the measurement, and the batch's in-range page is not written either.
+func TestOutOfRangeReceiveCommitsNothing(t *testing.T) {
+	f, ctl := newFW(t, 16)
+	_, _, sh, _ := twinContexts(t, f, StateSending)
+	r, _, rh, _ := twinContexts(t, f, StateReceiving)
+	pfns := []hw.PFN{4, 5}
+	fillPages(t, ctl, pfns, 3)
+	pkts, err := f.SendUpdatePages(sh, pfns, slab(len(pfns)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := zeroPages(1)
+	writePages(t, ctl, pfns[:1], zeros)
+
+	const past = hw.PFN(1000)
+	for _, c := range []struct {
+		what string
+		run  func() error
+	}{
+		{"receive-io", func() error { return f.ReceiveIO(rh, past.Addr(), make([]byte, 512), 42) }},
+		{"receive-update", func() error { return f.ReceiveUpdatePages(rh, []hw.PFN{pfns[0], past}, pkts) }},
+	} {
+		cyc, cmds := ctl.Cycles.Total(), ctl.Telem.M.SEVCommands.Value()
+		seq, measure := r.seq, r.measure
+		if err := c.run(); !errors.Is(err, hw.ErrOutOfRange) {
+			t.Fatalf("%s past memory: got %v, want ErrOutOfRange", c.what, err)
+		}
+		if d := ctl.Cycles.Total() - cyc; d != 0 {
+			t.Errorf("refused %s charged %d cycles", c.what, d)
+		}
+		if d := ctl.Telem.M.SEVCommands.Value() - cmds; d != 0 {
+			t.Errorf("refused %s counted %d commands", c.what, d)
+		}
+		if r.seq != seq || r.measure != measure {
+			t.Errorf("refused %s moved the sequence %d -> %d or the measurement", c.what, seq, r.seq)
+		}
+	}
+	assertPagesEqual(t, ctl, pfns[:1], zeros, "a refused batch")
+}

@@ -150,7 +150,7 @@ func TestAttestRequiresInit(t *testing.T) {
 }
 
 func TestFirmwareGuardBlocksAllCommands(t *testing.T) {
-	fw, _ := newFW(t, 8)
+	fw, ctl := newFW(t, 8)
 	h, err := fw.LaunchStart(0)
 	if err != nil {
 		t.Fatal(err)
@@ -178,6 +178,18 @@ func TestFirmwareGuardBlocksAllCommands(t *testing.T) {
 	}
 	if _, err := fw.Attest(nil, [32]byte{}, [32]byte{}); !errors.Is(err, ErrUnauthorized) {
 		t.Errorf("Attest: %v", err)
+	}
+	// RECEIVE_START is refused before it unwraps anything: junk keys get
+	// the refusal and its one ledger record, exactly as good keys would,
+	// so the error cannot tell the caller whether a wrapped blob opens.
+	led := ctl.Telem.StartLedger()
+	selfPub, _ := fw.PublicKey()
+	junk := WrappedKeys{Ciphertext: bytes.Repeat([]byte{1}, 80)}
+	if _, err := fw.ReceiveStart(junk, selfPub, []byte("nonce")); !errors.Is(err, ErrUnauthorized) {
+		t.Errorf("ReceiveStart with junk keys: %v", err)
+	}
+	if recs := led.Records(); len(recs) != 1 || recs[0].Class != "sev-unauthorized" {
+		t.Errorf("refused ReceiveStart left ledger %+v, want one sev-unauthorized record", recs)
 	}
 	// Re-authorise: commands work again.
 	fw.Authorize = func() bool { return true }

@@ -652,10 +652,14 @@ func (f *Firmware) ioOut(c *Context, s *session, name string, h Handle, pa hw.Ph
 
 // ioIn is the inbound body RECEIVE_IO and DEC share: it opens I/O chunk
 // seq under s in place, re-encrypts it under the context's Kvek and
-// writes it at pa.
+// writes it at pa. A chunk past the installed memory is refused before
+// it is opened, charged or counted.
 func (f *Firmware) ioIn(c *Context, s *session, name string, h Handle, pa hw.PhysAddr, data []byte, seq uint64) error {
 	if !ioChunk(pa, len(data)) {
 		return ErrNotAligned
+	}
+	if err := f.ctl.Mem.Check(pa, len(data)); err != nil {
+		return err
 	}
 	s.ioOpen(seq, data)
 	c.cipher.EncryptLine(pa, data)
@@ -724,8 +728,13 @@ func (f *Firmware) ReceiveHelperStart(base Handle, w WrappedKeys, originPub *ecd
 }
 
 // receiveStart is the body RECEIVE_START and RECEIVE_HELPER_START share:
-// unwrap the transport keys, then make the context and open its session.
+// guard, unwrap the transport keys, then make the context and open its
+// session. The guard comes first, so a refused caller learns nothing of
+// whether its wrapped keys open.
 func (f *Firmware) receiveStart(name string, w WrappedKeys, originPub *ecdh.PublicKey, nonce []byte, newCtx func() (*Context, error)) (Handle, error) {
+	if err := f.guard(); err != nil {
+		return 0, err
+	}
 	if !f.initialized {
 		return 0, ErrNotInitialized
 	}
@@ -804,10 +813,10 @@ func (f *Firmware) SendUpdatePages(h Handle, pfns []hw.PFN, dst []byte) ([]Packe
 // caller-chosen sector tweaks and are exempt.) Tag verification, transport
 // decryption and Kvek re-encryption run across the worker pool; the
 // measurement fold plus DRAM commit run serially in slice order, so one
-// N-page call matches N one-page calls. A batch refused by its sequence,
-// tag or size check commits nothing and leaves the sequence and
-// measurement untouched, so the sender can retry with the genuine
-// packets.
+// N-page call matches N one-page calls. A batch refused by its range,
+// sequence, tag or size check commits nothing, charges nothing and
+// leaves the sequence and measurement untouched, so the sender can retry
+// with the genuine packets.
 func (f *Firmware) ReceiveUpdatePages(h Handle, pfns []hw.PFN, pkts []Packet) error {
 	c, err := f.enter("receive-update", h)
 	if err != nil {
@@ -815,6 +824,11 @@ func (f *Firmware) ReceiveUpdatePages(h Handle, pfns []hw.PFN, pkts []Packet) er
 	}
 	if len(pfns) != len(pkts) {
 		return fmt.Errorf("sev: receive_update_pages: %d pfns, %d packets", len(pfns), len(pkts))
+	}
+	for _, pfn := range pfns {
+		if err := f.ctl.Mem.Check(pfn.Addr(), hw.PageSize); err != nil {
+			return err
+		}
 	}
 	base := c.seq
 	pages := make([]*[hw.PageSize]byte, len(pfns))
