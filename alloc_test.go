@@ -1,0 +1,97 @@
+package fidelius
+
+import (
+	"bytes"
+	"os"
+	"runtime"
+	"testing"
+)
+
+// skipInstrumented skips an allocation bound in a run whose
+// instrumentation allocates too: a -race build, or the lock-rank checker
+// armed by FIDELIUS_LOCKRANK=1, which keeps per-acquisition bookkeeping.
+func skipInstrumented(t *testing.T) {
+	t.Helper()
+	if raceBuild {
+		t.Skip("-race instrumentation allocates")
+	}
+	if os.Getenv("FIDELIUS_LOCKRANK") == "1" {
+		t.Skip("the armed lock-rank checker allocates")
+	}
+}
+
+// allocatedBytes reports the heap bytes fn allocates, from every
+// goroutine.
+func allocatedBytes(t *testing.T, fn func() error) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := fn(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestRepeatLiveMigrateAllocatesNoSlab guards the platform's SEND_UPDATE
+// slab: the first migration out of a platform allocates it, every later
+// one reuses it, so a later LiveMigrate between the same two platforms
+// allocates less than one 128 KiB slab in all. The VM has 32 pages, one
+// full 32-page chunk, so the slab is a whole 128 KiB, while the rest of
+// what a migration allocates (stream cipher state and frames, about
+// 2 KiB a page sent) stays well under it. The migration measured is the
+// third: the first two also back simulated DRAM frames on their first
+// touch, which later lifetimes reuse.
+func TestRepeatLiveMigrateAllocatesNoSlab(t *testing.T) {
+	skipInstrumented(t)
+	a, err := NewPlatform(Config{Protected: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewPlatform(Config{Protected: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, err := NewOwner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel := bytes.Repeat([]byte("MIGRATED-KERNEL!"), 4*PageSize/16)
+	var n uint64
+	for l := 0; l < 3; l++ {
+		if err := vmLifetime(a, b, owner, kernel, 32, func(fn func() error) error {
+			n = allocatedBytes(t, fn)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("the third LiveMigrate allocated %d bytes", n)
+	if n >= 128<<10 {
+		t.Fatalf("the third LiveMigrate allocated %d bytes, want under one 128 KiB slab", n)
+	}
+}
+
+// TestPrepareGuestAllocatesOneImage guards PrepareGuest's single copy:
+// the kernel is copied once, page-rounded, and sealed in that buffer, so
+// a 16-page kernel costs less than two 64 KiB images.
+func TestPrepareGuestAllocatesOneImage(t *testing.T) {
+	skipInstrumented(t)
+	plat, err := NewPlatform(Config{Protected: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, err := NewOwner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel := bytes.Repeat([]byte("PREPARED-KERNEL!"), 16*PageSize/16)
+	n := allocatedBytes(t, func() error {
+		_, _, err := PrepareGuest(owner, plat.PlatformKey(), kernel, nil)
+		return err
+	})
+	t.Logf("PrepareGuest of a 16-page kernel allocated %d bytes", n)
+	if n >= 2*64<<10 {
+		t.Fatalf("PrepareGuest of a 16-page kernel allocated %d bytes, want under two 64 KiB images", n)
+	}
+}

@@ -9,9 +9,12 @@ package fidelius
 // Run with: go test -run '^$' -bench=. -benchmem
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"fidelius/internal/hw"
 	"fidelius/internal/sev"
@@ -114,7 +117,7 @@ func BenchmarkBulkPageCrypt(b *testing.B) {
 			b.SetBytes(int64(len(pfns)) * PageSize)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := fw.SendUpdatePages(h, pfns, dst); err != nil {
+				if _, err := fw.SendUpdatePages(h, pfns, dst, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -260,6 +263,81 @@ func BenchmarkLifecycleChurn(b *testing.B) {
 		wg.Wait()
 		close(errc)
 		for err := range errc {
+			b.Fatal(err)
+		}
+	}
+}
+
+// vmLifetime is one VM lifetime between two protected platforms, as the
+// vm-lifecycle workload lives it: kernel prepared for a and launched as
+// a memPages-page VM, live-migrated to b while the guest dirties 8 pages
+// across 4 halts, read back on b and shut down on both. around wraps
+// the LiveMigrate call, so a test can measure it alone.
+func vmLifetime(a, b *Platform, owner *Owner, kernel []byte, memPages int, around func(func() error) error) error {
+	bundle, _, err := PrepareGuest(owner, a.PlatformKey(), kernel, nil)
+	if err != nil {
+		return err
+	}
+	vm, err := a.LaunchVM("lifetime", memPages, bundle)
+	if err != nil {
+		return err
+	}
+	const base, pages, halts = 16 * PageSize, 8, 4
+	a.StartVCPU(vm, func(g *GuestEnv) error {
+		for h := uint64(0); h < halts; h++ {
+			for w := uint64(0); w < pages; w++ {
+				if err := g.Write64(base+w*PageSize, h); err != nil {
+					return err
+				}
+			}
+			g.Halt()
+		}
+		return nil
+	})
+	var moved *Domain
+	if err := around(func() (err error) {
+		moved, _, err = LiveMigrate(a, vm, b, MigrateConfig{AckTimeout: 10 * time.Second})
+		return err
+	}); err != nil {
+		return errors.Join(err, a.Shutdown(vm))
+	}
+	var got uint64
+	b.StartVCPU(moved, func(g *GuestEnv) (err error) {
+		got, err = g.Read64(base + (pages-1)*PageSize)
+		return err
+	})
+	if err := b.Run(moved); err != nil {
+		return err
+	}
+	if got != halts-1 {
+		return fmt.Errorf("migrated page reads %d, want %d", got, halts-1)
+	}
+	return errors.Join(b.Shutdown(moved), a.Shutdown(vm))
+}
+
+// BenchmarkLifetime measures one VM lifetime between two long-lived
+// protected platforms (vmLifetime), shaped as the vm-lifecycle
+// workload's: a 16-page kernel in a 64-page VM. Its bytes/op show what a
+// lifetime allocates.
+func BenchmarkLifetime(b *testing.B) {
+	src, err := NewPlatform(Config{Protected: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst, err := NewPlatform(Config{Protected: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	owner, err := NewOwner()
+	if err != nil {
+		b.Fatal(err)
+	}
+	kernel := bytes.Repeat([]byte("LIFETIME-KERNEL!"), 16*PageSize/16)
+	call := func(fn func() error) error { return fn() }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := vmLifetime(src, dst, owner, kernel, 64, call); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -89,6 +89,12 @@ type Fidelius struct {
 	vmu        lockrank.Mutex
 	Violations []Violation
 
+	// slabMu (lock rank: leaf) guards slabs, the free list of SEND_UPDATE
+	// slabs that live migrations from this platform take and return
+	// (live.go). Concurrent migrations each hold their own slab.
+	slabMu lockrank.Mutex
+	slabs  []*sendSlab
+
 	// shadows and vms are trusted-context state, guarded by the machine's
 	// gate lock like the rest of Fidelius's private structures. The
 	// lifecycle entry points (which run without the gate lock held) go
@@ -141,6 +147,7 @@ func Enable(x *xen.Xen) (*Fidelius, error) {
 	hostPT.Ctl = f.port
 	f.hostPT = &hostPT
 	f.vmu.Init(lockrank.RankLeaf, nil)
+	f.slabMu.Init(lockrank.RankLeaf, nil)
 
 	// 1. Measure the hypervisor code and verify monopolisation.
 	code, err := x.M.CodeRegion()

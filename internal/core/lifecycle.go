@@ -42,15 +42,14 @@ func PrepareGuest(owner *sev.Owner, platformPub *ecdh.PublicKey, kernel, diskPla
 	if _, err := io.ReadFull(rand.Reader, kblk[:]); err != nil {
 		return nil, kblk, err
 	}
-	if len(kernel) < KblkOffset+32 {
-		padded := make([]byte, KblkOffset+32)
-		copy(padded, kernel)
-		kernel = padded
-	}
-	kernel = append([]byte{}, kernel...)
-	copy(kernel[KblkOffset:], kblk[:])
+	// The one copy of the kernel: page-rounded, Kblk planted, then
+	// sealed in place, so the image's packets are this buffer.
+	n := max(len(kernel), KblkOffset+32)
+	buf := make([]byte, (n+hw.PageSize-1)/hw.PageSize*hw.PageSize)
+	copy(buf, kernel)
+	copy(buf[KblkOffset:], kblk[:])
 
-	img, kwrap, err := owner.PrepareImage(platformPub, kernel)
+	img, kwrap, err := owner.SealImage(platformPub, buf)
 	if err != nil {
 		return nil, kblk, err
 	}
@@ -79,6 +78,9 @@ type provisional struct {
 	d   *xen.Domain
 	h   sev.Handle
 	gek bool // the context holds the owner's customized key
+	// pfns holds the frames of the last receive; the next one reuses
+	// it, so a live migration's one-page receives allocate it once.
+	pfns []hw.PFN
 }
 
 // provision creates the domain of an arriving VM and starts its firmware
@@ -105,15 +107,15 @@ func (f *Fidelius) provision(name string, memPages int, start func() (sev.Handle
 // RECEIVE_UPDATE, which re-encrypts them in place under Kvek and fans
 // the per-page AES work across the firmware's worker pool.
 func (p *provisional) receive(base uint64, pkts []sev.Packet) error {
-	pfns := make([]hw.PFN, len(pkts))
+	p.pfns = p.pfns[:0]
 	for i := range pkts {
 		pfn, ok := p.d.GPAFrame(base + uint64(i))
 		if !ok {
 			return fmt.Errorf("core: gfn %d unbacked", base+uint64(i))
 		}
-		pfns[i] = pfn
+		p.pfns = append(p.pfns, pfn)
 	}
-	return p.f.M.FW.ReceiveUpdatePages(p.h, pfns, pkts)
+	return p.f.M.FW.ReceiveUpdatePages(p.h, p.pfns, pkts)
 }
 
 // admit installs the VM's key under its ASID (ACTIVATE) and records the
@@ -289,13 +291,13 @@ func (f *Fidelius) MigrateOut(d *xen.Domain, targetPub *ecdh.PublicKey) (*Migrat
 	if st == nil {
 		return nil, fmt.Errorf("core: domain %d is not a Fidelius-protected VM", d.ID)
 	}
-	s := &liveSource{f: f, d: d, st: st, targetPub: targetPub}
+	// A slab of its own, never handed back: the bundle keeps its
+	// packets' bytes.
+	s := &liveSource{f: f, d: d, st: st, targetPub: targetPub, slab: new(sendSlab)}
 	kwrap, nonce, err := s.SendStart()
 	if err != nil {
 		return nil, err
 	}
-	// One SendPages call for every page: no later call reuses the slab,
-	// so the bundle owns its packets' bytes.
 	pkts, err := s.SendPages(d.BackedGFNs())
 	if err != nil {
 		return nil, err

@@ -30,12 +30,41 @@ type liveSource struct {
 	d         *xen.Domain
 	st        *VMState
 	targetPub *ecdh.PublicKey
+	slab      *sendSlab
+}
 
-	// slab holds the packets of the last SendPages call and pfns its
-	// frames; both are reused by the next call, so a migration allocates
-	// them once rather than a page per packet.
-	slab []byte
+// sendSlab is what SEND_UPDATE seals one chunk of a migration into: the
+// packets' bytes, the packets and the chunk's frames. Each SendPages call
+// overwrites the last one's, so a slab is allocated once, grows to the
+// engine's largest chunk and is then reused.
+type sendSlab struct {
+	data []byte
+	pkts []sev.Packet
 	pfns []hw.PFN
+}
+
+// takeSlab hands a live migration a slab no other migration holds: a
+// free one when there is one, else a fresh one.
+func (f *Fidelius) takeSlab() *sendSlab {
+	f.slabMu.Lock()
+	defer f.slabMu.Unlock()
+	n := len(f.slabs)
+	if n == 0 {
+		return new(sendSlab)
+	}
+	s := f.slabs[n-1]
+	f.slabs[n-1] = nil
+	f.slabs = f.slabs[:n-1]
+	return s
+}
+
+// returnSlab puts a slab back on the free list. Only a migration whose
+// every frame was acked may return its slab: the target acks a page
+// after reading it, so no packet in the slab is still in flight.
+func (f *Fidelius) returnSlab(s *sendSlab) {
+	f.slabMu.Lock()
+	f.slabs = append(f.slabs, s)
+	f.slabMu.Unlock()
 }
 
 func (s *liveSource) Name() string         { return s.d.Name }
@@ -57,8 +86,23 @@ func (s *liveSource) StopDirty() error {
 	return s.f.X.StopDirtyLog(s.d)
 }
 
+// enter opens one SEND step: the trusted context, under the gate lock.
+// The trusted-context flag is shared-CPU state, which the gate lock
+// guards, and the steps of a migration interleave with its guest's
+// quanta and with whatever else runs on this platform, other migrations
+// out of it included. No SEND step calls back into the hypervisor, so
+// unlike most entry points it can hold the lock throughout.
+func (s *liveSource) enter() func() {
+	s.f.M.Host.Lock()
+	leave := s.f.enterTrusted()
+	return func() {
+		leave()
+		s.f.M.Host.Unlock()
+	}
+}
+
 func (s *liveSource) SendStart() (sev.WrappedKeys, []byte, error) {
-	defer s.f.enterTrusted()()
+	defer s.enter()()
 	nonce := make([]byte, 16)
 	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
 		return sev.WrappedKeys{}, nil, err
@@ -75,30 +119,36 @@ func (s *liveSource) SendStart() (sev.WrappedKeys, []byte, error) {
 // packets are sealed into the source's slab, which the next call
 // overwrites (the migrate.Source contract).
 func (s *liveSource) SendPages(gfns []uint64) ([]sev.Packet, error) {
-	defer s.f.enterTrusted()()
-	s.pfns = s.pfns[:0]
+	defer s.enter()()
+	b := s.slab
+	b.pfns = b.pfns[:0]
 	for _, gfn := range gfns {
 		pfn, ok := s.d.GPAFrame(gfn)
 		if !ok {
 			return nil, fmt.Errorf("core: live migration gfn %d unbacked", gfn)
 		}
-		s.pfns = append(s.pfns, pfn)
+		b.pfns = append(b.pfns, pfn)
 	}
 	n := len(gfns) * hw.PageSize
-	if cap(s.slab) < n {
-		s.slab = make([]byte, n)
+	if cap(b.data) < n {
+		b.data = make([]byte, n)
 	}
-	s.slab = s.slab[:n]
-	return s.f.M.FW.SendUpdatePages(s.st.Handle, s.pfns, s.slab)
+	b.data = b.data[:n]
+	pkts, err := s.f.M.FW.SendUpdatePages(s.st.Handle, b.pfns, b.data, b.pkts)
+	if err != nil {
+		return nil, err
+	}
+	b.pkts = pkts
+	return pkts, nil
 }
 
 func (s *liveSource) SendFinish() (sev.Measurement, error) {
-	defer s.f.enterTrusted()()
+	defer s.enter()()
 	return s.f.M.FW.SendFinish(s.st.Handle)
 }
 
 func (s *liveSource) Cancel() error {
-	defer s.f.enterTrusted()()
+	defer s.enter()()
 	return s.f.M.FW.SendCancel(s.st.Handle)
 }
 
@@ -118,6 +168,11 @@ func (s *liveSource) Cycles() uint64 {
 //
 // cfg.StopAndCopy selects the offline baseline over the same transport,
 // for downtime comparisons. A nil cfg.Hub defaults to this machine's hub.
+//
+// The packets are sealed into a slab taken from this platform's free
+// list. A migration that succeeded returns it there for the next one; an
+// aborted migration drops it, since a frame the target never acked may
+// still be in flight on conn, holding the slab's bytes.
 func (f *Fidelius) MigrateOutLive(d *xen.Domain, targetPub *ecdh.PublicKey, conn migrate.Conn, cfg migrate.Config) (*migrate.Stats, error) {
 	st, _ := f.lookupVM(d.ID)
 	if st == nil {
@@ -126,7 +181,12 @@ func (f *Fidelius) MigrateOutLive(d *xen.Domain, targetPub *ecdh.PublicKey, conn
 	if cfg.Hub == nil {
 		cfg.Hub = f.hub()
 	}
-	return migrate.Send(&liveSource{f: f, d: d, st: st, targetPub: targetPub}, conn, cfg)
+	s := &liveSource{f: f, d: d, st: st, targetPub: targetPub, slab: f.takeSlab()}
+	stats, err := migrate.Send(s, conn, cfg)
+	if err == nil {
+		f.returnSlab(s.slab)
+	}
+	return stats, err
 }
 
 // liveTarget adapts this platform to migrate.Target: the VM is
@@ -137,6 +197,8 @@ type liveTarget struct {
 	originPub *ecdh.PublicKey
 	p         *provisional // the VM being received, until admitted
 	d         *xen.Domain  // the admitted VM
+	// pkt is ReceivePage's one-packet batch.
+	pkt [1]sev.Packet
 }
 
 func (t *liveTarget) ReceiveStart(name string, memPages int, kwrap sev.WrappedKeys, nonce []byte) error {
@@ -161,7 +223,8 @@ func (t *liveTarget) ReceivePage(gfn uint64, pkt sev.Packet) error {
 	}
 	// The stop-and-wait wire delivers one frame at a time, so each page
 	// is a one-page RECEIVE_UPDATE.
-	return t.p.receive(gfn, []sev.Packet{pkt})
+	t.pkt[0] = pkt
+	return t.p.receive(gfn, t.pkt[:])
 }
 
 func (t *liveTarget) ReceiveFinish(mvm sev.Measurement) error {

@@ -113,7 +113,8 @@ type Conn interface {
 	// Recv returns the next frame from the peer. A timeout <= 0 blocks
 	// until a frame arrives or the connection closes; otherwise ErrTimeout
 	// is returned when the wait expires (the sender's ack wait, which is
-	// what turns a lost frame into a retry).
+	// what turns a lost frame into a retry). An endpoint has one reader:
+	// Recv is not called concurrently on the same endpoint.
 	Recv(timeout time.Duration) (*Frame, error)
 	// Close tears the channel down in both directions.
 	Close() error
@@ -124,6 +125,12 @@ type pipeEnd struct {
 	recv <-chan *Frame
 	done chan struct{}
 	once *sync.Once
+
+	// timer times the waits of this end's one reader (a migration
+	// endpoint is read by one goroutine, the engine or the receiver). It
+	// is kept stopped with its channel drained between waits, as the
+	// pre-Go 1.23 timer rules of this module require before a Reset.
+	timer *time.Timer
 }
 
 // Pipe returns two connected in-memory endpoints with the given per
@@ -170,20 +177,34 @@ func (p *pipeEnd) Recv(timeout time.Duration) (*Frame, error) {
 			}
 		}
 	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
+	if p.timer == nil {
+		p.timer = time.NewTimer(timeout)
+	} else {
+		p.timer.Reset(timeout)
+	}
 	select {
 	case f := <-p.recv:
+		p.stopTimer()
 		return f, nil
 	case <-p.done:
+		p.stopTimer()
 		select {
 		case f := <-p.recv:
 			return f, nil
 		default:
 			return nil, ErrClosed
 		}
-	case <-t.C:
-		return nil, ErrTimeout
+	case <-p.timer.C:
+		return nil, ErrTimeout // fired and drained: ready for the next Reset
+	}
+}
+
+// stopTimer stops the wait timer of a Recv that did not time out. If it
+// fired regardless, its tick is drained, so the next Recv cannot take it
+// for its own timeout.
+func (p *pipeEnd) stopTimer() {
+	if !p.timer.Stop() {
+		<-p.timer.C
 	}
 }
 

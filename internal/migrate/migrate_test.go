@@ -473,6 +473,53 @@ func TestLinkChargesCycles(t *testing.T) {
 	}
 }
 
+// TestPipeTimerLeavesNoStaleTimeout drives one endpoint's reused wait
+// timer through every way a timed Recv ends. A wait that timed out,
+// then a frame: the frame, not a stale ErrTimeout. A frame taken while
+// the wait's timer may already have fired: the next wait still waits.
+// A closed pipe: ErrClosed, with a timeout and without.
+func TestPipeTimerLeavesNoStaleTimeout(t *testing.T) {
+	a, b := Pipe(1)
+	if _, err := b.Recv(time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("an empty pipe's wait: want ErrTimeout, got %v", err)
+	}
+	if err := a.Send(&Frame{Type: FrameAck, AckSeq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := b.Recv(time.Second); err != nil || f.AckSeq != 1 {
+		t.Fatalf("the wait after a timeout: got %v, %v; want ack 1", f, err)
+	}
+	for i := uint64(0); i < 50; i++ {
+		if err := a.Send(&Frame{Type: FrameAck, AckSeq: i}); err != nil {
+			t.Fatal(err)
+		}
+		// The frame is queued and the timer all but due: either may win.
+		f, err := b.Recv(time.Nanosecond)
+		if errors.Is(err, ErrTimeout) {
+			f, err = b.Recv(time.Second)
+		}
+		if err != nil || f.AckSeq != i {
+			t.Fatalf("round %d: got %v, %v; want ack %d", i, f, err, i)
+		}
+		// A frame that comes later than the last wait's timer would have
+		// fired must still be waited for.
+		go func() {
+			time.Sleep(time.Millisecond)
+			_ = a.Send(&Frame{Type: FrameAck, AckSeq: i + 100})
+		}()
+		if f, err := b.Recv(time.Second); err != nil || f.AckSeq != i+100 {
+			t.Fatalf("round %d: the next wait got %v, %v; want ack %d", i, f, err, i+100)
+		}
+	}
+	a.Close()
+	if _, err := b.Recv(time.Second); !errors.Is(err, ErrClosed) {
+		t.Fatalf("a timed wait on a closed pipe: want ErrClosed, got %v", err)
+	}
+	if _, err := b.Recv(0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("an untimed wait on a closed pipe: want ErrClosed, got %v", err)
+	}
+}
+
 func TestPipeCloseUnblocks(t *testing.T) {
 	a, b := Pipe(1)
 	errc := make(chan error, 1)
@@ -516,35 +563,39 @@ func (s *slabSource) SendPages(gfns []uint64) ([]sev.Packet, error) {
 	return pkts, nil
 }
 
-// TestReusedSendBufferSurvivesFaults runs a migration whose source
-// reuses one packet buffer across chunks through a transport that drops,
-// duplicates and corrupts frames in both directions: a stale duplicate of
-// an overwritten packet must never be applied, so the target still
-// reassembles every page.
+// TestReusedSendBufferSurvivesFaults runs two migrations in turn whose
+// sources reuse one packet buffer, across chunks and from the first
+// migration to the second, as a platform reuses its slab, through a
+// transport that drops, duplicates and corrupts frames in both
+// directions: a stale duplicate of an overwritten packet must never be
+// applied, so each target still reassembles every page.
 func TestReusedSendBufferSurvivesFaults(t *testing.T) {
-	src := &slabSource{
-		fakeSource: newFakeSource(3*batchPages, []uint64{1, 40, 70, 2, 41, 71}),
-		slab:       make([]byte, batchPages*16),
+	slab := make([]byte, batchPages*16)
+	for m := 0; m < 2; m++ {
+		src := &slabSource{
+			fakeSource: newFakeSource(3*batchPages, []uint64{1, 40, 70, 2, 41, 71}),
+			slab:       slab,
+		}
+		tgt := &fakeTarget{}
+		a, b := Pipe(16)
+		sender := &Faulty{Conn: a, DropEvery: 7, DupEvery: 3, CorruptEvery: 5}
+		receiver := &Faulty{Conn: b, DropEvery: 11, DupEvery: 4}
+		stats, err, rerr := runMigration(t, src, tgt, sender, receiver, Config{AckTimeout: 10 * time.Millisecond})
+		if err != nil || rerr != nil {
+			t.Fatalf("migration %d: send err=%v recv err=%v", m, err, rerr)
+		}
+		if src.calls < 3 {
+			t.Fatalf("migration %d: %d SendPages calls; the buffer was never reused", m, src.calls)
+		}
+		if stats.Retries == 0 {
+			t.Fatalf("migration %d: a faulty transport must cost retries", m)
+		}
+		if stats.PagesSent != tgt.applies {
+			t.Fatalf("migration %d: sent %d pages, target applied %d", m, stats.PagesSent, tgt.applies)
+		}
+		if !tgt.finished {
+			t.Fatalf("migration %d: target did not finish", m)
+		}
+		checkMemEqual(t, src.fakeSource, tgt)
 	}
-	tgt := &fakeTarget{}
-	a, b := Pipe(16)
-	sender := &Faulty{Conn: a, DropEvery: 7, DupEvery: 3, CorruptEvery: 5}
-	receiver := &Faulty{Conn: b, DropEvery: 11, DupEvery: 4}
-	stats, err, rerr := runMigration(t, src, tgt, sender, receiver, Config{AckTimeout: 10 * time.Millisecond})
-	if err != nil || rerr != nil {
-		t.Fatalf("send err=%v recv err=%v", err, rerr)
-	}
-	if src.calls < 3 {
-		t.Fatalf("%d SendPages calls; the buffer was never reused", src.calls)
-	}
-	if stats.Retries == 0 {
-		t.Fatal("a faulty transport must cost retries")
-	}
-	if stats.PagesSent != tgt.applies {
-		t.Fatalf("sent %d pages, target applied %d", stats.PagesSent, tgt.applies)
-	}
-	if !tgt.finished {
-		t.Fatal("target did not finish")
-	}
-	checkMemEqual(t, src.fakeSource, tgt)
 }

@@ -105,7 +105,7 @@ func TestSendUpdatePagesParallelWidths(t *testing.T) {
 		pfns := []hw.PFN{2, 3, 5, 7, 11}
 		fillPages(t, ctl, pfns, 77)
 
-		batch, err := f.SendUpdatePages(h1, pfns, slab(len(pfns)))
+		batch, err := f.SendUpdatePages(h1, pfns, slab(len(pfns)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestSendUpdatePagesParallelWidths(t *testing.T) {
 			t.Fatalf("batch produced %d packets for %d pages", len(batch), len(pfns))
 		}
 		for i, pfn := range pfns {
-			one, err := f.SendUpdatePages(h2, []hw.PFN{pfn}, slab(1))
+			one, err := f.SendUpdatePages(h2, []hw.PFN{pfn}, slab(1), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +144,7 @@ func TestReceiveUpdatePagesParallelWidths(t *testing.T) {
 		_, _, sh, _ := twinContexts(t, f, StateSending)
 		pfns := []hw.PFN{4, 6, 9, 10}
 		fillPages(t, ctl, pfns, 13)
-		pkts, err := f.SendUpdatePages(sh, pfns, slab(len(pfns)))
+		pkts, err := f.SendUpdatePages(sh, pfns, slab(len(pfns)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestOutOfRangeReceiveCommitsNothing(t *testing.T) {
 	r, _, rh, _ := twinContexts(t, f, StateReceiving)
 	pfns := []hw.PFN{4, 5}
 	fillPages(t, ctl, pfns, 3)
-	pkts, err := f.SendUpdatePages(sh, pfns, slab(len(pfns)))
+	pkts, err := f.SendUpdatePages(sh, pfns, slab(len(pfns)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -772,10 +772,13 @@ func stagingBuf(page *[hw.PageSize]byte, n int) []byte {
 // sealed into page i of dst, which the caller owns and must size at
 // exactly len(pfns) pages: any other size is refused before anything is
 // sealed. The packets alias dst, so they stay valid only until the caller
-// reuses it. Sequence numbers are pre-assigned by slice index and the
-// measurement chain folded serially afterwards, so one N-page call yields
-// the same packets and measurement as N one-page calls in the same order.
-func (f *Firmware) SendUpdatePages(h Handle, pfns []hw.PFN, dst []byte) ([]Packet, error) {
+// reuses it. They are written over pkts, or over a fresh slice when its
+// capacity is short (nil asks for one), so a caller that hands back the
+// previous result reuses it. Sequence numbers are pre-assigned by slice
+// index and the measurement chain folded serially afterwards, so one
+// N-page call yields the same packets and measurement as N one-page calls
+// in the same order.
+func (f *Firmware) SendUpdatePages(h Handle, pfns []hw.PFN, dst []byte, pkts []Packet) ([]Packet, error) {
 	c, err := f.enter("send-update", h)
 	if err != nil {
 		return nil, err
@@ -784,7 +787,10 @@ func (f *Firmware) SendUpdatePages(h Handle, pfns []hw.PFN, dst []byte) ([]Packe
 		return nil, fmt.Errorf("%w: %d bytes for %d pages", ErrBufferSize, len(dst), len(pfns))
 	}
 	base := c.seq
-	pkts := make([]Packet, len(pfns))
+	if cap(pkts) < len(pfns) {
+		pkts = make([]Packet, len(pfns))
+	}
+	pkts = pkts[:len(pfns)]
 	if err := f.pool.ForEach(len(pfns), func(i int) error {
 		page := dst[i*hw.PageSize : (i+1)*hw.PageSize : (i+1)*hw.PageSize]
 		if err := f.ctl.Mem.ReadRaw(pfns[i].Addr(), page); err != nil {

@@ -3,6 +3,7 @@ package sev
 import (
 	"crypto/ecdh"
 	"crypto/rand"
+	"fmt"
 	"io"
 
 	"fidelius/internal/hw"
@@ -54,21 +55,31 @@ func (img *EncryptedImage) NumPages() int { return len(img.Pages) }
 // PrepareImage encrypts a kernel image for the platform identified by
 // platformPub. The image is padded to a whole number of pages. It returns
 // the image and the wrapped transport keys (Kwrap) that Fidelius needs to
-// boot it.
+// boot it. kernel is left as it was: the image is sealed in one
+// page-rounded copy of it.
 func (o *Owner) PrepareImage(platformPub *ecdh.PublicKey, kernel []byte) (*EncryptedImage, WrappedKeys, error) {
+	buf := make([]byte, (len(kernel)+hw.PageSize-1)/hw.PageSize*hw.PageSize)
+	copy(buf, kernel)
+	return o.SealImage(platformPub, buf)
+}
+
+// SealImage is PrepareImage for a caller that hands over the kernel
+// buffer: buf, a whole number of pages, is encrypted in place, page by
+// page, and the image's packets alias it.
+func (o *Owner) SealImage(platformPub *ecdh.PublicKey, buf []byte) (*EncryptedImage, WrappedKeys, error) {
+	if len(buf)%hw.PageSize != 0 {
+		return nil, WrappedKeys{}, fmt.Errorf("sev: a %d-byte image is not whole pages", len(buf))
+	}
 	tk, w, err := newWrappedKeys(o.priv, platformPub, o.nonce[:])
 	if err != nil {
 		return nil, WrappedKeys{}, err
 	}
 	s := newSession(tk)
-	pages := (len(kernel) + hw.PageSize - 1) / hw.PageSize
-	img := &EncryptedImage{}
-	for i := 0; i < pages; i++ {
-		page := make([]byte, hw.PageSize)
-		copy(page, kernel[i*hw.PageSize:])
-		pkt := sealPacket(s, uint64(i), page)
-		img.Pages = append(img.Pages, pkt)
-		img.Measurement = measureChain(img.Measurement, pkt.Tag)
+	img := &EncryptedImage{Pages: make([]Packet, len(buf)/hw.PageSize)}
+	for i := range img.Pages {
+		page := buf[i*hw.PageSize : (i+1)*hw.PageSize : (i+1)*hw.PageSize]
+		img.Pages[i] = sealPacket(s, uint64(i), page)
+		img.Measurement = measureChain(img.Measurement, img.Pages[i].Tag)
 	}
 	return img, w, nil
 }

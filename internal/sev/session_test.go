@@ -31,7 +31,7 @@ func TestSendCancelScrubsSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := origin.SendUpdatePages(h, page, slab(1)); err != nil {
+	if _, err := origin.SendUpdatePages(h, page, slab(1), nil); err != nil {
 		t.Fatal(err)
 	}
 	c := origin.ctxs[h]
@@ -50,7 +50,7 @@ func TestSendCancelScrubsSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkts, err := origin.SendUpdatePages(h, page, slab(1))
+	pkts, err := origin.SendUpdatePages(h, page, slab(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSendUpdateRefusesMisSizedBuffer(t *testing.T) {
 	fillPages(t, ctl, pfns, 9)
 	for _, n := range []int{0, hw.PageSize, 3 * hw.PageSize, 2*hw.PageSize - 1} {
 		dst := bytes.Repeat([]byte{0xEE}, n)
-		if _, err := f.SendUpdatePages(h, pfns, dst); !errors.Is(err, ErrBufferSize) {
+		if _, err := f.SendUpdatePages(h, pfns, dst, nil); !errors.Is(err, ErrBufferSize) {
 			t.Fatalf("%d-byte buffer for 2 pages: got %v, want ErrBufferSize", n, err)
 		}
 		if !bytes.Equal(dst, bytes.Repeat([]byte{0xEE}, n)) {
@@ -127,7 +127,7 @@ func TestBulkTransportAllocations(t *testing.T) {
 	dst := slab(len(pfns))
 	send := func(pfns []hw.PFN, dst []byte) float64 {
 		return testing.AllocsPerRun(runs, func() {
-			if _, err := f.SendUpdatePages(sh, pfns, dst); err != nil {
+			if _, err := f.SendUpdatePages(sh, pfns, dst, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

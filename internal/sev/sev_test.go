@@ -307,7 +307,7 @@ func TestMigrationSendReceive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkts, err := origin.SendUpdatePages(h, srcPFNs, slab(len(srcPFNs)))
+	pkts, err := origin.SendUpdatePages(h, srcPFNs, slab(len(srcPFNs)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestMigrationSendReceive(t *testing.T) {
 		}
 	}
 	// SEND_FINISH retired the origin context: further updates illegal.
-	if _, err := origin.SendUpdatePages(h, srcPFNs[:1], slab(1)); !errors.Is(err, ErrBadState) {
+	if _, err := origin.SendUpdatePages(h, srcPFNs[:1], slab(1), nil); !errors.Is(err, ErrBadState) {
 		t.Fatalf("want ErrBadState after finish, got %v", err)
 	}
 }
@@ -377,14 +377,14 @@ func TestSendCancelResumesGuest(t *testing.T) {
 	if _, err := origin.SendStart(h, targetPub, []byte("cancelled-run!")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := origin.SendUpdatePages(h, page, slab(1)); err != nil {
+	if _, err := origin.SendUpdatePages(h, page, slab(1), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := origin.SendCancel(h); err != nil {
 		t.Fatal(err)
 	}
 	// Back to running: a fresh SEND session starts from scratch.
-	if _, err := origin.SendUpdatePages(h, page, slab(1)); !errors.Is(err, ErrBadState) {
+	if _, err := origin.SendUpdatePages(h, page, slab(1), nil); !errors.Is(err, ErrBadState) {
 		t.Fatalf("want ErrBadState outside a session, got %v", err)
 	}
 	if err := origin.SendCancel(h); !errors.Is(err, ErrBadState) {
@@ -393,7 +393,7 @@ func TestSendCancelResumesGuest(t *testing.T) {
 	if _, err := origin.SendStart(h, targetPub, []byte("second-attempt")); err != nil {
 		t.Fatalf("fresh SEND after cancel: %v", err)
 	}
-	pkts, err := origin.SendUpdatePages(h, page, slab(1))
+	pkts, err := origin.SendUpdatePages(h, page, slab(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

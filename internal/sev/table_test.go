@@ -75,7 +75,7 @@ var guestCommands = []struct {
 		return err
 	}},
 	{"send-update", func(x *cmdFixture, h Handle) error {
-		_, err := x.f.SendUpdatePages(h, []hw.PFN{1}, slab(1))
+		_, err := x.f.SendUpdatePages(h, []hw.PFN{1}, slab(1), nil)
 		return err
 	}},
 	{"send-io", func(x *cmdFixture, h Handle) error { return x.f.SendIO(h, hw.PFN(1).Addr(), make([]byte, 512), 3) }},
