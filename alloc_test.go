@@ -2,21 +2,18 @@ package fidelius
 
 import (
 	"bytes"
-	"os"
 	"runtime"
 	"testing"
 )
 
-// skipInstrumented skips an allocation bound in a run whose
-// instrumentation allocates too: a -race build, or the lock-rank checker
-// armed by FIDELIUS_LOCKRANK=1, which keeps per-acquisition bookkeeping.
+// skipInstrumented skips an allocation bound in a -race build, whose
+// instrumentation allocates too. The lock-rank checker armed by
+// FIDELIUS_LOCKRANK=1 allocates only a held-rank stack per goroutine it
+// has not seen before, so the bounds hold under it.
 func skipInstrumented(t *testing.T) {
 	t.Helper()
 	if raceBuild {
 		t.Skip("-race instrumentation allocates")
-	}
-	if os.Getenv("FIDELIUS_LOCKRANK") == "1" {
-		t.Skip("the armed lock-rank checker allocates")
 	}
 }
 

@@ -289,12 +289,18 @@ func (p *Platform) MigrateInLive(conn MigrateConn, origin *Platform) (*Domain, e
 // LiveMigrate moves a running protected VM from one platform to another
 // over an in-memory link with the default bandwidth/latency cost model,
 // running both protocol ends and returning the activated target domain
-// plus the engine's statistics.
+// plus the engine's statistics. The two ends run at once, so source and
+// target must be distinct platforms.
 func LiveMigrate(source *Platform, d *Domain, target *Platform, cfg MigrateConfig) (*Domain, *MigrateStats, error) {
 	if source.F == nil || target.F == nil {
 		return nil, nil, fmt.Errorf("fidelius: live migration requires protected platforms")
 	}
-	a, b := migrate.Pipe(8)
+	if source == target {
+		// Both ends would enter Fidelius concurrently on one CPU, whose
+		// trusted-context flag one end's exit could clear under the other.
+		return nil, nil, fmt.Errorf("fidelius: live migration needs distinct source and target platforms")
+	}
+	a, b := migrate.Pipe(2 * migrate.Window) // the window's minimum (migrate.Conn)
 	sc := &migrate.Link{Conn: a, Counter: source.X.M.Ctl.Cycles,
 		CyclesPerByte: migrate.DefaultCyclesPerByte, LatencyCycles: migrate.DefaultLatencyCycles}
 	tc := &migrate.Link{Conn: b, Counter: target.X.M.Ctl.Cycles,

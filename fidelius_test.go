@@ -239,3 +239,35 @@ func TestFacadeSchedule(t *testing.T) {
 		t.Fatalf("schedule errors: %v", errs)
 	}
 }
+
+// TestLiveMigrateRefusesOnePlatform: the two ends of a live migration
+// run at once, so a platform cannot be both. The refused VM keeps
+// running where it was.
+func TestLiveMigrateRefusesOnePlatform(t *testing.T) {
+	p, err := NewPlatform(Config{Protected: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, err := NewOwner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle, _, err := PrepareGuest(owner, p.PlatformKey(), make([]byte, 4*PageSize), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm, err := p.LaunchVM("self", 32, bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LiveMigrate(p, vm, p, MigrateConfig{}); err == nil {
+		t.Fatal("a live migration from a platform to itself was accepted")
+	}
+	p.StartVCPU(vm, func(g *GuestEnv) error { return g.Write64(0x2000, 1) })
+	if err := p.Run(vm); err != nil {
+		t.Fatalf("the refused VM no longer runs: %v", err)
+	}
+	if err := p.Shutdown(vm); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -122,7 +122,7 @@ func runMigration(wset int, stopCopy bool) (*migrate.Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, b := migrate.Pipe(8)
+	a, b := migrate.Pipe(2 * migrate.Window)
 	defer a.Close() // unblocks the receiver if the sender fails first
 	link := &migrate.Link{
 		Conn:          a,

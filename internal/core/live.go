@@ -221,8 +221,9 @@ func (t *liveTarget) ReceivePage(gfn uint64, pkt sev.Packet) error {
 	if t.p == nil {
 		return fmt.Errorf("core: page before migration start")
 	}
-	// The stop-and-wait wire delivers one frame at a time, so each page
-	// is a one-page RECEIVE_UPDATE.
+	// The receiver applies frames one at a time, in sequence order, even
+	// those the window delivered ahead of a gap, so each page is a
+	// one-page RECEIVE_UPDATE.
 	t.pkt[0] = pkt
 	return t.p.receive(gfn, t.pkt[:])
 }
@@ -242,8 +243,15 @@ func (t *liveTarget) ReceiveFinish(mvm sev.Measurement) error {
 	return nil
 }
 
-// Abort scrubs the half-received VM, if there is one.
+// Abort scrubs the half-received VM, if there is one. A VM already
+// admitted is shut down instead: the sender aborted after the finish,
+// having never seen its ack, and resumed the VM on the source.
 func (t *liveTarget) Abort() error {
+	if t.d != nil {
+		d := t.d
+		t.d = nil
+		return t.f.ShutdownVM(d)
+	}
 	defer t.f.enterTrusted()()
 	if t.p == nil {
 		return nil

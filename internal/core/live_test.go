@@ -383,3 +383,61 @@ func TestLiveMigrationTamperedPageAborts(t *testing.T) {
 func TestLiveMigrationTamperedMeasurementAborts(t *testing.T) {
 	testAbortLeavesSourceIntact(t, func(c migrate.Conn) migrate.Conn { return mvmTamper{c} })
 }
+
+// finishAckEater is a target endpoint that loses every ack of the finish
+// frame: the target activates the VM, but the source never learns it.
+type finishAckEater struct {
+	migrate.Conn
+	finish uint64
+	seen   bool
+}
+
+func (e *finishAckEater) Recv(timeout time.Duration) (*migrate.Frame, error) {
+	f, err := e.Conn.Recv(timeout)
+	if err == nil && f.Type == migrate.FrameFinish {
+		e.finish, e.seen = f.Seq, true
+	}
+	return f, err
+}
+
+func (e *finishAckEater) Send(f *migrate.Frame) error {
+	if e.seen && f.Type == migrate.FrameAck && f.AckSeq == e.finish {
+		return nil
+	}
+	return e.Conn.Send(f)
+}
+
+// TestLostFinishAcksLeaveOneRunningCopy: when no finish ack gets
+// through, the source cancels and resumes its VM, so the target must
+// shut down the copy it already activated when the sender's abort
+// arrives. The VM ends up running on the source alone.
+func TestLostFinishAcksLeaveOneRunningCopy(t *testing.T) {
+	x1, f1 := newPlatform(t)
+	_, f2 := newPlatform(t)
+	d, _ := launchWorkload(t, f1)
+	x1.StartVCPU(d, recoverableGuest)
+	targetDomsBefore := len(f2.X.Doms)
+
+	a, b := migrate.Pipe(2 * migrate.Window)
+	eater := &finishAckEater{Conn: b}
+	_, serr, d2, rerr := liveMigrate(t, f1, d, f2, a, eater,
+		migrate.Config{AckTimeout: 10 * time.Millisecond, MaxRetries: 2})
+	if !eater.seen {
+		t.Fatal("the finish frame never reached the target")
+	}
+	if !errors.Is(serr, migrate.ErrAborted) {
+		t.Fatalf("want ErrAborted from the sender, got %v", serr)
+	}
+	if !errors.Is(rerr, migrate.ErrAborted) || d2 != nil {
+		t.Fatalf("the target kept its copy: domain %v, err %v", d2, rerr)
+	}
+	if len(f2.X.Doms) != targetDomsBefore {
+		t.Fatalf("target retains %d domains, want %d", len(f2.X.Doms), targetDomsBefore)
+	}
+	if _, ok := f1.VM(d); !ok {
+		t.Fatal("source VM lost its Fidelius record")
+	}
+	if err := x1.Run(d); err != nil {
+		t.Fatalf("source VM not intact after abort: %v", err)
+	}
+}

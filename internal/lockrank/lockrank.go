@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -110,29 +109,37 @@ func SetEnabled(on bool) { enabled.Store(on) }
 
 // Per-goroutine held-rank stacks. Only maintained while the checker is
 // enabled; the map is keyed by goroutine ID parsed from runtime.Stack
-// (the same trick the runtime's own lockrank debug mode documents).
+// (the same trick the runtime's own lockrank debug mode documents). A
+// stack emptied by its last release stays in the map, so a goroutine's
+// next acquisition reuses it: one entry per goroutine the checker has
+// seen, and no allocation per lock.
 var (
 	heldMu sync.Mutex
 	held   = map[int64][]Rank{}
+	// stackBuf is gid's buffer, used under heldMu: runtime.Stack would
+	// move a buffer of gid's own to the heap on every call.
+	stackBuf [64]byte
 )
 
 var goroutinePrefix = []byte("goroutine ")
 
+// gid returns the calling goroutine's ID. The caller holds heldMu.
 func gid() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	s := bytes.TrimPrefix(buf[:n], goroutinePrefix)
-	if i := bytes.IndexByte(s, ' '); i > 0 {
-		s = s[:i]
+	n := runtime.Stack(stackBuf[:], false)
+	var id int64
+	for _, c := range bytes.TrimPrefix(stackBuf[:n], goroutinePrefix) {
+		if c < '0' || c > '9' {
+			break
+		}
+		id = id*10 + int64(c-'0')
 	}
-	id, _ := strconv.ParseInt(string(s), 10, 64)
 	return id
 }
 
 func checkAcquire(r Rank) {
-	g := gid()
 	heldMu.Lock()
 	defer heldMu.Unlock()
+	g := gid()
 	for _, h := range held[g] {
 		if h >= r {
 			panic(fmt.Sprintf("lockrank: acquiring %v while holding %v (ranks must strictly increase)", r, h))
@@ -142,18 +149,13 @@ func checkAcquire(r Rank) {
 }
 
 func checkRelease(r Rank) {
-	g := gid()
 	heldMu.Lock()
 	defer heldMu.Unlock()
+	g := gid()
 	s := held[g]
 	for i := len(s) - 1; i >= 0; i-- {
 		if s[i] == r {
-			s = append(s[:i], s[i+1:]...)
-			if len(s) == 0 {
-				delete(held, g)
-			} else {
-				held[g] = s
-			}
+			held[g] = append(s[:i], s[i+1:]...)
 			return
 		}
 	}
@@ -167,10 +169,9 @@ func AssertHeld(r Rank) {
 	if !enabled.Load() {
 		return
 	}
-	g := gid()
 	heldMu.Lock()
 	defer heldMu.Unlock()
-	for _, h := range held[g] {
+	for _, h := range held[gid()] {
 		if h == r {
 			return
 		}

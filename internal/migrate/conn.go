@@ -6,9 +6,13 @@
 // round ships the residue before the measurement is verified on the
 // target.
 //
-// The wire protocol is a stop-and-wait ARQ: every frame carries a
-// transport sequence number, the receiver acknowledges each one, and the
-// sender retries with exponential backoff until a bounded retry budget is
+// The wire protocol is a sliding-window ARQ: every frame carries a
+// transport sequence number, the sender keeps up to Window frames in
+// flight without waiting, and the receiver applies frames strictly in
+// sequence order and acknowledges each one it applies. A frame that
+// arrives ahead of a gap is held until the gap fills, so a lost frame
+// costs one retransmission. The sender settles frames oldest first,
+// retrying each with exponential backoff until a bounded retry budget is
 // exhausted — at which point the migration aborts cleanly and the source
 // VM resumes. Guest data only ever crosses a Conn inside sev.Packet
 // ciphertext; the transport layer never sees plaintext.
@@ -106,25 +110,44 @@ var (
 	ErrTimeout = errors.New("migrate: receive timed out")
 )
 
+// Window is the number of frames the sender keeps in flight: it posts
+// frames without waiting until Window are unacknowledged, and the
+// receiver holds a frame that arrives at most Window-1 ahead of the next
+// one it expects.
+const Window = 8
+
 // Conn is one endpoint of a bidirectional migration channel.
+//
+// A transport must buffer at least 2*Window frames per direction. The
+// sender posts up to Window frames between reads of its acks, so a
+// shallower channel can fill in both directions at once, with each end
+// blocked sending to the other.
 type Conn interface {
-	// Send enqueues a frame to the peer.
+	// Send enqueues a frame to the peer. The frame is copied (the packet
+	// bytes its slices point to are not), so the caller may reuse *f as
+	// soon as Send returns.
 	Send(f *Frame) error
 	// Recv returns the next frame from the peer. A timeout <= 0 blocks
 	// until a frame arrives or the connection closes; otherwise ErrTimeout
 	// is returned when the wait expires (the sender's ack wait, which is
 	// what turns a lost frame into a retry). An endpoint has one reader:
-	// Recv is not called concurrently on the same endpoint.
+	// Recv is not called concurrently on the same endpoint, and the frame
+	// it returns is valid only until that reader's next Recv.
 	Recv(timeout time.Duration) (*Frame, error)
 	// Close tears the channel down in both directions.
 	Close() error
 }
 
+// pipeEnd carries frames by value, so posting one allocates nothing and
+// a sender's later reuse of its frame cannot reach a copy still queued.
 type pipeEnd struct {
-	send chan<- *Frame
-	recv <-chan *Frame
+	send chan<- Frame
+	recv <-chan Frame
 	done chan struct{}
 	once *sync.Once
+
+	// in is the frame the last Recv returned.
+	in Frame
 
 	// timer times the waits of this end's one reader (a migration
 	// endpoint is read by one goroutine, the engine or the receiver). It
@@ -134,13 +157,12 @@ type pipeEnd struct {
 }
 
 // Pipe returns two connected in-memory endpoints with the given per
-// direction buffer (minimum 1). Closing either end closes both.
+// direction buffer, raised to the 2*Window frames the window needs (see
+// Conn). Closing either end closes both.
 func Pipe(buf int) (Conn, Conn) {
-	if buf < 1 {
-		buf = 1
-	}
-	ab := make(chan *Frame, buf)
-	ba := make(chan *Frame, buf)
+	buf = max(buf, 2*Window)
+	ab := make(chan Frame, buf)
+	ba := make(chan Frame, buf)
 	done := make(chan struct{})
 	once := &sync.Once{}
 	a := &pipeEnd{send: ab, recv: ba, done: done, once: once}
@@ -155,7 +177,7 @@ func (p *pipeEnd) Send(f *Frame) error {
 	default:
 	}
 	select {
-	case p.send <- f:
+	case p.send <- *f:
 		return nil
 	case <-p.done:
 		return ErrClosed
@@ -165,16 +187,10 @@ func (p *pipeEnd) Send(f *Frame) error {
 func (p *pipeEnd) Recv(timeout time.Duration) (*Frame, error) {
 	if timeout <= 0 {
 		select {
-		case f := <-p.recv:
-			return f, nil
+		case p.in = <-p.recv:
+			return &p.in, nil
 		case <-p.done:
-			// Drain frames that raced with the close.
-			select {
-			case f := <-p.recv:
-				return f, nil
-			default:
-				return nil, ErrClosed
-			}
+			return p.drain()
 		}
 	}
 	if p.timer == nil {
@@ -183,19 +199,24 @@ func (p *pipeEnd) Recv(timeout time.Duration) (*Frame, error) {
 		p.timer.Reset(timeout)
 	}
 	select {
-	case f := <-p.recv:
+	case p.in = <-p.recv:
 		p.stopTimer()
-		return f, nil
+		return &p.in, nil
 	case <-p.done:
 		p.stopTimer()
-		select {
-		case f := <-p.recv:
-			return f, nil
-		default:
-			return nil, ErrClosed
-		}
+		return p.drain()
 	case <-p.timer.C:
 		return nil, ErrTimeout // fired and drained: ready for the next Reset
+	}
+}
+
+// drain returns a frame that raced with the close, else ErrClosed.
+func (p *pipeEnd) drain() (*Frame, error) {
+	select {
+	case p.in = <-p.recv:
+		return &p.in, nil
+	default:
+		return nil, ErrClosed
 	}
 }
 

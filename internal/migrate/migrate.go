@@ -36,10 +36,10 @@ type Source interface {
 	// packet, so each transmitted packet is produced exactly once and
 	// retries re-send the same packet. The packets' Data stays valid only
 	// until the next SendPages call, which may reuse its buffer: the
-	// engine is stop-and-wait, asks for the next chunk only after the
-	// target acked every packet of this one, and the target acks a page
-	// only after applying it. A duplicate frame still in flight is
-	// re-acked on its sequence number alone, never read.
+	// engine settles every frame of a chunk, the window included, before
+	// it asks for the next chunk, and the target acks a page only after
+	// applying it. A duplicate frame still in flight is re-acked on its
+	// sequence number alone, never read.
 	SendPages(gfns []uint64) ([]sev.Packet, error)
 	// SendFinish closes the session and returns Mvm.
 	SendFinish() (sev.Measurement, error)
@@ -131,7 +131,28 @@ type sender struct {
 	conn  Conn
 	cfg   Config
 	stats *Stats
-	seq   uint64
+
+	// next is the sequence number the next posted frame gets; oldest is
+	// the oldest frame posted and not yet settled.
+	next, oldest uint64
+	// applied counts the frames the receiver has confirmed: it applies
+	// strictly in sequence order, so an ack for frame n confirms every
+	// frame up to n, lost acks of older frames included.
+	applied uint64
+	// frames holds the window: frame n sits in frames[n%Window] from its
+	// post until it is settled, for retransmission.
+	frames [Window]Frame
+	// nacks holds, in the same slots, the rejections that arrived for
+	// frames younger than the one being settled, so each is retried as
+	// soon as its turn comes instead of after a timeout.
+	nacks [Window]nack
+}
+
+// nack is the receiver's rejection of one frame, with its reason.
+type nack struct {
+	seq uint64
+	got bool
+	err string
 }
 
 // Send drives a live pre-copy migration of src over conn. On any
@@ -150,7 +171,12 @@ func Send(src Source, conn Conn, cfg Config) (*Stats, error) {
 	sp := s.cfg.Hub.OpenScope("migrate-send", 0, 0).Attr("source", src.Name())
 	defer sp.Close()
 	err := s.run()
-	if err != nil {
+	if err == nil {
+		// The receiver re-acks a repeated finish until the connection
+		// closes, so that a lost final ack cannot make this end give up
+		// on a VM the target already activated.
+		_ = conn.Close()
+	} else {
 		s.abort(err)
 		if s.cfg.Hub.Auditing() {
 			s.cfg.Hub.Audit("migrate-abort", 0, err.Error())
@@ -168,7 +194,9 @@ func (s *sender) run() error {
 	if err != nil {
 		return err
 	}
-	if err := s.xfer(&Frame{
+	// The start frame is posted, not settled: the target provisions the
+	// VM while this end arms its dirty log and seals the first chunk.
+	if err := s.post(&Frame{
 		Type:     FrameStart,
 		Name:     s.src.Name(),
 		MemPages: s.src.MemPages(),
@@ -252,15 +280,20 @@ func (s *sender) finish() error {
 	if err != nil {
 		return err
 	}
-	return s.xfer(&Frame{Type: FrameFinish, Mvm: mvm, Round: s.stats.Rounds - 1})
+	if err := s.post(&Frame{Type: FrameFinish, Mvm: mvm, Round: s.stats.Rounds - 1}); err != nil {
+		return err
+	}
+	return s.drain()
 }
 
 // sendRound ships one round of pages, optionally interleaving guest
 // quanta so the source stays live. Packets are produced in chunks of
 // batchPages; frames still go out one per gfn, in order, so the receiver
-// and the wire protocol never see the batching. A live round snapshots
-// each chunk before its quanta run — any write that lands after the
-// snapshot is caught by the dirty log and re-sent in a later round.
+// and the wire protocol never see the batching. Each chunk's frames are
+// settled before the next chunk is sealed over its packets. A live round
+// snapshots each chunk before its quanta run — any write that lands
+// after the snapshot is caught by the dirty log and re-sent in a later
+// round.
 func (s *sender) sendRound(round int, gfns []uint64, live bool) error {
 	sp := s.cfg.Hub.OpenScope("migrate-round", 0, 0).
 		Attr("round", strconv.Itoa(round)).
@@ -277,7 +310,7 @@ func (s *sender) sendRound(round int, gfns []uint64, live bool) error {
 			return fmt.Errorf("migrate: source returned %d packets for %d pages", len(pkts), len(chunk))
 		}
 		for i, gfn := range chunk {
-			if err := s.xfer(&Frame{Type: FramePage, Round: round, GFN: gfn, Pkt: pkts[i]}); err != nil {
+			if err := s.post(&Frame{Type: FramePage, Round: round, GFN: gfn, Pkt: pkts[i]}); err != nil {
 				return err
 			}
 			s.stats.PagesSent++
@@ -293,6 +326,9 @@ func (s *sender) sendRound(round int, gfns []uint64, live bool) error {
 				s.stats.GuestDone = done
 			}
 		}
+		if err := s.drain(); err != nil {
+			return err
+		}
 	}
 	s.stats.Rounds++
 	s.stats.PagesPerRound = append(s.stats.PagesPerRound, len(gfns))
@@ -306,58 +342,110 @@ func (s *sender) sendRound(round int, gfns []uint64, live bool) error {
 	return nil
 }
 
-// xfer sends one frame reliably: stop-and-wait with per-frame sequence
-// numbers, bounded retries and exponential backoff. A receiver nack (bad
-// tag after in-flight tampering, say) retries the same frame; retry
-// exhaustion is the abort trigger.
-func (s *sender) xfer(f *Frame) error {
-	f.Seq = s.seq
-	timeout := s.cfg.AckTimeout
-	lastErr := "no acknowledgement"
-	for attempt := 0; attempt <= s.cfg.MaxRetries; attempt++ {
-		if attempt > 0 {
-			s.stats.Retries++
-		}
-		if err := s.conn.Send(f); err != nil {
+// post sends f as the next frame without waiting for its ack, after
+// settling the oldest frame if the window is full. The frame is copied
+// into its window slot, where a retransmission finds it.
+func (s *sender) post(f *Frame) error {
+	if s.next-s.oldest == Window {
+		if err := s.settle(); err != nil {
 			return err
 		}
-		s.stats.BytesOnWire += WireSize(f)
-		ack, err := s.waitAck(f.Seq, timeout)
+	}
+	slot := &s.frames[s.next%Window]
+	*slot = *f
+	slot.Seq = s.next
+	s.next++
+	return s.transmit(slot)
+}
+
+func (s *sender) transmit(f *Frame) error {
+	if err := s.conn.Send(f); err != nil {
+		return err
+	}
+	s.stats.BytesOnWire += WireSize(f)
+	return nil
+}
+
+// drain settles every frame in flight.
+func (s *sender) drain() error {
+	for s.oldest < s.next {
+		if err := s.settle(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// settle waits for the oldest frame's ack, with bounded retries and
+// exponential backoff. A receiver nack (bad tag after in-flight
+// tampering, say) retries the same frame; retry exhaustion is the abort
+// trigger.
+func (s *sender) settle() error {
+	seq := s.oldest
+	f := &s.frames[seq%Window]
+	timeout := s.cfg.AckTimeout
+	for attempt := 0; ; attempt++ {
+		rejected, err := s.waitAck(seq, timeout)
+		var lastErr string
 		switch {
-		case err == nil && ack.OK:
-			s.seq++
+		case err == nil && rejected == "":
+			s.oldest++
 			return nil
 		case err == nil:
-			lastErr = ack.Err
+			lastErr = rejected
 		case errors.Is(err, ErrTimeout):
 			lastErr = "ack timeout"
 		default:
 			return err
 		}
+		if attempt == s.cfg.MaxRetries {
+			return fmt.Errorf("%w: %v frame seq %d undeliverable after %d retries: %s",
+				ErrAborted, f.Type, seq, s.cfg.MaxRetries, lastErr)
+		}
+		s.stats.Retries++
+		if err := s.transmit(f); err != nil {
+			return err
+		}
 		timeout *= 2
 	}
-	return fmt.Errorf("%w: %v frame seq %d undeliverable after %d retries: %s",
-		ErrAborted, f.Type, f.Seq, s.cfg.MaxRetries, lastErr)
 }
 
-func (s *sender) waitAck(seq uint64, timeout time.Duration) (*Frame, error) {
+// waitAck waits up to timeout for the receiver's answer on frame seq: an
+// ack of it or of any younger frame (nil error, empty rejection), or its
+// nack (the reason). A nack kept from an earlier wait answers at once.
+// Nacks for younger frames in flight are kept for their own settle;
+// answers about settled frames (a duplicate's re-ack) only confirm.
+func (s *sender) waitAck(seq uint64, timeout time.Duration) (string, error) {
+	if s.applied > seq {
+		return "", nil
+	}
+	if n := &s.nacks[seq%Window]; n.got && n.seq == seq {
+		n.got = false
+		return n.err, nil
+	}
 	deadline := time.Now().Add(timeout)
 	for {
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			return nil, ErrTimeout
+			return "", ErrTimeout
 		}
 		f, err := s.conn.Recv(remain)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		switch {
 		case f.Type == FrameAbort:
-			return nil, fmt.Errorf("%w by receiver: %s", ErrAborted, f.Err)
-		case f.Type == FrameAck && f.AckSeq == seq:
-			return f, nil
+			return "", fmt.Errorf("%w by receiver: %s", ErrAborted, f.Err)
+		case f.Type != FrameAck || f.AckSeq < seq || f.AckSeq >= s.next:
+			// Stale, or not an answer to anything in flight.
+		case f.OK:
+			s.applied = max(s.applied, f.AckSeq+1)
+			return "", nil
+		case f.AckSeq == seq:
+			return f.Err, nil
+		default:
+			s.nacks[f.AckSeq%Window] = nack{seq: f.AckSeq, got: true, err: f.Err}
 		}
-		// Stale ack from a duplicated frame: keep waiting.
 	}
 }
 
@@ -365,7 +453,7 @@ func (s *sender) waitAck(seq uint64, timeout time.Duration) (*Frame, error) {
 // to the peer, then SEND_CANCEL and dirty-log teardown so the source VM
 // is intact and runnable.
 func (s *sender) abort(cause error) {
-	_ = s.conn.Send(&Frame{Type: FrameAbort, Seq: s.seq, Err: cause.Error()})
+	_ = s.conn.Send(&Frame{Type: FrameAbort, Seq: s.next, Err: cause.Error()})
 	_ = s.src.StopDirty()
 	_ = s.src.Cancel()
 }

@@ -397,62 +397,234 @@ func TestSenderAbortReachesReceiver(t *testing.T) {
 }
 
 func TestReceiverSequenceDiscipline(t *testing.T) {
-	// Drive the receiver by hand: a gap is nacked, a duplicate is
-	// re-acked without re-applying, and in-order frames advance.
+	// Drive the receiver by hand: a frame ahead of a gap is held and
+	// applied once the gap fills, one beyond the window is nacked, a
+	// duplicate is re-acked without re-applying, and a repeated finish is
+	// re-acked until the sender closes the connection.
 	tgt := &fakeTarget{}
 	a, b := Pipe(8)
 	done := make(chan error, 1)
 	go func() { done <- Receive(tgt, b) }()
 
-	mustAck := func(want bool) *Frame {
+	mustAck := func(seq uint64, want bool) {
 		t.Helper()
 		f, err := a.Recv(time.Second)
 		if err != nil {
 			t.Fatalf("recv ack: %v", err)
 		}
-		if f.Type != FrameAck || f.OK != want {
-			t.Fatalf("got %v ok=%v, want ack ok=%v (%s)", f.Type, f.OK, want, f.Err)
+		if f.Type != FrameAck || f.AckSeq != seq || f.OK != want {
+			t.Fatalf("got %v seq %d ok=%v, want ack seq %d ok=%v (%s)", f.Type, f.AckSeq, f.OK, seq, want, f.Err)
 		}
-		return f
+	}
+	send := func(f *Frame) {
+		t.Helper()
+		if err := a.Send(f); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	start := &Frame{Type: FrameStart, Seq: 0, Name: "g", MemPages: 8,
-		Kwrap: sev.WrappedKeys{Ciphertext: []byte("k")}, Nonce: []byte("n")}
-	if err := a.Send(start); err != nil {
-		t.Fatal(err)
-	}
-	mustAck(true)
+	send(&Frame{Type: FrameStart, Seq: 0, Name: "g", MemPages: 8,
+		Kwrap: sev.WrappedKeys{Ciphertext: []byte("k")}, Nonce: []byte("n")})
+	mustAck(0, true)
 
-	// Gap: seq 2 while 1 is expected.
-	if err := a.Send(&Frame{Type: FramePage, Seq: 2, GFN: 0, Pkt: fakePacket(1, 0, 1)}); err != nil {
-		t.Fatal(err)
+	// Ahead of a gap: seq 2 while 1 is expected is held, unacked.
+	send(&Frame{Type: FramePage, Seq: 2, GFN: 5, Pkt: fakePacket(1, 5, 9)})
+	// Beyond the window: nacked.
+	send(&Frame{Type: FramePage, Seq: 1 + Window, GFN: 0, Pkt: fakePacket(8, 0, 1)})
+	mustAck(1+Window, false)
+	if tgt.applies != 0 {
+		t.Fatalf("a frame ahead of the gap was applied: %d applies", tgt.applies)
 	}
-	mustAck(false)
 
-	// The missing frame arrives; then its duplicate is re-acked but the
-	// target must see the packet exactly once.
+	// The missing frame arrives: it applies, then the held one does.
 	pg := &Frame{Type: FramePage, Seq: 1, GFN: 3, Pkt: fakePacket(0, 3, 7)}
-	if err := a.Send(pg); err != nil {
-		t.Fatal(err)
-	}
-	mustAck(true)
-	if err := a.Send(pg); err != nil {
-		t.Fatal(err)
-	}
-	mustAck(true)
-	if tgt.applies != 1 {
-		t.Fatalf("duplicate was re-applied: %d applies", tgt.applies)
+	send(pg)
+	mustAck(1, true)
+	mustAck(2, true)
+	// Its duplicate is re-acked, but the target sees the packet once.
+	send(pg)
+	mustAck(1, true)
+	if tgt.applies != 2 {
+		t.Fatalf("want 2 applies, got %d", tgt.applies)
 	}
 
-	if err := a.Send(&Frame{Type: FrameFinish, Seq: 2, Mvm: sev.Measurement{0xAA}}); err != nil {
-		t.Fatal(err)
+	fin := &Frame{Type: FrameFinish, Seq: 3, Mvm: sev.Measurement{0xAA}}
+	send(fin)
+	mustAck(3, true)
+	// The finish ack may be lost: a repeated finish is re-acked.
+	send(fin)
+	mustAck(3, true)
+	select {
+	case err := <-done:
+		t.Fatalf("receiver returned before the sender closed: %v", err)
+	default:
 	}
-	mustAck(true)
+	a.Close()
 	if err := <-done; err != nil {
 		t.Fatalf("receiver: %v", err)
 	}
-	if !tgt.finished || tgt.mem[3] != 7 {
+	if !tgt.finished || tgt.mem[3] != 7 || tgt.mem[5] != 9 {
 		t.Fatal("receiver state wrong after manual protocol drive")
+	}
+}
+
+// finishAckDropper is a receiver endpoint that loses the first ack of the
+// finish frame.
+type finishAckDropper struct {
+	Conn
+	finish     uint64
+	seen, gone bool
+}
+
+func (d *finishAckDropper) Recv(timeout time.Duration) (*Frame, error) {
+	f, err := d.Conn.Recv(timeout)
+	if err == nil && f.Type == FrameFinish {
+		d.finish, d.seen = f.Seq, true
+	}
+	return f, err
+}
+
+func (d *finishAckDropper) Send(f *Frame) error {
+	if d.seen && !d.gone && f.Type == FrameAck && f.AckSeq == d.finish {
+		d.gone = true
+		return nil
+	}
+	return d.Conn.Send(f)
+}
+
+// TestLostFinishAckDoesNotForkTheVM loses the ack of the finish frame.
+// The target has activated the VM by then, so the sender must retry the
+// finish and get it re-acked, not cancel and resume its own copy.
+func TestLostFinishAckDoesNotForkTheVM(t *testing.T) {
+	src := newFakeSource(8, nil)
+	tgt := &fakeTarget{}
+	a, b := Pipe(8)
+	drop := &finishAckDropper{Conn: b}
+	stats, err, rerr := runMigration(t, src, tgt, a, drop, Config{AckTimeout: 20 * time.Millisecond})
+	if err != nil || rerr != nil {
+		t.Fatalf("send err=%v recv err=%v", err, rerr)
+	}
+	if !drop.gone {
+		t.Fatal("the finish ack was never dropped")
+	}
+	if !tgt.finished || src.canceled {
+		t.Fatalf("target finished=%v, source canceled=%v: the VM must run on exactly one side", tgt.finished, src.canceled)
+	}
+	if stats.Retries != 1 {
+		t.Fatalf("want the one finish retry, got %d retries", stats.Retries)
+	}
+}
+
+// withholder is a receiver endpoint that delays every copy of page frame
+// seq until frame seq+1 has arrived: the reordering a multipath network
+// produces.
+type withholder struct {
+	Conn
+	seq                      uint64
+	held, out                Frame
+	holding, release, sprung bool
+}
+
+func (w *withholder) Recv(timeout time.Duration) (*Frame, error) {
+	for {
+		if w.release {
+			w.release = false
+			w.out = w.held
+			return &w.out, nil
+		}
+		f, err := w.Conn.Recv(timeout)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case f.Type == FramePage && f.Seq == w.seq && !w.sprung:
+			w.held, w.holding = *f, true
+			continue
+		case f.Seq == w.seq+1 && w.holding:
+			w.release, w.sprung = true, true
+		}
+		return f, nil
+	}
+}
+
+// TestReorderedFrameIsHeldNotRetried delivers frame k after frame k+1.
+// The receiver holds k+1 until k fills the gap, so the migration
+// completes without a single retransmission.
+func TestReorderedFrameIsHeldNotRetried(t *testing.T) {
+	src := newFakeSource(16, []uint64{1, 2, 1, 2})
+	tgt := &fakeTarget{}
+	a, b := Pipe(8)
+	w := &withholder{Conn: b, seq: 3}
+	stats, err, rerr := runMigration(t, src, tgt, a, w, Config{AckTimeout: 200 * time.Millisecond, MaxRetries: 2})
+	if err != nil || rerr != nil {
+		t.Fatalf("send err=%v recv err=%v", err, rerr)
+	}
+	if !w.sprung {
+		t.Fatal("frame 3 was never withheld")
+	}
+	if stats.Retries != 0 {
+		t.Fatalf("a reordered frame cost %d retries", stats.Retries)
+	}
+	if stats.PagesSent != tgt.applies {
+		t.Fatalf("sent %d pages, target applied %d", stats.PagesSent, tgt.applies)
+	}
+	checkMemEqual(t, src, tgt)
+}
+
+// TestConcurrentEndsUnderFaults runs migrations through the smallest
+// pipe the window allows, with frames dropped, duplicated and corrupted
+// on both ends, and checks that each ends with the VM running on exactly
+// one side: a sender error means the source was cancelled back to
+// running and the target scrubbed, success means the target holds every
+// page. The second case loses or corrupts over half the sender's frames,
+// enough to exhaust a frame's retry budget, so it may end either way.
+func TestConcurrentEndsUnderFaults(t *testing.T) {
+	for i, tc := range []struct{ tx, rx Faulty }{
+		{Faulty{DropEvery: 7, DupEvery: 3, CorruptEvery: 5}, Faulty{DropEvery: 11, DupEvery: 4}},
+		{Faulty{DropEvery: 3, DupEvery: 5, CorruptEvery: 4}, Faulty{DropEvery: 4, DupEvery: 3, CorruptEvery: 6}},
+		{Faulty{DupEvery: 2, CorruptEvery: 9}, Faulty{DropEvery: 3, DupEvery: 2}},
+	} {
+		script := make([]uint64, 24)
+		for g := range script {
+			script[g] = uint64(g * 5 % 40)
+		}
+		src := newFakeSource(40, script)
+		tgt := &fakeTarget{}
+		a, b := Pipe(2 * Window)
+		tx, rx := tc.tx, tc.rx
+		tx.Conn, rx.Conn = a, b
+		recvErr := make(chan error, 1)
+		go func() { recvErr <- Receive(tgt, &rx) }()
+		stats, err := Send(src, &tx, Config{AckTimeout: 20 * time.Millisecond})
+		if err != nil {
+			a.Close() // the abort frame itself may have been dropped
+		}
+		var rerr error
+		select {
+		case rerr = <-recvErr:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("case %d: receiver did not terminate", i)
+		}
+		t.Logf("case %d: %d retries, %d wire bytes, send err %v", i, stats.Retries, stats.BytesOnWire, err)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("case %d: send err=%v recv err=%v: the VM runs on both sides or neither", i, err, rerr)
+		}
+		if err != nil {
+			if !src.canceled || !tgt.aborted {
+				t.Fatalf("case %d: aborted migration left source canceled=%v target aborted=%v", i, src.canceled, tgt.aborted)
+			}
+			continue
+		}
+		if src.canceled || !tgt.finished {
+			t.Fatalf("case %d: source canceled=%v, target finished=%v", i, src.canceled, tgt.finished)
+		}
+		if stats.Retries == 0 {
+			t.Fatalf("case %d: a faulty transport must cost retries", i)
+		}
+		if stats.PagesSent != tgt.applies {
+			t.Fatalf("case %d: sent %d pages, target applied %d", i, stats.PagesSent, tgt.applies)
+		}
+		checkMemEqual(t, src, tgt)
 	}
 }
 

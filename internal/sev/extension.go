@@ -45,7 +45,7 @@ func (f *Firmware) SetEncGEK(h Handle, wrapped WrappedKeys, ownerPub *ecdh.Publi
 	if err != nil {
 		return err
 	}
-	tk, err := openWrappedKeys(f.priv, ownerPub, nonce, wrapped)
+	tk, err := openWrappedKeys(f.id, ownerPub, nonce, wrapped)
 	if err != nil {
 		return err
 	}
@@ -129,7 +129,7 @@ func (o *Owner) PrepareGEKImage(kernel []byte) (*GEKImage, GEK, error) {
 // WrapGEK wraps the GEK for a specific platform at deployment time — the
 // late-binding step the extension enables.
 func (o *Owner) WrapGEK(platformPub *ecdh.PublicKey, gek GEK) (WrappedKeys, error) {
-	kek, err := deriveKEK(o.priv, platformPub, o.nonce[:])
+	kek, err := deriveKEK(o.id, platformPub, o.nonce[:])
 	if err != nil {
 		return WrappedKeys{}, err
 	}

@@ -159,7 +159,7 @@ func (c *Context) dropTransport() {
 // inside the trust boundary.
 type Firmware struct {
 	ctl         *hw.Controller
-	priv        *ecdh.PrivateKey
+	id          *identity // the platform key pair, from INIT on
 	initialized bool
 
 	// mu (lock rank: firmware) guards the shared tables below — the
@@ -345,11 +345,11 @@ func (f *Firmware) Init() error {
 	if f.initialized {
 		return nil
 	}
-	priv, err := GenerateIdentity()
+	id, err := newIdentity()
 	if err != nil {
 		return err
 	}
-	f.priv = priv
+	f.id = id
 	f.initialized = true
 	f.charge(cycles.SEVCommand)
 	f.command("init", 0)
@@ -361,7 +361,7 @@ func (f *Firmware) PublicKey() (*ecdh.PublicKey, error) {
 	if !f.initialized {
 		return nil, ErrNotInitialized
 	}
-	return f.priv.PublicKey(), nil
+	return f.id.public(), nil
 }
 
 func (f *Firmware) guard() error {
@@ -574,7 +574,7 @@ func (f *Firmware) SendStart(h Handle, peerPub *ecdh.PublicKey, nonce []byte) (W
 	if err != nil {
 		return WrappedKeys{}, err
 	}
-	tk, w, err := newWrappedKeys(f.priv, peerPub, nonce)
+	tk, w, err := newWrappedKeys(f.id, peerPub, nonce)
 	if err != nil {
 		return WrappedKeys{}, err
 	}
@@ -738,7 +738,7 @@ func (f *Firmware) receiveStart(name string, w WrappedKeys, originPub *ecdh.Publ
 	if !f.initialized {
 		return 0, ErrNotInitialized
 	}
-	tk, err := openWrappedKeys(f.priv, originPub, nonce, w)
+	tk, err := openWrappedKeys(f.id, originPub, nonce, w)
 	if err != nil {
 		return 0, err
 	}
@@ -819,10 +819,11 @@ func (f *Firmware) SendUpdatePages(h Handle, pfns []hw.PFN, dst []byte, pkts []P
 // caller-chosen sector tweaks and are exempt.) Tag verification, transport
 // decryption and Kvek re-encryption run across the worker pool; the
 // measurement fold plus DRAM commit run serially in slice order, so one
-// N-page call matches N one-page calls. A batch refused by its range,
-// sequence, tag or size check commits nothing, charges nothing and
-// leaves the sequence and measurement untouched, so the sender can retry
-// with the genuine packets.
+// N-page call matches N one-page calls. A one-packet call, the live
+// migration target's, runs inline without the pool. A batch refused by
+// its range, sequence, tag or size check commits nothing, charges nothing
+// and leaves the sequence and measurement untouched, so the sender can
+// retry with the genuine packets.
 func (f *Firmware) ReceiveUpdatePages(h Handle, pfns []hw.PFN, pkts []Packet) error {
 	c, err := f.enter("receive-update", h)
 	if err != nil {
@@ -836,6 +837,29 @@ func (f *Firmware) ReceiveUpdatePages(h Handle, pfns []hw.PFN, pkts []Packet) er
 			return err
 		}
 	}
+	switch len(pkts) {
+	case 0:
+		return nil
+	case 1:
+		return f.receiveOne(c, h, pfns[0], pkts[0])
+	}
+	return f.receivePages(c, h, pfns, pkts)
+}
+
+// receiveOne is ReceiveUpdatePages for one packet, inline.
+func (f *Firmware) receiveOne(c *Context, h Handle, pfn hw.PFN, pkt Packet) error {
+	page := stagingPages.Get().(*[hw.PageSize]byte)
+	defer stagingPages.Put(page)
+	if err := f.openPage(c, c.seq, pfn, pkt, page); err != nil {
+		return err
+	}
+	c.seq++
+	return f.commitPage(c, h, pfn, pkt, page)
+}
+
+// receivePages is ReceiveUpdatePages for more than one packet: the pages
+// open across the worker pool, then commit in slice order.
+func (f *Firmware) receivePages(c *Context, h Handle, pfns []hw.PFN, pkts []Packet) error {
 	base := c.seq
 	pages := make([]*[hw.PageSize]byte, len(pfns))
 	defer func() {
@@ -846,32 +870,44 @@ func (f *Firmware) ReceiveUpdatePages(h Handle, pfns []hw.PFN, pkts []Packet) er
 		}
 	}()
 	if err := f.pool.ForEach(len(pfns), func(i int) error {
-		if pkts[i].Seq != base+uint64(i) {
-			return fmt.Errorf("%w: got %d, want %d", ErrBadSequence, pkts[i].Seq, base+uint64(i))
-		}
 		pages[i] = stagingPages.Get().(*[hw.PageSize]byte)
-		plain, err := f.openGuarded(c, pkts[i], stagingBuf(pages[i], len(pkts[i].Data)))
-		if err != nil {
-			return err
-		}
-		if len(plain) != hw.PageSize {
-			return fmt.Errorf("sev: receive_update packet is %d bytes, want a page", len(plain))
-		}
-		c.cipher.EncryptLine(pfns[i].Addr(), plain)
-		return nil
+		return f.openPage(c, base+uint64(i), pfns[i], pkts[i], pages[i])
 	}); err != nil {
 		return err
 	}
 	c.seq = base + uint64(len(pfns))
 	for i := range pfns {
-		c.measure = measureChain(c.measure, pkts[i].Tag)
-		f.charge(cycles.SEVCommand + cycles.PageCopy + hw.PageSize/hw.BlockSize*cycles.AESBlockSEV)
-		f.command("receive-update", h)
-		if err := f.ctl.FirmwareWrite(pfns[i].Addr(), pages[i][:]); err != nil {
+		if err := f.commitPage(c, h, pfns[i], pkts[i], pages[i]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// openPage checks pkt's sequence number and tag, decrypts it into page
+// and re-encrypts that under the context's Kvek for pfn.
+func (f *Firmware) openPage(c *Context, seq uint64, pfn hw.PFN, pkt Packet, page *[hw.PageSize]byte) error {
+	if pkt.Seq != seq {
+		return fmt.Errorf("%w: got %d, want %d", ErrBadSequence, pkt.Seq, seq)
+	}
+	plain, err := f.openGuarded(c, pkt, stagingBuf(page, len(pkt.Data)))
+	if err != nil {
+		return err
+	}
+	if len(plain) != hw.PageSize {
+		return fmt.Errorf("sev: receive_update packet is %d bytes, want a page", len(plain))
+	}
+	c.cipher.EncryptLine(pfn.Addr(), plain)
+	return nil
+}
+
+// commitPage folds an opened packet into the measurement, charges it and
+// writes its page to DRAM.
+func (f *Firmware) commitPage(c *Context, h Handle, pfn hw.PFN, pkt Packet, page *[hw.PageSize]byte) error {
+	c.measure = measureChain(c.measure, pkt.Tag)
+	f.charge(cycles.SEVCommand + cycles.PageCopy + hw.PageSize/hw.BlockSize*cycles.AESBlockSEV)
+	f.command("receive-update", h)
+	return f.ctl.FirmwareWrite(pfn.Addr(), page[:])
 }
 
 // ReceiveFinish verifies the accumulated measurement against the

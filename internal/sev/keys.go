@@ -27,6 +27,7 @@ import (
 	"sync"
 
 	"fidelius/internal/hw"
+	"fidelius/internal/lockrank"
 )
 
 // TransportKeys are the transport encryption key (TEK) and transport
@@ -47,13 +48,60 @@ type WrappedKeys struct {
 // ErrBadWrap reports a wrapped-key blob that fails authentication.
 var ErrBadWrap = errors.New("sev: wrapped keys fail authentication")
 
-// deriveKEK derives the key-encryption key both ends of a wrap compute:
-// the ECDH agreement between priv and peer, hashed with the session nonce
-// (the paper's Nvm).
-func deriveKEK(priv *ecdh.PrivateKey, peer *ecdh.PublicKey, nonce []byte) ([32]byte, error) {
-	shared, err := priv.ECDH(peer)
+// identity is one end's long-lived P-256 key pair: a platform's or a
+// guest owner's. The ECDH shared secret of two fixed key pairs never
+// changes, so identity computes each peer's once, on first use, and
+// keeps it; only the KEK, which mixes in the session nonce, is derived
+// per wrap.
+type identity struct {
+	priv *ecdh.PrivateKey
+
+	// mu (lock rank: leaf) guards shared, the agreements so far keyed by
+	// the peer's public-key bytes. A failed agreement is never stored.
+	mu     lockrank.Mutex
+	shared map[string][]byte
+}
+
+func newIdentity() (*identity, error) {
+	priv, err := GenerateIdentity()
 	if err != nil {
-		return [32]byte{}, fmt.Errorf("sev: key agreement: %w", err)
+		return nil, err
+	}
+	id := &identity{priv: priv, shared: make(map[string][]byte)}
+	id.mu.Init(lockrank.RankLeaf, nil)
+	return id, nil
+}
+
+func (id *identity) public() *ecdh.PublicKey { return id.priv.PublicKey() }
+
+// agree returns the ECDH shared secret with peer, from the memo when
+// this identity has agreed with peer before. Two first uses racing both
+// compute it, to the same bytes.
+func (id *identity) agree(peer *ecdh.PublicKey) ([]byte, error) {
+	key := peer.Bytes()
+	id.mu.Lock()
+	shared, ok := id.shared[string(key)]
+	id.mu.Unlock()
+	if ok {
+		return shared, nil
+	}
+	shared, err := id.priv.ECDH(peer)
+	if err != nil {
+		return nil, fmt.Errorf("sev: key agreement: %w", err)
+	}
+	id.mu.Lock()
+	id.shared[string(key)] = shared
+	id.mu.Unlock()
+	return shared, nil
+}
+
+// deriveKEK derives the key-encryption key both ends of a wrap compute:
+// the ECDH agreement between id and peer, hashed with the session nonce
+// (the paper's Nvm).
+func deriveKEK(id *identity, peer *ecdh.PublicKey, nonce []byte) ([32]byte, error) {
+	shared, err := id.agree(peer)
+	if err != nil {
+		return [32]byte{}, err
 	}
 	h := sha256.New()
 	h.Write([]byte("sev-kek-v1"))
@@ -223,10 +271,10 @@ func measureChain(cur Measurement, tag [32]byte) Measurement {
 }
 
 // newWrappedKeys makes fresh transport keys and wraps them under the KEK
-// of priv's agreement with peer and nonce: the sending end of a
+// of id's agreement with peer and nonce: the sending end of a
 // SEND_START, run by the firmware and by the owner preparing an image.
-func newWrappedKeys(priv *ecdh.PrivateKey, peer *ecdh.PublicKey, nonce []byte) (TransportKeys, WrappedKeys, error) {
-	kek, err := deriveKEK(priv, peer, nonce)
+func newWrappedKeys(id *identity, peer *ecdh.PublicKey, nonce []byte) (TransportKeys, WrappedKeys, error) {
+	kek, err := deriveKEK(id, peer, nonce)
 	if err != nil {
 		return TransportKeys{}, WrappedKeys{}, err
 	}
@@ -242,9 +290,9 @@ func newWrappedKeys(priv *ecdh.PrivateKey, peer *ecdh.PublicKey, nonce []byte) (
 }
 
 // openWrappedKeys is the receiving end: it unwraps w under the KEK of
-// priv's agreement with peer and nonce.
-func openWrappedKeys(priv *ecdh.PrivateKey, peer *ecdh.PublicKey, nonce []byte, w WrappedKeys) (TransportKeys, error) {
-	kek, err := deriveKEK(priv, peer, nonce)
+// id's agreement with peer and nonce.
+func openWrappedKeys(id *identity, peer *ecdh.PublicKey, nonce []byte, w WrappedKeys) (TransportKeys, error) {
+	kek, err := deriveKEK(id, peer, nonce)
 	if err != nil {
 		return TransportKeys{}, err
 	}

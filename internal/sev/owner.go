@@ -16,18 +16,18 @@ import (
 // replays them through RECEIVE_START/UPDATE/FINISH. Owner implements the
 // sender side in pure software with the same cryptography.
 type Owner struct {
-	priv  *ecdh.PrivateKey
+	id    *identity
 	nonce [16]byte
 }
 
 // NewOwner creates an owner identity with a fresh ECDH key and session
 // nonce (the paper's Nvm).
 func NewOwner() (*Owner, error) {
-	priv, err := GenerateIdentity()
+	id, err := newIdentity()
 	if err != nil {
 		return nil, err
 	}
-	o := &Owner{priv: priv}
+	o := &Owner{id: id}
 	if _, err := io.ReadFull(rand.Reader, o.nonce[:]); err != nil {
 		return nil, err
 	}
@@ -35,7 +35,7 @@ func NewOwner() (*Owner, error) {
 }
 
 // PublicKey returns the owner's public ECDH key (public data).
-func (o *Owner) PublicKey() *ecdh.PublicKey { return o.priv.PublicKey() }
+func (o *Owner) PublicKey() *ecdh.PublicKey { return o.id.public() }
 
 // Nonce returns the session nonce (public data).
 func (o *Owner) Nonce() []byte { return o.nonce[:] }
@@ -70,7 +70,7 @@ func (o *Owner) SealImage(platformPub *ecdh.PublicKey, buf []byte) (*EncryptedIm
 	if len(buf)%hw.PageSize != 0 {
 		return nil, WrappedKeys{}, fmt.Errorf("sev: a %d-byte image is not whole pages", len(buf))
 	}
-	tk, w, err := newWrappedKeys(o.priv, platformPub, o.nonce[:])
+	tk, w, err := newWrappedKeys(o.id, platformPub, o.nonce[:])
 	if err != nil {
 		return nil, WrappedKeys{}, err
 	}

@@ -157,7 +157,8 @@ func TestBulkTransportAllocations(t *testing.T) {
 		}
 		next++
 	})
-	if want := fixed + 2; recv > want {
+	// One allocation is left: the packet's CTR stream (cipher.NewCTR).
+	if want := fixed + 1; recv > want {
 		t.Fatalf("one-page RECEIVE_UPDATE: %v allocations, want at most %v", recv, want)
 	}
 }
