@@ -33,11 +33,20 @@ type liveSource struct {
 	slab      *sendSlab
 }
 
-// sendSlab is what SEND_UPDATE seals one chunk of a migration into: the
-// packets' bytes, the packets and the chunk's frames. Each SendPages call
-// overwrites the last one's, so a slab is allocated once, grows to the
-// engine's largest chunk and is then reused.
+// sendSlab is what SEND_UPDATE seals a migration's chunks into: two
+// halves, used in turn, each with the packets' bytes, the packets and the
+// chunk's frames. A SendPages call overwrites the half the call before
+// the last one used, so the engine can seal chunk k+1 while the target
+// still applies chunk k (the migrate.Source contract). A slab is
+// allocated once, each half grows to the engine's largest chunk, and it
+// is then reused.
 type sendSlab struct {
+	halves [2]slabHalf
+	turn   int
+}
+
+// slabHalf holds one chunk: its packets' bytes, packets and frames.
+type slabHalf struct {
 	data []byte
 	pkts []sev.Packet
 	pfns []hw.PFN
@@ -116,11 +125,12 @@ func (s *liveSource) SendStart() (sev.WrappedKeys, []byte, error) {
 
 // SendPages is one SEND_UPDATE fan-out over the firmware's worker pool
 // per round chunk, with packets (and sequence numbers) in gfn order. The
-// packets are sealed into the source's slab, which the next call
-// overwrites (the migrate.Source contract).
+// packets are sealed into one half of the source's slab, which the call
+// after next overwrites (the migrate.Source contract).
 func (s *liveSource) SendPages(gfns []uint64) ([]sev.Packet, error) {
 	defer s.enter()()
-	b := s.slab
+	b := &s.slab.halves[s.slab.turn]
+	s.slab.turn ^= 1
 	b.pfns = b.pfns[:0]
 	for _, gfn := range gfns {
 		pfn, ok := s.d.GPAFrame(gfn)

@@ -1,6 +1,9 @@
 package hw
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // LineSize is the cache line size in bytes.
 const LineSize = 64
@@ -33,6 +36,15 @@ const DefaultWays = 8
 // as Flush does. ReadAt, WriteAt, Fill, Invalidate and Flush are safe for
 // concurrent use; Lookup and Peek return a pointer into line storage and
 // are for single-threaded callers (tests and the attack demos) only.
+//
+// Invalidate skips a page with no line cached without taking a lock. The
+// cache counts the resident lines of the pages whose frame number is p
+// modulo the set count in one atomic counter per p, which Fill, CLOCK
+// eviction, Invalidate and Flush keep under the lock of the line they
+// change. A page whose counter reads zero has no line to drop. A Fill
+// that lands after the read is one that could already land between two
+// of Invalidate's set locks; firmware and DMA writes invalidate pages
+// that are mostly not cached, so most of their pages take no lock.
 type Cache struct {
 	ways int // 0 disables the cache
 	mask int // set count - 1; the set count is a power of two
@@ -47,6 +59,10 @@ type Cache struct {
 	// sets holds one record per set. A disabled cache keeps one, which
 	// only counts.
 	sets []cacheSet
+
+	// pages[p] counts the resident lines of the pages whose frame number
+	// is p modulo the set count (one per set; none when disabled).
+	pages []atomic.Int32
 }
 
 // cacheSet is one set's lock, CLOCK hand and counters, all guarded by mu.
@@ -91,12 +107,13 @@ func NewCacheWays(capacity, ways int) *Cache {
 	}
 	n := sets * ways
 	return &Cache{
-		ways: ways,
-		mask: sets - 1,
-		data: make([][LineSize]byte, n),
-		tags: make([]PhysAddr, n),
-		ref:  make([]bool, n),
-		sets: make([]cacheSet, sets),
+		ways:  ways,
+		mask:  sets - 1,
+		data:  make([][LineSize]byte, n),
+		tags:  make([]PhysAddr, n),
+		ref:   make([]bool, n),
+		sets:  make([]cacheSet, sets),
+		pages: make([]atomic.Int32, sets),
 	}
 }
 
@@ -105,6 +122,11 @@ func lineBase(pa PhysAddr) PhysAddr { return pa &^ (LineSize - 1) }
 // setOf maps a line base address to its set index (physically indexed).
 func (c *Cache) setOf(base PhysAddr) int {
 	return int(uint64(base)/LineSize) & c.mask
+}
+
+// pageLines is the resident-line counter of base's page.
+func (c *Cache) pageLines(base PhysAddr) *atomic.Int32 {
+	return &c.pages[int(uint64(base)>>PageShift)&c.mask]
 }
 
 // findInSet returns the flat way index holding base within set, or -1.
@@ -207,22 +229,38 @@ func (c *Cache) Fill(pa PhysAddr, data *[LineSize]byte) {
 		}
 		s.evictions++
 		s.live--
+		c.pageLines(c.tags[w]).Add(-1)
 	}
 	c.data[w] = *data
 	c.tags[w] = base | 1
 	c.ref[w] = true
 	s.live++
+	c.pageLines(base).Add(1)
 }
 
 // Invalidate drops any line overlapping [pa, pa+n), taking one set lock at
-// a time.
+// a time, and no lock for the lines of a page that has none cached.
 func (c *Cache) Invalidate(pa PhysAddr, n int) {
 	if c.ways == 0 || n <= 0 {
 		return
 	}
 	first := lineBase(pa)
 	last := lineBase(pa + PhysAddr(n) - 1)
-	for b := first; b <= last; b += LineSize {
+	for b := first; ; {
+		end := min(last, b|(PageSize-LineSize)) // the page's last line in range
+		if c.pageLines(b).Load() != 0 {
+			c.invalidateLines(b, end)
+		}
+		if end == last {
+			return
+		}
+		b = end + LineSize
+	}
+}
+
+// invalidateLines drops the lines from first to last, all of one page.
+func (c *Cache) invalidateLines(first, last PhysAddr) {
+	for b := first; ; b += LineSize {
 		set := c.setOf(b)
 		s := &c.sets[set]
 		s.mu.Lock()
@@ -230,10 +268,11 @@ func (c *Cache) Invalidate(pa PhysAddr, n int) {
 			c.tags[i] = 0
 			c.ref[i] = false
 			s.live--
+			c.pageLines(b).Add(-1)
 		}
 		s.mu.Unlock()
-		if b+LineSize < b { // overflow guard
-			break
+		if b == last {
+			return
 		}
 	}
 }
@@ -245,9 +284,12 @@ func (c *Cache) Flush() {
 		s := &c.sets[set]
 		s.mu.Lock()
 		first := set * c.ways
-		for w := 0; w < c.ways; w++ {
-			c.tags[first+w] = 0
-			c.ref[first+w] = false
+		for w := first; w < first+c.ways; w++ {
+			if c.tags[w] != 0 {
+				c.pageLines(c.tags[w]).Add(-1)
+			}
+			c.tags[w] = 0
+			c.ref[w] = false
 		}
 		s.hand, s.live = 0, 0
 		s.mu.Unlock()

@@ -2,8 +2,10 @@ package hw
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
+	"time"
 )
 
 // linePat fills a cache line with a pattern derived from its address, so
@@ -87,6 +89,123 @@ func TestCacheConcurrentOps(t *testing.T) {
 			}
 		})
 	}
+}
+
+// recountPages checks every resident-line counter of c against a count
+// of the lines c holds. The caller must be the cache's only user.
+func recountPages(t *testing.T, c *Cache) {
+	t.Helper()
+	want := make([]int32, len(c.pages))
+	for _, tag := range c.tags {
+		if tag != 0 {
+			want[int(uint64(tag)>>PageShift)&c.mask]++
+		}
+	}
+	for p := range want {
+		if got := c.pages[p].Load(); got != want[p] {
+			t.Fatalf("pages[%d] = %d, but %d lines of its pages are cached", p, got, want[p])
+		}
+	}
+}
+
+// TestConcurrentPageCounts races Fill (with CLOCK eviction), Invalidate
+// over spans of up to two pages and Flush from several goroutines, then
+// checks that every per-page resident-line counter, which Invalidate
+// trusts to skip a page without a lock, equals a recount of the lines.
+func TestConcurrentPageCounts(t *testing.T) {
+	for _, g := range []struct {
+		name           string
+		capacity, ways int
+	}{
+		{"assoc-1024x8", 1024, 8},
+		{"direct-64", 64, 1},
+		{"tiny-8x2", 8, 2},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			c := NewCacheWays(g.capacity, g.ways)
+			const workers, iters, pages = 6, 2000, 48
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(w)))
+					for i := 0; i < iters; i++ {
+						pa := PhysAddr(rng.Intn(pages * PageSize))
+						switch op := rng.Intn(100); {
+						case op < 70:
+							line := linePat(lineBase(pa))
+							c.Fill(pa, &line)
+						case op < 99:
+							c.Invalidate(pa, 1+rng.Intn(2*PageSize))
+						default:
+							c.Flush()
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			recountPages(t, c)
+			c.Flush()
+			recountPages(t, c)
+		})
+	}
+}
+
+// TestInvalidateUncachedPageTakesNoLock holds the set lock of an
+// uncached page's first line while another page is cached: Invalidate of
+// the uncached page must return without waiting for it, and a cached
+// page must still lose its lines.
+func TestInvalidateUncachedPageTakesNoLock(t *testing.T) {
+	c := NewCache(1024)
+	line := linePat(0)
+	c.Fill(0, &line)
+	pa := PhysAddr(5 * PageSize)
+	s := &c.sets[c.setOf(pa)]
+	s.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		c.Invalidate(pa, PageSize)
+		close(done)
+	}()
+	select {
+	case <-done:
+		s.mu.Unlock()
+	case <-time.After(time.Second):
+		s.mu.Unlock()
+		<-done
+		t.Fatal("Invalidate of an uncached page waited for a set lock")
+	}
+	c.Invalidate(0, 6*PageSize)
+	if c.Len() != 0 {
+		t.Fatalf("%d lines left after invalidating the cached page", c.Len())
+	}
+}
+
+// TestInvalidateSpansPages invalidates spans that start and end inside
+// pages, cached and not, up to the last line of the address space.
+func TestInvalidateSpansPages(t *testing.T) {
+	c := NewCache(1024)
+	top := lineBase(^PhysAddr(0))
+	for _, pa := range []PhysAddr{0, PageSize - LineSize, 2 * PageSize, 3*PageSize + LineSize, top} {
+		line := linePat(pa)
+		c.Fill(pa, &line)
+	}
+	// Ends one byte into page 3's second line: page 1 is skipped.
+	c.Invalidate(PageSize-1, 2*PageSize+LineSize+2)
+	for pa, want := range map[PhysAddr]bool{0: true, PageSize - LineSize: false, 2 * PageSize: false, 3*PageSize + LineSize: false, top: true} {
+		if _, ok := c.Peek(pa); ok != want {
+			t.Fatalf("line %#x cached = %v after the span, want %v", pa, ok, want)
+		}
+	}
+	c.Invalidate(top, LineSize)
+	if _, ok := c.Peek(top); ok {
+		t.Fatal("the last line of the address space survived Invalidate")
+	}
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", c.Len())
+	}
+	recountPages(t, c)
 }
 
 // TestEngineConcurrentSlots races key install/uninstall against encrypting

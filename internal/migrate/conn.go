@@ -16,6 +16,13 @@
 // exhausted — at which point the migration aborts cleanly and the source
 // VM resumes. Guest data only ever crosses a Conn inside sev.Packet
 // ciphertext; the transport layer never sees plaintext.
+//
+// The sender waits for acks only when the window is full, before it
+// seals a chunk over packets the target may still need, and at the
+// finish: it never drains at a chunk or round boundary. So the source
+// seals chunk k+1 while the target still applies chunk k, and neither
+// end idles while the other works. Each end's work keeps its order, so
+// the waits move only host time, never a modelled cycle.
 package migrate
 
 import (
@@ -113,15 +120,19 @@ var (
 // Window is the number of frames the sender keeps in flight: it posts
 // frames without waiting until Window are unacknowledged, and the
 // receiver holds a frame that arrives at most Window-1 ahead of the next
-// one it expects.
-const Window = 8
+// one it expects. It is half a chunk (batchPages): the target applies
+// half a chunk in about the time the source seals the next one, so the
+// frames still in flight when a chunk's last frame is posted keep the
+// target busy while the source seals.
+const Window = 16
 
 // Conn is one endpoint of a bidirectional migration channel.
 //
 // A transport must buffer at least 2*Window frames per direction. The
 // sender posts up to Window frames between reads of its acks, so a
 // shallower channel can fill in both directions at once, with each end
-// blocked sending to the other.
+// blocked sending to the other. Pipe keeps those 2*Window slots small by
+// queueing page frames and positive acks as compact values (qframe).
 type Conn interface {
 	// Send enqueues a frame to the peer. The frame is copied (the packet
 	// bytes its slices point to are not), so the caller may reuse *f as
@@ -140,9 +151,11 @@ type Conn interface {
 
 // pipeEnd carries frames by value, so posting one allocates nothing and
 // a sender's later reuse of its frame cannot reach a copy still queued.
+// The queue holds each frame as a qframe, so the 2*Window slots of both
+// directions cost less than whole frames would.
 type pipeEnd struct {
-	send chan<- Frame
-	recv <-chan Frame
+	send chan<- qframe
+	recv <-chan qframe
 	done chan struct{}
 	once *sync.Once
 
@@ -156,13 +169,45 @@ type pipeEnd struct {
 	timer *time.Timer
 }
 
+// qframe is a frame as a pipe queues it. A frame that carries none of
+// the start, finish or error fields — every page frame and every
+// positive ack — travels as its remaining fields, about 112 bytes. Any
+// other frame travels as full, a pointer to a copy: there are a handful
+// per migration.
+type qframe struct {
+	full             *Frame
+	typ              FrameType
+	ok               bool
+	round            int
+	seq, gfn, ackSeq uint64
+	pkt              sev.Packet
+}
+
+// queue packs f for the pipe; unqueue restores it, field for field.
+func queue(f *Frame) qframe {
+	if f.Name != "" || f.MemPages != 0 || f.Kwrap.Ciphertext != nil ||
+		f.Kwrap.Nonce != [12]byte{} || f.Nonce != nil || f.Mvm != (sev.Measurement{}) || f.Err != "" {
+		c := *f
+		return qframe{full: &c}
+	}
+	return qframe{typ: f.Type, ok: f.OK, round: f.Round, seq: f.Seq, gfn: f.GFN, ackSeq: f.AckSeq, pkt: f.Pkt}
+}
+
+func (q *qframe) unqueue(f *Frame) {
+	if q.full != nil {
+		*f = *q.full
+		return
+	}
+	*f = Frame{Type: q.typ, OK: q.ok, Round: q.round, Seq: q.seq, GFN: q.gfn, AckSeq: q.ackSeq, Pkt: q.pkt}
+}
+
 // Pipe returns two connected in-memory endpoints with the given per
 // direction buffer, raised to the 2*Window frames the window needs (see
 // Conn). Closing either end closes both.
 func Pipe(buf int) (Conn, Conn) {
 	buf = max(buf, 2*Window)
-	ab := make(chan Frame, buf)
-	ba := make(chan Frame, buf)
+	ab := make(chan qframe, buf)
+	ba := make(chan qframe, buf)
 	done := make(chan struct{})
 	once := &sync.Once{}
 	a := &pipeEnd{send: ab, recv: ba, done: done, once: once}
@@ -177,7 +222,7 @@ func (p *pipeEnd) Send(f *Frame) error {
 	default:
 	}
 	select {
-	case p.send <- *f:
+	case p.send <- queue(f):
 		return nil
 	case <-p.done:
 		return ErrClosed
@@ -185,10 +230,11 @@ func (p *pipeEnd) Send(f *Frame) error {
 }
 
 func (p *pipeEnd) Recv(timeout time.Duration) (*Frame, error) {
+	var q qframe
 	if timeout <= 0 {
 		select {
-		case p.in = <-p.recv:
-			return &p.in, nil
+		case q = <-p.recv:
+			return p.take(&q), nil
 		case <-p.done:
 			return p.drain()
 		}
@@ -199,9 +245,9 @@ func (p *pipeEnd) Recv(timeout time.Duration) (*Frame, error) {
 		p.timer.Reset(timeout)
 	}
 	select {
-	case p.in = <-p.recv:
+	case q = <-p.recv:
 		p.stopTimer()
-		return &p.in, nil
+		return p.take(&q), nil
 	case <-p.done:
 		p.stopTimer()
 		return p.drain()
@@ -210,11 +256,17 @@ func (p *pipeEnd) Recv(timeout time.Duration) (*Frame, error) {
 	}
 }
 
+// take unpacks a queued frame into in and returns it.
+func (p *pipeEnd) take(q *qframe) *Frame {
+	q.unqueue(&p.in)
+	return &p.in
+}
+
 // drain returns a frame that raced with the close, else ErrClosed.
 func (p *pipeEnd) drain() (*Frame, error) {
 	select {
-	case p.in = <-p.recv:
-		return &p.in, nil
+	case q := <-p.recv:
+		return p.take(&q), nil
 	default:
 		return nil, ErrClosed
 	}

@@ -34,12 +34,14 @@ type Source interface {
 	// SendPages produces one transport packet per gfn, in order, in one
 	// firmware command (bulk page crypto). Sequence numbers advance per
 	// packet, so each transmitted packet is produced exactly once and
-	// retries re-send the same packet. The packets' Data stays valid only
-	// until the next SendPages call, which may reuse its buffer: the
-	// engine settles every frame of a chunk, the window included, before
-	// it asks for the next chunk, and the target acks a page only after
-	// applying it. A duplicate frame still in flight is re-acked on its
-	// sequence number alone, never read.
+	// retries re-send the same packet. The packets' Data stays valid
+	// until the second SendPages call after this one, which may reuse its
+	// buffer: the next call must seal into other bytes, since the engine
+	// asks for chunk k+1 while frames of chunk k are still in flight. It
+	// settles every frame of chunk k before it asks for chunk k+2, and
+	// the target acks a page only after applying it. A duplicate frame
+	// still in flight is re-acked on its sequence number alone, never
+	// read.
 	SendPages(gfns []uint64) ([]sev.Packet, error)
 	// SendFinish closes the session and returns Mvm.
 	SendFinish() (sev.Measurement, error)
@@ -133,8 +135,9 @@ type sender struct {
 	stats *Stats
 
 	// next is the sequence number the next posted frame gets; oldest is
-	// the oldest frame posted and not yet settled.
-	next, oldest uint64
+	// the oldest frame posted and not yet settled; chunk is the first
+	// frame of the chunk sealed last.
+	next, oldest, chunk uint64
 	// applied counts the frames the receiver has confirmed: it applies
 	// strictly in sequence order, so an ack for frame n confirms every
 	// frame up to n, lost acks of older frames included.
@@ -289,11 +292,13 @@ func (s *sender) finish() error {
 // sendRound ships one round of pages, optionally interleaving guest
 // quanta so the source stays live. Packets are produced in chunks of
 // batchPages; frames still go out one per gfn, in order, so the receiver
-// and the wire protocol never see the batching. Each chunk's frames are
-// settled before the next chunk is sealed over its packets. A live round
-// snapshots each chunk before its quanta run — any write that lands
-// after the snapshot is caught by the dirty log and re-sent in a later
-// round.
+// and the wire protocol never see the batching. Neither a chunk nor a
+// round is drained at its end: before it seals the next chunk, the
+// sender settles only the frames posted before the chunk it sealed last,
+// whose packets that SendPages call may reuse, so the target applies the
+// last chunk's window while the source seals. A live round snapshots each
+// chunk before its quanta run — any write that lands after the snapshot
+// is caught by the dirty log and re-sent in a later round.
 func (s *sender) sendRound(round int, gfns []uint64, live bool) error {
 	sp := s.cfg.Hub.OpenScope("migrate-round", 0, 0).
 		Attr("round", strconv.Itoa(round)).
@@ -302,6 +307,11 @@ func (s *sender) sendRound(round int, gfns []uint64, live bool) error {
 	for rest := gfns; len(rest) > 0; {
 		chunk := rest[:min(len(rest), batchPages)]
 		rest = rest[len(chunk):]
+		for s.oldest < s.chunk {
+			if err := s.settle(); err != nil {
+				return err
+			}
+		}
 		pkts, err := s.src.SendPages(chunk)
 		if err != nil {
 			return err
@@ -309,6 +319,7 @@ func (s *sender) sendRound(round int, gfns []uint64, live bool) error {
 		if len(pkts) != len(chunk) {
 			return fmt.Errorf("migrate: source returned %d packets for %d pages", len(pkts), len(chunk))
 		}
+		s.chunk = s.next
 		for i, gfn := range chunk {
 			if err := s.post(&Frame{Type: FramePage, Round: round, GFN: gfn, Pkt: pkts[i]}); err != nil {
 				return err
@@ -325,9 +336,6 @@ func (s *sender) sendRound(round int, gfns []uint64, live bool) error {
 				}
 				s.stats.GuestDone = done
 			}
-		}
-		if err := s.drain(); err != nil {
-			return err
 		}
 	}
 	s.stats.Rounds++

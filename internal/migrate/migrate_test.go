@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -427,10 +428,12 @@ func TestReceiverSequenceDiscipline(t *testing.T) {
 		Kwrap: sev.WrappedKeys{Ciphertext: []byte("k")}, Nonce: []byte("n")})
 	mustAck(0, true)
 
-	// Ahead of a gap: seq 2 while 1 is expected is held, unacked.
+	// Ahead of a gap: seq 2 and the window's far edge, seq Window, are
+	// held while 1 is expected, unacked.
 	send(&Frame{Type: FramePage, Seq: 2, GFN: 5, Pkt: fakePacket(1, 5, 9)})
-	// Beyond the window: nacked.
-	send(&Frame{Type: FramePage, Seq: 1 + Window, GFN: 0, Pkt: fakePacket(8, 0, 1)})
+	send(&Frame{Type: FramePage, Seq: Window, GFN: 6, Pkt: fakePacket(Window-1, 6, 11)})
+	// Beyond the window: nacked, and the first answer of all.
+	send(&Frame{Type: FramePage, Seq: 1 + Window, GFN: 0, Pkt: fakePacket(Window, 0, 1)})
 	mustAck(1+Window, false)
 	if tgt.applies != 0 {
 		t.Fatalf("a frame ahead of the gap was applied: %d applies", tgt.applies)
@@ -447,13 +450,23 @@ func TestReceiverSequenceDiscipline(t *testing.T) {
 	if tgt.applies != 2 {
 		t.Fatalf("want 2 applies, got %d", tgt.applies)
 	}
+	// The rest of the gap fills: the last frame of it releases the held
+	// edge of the window.
+	for seq := uint64(3); seq < Window; seq++ {
+		send(&Frame{Type: FramePage, Seq: seq, GFN: 7, Pkt: fakePacket(seq-1, 7, seq)})
+		mustAck(seq, true)
+	}
+	mustAck(Window, true)
+	if tgt.applies != Window {
+		t.Fatalf("want %d applies, got %d", Window, tgt.applies)
+	}
 
-	fin := &Frame{Type: FrameFinish, Seq: 3, Mvm: sev.Measurement{0xAA}}
+	fin := &Frame{Type: FrameFinish, Seq: Window + 1, Mvm: sev.Measurement{0xAA}}
 	send(fin)
-	mustAck(3, true)
+	mustAck(Window+1, true)
 	// The finish ack may be lost: a repeated finish is re-acked.
 	send(fin)
-	mustAck(3, true)
+	mustAck(Window+1, true)
 	select {
 	case err := <-done:
 		t.Fatalf("receiver returned before the sender closed: %v", err)
@@ -463,7 +476,7 @@ func TestReceiverSequenceDiscipline(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("receiver: %v", err)
 	}
-	if !tgt.finished || tgt.mem[3] != 7 || tgt.mem[5] != 9 {
+	if !tgt.finished || tgt.mem[3] != 7 || tgt.mem[5] != 9 || tgt.mem[6] != 11 || tgt.mem[7] != Window-1 {
 		t.Fatal("receiver state wrong after manual protocol drive")
 	}
 }
@@ -628,6 +641,90 @@ func TestConcurrentEndsUnderFaults(t *testing.T) {
 	}
 }
 
+// chunkSignal closes sealed when the engine asks for its second chunk.
+type chunkSignal struct {
+	*fakeSource
+	calls  int
+	sealed chan struct{}
+}
+
+func (s *chunkSignal) SendPages(gfns []uint64) ([]sev.Packet, error) {
+	if s.calls++; s.calls == 2 {
+		close(s.sealed)
+	}
+	return s.fakeSource.SendPages(gfns)
+}
+
+// lateTarget applies the last page of the first chunk only once the
+// source has been asked for the second chunk, or after a bounded wait.
+type lateTarget struct {
+	*fakeTarget
+	sealed     <-chan struct{}
+	overlapped bool
+}
+
+func (t *lateTarget) ReceivePage(gfn uint64, pkt sev.Packet) error {
+	if pkt.Seq == batchPages-1 {
+		select {
+		case <-t.sealed:
+			t.overlapped = true
+		case <-time.After(2 * time.Second):
+		}
+	}
+	return t.fakeTarget.ReceivePage(gfn, pkt)
+}
+
+// TestSealOverlapsApply checks that the source seals chunk k+1 while the
+// target is still applying chunk k: the target holds back the first
+// chunk's last page until the second chunk is asked for, which a sender
+// that drains each chunk before sealing the next never does.
+func TestSealOverlapsApply(t *testing.T) {
+	src := &chunkSignal{fakeSource: newFakeSource(2*batchPages, nil), sealed: make(chan struct{})}
+	tgt := &lateTarget{fakeTarget: &fakeTarget{}, sealed: src.sealed}
+	a, b := Pipe(0)
+	stats, err, rerr := runMigration(t, src, tgt, a, b, Config{StopAndCopy: true, AckTimeout: 10 * time.Second})
+	if err != nil || rerr != nil {
+		t.Fatalf("send err=%v recv err=%v", err, rerr)
+	}
+	if !tgt.overlapped {
+		t.Fatal("the second chunk was not sealed before the first chunk's last page was applied")
+	}
+	if stats.Retries != 0 || stats.PagesSent != tgt.applies {
+		t.Fatalf("%d retries, %d pages sent, %d applied", stats.Retries, stats.PagesSent, tgt.applies)
+	}
+	checkMemEqual(t, src.fakeSource, tgt.fakeTarget)
+}
+
+// TestPipeCarriesFramesUnchanged sends one frame of every kind through a
+// pipe, those it queues compactly and those it queues as copies, and
+// checks each comes out field for field as it went in.
+func TestPipeCarriesFramesUnchanged(t *testing.T) {
+	for _, f := range []Frame{
+		{Type: FrameStart, Seq: 0, Name: "guest", MemPages: 64,
+			Kwrap: sev.WrappedKeys{Nonce: [12]byte{1, 2}, Ciphertext: []byte("wrapped")}, Nonce: []byte("nonce")},
+		{Type: FrameStart, Seq: 1, Name: "g", Nonce: []byte{}},
+		{Type: FramePage, Seq: 7, Round: 2, GFN: 33, Pkt: fakePacket(6, 33, 4)},
+		{Type: FramePage, Seq: 8, GFN: 0, Pkt: sev.Packet{Seq: 7, Data: []byte{}}},
+		{Type: FrameFinish, Seq: 9, Round: 3, Mvm: sev.Measurement{0xAA, 0x55}},
+		{Type: FrameFinish, Seq: 10},
+		{Type: FrameAck, AckSeq: 7, OK: true},
+		{Type: FrameAck, AckSeq: 8, Err: "bad tag"},
+		{Type: FrameAbort, Seq: 11, Err: "retries exhausted"},
+	} {
+		a, b := Pipe(0)
+		if err := a.Send(&f); err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.Recv(time.Second)
+		if err != nil {
+			t.Fatalf("%v frame: %v", f.Type, err)
+		}
+		if !reflect.DeepEqual(*got, f) {
+			t.Fatalf("%v frame changed in the pipe:\n got %+v\nwant %+v", f.Type, *got, f)
+		}
+	}
+}
+
 func TestLinkChargesCycles(t *testing.T) {
 	var ctr cycles.Counter
 	a, b := Pipe(4)
@@ -709,18 +806,20 @@ func TestPipeCloseUnblocks(t *testing.T) {
 	}
 }
 
-// slabSource seals every SendPages call into one reused buffer and
-// scribbles over the previous call's packets first: the Source contract
-// at its most hostile, where a packet is valid only until the next call.
+// slabSource seals SendPages calls into two reused buffers in turn and
+// scribbles over the one it is about to reuse first: the Source contract
+// at its most hostile, where a packet is valid only until the second call
+// after the one that returned it.
 type slabSource struct {
 	*fakeSource
-	slab  []byte
+	slabs [2][]byte
 	calls int
 }
 
 func (s *slabSource) SendPages(gfns []uint64) ([]sev.Packet, error) {
-	for i := range s.slab {
-		s.slab[i] = 0xEE
+	slab := s.slabs[s.calls%2]
+	for i := range slab {
+		slab[i] = 0xEE
 	}
 	s.calls++
 	pkts, err := s.fakeSource.SendPages(gfns)
@@ -728,7 +827,7 @@ func (s *slabSource) SendPages(gfns []uint64) ([]sev.Packet, error) {
 		return nil, err
 	}
 	for i := range pkts {
-		d := s.slab[i*16 : (i+1)*16]
+		d := slab[i*16 : (i+1)*16]
 		copy(d, pkts[i].Data)
 		pkts[i].Data = d
 	}
@@ -736,17 +835,17 @@ func (s *slabSource) SendPages(gfns []uint64) ([]sev.Packet, error) {
 }
 
 // TestReusedSendBufferSurvivesFaults runs two migrations in turn whose
-// sources reuse one packet buffer, across chunks and from the first
-// migration to the second, as a platform reuses its slab, through a
-// transport that drops, duplicates and corrupts frames in both
-// directions: a stale duplicate of an overwritten packet must never be
-// applied, so each target still reassembles every page.
+// sources reuse two packet buffers in turn, across chunks and from the
+// first migration to the second, as a platform reuses its slab's two
+// halves, through a transport that drops, duplicates and corrupts frames
+// in both directions: a stale duplicate of an overwritten packet must
+// never be applied, so each target still reassembles every page.
 func TestReusedSendBufferSurvivesFaults(t *testing.T) {
-	slab := make([]byte, batchPages*16)
+	slabs := [2][]byte{make([]byte, batchPages*16), make([]byte, batchPages*16)}
 	for m := 0; m < 2; m++ {
 		src := &slabSource{
 			fakeSource: newFakeSource(3*batchPages, []uint64{1, 40, 70, 2, 41, 71}),
-			slab:       slab,
+			slabs:      slabs,
 		}
 		tgt := &fakeTarget{}
 		a, b := Pipe(16)
@@ -757,7 +856,7 @@ func TestReusedSendBufferSurvivesFaults(t *testing.T) {
 			t.Fatalf("migration %d: send err=%v recv err=%v", m, err, rerr)
 		}
 		if src.calls < 3 {
-			t.Fatalf("migration %d: %d SendPages calls; the buffer was never reused", m, src.calls)
+			t.Fatalf("migration %d: %d SendPages calls; no buffer was reused", m, src.calls)
 		}
 		if stats.Retries == 0 {
 			t.Fatalf("migration %d: a faulty transport must cost retries", m)

@@ -62,6 +62,9 @@ func Receive(tgt Target, conn Conn) error {
 			// applying out of order would desequence the firmware stream.
 			// Hold it for when the sender's retry fills the gap.
 			if !r.finished {
+				if r.held == nil {
+					r.held = new([Window]Frame)
+				}
 				r.held[f.Seq%Window] = *f
 			}
 			continue
@@ -93,8 +96,9 @@ type receiver struct {
 	expected uint64
 	finished bool
 	// held[n%Window] holds frame n while it waits for a gap before it to
-	// fill; a zero Type marks an empty slot.
-	held [Window]Frame
+	// fill; a zero Type marks an empty slot. The ring is allocated on the
+	// first hold: a migration over a lossless, ordered link never holds.
+	held *[Window]Frame
 	// reply is the ack frame, rewritten for every ack (Send copies it).
 	reply Frame
 }
@@ -119,6 +123,9 @@ func (r *receiver) applyInOrder(f *Frame) error {
 		r.expected++
 		if f.Type == FrameFinish {
 			r.finished = true
+			return nil
+		}
+		if r.held == nil {
 			return nil
 		}
 		h := &r.held[r.expected%Window]

@@ -156,14 +156,21 @@ func unwrapKeys(kek [32]byte, w WrappedKeys) (TransportKeys, error) {
 // where its keys are set (SEND_START, RECEIVE_START, SETENC_GEK) and
 // used by every packet or I/O sector after: the expanded TEK schedule
 // plus a free list of per-packet scratch, each holding an HMAC state
-// keyed with the TIK, and the XEX transform of the I/O commands. The
-// block and the transform are safe for concurrent use; a scratch is
+// keyed with the TIK, and the XEX transform of the I/O commands. Only the
+// I/O commands and GEK images use the transform, so it is derived from
+// the kept TEK bytes on the first ioSeal or ioOpen, not at every start.
+// The block and the transform are safe for concurrent use; a scratch is
 // not, so each packet takes one from the free list (building it on a
 // miss) and puts it back.
 type session struct {
 	tek cipher.Block
 	tik [32]byte
-	io  *hw.XEX
+
+	// key is the TEK the I/O transform derives from; ioOnce derives io
+	// from it on first use and then zeroes it.
+	key    [32]byte
+	ioOnce sync.Once
+	io     *hw.XEX
 
 	mu   sync.Mutex // leaf; guards free
 	free []*scratch
@@ -178,15 +185,25 @@ type scratch struct {
 	buf [sha256.Size]byte
 }
 
-// newSession expands the transport keys, deriving the I/O transform's
-// XEX subkeys from the TEK. A 32-byte key is always a valid AES-256 key,
-// so construction cannot fail.
+// newSession expands the transport keys and keeps the TEK for the I/O
+// transform. A 32-byte key is always a valid AES-256 key, so
+// construction cannot fail.
 func newSession(tk TransportKeys) *session {
 	blk, err := aes.NewCipher(tk.TEK[:])
 	if err != nil {
 		panic(err)
 	}
-	return &session{tek: blk, tik: tk.TIK, io: hw.NewXEX(tk.TEK, "sev-io-data:", "sev-io-tweak:")}
+	return &session{tek: blk, tik: tk.TIK, key: tk.TEK}
+}
+
+// ioXEX returns the I/O transform, deriving its XEX subkeys from the TEK
+// on first use: nil once the session is scrubbed.
+func (s *session) ioXEX() *hw.XEX {
+	s.ioOnce.Do(func() {
+		s.io = hw.NewXEX(s.key, "sev-io-data:", "sev-io-tweak:")
+		s.key = [32]byte{}
+	})
+	return s.io
 }
 
 func (s *session) get() *scratch {
@@ -228,10 +245,10 @@ const ioSpan = hw.PageSize
 
 // ioSeal XEX-encrypts the I/O chunk identified by seq in place. Unlike
 // the CTR packets, rewriting a chunk with new data reveals no keystream.
-func (s *session) ioSeal(seq uint64, b []byte) { s.io.EncryptLine(seq*ioSpan, b) }
+func (s *session) ioSeal(seq uint64, b []byte) { s.ioXEX().EncryptLine(seq*ioSpan, b) }
 
 // ioOpen inverts ioSeal.
-func (s *session) ioOpen(seq uint64, b []byte) { s.io.DecryptLine(seq*ioSpan, b) }
+func (s *session) ioOpen(seq uint64, b []byte) { s.ioXEX().DecryptLine(seq*ioSpan, b) }
 
 // tagWith computes the HMAC-SHA256 tag of one transport chunk.
 func (s *session) tagWith(sc *scratch, seq uint64, ciphertext []byte) [32]byte {
@@ -246,14 +263,17 @@ func (s *session) tagWith(sc *scratch, seq uint64, ciphertext []byte) [32]byte {
 	return tag
 }
 
-// scrub zeroes the integrity key and drops the expanded schedule, the
-// I/O transform and the keyed HMAC states, so the session can no longer
-// seal or open anything.
+// scrub zeroes the integrity key and the kept TEK and drops the expanded
+// schedule, the I/O transform and the keyed HMAC states, so the session
+// can no longer seal or open anything. It spends ioOnce first, so a
+// transform is never derived from the zeroed key.
 func (s *session) scrub() {
+	s.ioOnce.Do(func() {})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tek = nil
 	s.io = nil
+	s.key = [32]byte{}
 	s.tik = [32]byte{}
 	s.free = nil
 }

@@ -42,7 +42,7 @@ func TestSendCancelScrubsSession(t *testing.T) {
 	if c.transport != nil {
 		t.Fatal("a cancelled context still holds a transport session")
 	}
-	if old.tek != nil || old.tik != ([32]byte{}) || old.free != nil {
+	if old.tek != nil || old.tik != ([32]byte{}) || old.key != ([32]byte{}) || old.io != nil || old.free != nil {
 		t.Fatal("SEND_CANCEL left key material in the dropped session")
 	}
 
@@ -80,6 +80,40 @@ func TestSendCancelScrubsSession(t *testing.T) {
 	r := target.ctxs[fresh]
 	if c.transport != nil || r.transport != nil {
 		t.Fatal("a finished SEND or RECEIVE left its transport session behind")
+	}
+}
+
+// TestSessionDerivesIOTransformOnFirstUse: a session builds its I/O
+// transform on the first ioSeal, not when its keys are set; it is the
+// transform an eager build gives, and the kept TEK bytes are zeroed once
+// it exists. A session scrubbed before any I/O never derives one from
+// the zeroed key.
+func TestSessionDerivesIOTransformOnFirstUse(t *testing.T) {
+	tk := TransportKeys{TEK: [32]byte{1, 2, 3}, TIK: [32]byte{4}}
+	s := newSession(tk)
+	if s.io != nil {
+		t.Fatal("a fresh session built its I/O transform")
+	}
+	plain := bytes.Repeat([]byte{0x5A}, 512)
+	got := append([]byte{}, plain...)
+	want := append([]byte{}, plain...)
+	s.ioSeal(9, got)
+	hw.NewXEX(tk.TEK, "sev-io-data:", "sev-io-tweak:").EncryptLine(9*ioSpan, want)
+	if !bytes.Equal(got, want) {
+		t.Fatal("the derived I/O transform seals differently from an eager one")
+	}
+	if s.key != ([32]byte{}) {
+		t.Fatal("the session kept the TEK bytes after deriving its transform")
+	}
+	s.ioOpen(9, got)
+	if !bytes.Equal(got, plain) {
+		t.Fatal("ioOpen does not invert ioSeal")
+	}
+
+	idle := newSession(tk)
+	idle.scrub()
+	if idle.key != ([32]byte{}) || idle.ioXEX() != nil {
+		t.Fatal("a scrubbed session kept its TEK or derived an I/O transform")
 	}
 }
 
