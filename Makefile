@@ -39,10 +39,12 @@ race:
 # seeds cover the valid shapes, fuzzing hunts for parser panics and
 # validation gaps in attacker-supplied wire bytes. The XEX target checks
 # the AES-NI kernel against the Go loop on random keys, positions and
-# lengths. The firmware target runs random SEV command sequences and
+# lengths; the CTR target checks the transport kernel against
+# cipher.NewCTR on random keys, sequence numbers and lengths. The firmware target runs random SEV command sequences and
 # checks every step against the firmware's state table.
 fuzz:
 	$(GO) test ./internal/hw/ -run '^$$' -fuzz FuzzXEXMatchesReference -fuzztime 5s
+	$(GO) test ./internal/hw/ -run '^$$' -fuzz FuzzCTRMatchesReference -fuzztime 5s
 	$(GO) test ./internal/sev/ -run '^$$' -fuzz FuzzFirmwareCommands -fuzztime 5s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzUnmarshalGuestBundle -fuzztime 5s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzUnmarshalMigrationBundle -fuzztime 5s

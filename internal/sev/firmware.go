@@ -588,22 +588,18 @@ func (f *Firmware) SendStart(h Handle, peerPub *ecdh.PublicKey, nonce []byte) (W
 // sealPacket encrypts data in place under the session's TEK and tags it
 // with its TIK; the returned packet aliases data.
 func sealPacket(s *session, seq uint64, data []byte) Packet {
-	sc := s.get()
-	defer s.put(sc)
-	s.xorWith(sc, seq, data, data)
-	return Packet{Seq: seq, Data: data, Tag: s.tagWith(sc, seq, data)}
+	s.xorWith(seq, data, data)
+	return Packet{Seq: seq, Data: data, Tag: s.tagWith(seq, data)}
 }
 
 // openPacket verifies the packet's tag and decrypts its payload into
 // plain, which must be len(pkt.Data) bytes; the packet is left untouched.
 func openPacket(s *session, pkt Packet, plain []byte) ([]byte, error) {
-	sc := s.get()
-	defer s.put(sc)
-	want := s.tagWith(sc, pkt.Seq, pkt.Data)
+	want := s.tagWith(pkt.Seq, pkt.Data)
 	if !hmac.Equal(want[:], pkt.Tag[:]) {
 		return nil, ErrBadTag
 	}
-	s.xorWith(sc, pkt.Seq, plain, pkt.Data)
+	s.xorWith(pkt.Seq, plain, pkt.Data)
 	return plain, nil
 }
 

@@ -8,8 +8,11 @@
 // kernel image and to encrypt disk I/O — is a protocol over this API, so
 // the firmware is modelled at full API granularity with real cryptography:
 // ECDH over P-256, AES-256-GCM key wrapping, AES-CTR transport encryption
-// with HMAC-SHA256 integrity, and an XEX transform for the I/O commands,
-// all from the standard library.
+// with HMAC-SHA256 integrity, and an XEX transform for the I/O commands.
+// The key agreement, wrapping and tags come from the standard library;
+// the transport keystream and the I/O transform run on internal/hw's
+// AES-NI kernels where the build and CPU have them, and on crypto/aes
+// otherwise, to the same bytes.
 package sev
 
 import (
@@ -154,16 +157,17 @@ func unwrapKeys(kek [32]byte, w WrappedKeys) (TransportKeys, error) {
 
 // session is the transport crypto of one firmware context, built once
 // where its keys are set (SEND_START, RECEIVE_START, SETENC_GEK) and
-// used by every packet or I/O sector after: the expanded TEK schedule
-// plus a free list of per-packet scratch, each holding an HMAC state
-// keyed with the TIK, and the XEX transform of the I/O commands. Only the
-// I/O commands and GEK images use the transform, so it is derived from
-// the kept TEK bytes on the first ioSeal or ioOpen, not at every start.
-// The block and the transform are safe for concurrent use; a scratch is
-// not, so each packet takes one from the free list (building it on a
-// miss) and puts it back.
+// used by every packet or I/O sector after: the TEK's AES-256 round keys,
+// expanded once and handed to the CTR kernel by reference, plus a free
+// list of per-packet scratch, each holding an HMAC state keyed with the
+// TIK, and the XEX transform of the I/O commands. Only the I/O commands
+// and GEK images use the transform, so it is derived from the kept TEK
+// bytes on the first ioSeal or ioOpen, not at every start. The CTR and
+// the transform are safe for concurrent use; a scratch is not, so each
+// packet takes one from the free list (building it on a miss) and puts
+// it back.
 type session struct {
-	tek cipher.Block
+	tek hw.CTR
 	tik [32]byte
 
 	// key is the TEK the I/O transform derives from; ioOnce derives io
@@ -176,24 +180,19 @@ type session struct {
 	free []*scratch
 }
 
-// scratch is what one packet's crypto writes: the keyed HMAC (built on
-// first use) and one buffer for the CTR IV, the sequence prefix and the
-// tag. A stack buffer handed to the cipher or hash interfaces would move
-// to the heap on every packet.
+// scratch is what one packet's tag writes: the keyed HMAC (built on
+// first use) and one buffer for the sequence prefix and the tag. A stack
+// buffer handed to the hash interface would move to the heap on every
+// packet.
 type scratch struct {
 	mac hash.Hash
 	buf [sha256.Size]byte
 }
 
-// newSession expands the transport keys and keeps the TEK for the I/O
-// transform. A 32-byte key is always a valid AES-256 key, so
-// construction cannot fail.
+// newSession expands the TEK's round keys and keeps the TEK for the I/O
+// transform.
 func newSession(tk TransportKeys) *session {
-	blk, err := aes.NewCipher(tk.TEK[:])
-	if err != nil {
-		panic(err)
-	}
-	return &session{tek: blk, tik: tk.TIK, key: tk.TEK}
+	return &session{tek: hw.NewCTR(tk.TEK), tik: tk.TIK, key: tk.TEK}
 }
 
 // ioXEX returns the I/O transform, deriving its XEX subkeys from the TEK
@@ -225,16 +224,15 @@ func (s *session) put(sc *scratch) {
 }
 
 // xorWith applies the AES-256-CTR transport keystream of the packet
-// identified by seq to src, writing dst; dst may be src. Encrypt and
-// decrypt are the same operation. A keystream is only safe once per
-// seq, which holds for migration and image packets (one per page) but
-// not for a disk sector that is rewritten: the I/O commands use ioSeal
-// and ioOpen instead.
-func (s *session) xorWith(sc *scratch, seq uint64, dst, src []byte) {
-	iv := sc.buf[:aes.BlockSize]
-	clear(iv)
-	binary.LittleEndian.PutUint64(iv, seq)
-	cipher.NewCTR(s.tek, iv).XORKeyStream(dst, src)
+// identified by seq to src, writing dst; dst may be src. Block i is
+// XORed with AES(TEK, LE64(seq) || BE64(i)), the stream cipher.NewCTR
+// gives for the IV LE64(seq) || 0^64, on the kernel where hw has one, so
+// a packet allocates nothing there. Encrypt and decrypt are the same
+// operation. A keystream is only safe once per seq, which holds for
+// migration and image packets (one per page) but not for a disk sector
+// that is rewritten: the I/O commands use ioSeal and ioOpen instead.
+func (s *session) xorWith(seq uint64, dst, src []byte) {
+	s.tek.XORKeyStream(seq, dst, src)
 }
 
 // ioSpan is the tweak span of one I/O chunk: the chunk identified by seq
@@ -250,8 +248,11 @@ func (s *session) ioSeal(seq uint64, b []byte) { s.ioXEX().EncryptLine(seq*ioSpa
 // ioOpen inverts ioSeal.
 func (s *session) ioOpen(seq uint64, b []byte) { s.ioXEX().DecryptLine(seq*ioSpan, b) }
 
-// tagWith computes the HMAC-SHA256 tag of one transport chunk.
-func (s *session) tagWith(sc *scratch, seq uint64, ciphertext []byte) [32]byte {
+// tagWith computes the HMAC-SHA256 tag of one transport chunk in a
+// scratch of its own.
+func (s *session) tagWith(seq uint64, ciphertext []byte) [32]byte {
+	sc := s.get()
+	defer s.put(sc)
 	if sc.mac == nil {
 		sc.mac = hmac.New(sha256.New, s.tik[:])
 	}
@@ -263,15 +264,16 @@ func (s *session) tagWith(sc *scratch, seq uint64, ciphertext []byte) [32]byte {
 	return tag
 }
 
-// scrub zeroes the integrity key and the kept TEK and drops the expanded
-// schedule, the I/O transform and the keyed HMAC states, so the session
-// can no longer seal or open anything. It spends ioOnce first, so a
-// transform is never derived from the zeroed key.
+// scrub zeroes the integrity key, the kept TEK and the TEK's round keys
+// and drops the I/O transform and the keyed HMAC states, so the session
+// can no longer seal or open anything: the zeroed CTR holds no key and
+// panics on use. It spends ioOnce first, so a transform is never derived
+// from the zeroed key.
 func (s *session) scrub() {
 	s.ioOnce.Do(func() {})
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tek = nil
+	s.tek = hw.CTR{}
 	s.io = nil
 	s.key = [32]byte{}
 	s.tik = [32]byte{}

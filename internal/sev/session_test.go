@@ -2,6 +2,8 @@ package sev
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -42,8 +44,19 @@ func TestSendCancelScrubsSession(t *testing.T) {
 	if c.transport != nil {
 		t.Fatal("a cancelled context still holds a transport session")
 	}
-	if old.tek != nil || old.tik != ([32]byte{}) || old.key != ([32]byte{}) || old.io != nil || old.free != nil {
-		t.Fatal("SEND_CANCEL left key material in the dropped session")
+	if old.tek != (hw.CTR{}) || old.tik != ([32]byte{}) || old.key != ([32]byte{}) || old.io != nil || old.free != nil {
+		t.Fatal("SEND_CANCEL left key material (TEK schedule, TIK, kept TEK, I/O transform or HMAC states) in the dropped session")
+	}
+	// The scrubbed session seals nothing: its zeroed schedule holds no
+	// key and panics before a packet exists. It opens nothing either: a
+	// packet tagged under its zeroed TIK still reaches no keystream.
+	if !panics(func() { sealPacket(old, 0, slab(1)) }) {
+		t.Fatal("a scrubbed session sealed a packet")
+	}
+	forged := Packet{Seq: 0, Data: slab(1)}
+	forged.Tag = old.tagWith(0, forged.Data)
+	if !panics(func() { openPacket(old, forged, slab(1)) }) {
+		t.Fatal("a scrubbed session opened a packet tagged under its zeroed TIK")
 	}
 
 	newWrap, err := origin.SendStart(h, targetPub, newNonce)
@@ -80,6 +93,47 @@ func TestSendCancelScrubsSession(t *testing.T) {
 	r := target.ctxs[fresh]
 	if c.transport != nil || r.transport != nil {
 		t.Fatal("a finished SEND or RECEIVE left its transport session behind")
+	}
+}
+
+// panics reports whether fn panics.
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
+}
+
+// TestTransportPacketGolden pins one transport packet on the wire: fixed
+// TEK and TIK, seq 7, a fixed 4 KiB plaintext. The tag and a SHA-256 of
+// the ciphertext were taken from the cipher.NewCTR path, so this passes
+// byte for byte on the AES-NI kernel and under -race, where that path
+// runs, and any change to the wire format fails it.
+func TestTransportPacketGolden(t *testing.T) {
+	var tk TransportKeys
+	for i := range tk.TEK {
+		tk.TEK[i] = byte(i)
+		tk.TIK[i] = byte(0x80 + i)
+	}
+	plain := make([]byte, hw.PageSize)
+	for i := range plain {
+		plain[i] = byte(i*7 + i>>8)
+	}
+	s := newSession(tk)
+	pkt := sealPacket(s, 7, append([]byte(nil), plain...))
+	const (
+		wantTag = "664942b8d2c9eb98332870e48abda36856c1b5f9f60cecad06af00c320d75f6f"
+		wantSum = "f59a0d445bc1bc2a1cebc1e674377026d24bee7518591b124f0c5eeaa62d0872"
+	)
+	sum := sha256.Sum256(pkt.Data)
+	if got := hex.EncodeToString(pkt.Tag[:]); got != wantTag {
+		t.Errorf("tag %s, want %s", got, wantTag)
+	}
+	if got := hex.EncodeToString(sum[:]); got != wantSum {
+		t.Errorf("SHA-256 of the ciphertext %s, want %s", got, wantSum)
+	}
+	got, err := openPacket(s, pkt, make([]byte, len(pkt.Data)))
+	if err != nil || !bytes.Equal(got, plain) {
+		t.Fatalf("the golden packet does not open to its plaintext (err %v)", err)
 	}
 }
 
@@ -139,14 +193,39 @@ func TestSendUpdateRefusesMisSizedBuffer(t *testing.T) {
 	}
 }
 
+// TestPacketCryptoAllocatesNothing: on the AES-NI kernel, sealing and
+// opening one page allocates nothing. The TEK's round keys are expanded
+// once per session and handed to the kernel by reference, and the HMAC
+// state comes from the session's free list.
+func TestPacketCryptoAllocatesNothing(t *testing.T) {
+	if !hw.HaveKernels() {
+		t.Skip("no CTR kernel in this build: each packet builds a cipher.NewCTR stream")
+	}
+	s := newSession(TransportKeys{TEK: [32]byte{1}, TIK: [32]byte{2}})
+	page := slab(1)
+	if n := testing.AllocsPerRun(100, func() { sealPacket(s, 3, page) }); n != 0 {
+		t.Errorf("sealPacket of one page: %v allocations, want 0", n)
+	}
+	pkt := sealPacket(s, 4, slab(1))
+	plain := slab(1)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := openPacket(s, pkt, plain); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("openPacket of one page: %v allocations, want 0", n)
+	}
+}
+
 // TestBulkTransportAllocations guards the per-packet allocations of the
 // bulk commands at pool width 1, where a batch runs inline (a wider pool
 // adds its worker goroutines). Each bound is the command's fixed cost,
 // measured on an empty batch (the fan-out closure, plus the lock-rank
-// checker's bookkeeping when it is armed), plus one allocation per packet
-// and one for the batch's packet or staging slice. The one allocation
-// per packet is cipher.NewCTR's stream state, the known remainder; the
-// transport session, the page buffer and the HMAC state are all reused.
+// checker's bookkeeping when it is armed), plus one allocation for a
+// SEND_UPDATE batch's packet slice. The transport session, the page
+// buffer and the HMAC state are all reused, and on the AES-NI kernel a
+// packet allocates nothing; without it (another architecture or a -race
+// build) each packet adds one cipher.NewCTR stream.
 func TestBulkTransportAllocations(t *testing.T) {
 	const runs = 20
 	f, ctl := newFW(t, 64)
@@ -166,8 +245,12 @@ func TestBulkTransportAllocations(t *testing.T) {
 			}
 		})
 	}
+	perPacket := 0.0
+	if !hw.HaveKernels() {
+		perPacket = 1
+	}
 	fixed := send(nil, nil)
-	if got, want := send(pfns, dst), fixed+float64(len(pfns)+1); got > want {
+	if got, want := send(pfns, dst), fixed+perPacket*float64(len(pfns))+1; got > want {
 		t.Fatalf("32-page SEND_UPDATE into a reused buffer: %v allocations, want at most %v", got, want)
 	}
 
@@ -191,8 +274,7 @@ func TestBulkTransportAllocations(t *testing.T) {
 		}
 		next++
 	})
-	// One allocation is left: the packet's CTR stream (cipher.NewCTR).
-	if want := fixed + 1; recv > want {
+	if want := fixed + perPacket; recv > want {
 		t.Fatalf("one-page RECEIVE_UPDATE: %v allocations, want at most %v", recv, want)
 	}
 }
