@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+
+	"fidelius/internal/xen"
 )
 
 // skipInstrumented skips an allocation bound in a -race build, whose
@@ -17,9 +19,9 @@ func skipInstrumented(t *testing.T) {
 	}
 }
 
-// allocatedBytes reports the heap bytes fn allocates, from every
+// allocated reports the heap bytes and objects fn allocates, from every
 // goroutine.
-func allocatedBytes(t *testing.T, fn func() error) uint64 {
+func allocated(t *testing.T, fn func() error) (bytes, objects uint64) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -27,7 +29,24 @@ func allocatedBytes(t *testing.T, fn func() error) uint64 {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+}
+
+// TestNewMachineAllocationBound guards what booting a bare 4096-page
+// machine costs the host: 205,896 bytes in 144 objects on a 2-vCPU amd64
+// VM, against 399,784 bytes in 4,255 objects when the frame allocator
+// built a free list of every frame at boot and the direct map converted
+// its allocator to an interface once per mapped frame.
+func TestNewMachineAllocationBound(t *testing.T) {
+	skipInstrumented(t)
+	n, objects := allocated(t, func() error {
+		_, err := xen.NewMachine(xen.Config{MemPages: 4096, CacheLines: 1024})
+		return err
+	})
+	t.Logf("NewMachine allocated %d bytes in %d objects", n, objects)
+	if objects > 200 || n > 256<<10 {
+		t.Fatalf("NewMachine allocated %d bytes in %d objects, want at most 256 KiB in 200", n, objects)
+	}
 }
 
 // TestRepeatLiveMigrateAllocatesNoSlab guards the platform's SEND_UPDATE
@@ -59,7 +78,7 @@ func TestRepeatLiveMigrateAllocatesNoSlab(t *testing.T) {
 	var n uint64
 	for l := 0; l < 3; l++ {
 		if err := vmLifetime(a, b, owner, kernel, 32, func(fn func() error) error {
-			n = allocatedBytes(t, fn)
+			n, _ = allocated(t, fn)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -85,7 +104,7 @@ func TestPrepareGuestAllocatesOneImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	kernel := bytes.Repeat([]byte("PREPARED-KERNEL!"), 16*PageSize/16)
-	n := allocatedBytes(t, func() error {
+	n, _ := allocated(t, func() error {
 		_, _, err := PrepareGuest(owner, plat.PlatformKey(), kernel, nil)
 		return err
 	})

@@ -2,6 +2,10 @@
 // block backend, plus the Kblk image cipher the guest owner uses to
 // pre-encrypt disk images (Section 4.3.2).
 //
+// A disk is backed on first write, like hw.Memory: it pays host memory
+// only for the 4 KiB chunks something has written, and a sector nobody
+// wrote reads as zeros.
+//
 // The image cipher is an XEX construction tweaked by byte offset, so
 // identical sectors at different LBAs encrypt differently — the same
 // property the memory engine has, applied at rest.
@@ -10,6 +14,7 @@ package disk
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"fidelius/internal/hw"
 )
@@ -17,54 +22,99 @@ import (
 // SectorSize is the disk sector size in bytes.
 const SectorSize = 512
 
+// chunkSectors is the number of sectors one backing chunk holds: 4 KiB.
+const chunkSectors = 8
+
+// chunkSize is the byte size of one backing chunk.
+const chunkSize = chunkSectors * SectorSize
+
 // ErrOutOfRange reports an access beyond the end of the disk.
 var ErrOutOfRange = errors.New("disk: sector out of range")
 
-// Disk is a flat array of sectors. It stores exactly the bytes it is
+// Disk is a sector-addressed store. It stores exactly the bytes it is
 // given: ciphertext if the writer encrypts, plaintext if not — the
 // backend and the physical disk are both outside the trust boundary.
+//
+// Sectors are backed on first write in chunks of chunkSectors: a chunk's
+// backing array is installed by the first WriteSector that reaches it,
+// and a sector nobody has written reads as zeros. A reader therefore
+// sees the same bytes as over a flat zeroed array.
 type Disk struct {
-	data []byte
+	chunks  []atomic.Pointer[[chunkSize]byte]
+	sectors uint64
 }
 
 // New returns a zeroed disk with the given number of sectors.
 func New(sectors int) *Disk {
-	return &Disk{data: make([]byte, sectors*SectorSize)}
+	if sectors < 0 {
+		panic(fmt.Sprintf("disk: negative size %d sectors", sectors))
+	}
+	return &Disk{
+		chunks:  make([]atomic.Pointer[[chunkSize]byte], (sectors+chunkSectors-1)/chunkSectors),
+		sectors: uint64(sectors),
+	}
 }
 
-func (d *Disk) check(lba uint64, n int) error {
-	if (lba+uint64(n))*SectorSize > uint64(len(d.data)) {
-		return fmt.Errorf("%w: lba %d + %d", ErrOutOfRange, lba, n)
+// check refuses lba with ErrOutOfRange unless it names a sector of the
+// disk. It compares sector numbers and never forms a byte offset, which
+// would wrap for an lba near 2^64 / SectorSize.
+func (d *Disk) check(lba uint64) error {
+	if lba >= d.sectors {
+		return fmt.Errorf("%w: lba %d of %d", ErrOutOfRange, lba, d.sectors)
 	}
 	return nil
 }
 
+// chunk returns the backing array of the chunk holding lba, installing a
+// zeroed one if the chunk has never been written. The install is a CAS,
+// so concurrent first writes to one chunk agree on a single array and no
+// store is lost.
+func (d *Disk) chunk(lba uint64) *[chunkSize]byte {
+	slot := &d.chunks[lba/chunkSectors]
+	if p := slot.Load(); p != nil {
+		return p
+	}
+	if p := new([chunkSize]byte); slot.CompareAndSwap(nil, p) {
+		return p
+	}
+	return slot.Load()
+}
+
 // ReadSector copies one sector into buf (len >= SectorSize).
 func (d *Disk) ReadSector(lba uint64, buf []byte) error {
-	if err := d.check(lba, 1); err != nil {
+	if err := d.check(lba); err != nil {
 		return err
 	}
-	copy(buf[:SectorSize], d.data[lba*SectorSize:])
+	buf = buf[:SectorSize]
+	if p := d.chunks[lba/chunkSectors].Load(); p != nil {
+		copy(buf, p[lba%chunkSectors*SectorSize:])
+	} else {
+		clear(buf)
+	}
 	return nil
 }
 
 // WriteSector stores one sector.
 func (d *Disk) WriteSector(lba uint64, data []byte) error {
-	if err := d.check(lba, 1); err != nil {
+	if err := d.check(lba); err != nil {
 		return err
 	}
 	if len(data) < SectorSize {
 		return fmt.Errorf("disk: short sector write (%d bytes)", len(data))
 	}
-	copy(d.data[lba*SectorSize:(lba+1)*SectorSize], data)
+	copy(d.chunk(lba)[lba%chunkSectors*SectorSize:], data[:SectorSize])
 	return nil
 }
 
 // Snapshot returns a copy of the raw disk contents — the view of anyone
 // holding the physical medium or the backend.
 func (d *Disk) Snapshot() []byte {
-	out := make([]byte, len(d.data))
-	copy(out, d.data)
+	out := make([]byte, d.sectors*SectorSize)
+	for i := range d.chunks {
+		if p := d.chunks[i].Load(); p != nil {
+			copy(out[i*chunkSize:], p[:])
+		}
+	}
 	return out
 }
 

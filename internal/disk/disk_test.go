@@ -5,15 +5,17 @@ import (
 	"crypto/aes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
 
 func TestDiskReadWrite(t *testing.T) {
 	d := New(16)
-	if len(d.data) != 16*SectorSize {
-		t.Fatalf("capacity = %d bytes", len(d.data))
+	if n := len(d.Snapshot()); n != 16*SectorSize {
+		t.Fatalf("capacity = %d bytes", n)
 	}
 	sector := bytes.Repeat([]byte{0xAB}, SectorSize)
 	if err := d.WriteSector(3, sector); err != nil {
@@ -31,6 +33,128 @@ func TestDiskReadWrite(t *testing.T) {
 	}
 	if err := d.WriteSector(2, []byte{1, 2}); err == nil {
 		t.Fatal("expected short-write error")
+	}
+}
+
+// TestHugeLBARefused guards the bounds check against wrapping: an lba
+// whose byte offset overflows 64 bits must be refused, not alias a
+// sector near the start of the disk.
+func TestHugeLBARefused(t *testing.T) {
+	d := New(16)
+	sector0 := bytes.Repeat([]byte{0x5A}, SectorSize)
+	if err := d.WriteSector(0, sector0); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, SectorSize)
+	for _, lba := range []uint64{16, 1 << 55, 1<<55 + 1, ^uint64(0)} {
+		if err := d.WriteSector(lba, bytes.Repeat([]byte{0xEE}, SectorSize)); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("WriteSector(%d) = %v, want ErrOutOfRange", lba, err)
+		}
+		if err := d.ReadSector(lba, buf); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("ReadSector(%d) = %v, want ErrOutOfRange", lba, err)
+		}
+	}
+	if err := d.ReadSector(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, sector0) {
+		t.Fatal("an out-of-range write changed sector 0")
+	}
+}
+
+// FuzzDiskMatchesFlat runs random sector writes and reads against a flat
+// byte slice of the disk's size: every read must match it, every access
+// past the end (huge lbas included) must be refused, and Snapshot must
+// equal it. Each op is 10 bytes: a kind byte (bit 0: write, bit 1: take
+// the lba's 8 bytes raw instead of reducing them to just past the end),
+// the lba and a fill byte.
+func FuzzDiskMatchesFlat(f *testing.F) {
+	op := func(kind byte, lba uint64, fill byte) []byte {
+		b := binary.LittleEndian.AppendUint64([]byte{kind}, lba)
+		return append(b, fill)
+	}
+	seq := func(ops ...[]byte) []byte { return bytes.Join(ops, nil) }
+	f.Add(uint8(0), seq(op(1, 0, 1), op(0, 0, 0), op(3, 1<<55, 2)))
+	f.Add(uint8(16), seq(op(1, 3, 7), op(1, 9, 8), op(3, 1<<55, 9), op(0, 3, 0), op(2, 1<<55, 0)))
+	f.Add(uint8(13), seq(op(1, 12, 4), op(1, 13, 5), op(0, 12, 0), op(0, 8, 0), op(3, ^uint64(0), 6)))
+	f.Add(uint8(1), seq(op(1, 0, 3), op(1, 1, 4), op(0, 0, 0)))
+	f.Fuzz(func(t *testing.T, size uint8, ops []byte) {
+		sectors := uint64(size % 41)
+		d := New(int(sectors))
+		flat := make([]byte, sectors*SectorSize)
+		sector := make([]byte, SectorSize)
+		for ; len(ops) >= 10; ops = ops[10:] {
+			kind, lba, fill := ops[0], binary.LittleEndian.Uint64(ops[1:9]), ops[9]
+			if kind&2 == 0 {
+				lba %= sectors + 2
+			}
+			in := lba < sectors
+			if kind&1 != 0 {
+				for i := range sector {
+					sector[i] = fill + byte(i)
+				}
+				err := d.WriteSector(lba, sector)
+				if !in {
+					if !errors.Is(err, ErrOutOfRange) {
+						t.Fatalf("WriteSector(%d) on %d sectors = %v, want ErrOutOfRange", lba, sectors, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("WriteSector(%d) on %d sectors: %v", lba, sectors, err)
+				}
+				copy(flat[lba*SectorSize:], sector)
+				continue
+			}
+			err := d.ReadSector(lba, sector)
+			if !in {
+				if !errors.Is(err, ErrOutOfRange) {
+					t.Fatalf("ReadSector(%d) on %d sectors = %v, want ErrOutOfRange", lba, sectors, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("ReadSector(%d) on %d sectors: %v", lba, sectors, err)
+			}
+			if !bytes.Equal(sector, flat[lba*SectorSize:(lba+1)*SectorSize]) {
+				t.Fatalf("ReadSector(%d) on %d sectors differs from the flat reference", lba, sectors)
+			}
+		}
+		if !bytes.Equal(d.Snapshot(), flat) {
+			t.Fatalf("Snapshot of %d sectors differs from the flat reference", sectors)
+		}
+	})
+}
+
+// TestConcurrentDiskFirstWrites has two goroutines first-write different
+// sectors of one never-written chunk at once: the chunk install must keep
+// both stores.
+func TestConcurrentDiskFirstWrites(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		d := New(chunkSectors)
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for _, lba := range []uint64{1, chunkSectors - 1} {
+			wg.Add(1)
+			go func(lba uint64) {
+				defer wg.Done()
+				start.Wait()
+				if err := d.WriteSector(lba, bytes.Repeat([]byte{byte(lba)}, SectorSize)); err != nil {
+					t.Error(err)
+				}
+			}(lba)
+		}
+		start.Done()
+		wg.Wait()
+		buf := make([]byte, SectorSize)
+		for _, lba := range []uint64{1, chunkSectors - 1} {
+			if err := d.ReadSector(lba, buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, bytes.Repeat([]byte{byte(lba)}, SectorSize)) {
+				t.Fatalf("round %d: the first write to sector %d was lost", round, lba)
+			}
+		}
 	}
 }
 

@@ -69,10 +69,17 @@ type FrameInfo struct {
 // FrameAlloc is the hypervisor's physical frame allocator with per-frame
 // ownership and usage accounting. Its internal mutex (lock rank: alloc)
 // sits near the bottom of the lock order, so any path may allocate.
+//
+// Frames are handed out from a high-water mark: next is the lowest frame
+// never handed out, and freed is a LIFO stack of frames returned by Free.
+// Alloc pops freed first, then takes next. That is exactly the sequence a
+// LIFO free list seeded with start, start+1, ... on top would hand out,
+// without building that list at boot.
 type FrameAlloc struct {
 	mu     lockrank.Mutex
 	frames []FrameInfo
-	free   []hw.PFN // LIFO free list
+	next   hw.PFN   // lowest frame never handed out
+	freed  []hw.PFN // LIFO stack of frames returned by Free
 }
 
 // SetLockInfo ranks the allocator lock and wires its contention counter.
@@ -83,12 +90,9 @@ func (a *FrameAlloc) SetLockInfo(rank lockrank.Rank, waits *atomic.Uint64) {
 // NewFrameAlloc covers frames [start, total). Frames below start are
 // marked reserved.
 func NewFrameAlloc(start, total int) *FrameAlloc {
-	a := &FrameAlloc{frames: make([]FrameInfo, total)}
+	a := &FrameAlloc{frames: make([]FrameInfo, total), next: hw.PFN(start)}
 	for i := 0; i < start; i++ {
 		a.frames[i].Use = UseReserved
-	}
-	for i := total - 1; i >= start; i-- {
-		a.free = append(a.free, hw.PFN(i))
 	}
 	return a
 }
@@ -97,11 +101,17 @@ func NewFrameAlloc(start, total int) *FrameAlloc {
 func (a *FrameAlloc) Alloc(use PageUse, owner DomID) (hw.PFN, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if len(a.free) == 0 {
+	var pfn hw.PFN
+	switch {
+	case len(a.freed) > 0:
+		pfn = a.freed[len(a.freed)-1]
+		a.freed = a.freed[:len(a.freed)-1]
+	case int(a.next) < len(a.frames):
+		pfn = a.next
+		a.next++
+	default:
 		return 0, ErrNoMemory
 	}
-	pfn := a.free[len(a.free)-1]
-	a.free = a.free[:len(a.free)-1]
 	a.frames[pfn] = FrameInfo{Use: use, Owner: owner}
 	return pfn, nil
 }
@@ -114,7 +124,7 @@ func (a *FrameAlloc) Free(pfn hw.PFN) {
 		return
 	}
 	a.frames[pfn] = FrameInfo{}
-	a.free = append(a.free, pfn)
+	a.freed = append(a.freed, pfn)
 }
 
 // SetUse retags a frame (e.g. a guest page becoming shared).

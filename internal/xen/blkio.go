@@ -61,13 +61,12 @@ const (
 // untrusted: everything it observes (Snoop) is available to the
 // adversary of the threat model.
 type BlockBackend struct {
-	x       *Xen
-	d       *Domain
-	disk    *disk.Disk
-	ringPA  hw.PhysAddr
-	dataPA  []hw.PhysAddr
-	port    uint32
-	baseLBA uint64
+	x      *Xen
+	d      *Domain
+	disk   *disk.Disk
+	ringPA hw.PhysAddr
+	dataPA []hw.PhysAddr
+	port   uint32
 
 	// Snoop, when enabled, captures every byte the backend moves —
 	// modelling a curious driver domain on the I/O path.
@@ -266,11 +265,11 @@ func (b *BlockBackend) handleKick() error {
 			if b.SnoopEnabled {
 				b.Snoop = append(b.Snoop, buf...)
 			}
-			if err := b.disk.WriteSector(b.baseLBA+lba+s, buf); err != nil {
+			if err := b.disk.WriteSector(lba+s, buf); err != nil {
 				status = BlkStatusError
 			}
 		case BlkOpRead:
-			if err := b.disk.ReadSector(b.baseLBA+lba+s, buf); err != nil {
+			if err := b.disk.ReadSector(lba+s, buf); err != nil {
 				status = BlkStatusError
 				break
 			}

@@ -2,6 +2,8 @@ package xen
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -66,6 +68,57 @@ func TestBlockRequestBeyondDisk(t *testing.T) {
 	}
 	if rerr == nil {
 		t.Error("read beyond disk should fail")
+	}
+}
+
+// TestBlockRequestHugeLBA sends ring requests whose lba's byte offset
+// wraps 64 bits: each must complete with BlkStatusError and leave sector
+// 0, which the wrapped offset would alias, unchanged.
+func TestBlockRequestHugeLBA(t *testing.T) {
+	x := newXen(t)
+	d, _ := x.CreateDomain(DomainConfig{Name: "huge", MemPages: 32, SEV: true})
+	dk := disk.New(16)
+	sector0 := bytes.Repeat([]byte{0x5A}, disk.SectorSize)
+	if err := dk.WriteSector(0, sector0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.AttachBlockDevice(d, dk, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	x.WriteStartInfo(d)
+	var statuses []uint64
+	x.StartVCPU(d, func(g *GuestEnv) error {
+		f, err := NewBlockFrontend(g)
+		if err != nil {
+			return err
+		}
+		if err := f.PutData(0, bytes.Repeat([]byte{0xEE}, disk.SectorSize)); err != nil {
+			return err
+		}
+		for _, op := range []uint64{BlkOpWrite, BlkOpRead} {
+			if err := f.request(op, 1<<55, 1); err == nil {
+				return fmt.Errorf("op %d at lba 1<<55 succeeded", op)
+			}
+			var resp [8]byte
+			if err := g.ReadUnencrypted(f.ringGPA+respOffset+8, resp[:]); err != nil {
+				return err
+			}
+			statuses = append(statuses, binary.LittleEndian.Uint64(resp[:]))
+		}
+		return nil
+	})
+	if err := x.Run(d); err != nil {
+		t.Fatal(err)
+	}
+	if len(statuses) != 2 || statuses[0] != BlkStatusError || statuses[1] != BlkStatusError {
+		t.Fatalf("write and read at lba 1<<55 completed with statuses %v, want BlkStatusError (%d) each", statuses, BlkStatusError)
+	}
+	got := make([]byte, disk.SectorSize)
+	if err := dk.ReadSector(0, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, sector0) {
+		t.Fatal("a write at lba 1<<55 changed sector 0")
 	}
 }
 

@@ -222,7 +222,9 @@ func (m *Machine) buildHostPT() error {
 	for _, p := range m.Stubs.Pages {
 		code[p] = true
 	}
-	ad := allocAdapter{a: m.Alloc, use: UseXenPageTable}
+	// Converted to the interface once: a conversion per Map call would
+	// heap-allocate once per physical frame.
+	var ad mmu.FrameAllocator = allocAdapter{a: m.Alloc, use: UseXenPageTable}
 	for pfn := hw.PFN(0); pfn < hw.PFN(m.Alloc.Total()); pfn++ {
 		flags := mmu.FlagP | mmu.FlagW | mmu.FlagNX
 		if code[pfn] {
