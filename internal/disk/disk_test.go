@@ -88,35 +88,26 @@ func FuzzDiskMatchesFlat(f *testing.F) {
 			if kind&2 == 0 {
 				lba %= sectors + 2
 			}
-			in := lba < sectors
-			if kind&1 != 0 {
+			write := kind&1 != 0
+			var err error
+			if write {
 				for i := range sector {
 					sector[i] = fill + byte(i)
 				}
-				err := d.WriteSector(lba, sector)
-				if !in {
-					if !errors.Is(err, ErrOutOfRange) {
-						t.Fatalf("WriteSector(%d) on %d sectors = %v, want ErrOutOfRange", lba, sectors, err)
-					}
-					continue
-				}
-				if err != nil {
-					t.Fatalf("WriteSector(%d) on %d sectors: %v", lba, sectors, err)
-				}
-				copy(flat[lba*SectorSize:], sector)
-				continue
+				err = d.WriteSector(lba, sector)
+			} else {
+				err = d.ReadSector(lba, sector)
 			}
-			err := d.ReadSector(lba, sector)
-			if !in {
+			switch {
+			case lba >= sectors:
 				if !errors.Is(err, ErrOutOfRange) {
-					t.Fatalf("ReadSector(%d) on %d sectors = %v, want ErrOutOfRange", lba, sectors, err)
+					t.Fatalf("op %d at lba %d on %d sectors = %v, want ErrOutOfRange", kind, lba, sectors, err)
 				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("ReadSector(%d) on %d sectors: %v", lba, sectors, err)
-			}
-			if !bytes.Equal(sector, flat[lba*SectorSize:(lba+1)*SectorSize]) {
+			case err != nil:
+				t.Fatalf("op %d at lba %d on %d sectors: %v", kind, lba, sectors, err)
+			case write:
+				copy(flat[lba*SectorSize:], sector)
+			case !bytes.Equal(sector, flat[lba*SectorSize:(lba+1)*SectorSize]):
 				t.Fatalf("ReadSector(%d) on %d sectors differs from the flat reference", lba, sectors)
 			}
 		}
