@@ -43,11 +43,14 @@ race:
 # cipher.NewCTR on random keys, sequence numbers and lengths. The firmware target runs random SEV command sequences and
 # checks every step against the firmware's state table. The disk target
 # checks the chunked, backed-on-first-write disk against a flat byte
-# slice on random writes and reads, huge LBAs included.
+# slice on random writes and reads, huge LBAs included. The serve ring
+# target feeds the guest's request decoder random hypervisor-visible
+# frames and round-trips well-formed ones through encodeRequest.
 fuzz:
 	$(GO) test ./internal/hw/ -run '^$$' -fuzz FuzzXEXMatchesReference -fuzztime 5s
 	$(GO) test ./internal/hw/ -run '^$$' -fuzz FuzzCTRMatchesReference -fuzztime 5s
 	$(GO) test ./internal/disk/ -run '^$$' -fuzz FuzzDiskMatchesFlat -fuzztime 5s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 5s
 	$(GO) test ./internal/sev/ -run '^$$' -fuzz FuzzFirmwareCommands -fuzztime 5s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzUnmarshalGuestBundle -fuzztime 5s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzUnmarshalMigrationBundle -fuzztime 5s

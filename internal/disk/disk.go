@@ -55,6 +55,9 @@ func New(sectors int) *Disk {
 	}
 }
 
+// Sectors reports the disk's size in sectors.
+func (d *Disk) Sectors() uint64 { return d.sectors }
+
 // check refuses lba with ErrOutOfRange unless it names a sector of the
 // disk. It compares sector numbers and never forms a byte offset, which
 // would wrap for an lba near 2^64 / SectorSize.

@@ -149,9 +149,10 @@ func TestStoreApplyThroughCoalescerTwoRequests(t *testing.T) {
 }
 
 // TestApplyAllocsOnlyIndexCopies guards the commit path: in steady state
-// an overwrite batch through the coalescer allocates only the index's
-// copy of each value. Records, the terminator sector and the crc input
-// all reuse store-owned or caller-owned bytes.
+// an overwrite batch through the coalescer allocates at most the index's
+// copy of each value (none when the value fits the key's old buffer, see
+// TestOverwriteReusesValueBuffer). Records, the terminator sector and
+// the crc input all reuse store-owned or caller-owned bytes.
 func TestApplyAllocsOnlyIndexCopies(t *testing.T) {
 	const runs = 100
 	c := NewWriteCoalescer(newMemDev(2048), 0)

@@ -468,3 +468,76 @@ func TestGetViewZeroCopy(t *testing.T) {
 		t.Fatalf("GetView on absent key: %v", err)
 	}
 }
+
+// TestOverwriteReusesValueBuffer: an overwrite of a live key whose new
+// value fits the old buffer copies into it instead of allocating.
+func TestOverwriteReusesValueBuffer(t *testing.T) {
+	if raceBuild {
+		t.Skip("-race instrumentation allocates")
+	}
+	s := formatted(t, newMemDev(1024), 0, 1024)
+	a, b := bytes.Repeat([]byte{'a'}, 48), bytes.Repeat([]byte{'b'}, 48)
+	if err := s.Put("k", a); err != nil {
+		t.Fatal(err)
+	}
+	buf := s.index["k"]
+	next := b
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := s.Put("k", next); err != nil {
+			t.Fatal(err)
+		}
+		next, a, b = a, b, next
+	})
+	if allocs != 0 {
+		t.Fatalf("an equal-length overwrite allocated %v times, want 0", allocs)
+	}
+	if v := s.index["k"]; &v[0] != &buf[0] {
+		t.Fatal("the overwrite moved the key's value to a new buffer")
+	}
+}
+
+// TestOverwriteLeavesCopiesIntact pins what the in-place overwrite
+// relies on: a Get copy and a ValueCache entry taken before an
+// overwrite keep their bytes, a GetView taken before it sees the new
+// bytes (it was valid only until that mutation), and an overwrite with
+// an empty value leaves the key present.
+func TestOverwriteLeavesCopiesIntact(t *testing.T) {
+	s := formatted(t, newMemDev(64), 0, 64)
+	if err := s.Put("k", []byte("old-value")); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := s.Get("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := s.GetView("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewValueCache(4)
+	cache.Put("k", cp)
+	if err := s.Put("k", []byte("new-value")); err != nil {
+		t.Fatal(err)
+	}
+	if string(cp) != "old-value" {
+		t.Errorf("Get copy reads %q after the overwrite, want old-value", cp)
+	}
+	if v, ok := cache.Get("k"); !ok || string(v) != "old-value" {
+		t.Errorf("cache entry reads %q (present %v) after the overwrite, want old-value", v, ok)
+	}
+	if string(view) != "new-value" {
+		t.Errorf("GetView taken before the overwrite reads %q, want new-value", view)
+	}
+	if err := s.Put("k", nil); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := s.Get("k"); err != nil || len(v) != 0 {
+		t.Fatalf("after an empty overwrite Get = %q, %v; want an empty value", v, err)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("after an empty overwrite the store holds %d keys, want 1", s.Len())
+	}
+	if v, err := reopen(t, s.dev, 64).Get("k"); err != nil || len(v) != 0 {
+		t.Fatalf("replayed empty overwrite: Get = %q, %v; want an empty value", v, err)
+	}
+}

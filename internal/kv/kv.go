@@ -47,7 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 )
 
 // BlockDev is the sector interface the store persists through — satisfied
@@ -172,7 +172,8 @@ type Store struct {
 	index   map[string][]byte
 	live    uint64 // sectors a compaction would keep (latest record per live key)
 	stats   StoreStats
-	scratch []byte // record, terminator and seal buffer, reused across writes
+	scratch []byte   // record, terminator and seal buffer, reused across writes
+	keys    []string // Compact's key list, reused (and kept) until the next Compact
 }
 
 // Open recovers the store occupying [baseLBA, baseLBA+sectors) on the
@@ -293,17 +294,26 @@ func (s *Store) replay() error {
 }
 
 // applyIndex installs one decoded mutation into the index, keeping the
-// live-sector count (what a compaction would rewrite) in step.
+// live-sector count (what a compaction would rewrite) in step. An
+// overwrite of a live key reuses its value buffer when the new value
+// fits, which GetView's contract (a view is valid only until the next
+// mutation of its key) allows; Get copies and ValueCache entries are
+// the caller's own bytes and keep theirs.
 func (s *Store) applyIndex(key string, val []byte, dead bool) {
-	if old, ok := s.index[key]; ok {
+	old, ok := s.index[key]
+	if ok {
 		s.live -= uint64(recordSectors(len(key), len(old)))
 	}
-	if dead {
+	switch {
+	case dead:
 		delete(s.index, key)
-	} else {
+		return
+	case ok:
+		s.index[key] = append(old[:0], val...)
+	default:
 		s.index[key] = append([]byte{}, val...)
-		s.live += uint64(recordSectors(len(key), len(val)))
 	}
+	s.live += uint64(recordSectors(len(key), len(val)))
 }
 
 // validate enforces the same bounds replay does, at append time.
@@ -453,11 +463,12 @@ func (s *Store) Apply(ops []Op) error {
 // beyond the compacted span is rejected by replay's epoch check, so the
 // two logs can never mix.
 func (s *Store) Compact() error {
-	keys := make([]string, 0, len(s.index))
+	keys := s.keys[:0]
 	for k := range s.index {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	s.keys = keys
+	slices.Sort(keys)
 	total := uint64(0)
 	for _, k := range keys {
 		total += uint64(recordSectors(len(k), len(s.index[k])))
@@ -549,8 +560,9 @@ func (s *Store) Get(key string) ([]byte, error) {
 
 // GetView returns the store's own backing bytes for a key, without the
 // per-call copy Get pays. The slice is read-only and only valid until
-// the next mutation of that key; callers that hold it across commits
-// must copy it first.
+// the next mutation of that key, which may overwrite it in place;
+// callers that hold it across commits, or pass it as the value of an
+// Apply that also mutates its key, must copy it first.
 func (s *Store) GetView(key string) ([]byte, error) {
 	v, ok := s.index[key]
 	if !ok {

@@ -448,16 +448,21 @@ func (s *Service) fillHandler(t *tenant) func() error {
 				}
 				id := t.nextID
 				t.nextID++
-				t.gen.markInjected(op, id)
+				t.gen.markInjected(op)
 				t.observeArrival(op.arrival)
-				if err := encodeRequest(frame[:], id, op.kind, op.key, op.val); err != nil {
+				key, kind := t.gen.key(op), uint32(op.kind)
+				var val []byte
+				if kind == OpPut {
+					val = t.gen.value(op)
+				}
+				if err := encodeRequest(frame[:], id, kind, key, val); err != nil {
 					return err
 				}
-				if op.kind == OpPut {
+				if kind == OpPut {
 					// Values cross the host-visible ring encrypted under
 					// the session key the client minted at admission.
-					v := frame[reqHeader+len(op.key):]
-					xorSession(t.dataKey, op.key, v[:len(op.val)])
+					v := frame[reqHeader+len(key):]
+					xorSession(t.dataKey, key, v[:len(val)])
 				}
 				if err := s.writePA(framePA(t.reqPAs, n+1), frame[:]); err != nil {
 					return err
@@ -465,7 +470,7 @@ func (s *Service) fillHandler(t *tenant) func() error {
 				t.pending[id] = op
 				if hub.Tracing() {
 					hub.EmitDetail(telemetry.KindServeReq, uint32(t.dom.ID), uint32(t.dom.ASID),
-						0, id, uint64(op.kind), OpName(op.kind))
+						0, id, uint64(kind), OpName(kind))
 				}
 				n++
 			}
@@ -551,39 +556,24 @@ func (s *Service) drainHandler(t *tenant) func() error {
 				t.timeouts++
 			}
 			if op.kind == OpGet && status == StatusOK {
-				xorSession(t.dataKey, op.key, val) // ring carries ciphertext
+				xorSession(t.dataKey, t.gen.key(op), val) // ring carries ciphertext
 			}
-			if !responseOK(op, status, val) {
+			if !t.gen.responseOK(op, status, val) {
 				t.mismatches++
 			}
 			if hub.Tracing() {
 				hub.CompleteSpan("serve-request", uint32(t.dom.ID), uint32(t.dom.ASID),
 					hub.Ambient(), op.arrival, now,
 					telemetry.Attr{Key: "tenant", Val: t.name},
-					telemetry.Attr{Key: "op", Val: OpName(op.kind)})
+					telemetry.Attr{Key: "op", Val: OpName(uint32(op.kind))})
 				hub.EmitDetail(telemetry.KindServeDone, uint32(t.dom.ID), uint32(t.dom.ASID),
-					lat, id, lat, OpName(op.kind))
+					lat, id, lat, OpName(uint32(op.kind)))
 			}
 		}
 		// Zero the count so a duplicate kick cannot double-account.
 		encodeRespCtl(ctl[:], 0)
 		return s.writePA(framePA(t.respPAs, 0), ctl[:])
 	}
-}
-
-// responseOK checks one response against the client's model of its own
-// writes (per-client FIFO makes the expectation exact at injection time).
-func responseOK(op *genOp, status uint32, val []byte) bool {
-	switch op.kind {
-	case OpPut, OpDelete:
-		return status == StatusOK
-	case OpGet:
-		if op.expectMiss {
-			return status == StatusNotFound
-		}
-		return status == StatusOK && string(val) == string(op.expect)
-	}
-	return false
 }
 
 // sessionKeystream derives the XOR keystream block i for a record key

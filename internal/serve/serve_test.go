@@ -281,8 +281,8 @@ func TestServeRingCiphertext(t *testing.T) {
 			// bytes is an actual leak, not a coincidence.
 			var secrets [][]byte
 			for i := range tn.gen.ops {
-				if op := tn.gen.ops[i]; op.kind == OpPut && len(op.val) > 0 {
-					secrets = append(secrets, op.val)
+				if op := &tn.gen.ops[i]; op.kind == OpPut && len(tn.gen.value(op)) > 0 {
+					secrets = append(secrets, tn.gen.value(op))
 				}
 			}
 			if len(secrets) == 0 {
@@ -583,7 +583,8 @@ func TestRingCodecRoundTrip(t *testing.T) {
 
 // TestLoadGenOpenLoop checks the generator's invariants: arrivals are
 // monotone, injection respects per-client FIFO order and the in-flight
-// window, and the model predicts every get.
+// window, and every get expects what a map of the client's own writes,
+// kept in injection order, says its key holds.
 func TestLoadGenOpenLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := buildLoad(0, 4, 16, 0, 10, 0.35, 0.10, 16, 2, rng)
@@ -597,10 +598,10 @@ func TestLoadGenOpenLoop(t *testing.T) {
 	}
 
 	// Drain the whole schedule through the window machinery.
-	lastSeq := make(map[int]int)
+	lastSeq := make(map[int]int32)
 	var clock uint64
-	id := uint64(1)
 	inflight := map[int][]*genOp{}
+	written := map[string][]byte{}
 	for g.injected < g.total() {
 		clock += 1 << 16
 		for {
@@ -608,24 +609,34 @@ func TestLoadGenOpenLoop(t *testing.T) {
 			if op == nil {
 				break
 			}
-			if last, ok := lastSeq[op.client]; ok && op.seq <= last {
+			c := g.client(op)
+			if last, ok := lastSeq[c]; ok && op.seq <= last {
 				t.Fatal("per-client FIFO order violated")
 			}
-			lastSeq[op.client] = op.seq
-			g.markInjected(op, id)
-			id++
-			inflight[op.client] = append(inflight[op.client], op)
-			if len(inflight[op.client]) > 2 {
+			lastSeq[c] = op.seq
+			g.markInjected(op)
+			inflight[c] = append(inflight[c], op)
+			if len(inflight[c]) > 2 {
 				t.Fatal("in-flight window exceeded")
 			}
-			if op.kind == OpGet && !op.expectMiss && op.expect == nil {
-				t.Fatal("get injected without an expectation")
+			key := g.key(op)
+			switch op.kind {
+			case OpPut:
+				written[key] = g.value(op)
+			case OpDelete:
+				delete(written, key)
+			case OpGet:
+				want, ok := written[key]
+				if got := g.value(op); (op.val != noValue) != ok || !bytes.Equal(got, want) {
+					t.Fatalf("get of %s expects %q (present %v), the client wrote %q (present %v)",
+						key, got, op.val != noValue, want, ok)
+				}
 			}
 			// Complete the oldest op for this client half the time, so
 			// windows genuinely fill and drain.
-			if len(inflight[op.client]) == 2 {
-				done := inflight[op.client][0]
-				inflight[op.client] = inflight[op.client][1:]
+			if len(inflight[c]) == 2 {
+				done := inflight[c][0]
+				inflight[c] = inflight[c][1:]
 				g.markDone(done)
 			}
 		}

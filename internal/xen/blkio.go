@@ -198,16 +198,30 @@ func (b *BlockBackend) write64(pa hw.PhysAddr, v uint64) error {
 }
 
 // dataSector returns the physical address of the idx'th sector of the
-// data area.
-func (b *BlockBackend) dataSector(idx uint64) (hw.PhysAddr, error) {
-	page := idx / SectorsPerPage
-	if page >= uint64(len(b.dataPA)) {
-		return 0, fmt.Errorf("xen: data sector %d beyond shared area", idx)
-	}
-	return b.dataPA[page] + hw.PhysAddr(idx%SectorsPerPage)*disk.SectorSize, nil
+// data area; servable has checked that the area holds it.
+func (b *BlockBackend) dataSector(idx uint64) hw.PhysAddr {
+	return b.dataPA[idx/SectorsPerPage] + hw.PhysAddr(idx%SectorsPerPage)*disk.SectorSize
 }
 
-// handleKick services one request from the ring.
+// servable reports whether a ring request can be served: the op must be
+// a read or a write, and its count sectors must fit both the disk at lba
+// and the shared data area at dataOff. Every bound is a subtraction from
+// a size, so a guest-supplied value near 2^64 cannot wrap.
+func (b *BlockBackend) servable(op, lba, count, dataOff uint64) bool {
+	if op != BlkOpRead && op != BlkOpWrite {
+		return false
+	}
+	if n := b.disk.Sectors(); count > n || lba > n-count {
+		return false
+	}
+	area := uint64(len(b.dataPA)) * SectorsPerPage
+	return count <= area && dataOff <= area-count
+}
+
+// handleKick services one request from the ring. A request that is not
+// servable is answered with BlkStatusError before its sectors are
+// counted, charged or traced: it moves no sector, so it costs no seek
+// and no transfer.
 func (b *BlockBackend) handleKick() error {
 	var req [5]uint64
 	for i := range req {
@@ -220,6 +234,9 @@ func (b *BlockBackend) handleKick() error {
 	id, op, lba, count, dataOff := req[0], req[1], req[2], req[3], req[4]
 	tel := b.x.M.Ctl.Telem
 	tel.M.BlkRequests.Inc()
+	if !b.servable(op, lba, count, dataOff) {
+		return b.respond(id, BlkStatusError)
+	}
 	tel.M.BlkSectors.Add(count)
 	if tel.Tracing() {
 		dir := "read"
@@ -233,14 +250,13 @@ func (b *BlockBackend) handleKick() error {
 	// smaller write-cache penalty (writes). The xen.disk_seeks counters
 	// are the per-kind seek totals benchtab and fideliustop divide by
 	// serve.ops to show seeks-per-op.
-	switch op {
-	case BlkOpRead:
+	if op == BlkOpRead {
 		if lba != b.nextRead {
 			b.x.M.Ctl.Cycles.Charge(cycles.DiskSeekRead)
 			tel.M.DiskSeekReads.Inc()
 		}
 		b.nextRead = lba + count
-	case BlkOpWrite:
+	} else {
 		if lba != b.nextWrite {
 			b.x.M.Ctl.Cycles.Charge(cycles.DiskSeekWrite)
 			tel.M.DiskSeekWrites.Inc()
@@ -249,15 +265,10 @@ func (b *BlockBackend) handleKick() error {
 	}
 	status := uint64(BlkStatusOK)
 	buf := make([]byte, disk.SectorSize)
-	for s := uint64(0); s < count; s++ {
-		pa, err := b.dataSector(dataOff + s)
-		if err != nil {
-			status = BlkStatusError
-			break
-		}
+	for s := uint64(0); s < count && status == BlkStatusOK; s++ {
+		pa := b.dataSector(dataOff + s)
 		b.x.M.Ctl.Cycles.Charge(cycles.DiskSectorAccess)
-		switch op {
-		case BlkOpWrite:
+		if op == BlkOpWrite {
 			if err := b.x.M.Ctl.Read(hw.Access{PA: pa}, buf); err != nil {
 				status = BlkStatusError
 				break
@@ -268,7 +279,7 @@ func (b *BlockBackend) handleKick() error {
 			if err := b.disk.WriteSector(lba+s, buf); err != nil {
 				status = BlkStatusError
 			}
-		case BlkOpRead:
+		} else {
 			if err := b.disk.ReadSector(lba+s, buf); err != nil {
 				status = BlkStatusError
 				break
@@ -279,13 +290,13 @@ func (b *BlockBackend) handleKick() error {
 			if err := b.x.M.Ctl.Write(hw.Access{PA: pa}, buf); err != nil {
 				status = BlkStatusError
 			}
-		default:
-			status = BlkStatusError
-		}
-		if status != BlkStatusOK {
-			break
 		}
 	}
+	return b.respond(id, status)
+}
+
+// respond posts a request's response: its id, then its status.
+func (b *BlockBackend) respond(id, status uint64) error {
 	if err := b.write64(b.ringPA+respOffset, id); err != nil {
 		return err
 	}

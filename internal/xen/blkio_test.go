@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"fidelius/internal/disk"
+	"fidelius/internal/telemetry"
 )
 
 func TestPropertyGrantEntryMarshal(t *testing.T) {
@@ -119,6 +120,91 @@ func TestBlockRequestHugeLBA(t *testing.T) {
 	}
 	if !bytes.Equal(got, sector0) {
 		t.Fatal("a write at lba 1<<55 changed sector 0")
+	}
+}
+
+// TestRefusedBlockRequestChargesNothing posts ring requests the backend
+// must refuse: a write whose lba and count lie far beyond the disk, an
+// unknown op, a data offset near 2^64, and a count larger than the
+// shared area. Each must complete with BlkStatusError without counting
+// its sectors, charging a seek, moving the seek model's heads, tracing
+// a transfer or touching the disk.
+func TestRefusedBlockRequestChargesNothing(t *testing.T) {
+	x := newXen(t)
+	d, _ := x.CreateDomain(DomainConfig{Name: "refused", MemPages: 32, SEV: true})
+	dk := disk.New(64)
+	b, err := x.AttachBlockDevice(d, dk, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x.WriteStartInfo(d)
+	tel := x.M.Ctl.Telem
+	tr := tel.StartTrace(0)
+	sectors := tel.M.BlkSectors.Value()
+	seeks := tel.M.DiskSeekReads.Value() + tel.M.DiskSeekWrites.Value()
+	area := 2 * uint64(SectorsPerPage)
+	reqs := [][4]uint64{ // op, lba, count, dataOff
+		{BlkOpWrite, 1 << 55, 1 << 40, 0},
+		{7, 0, 1, 0},
+		{BlkOpRead, 5, 1, 1 << 63},
+		{BlkOpWrite, 5, area + 1, 0},
+	}
+	var statuses []uint64
+	x.StartVCPU(d, func(g *GuestEnv) error {
+		f, err := NewBlockFrontend(g)
+		if err != nil {
+			return err
+		}
+		if err := f.PutData(0, bytes.Repeat([]byte{0xEE}, int(area)*disk.SectorSize)); err != nil {
+			return err
+		}
+		for i, r := range reqs {
+			var buf [40]byte
+			for k, v := range [5]uint64{uint64(i), r[0], r[1], r[2], r[3]} {
+				binary.LittleEndian.PutUint64(buf[8*k:], v)
+			}
+			if err := g.WriteUnencrypted(f.ringGPA+reqOffset, buf[:]); err != nil {
+				return err
+			}
+			if _, err := g.Hypercall(HCEventChannelOp, EvtOpSend, uint64(f.port)); err != nil {
+				return err
+			}
+			var resp [8]byte
+			if err := g.ReadUnencrypted(f.ringGPA+respOffset+8, resp[:]); err != nil {
+				return err
+			}
+			statuses = append(statuses, binary.LittleEndian.Uint64(resp[:]))
+		}
+		return nil
+	})
+	if err := x.Run(d); err != nil {
+		t.Fatal(err)
+	}
+	tel.StopTrace()
+	for i, st := range statuses {
+		if st != BlkStatusError {
+			t.Errorf("request %v completed with status %d, want BlkStatusError", reqs[i], st)
+		}
+	}
+	if len(statuses) != len(reqs) {
+		t.Fatalf("%d of %d requests completed", len(statuses), len(reqs))
+	}
+	if got := tel.M.BlkSectors.Value() - sectors; got != 0 {
+		t.Errorf("blk.sectors moved by %d for refused requests", got)
+	}
+	if got := tel.M.DiskSeekReads.Value() + tel.M.DiskSeekWrites.Value() - seeks; got != 0 {
+		t.Errorf("xen.disk_seeks moved by %d for refused requests", got)
+	}
+	if b.nextRead != 0 || b.nextWrite != 0 {
+		t.Errorf("the seek model's heads moved to read %d, write %d", b.nextRead, b.nextWrite)
+	}
+	for _, e := range tr.Events() {
+		if e.Kind == telemetry.KindBlkRequest {
+			t.Errorf("a refused request traced a %d-sector transfer", e.Arg2)
+		}
+	}
+	if !bytes.Equal(dk.Snapshot(), make([]byte, 64*disk.SectorSize)) {
+		t.Error("a refused request wrote to the disk")
 	}
 }
 
