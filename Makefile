@@ -40,8 +40,12 @@ race:
 # validation gaps in attacker-supplied wire bytes. The XEX target checks
 # the AES-NI kernel against the Go loop on random keys, positions and
 # lengths; the CTR target checks the transport kernel against
-# cipher.NewCTR on random keys, sequence numbers and lengths. The firmware target runs random SEV command sequences and
-# checks every step against the firmware's state table. The disk target
+# cipher.NewCTR on random keys, sequence numbers and lengths. The packet
+# target (FuzzPacketTamperRefused) seals a random page under a random
+# sequence number, opens it, and checks that any one-byte change to its
+# data, sequence number or tag is refused. The firmware target runs
+# random SEV command sequences and checks every step against the
+# firmware's state table. The disk target
 # checks the chunked, backed-on-first-write disk against a flat byte
 # slice on random writes and reads, huge LBAs included. The serve ring
 # target feeds the guest's request decoder random hypervisor-visible
@@ -51,6 +55,7 @@ fuzz:
 	$(GO) test ./internal/hw/ -run '^$$' -fuzz FuzzCTRMatchesReference -fuzztime 5s
 	$(GO) test ./internal/disk/ -run '^$$' -fuzz FuzzDiskMatchesFlat -fuzztime 5s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 5s
+	$(GO) test ./internal/sev/ -run '^$$' -fuzz FuzzPacketTamperRefused -fuzztime 5s
 	$(GO) test ./internal/sev/ -run '^$$' -fuzz FuzzFirmwareCommands -fuzztime 5s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzUnmarshalGuestBundle -fuzztime 5s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzUnmarshalMigrationBundle -fuzztime 5s

@@ -120,9 +120,36 @@ func TestAbortedMigrationDropsItsSlab(t *testing.T) {
 	}
 }
 
+// firstSendBarrier holds a source's first Send until every source
+// sharing arrived has reached its own. MigrateOutLive takes its slab
+// before it sends anything, so behind the barrier every source holds a
+// slab at once, however the goroutines are scheduled.
+type firstSendBarrier struct {
+	migrate.Conn
+	once    sync.Once
+	arrived *sync.WaitGroup
+}
+
+// arrive counts this source in once and waits for the others. A source
+// that failed before sending arrives on its way out, so no source waits
+// forever.
+func (c *firstSendBarrier) arrive() {
+	c.once.Do(func() {
+		c.arrived.Done()
+		c.arrived.Wait()
+	})
+}
+
+func (c *firstSendBarrier) Send(f *migrate.Frame) error {
+	c.arrive()
+	return c.Conn.Send(f)
+}
+
 // TestConcurrentLiveMigrationsFromOnePlatform runs two live migrations
 // out of one platform at once, to two targets: each must hold its own
-// slab, both must read back intact, and both slabs must come back.
+// slab, both must read back intact, and both slabs must come back. The
+// sources' connections hold their first frame until both have taken a
+// slab, so the overlap is forced rather than left to timing.
 func TestConcurrentLiveMigrationsFromOnePlatform(t *testing.T) {
 	x1, f1 := newPlatform(t)
 	var targets [2]*Fidelius
@@ -145,15 +172,17 @@ func TestConcurrentLiveMigrationsFromOnePlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
+	var wg, arrived sync.WaitGroup
 	var moved [2]*xen.Domain
 	var serrs, rerrs [2]error
+	arrived.Add(len(doms))
 	for i := range doms {
 		targetPub, err := targets[i].M.FW.PublicKey()
 		if err != nil {
 			t.Fatal(err)
 		}
 		a, b := migrate.Pipe(8)
+		src := &firstSendBarrier{Conn: a, arrived: &arrived}
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
@@ -161,9 +190,10 @@ func TestConcurrentLiveMigrationsFromOnePlatform(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			if _, serrs[i] = f1.MigrateOutLive(doms[i], targetPub, a, migrate.Config{AckTimeout: 10 * time.Second}); serrs[i] != nil {
+			if _, serrs[i] = f1.MigrateOutLive(doms[i], targetPub, src, migrate.Config{AckTimeout: 10 * time.Second}); serrs[i] != nil {
 				a.Close()
 			}
+			src.arrive()
 		}()
 	}
 	wg.Wait()

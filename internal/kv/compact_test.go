@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"testing"
@@ -494,6 +495,46 @@ func TestOverwriteReusesValueBuffer(t *testing.T) {
 	if v := s.index["k"]; &v[0] != &buf[0] {
 		t.Fatal("the overwrite moved the key's value to a new buffer")
 	}
+}
+
+// TestCompactFlipAllocatesNothing: Compact stages its records and its
+// superblock flip in the store's scratch, so compacting a warm store
+// allocates nothing. The superblock sectors Format and the flips write
+// are pinned byte for byte: magic, epoch, active half and crc, then
+// zeros to the end of the sector.
+func TestCompactFlipAllocatesNothing(t *testing.T) {
+	if raceBuild {
+		t.Skip("-race instrumentation allocates")
+	}
+	dev := newMemDev(64)
+	s := formatted(t, dev, 0, 64)
+	super := func(want string) {
+		t.Helper()
+		if got := hex.EncodeToString(dev.data[:20]); got != want {
+			t.Fatalf("superblock %s, want %s", got, want)
+		}
+		if !bytes.Equal(dev.data[20:SectorSize], make([]byte, SectorSize-20)) {
+			t.Fatal("superblock sector is not zero past its crc")
+		}
+	}
+	super("0c5bdef1010000000000000000000000008a70e0") // epoch 1, half 0
+	for i := 0; i < 4; i++ {
+		if err := s.Put(fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte(i)}, 600)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Compact(); err != nil { // sizes the scratch and the key list
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a Compact of a warm store allocated %v times, want 0", allocs)
+	}
+	super("0c5bdef11700000000000000000000001cc25503") // 22 flips later: epoch 23, half 0
 }
 
 // TestOverwriteLeavesCopiesIntact pins what the in-place overwrite

@@ -134,10 +134,12 @@ func Format(dev BlockDev, baseLBA uint64, sectors int) error {
 	if sectors < 3 {
 		return fmt.Errorf("kv: store region needs >= 3 sectors, got %d", sectors)
 	}
-	if err := writeSuper(dev, baseLBA, 1, 0); err != nil {
+	buf := make([]byte, SectorSize)
+	if err := dev.WriteSectors(baseLBA, encodeSuper(buf, 1, 0)); err != nil {
 		return err
 	}
-	if err := dev.WriteSectors(baseLBA+1, make([]byte, SectorSize)); err != nil {
+	clear(buf)
+	if err := dev.WriteSectors(baseLBA+1, buf); err != nil {
 		return err
 	}
 	if fl, ok := dev.(Flusher); ok {
@@ -146,16 +148,15 @@ func Format(dev BlockDev, baseLBA uint64, sectors int) error {
 	return nil
 }
 
-// writeSuper encodes and writes the superblock: magic, epoch, active
-// half, crc. The write is one sector, so a flip is atomic under the
-// sector-granular crash model.
-func writeSuper(dev BlockDev, lba uint64, epoch uint64, half int) error {
-	buf := make([]byte, SectorSize)
+// encodeSuper encodes the superblock into buf, one zeroed sector, and
+// returns it: magic, epoch, active half, crc. It is written as one
+// sector, so a flip is atomic under the sector-granular crash model.
+func encodeSuper(buf []byte, epoch uint64, half int) []byte {
 	binary.LittleEndian.PutUint32(buf[0:], superMagic)
 	binary.LittleEndian.PutUint64(buf[4:], epoch)
 	binary.LittleEndian.PutUint32(buf[12:], uint32(half))
 	binary.LittleEndian.PutUint32(buf[16:], crc32.ChecksumIEEE(buf[4:16]))
-	return dev.WriteSectors(lba, buf)
+	return buf
 }
 
 // Store is one open key-value store.
@@ -505,7 +506,7 @@ func (s *Store) Compact() error {
 		return err
 	}
 	// The flip.
-	if err := writeSuper(s.dev, s.baseLBA, newEpoch, newHalf); err != nil {
+	if err := s.dev.WriteSectors(s.baseLBA, encodeSuper(s.zeroed(SectorSize), newEpoch, newHalf)); err != nil {
 		return err
 	}
 	if err := s.flush(); err != nil {

@@ -2,7 +2,7 @@ package sev
 
 import (
 	"crypto/ecdh"
-	"crypto/hmac"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"slices"
@@ -592,11 +592,12 @@ func sealPacket(s *session, seq uint64, data []byte) Packet {
 	return Packet{Seq: seq, Data: data, Tag: s.tagWith(seq, data)}
 }
 
-// openPacket verifies the packet's tag and decrypts its payload into
-// plain, which must be len(pkt.Data) bytes; the packet is left untouched.
+// openPacket verifies the packet's tag, all 32 bytes in constant time,
+// and decrypts its payload into plain, which must be len(pkt.Data)
+// bytes; the packet is left untouched.
 func openPacket(s *session, pkt Packet, plain []byte) ([]byte, error) {
 	want := s.tagWith(pkt.Seq, pkt.Data)
-	if !hmac.Equal(want[:], pkt.Tag[:]) {
+	if subtle.ConstantTimeCompare(want[:], pkt.Tag[:]) != 1 {
 		return nil, ErrBadTag
 	}
 	s.xorWith(pkt.Seq, plain, pkt.Data)
@@ -672,7 +673,7 @@ func ioChunk(pa hw.PhysAddr, n int) bool {
 }
 
 // SendCancel aborts a SEND session (the SEND_CANCEL command): the
-// transport session (keys, expanded schedule and keyed HMAC states) and
+// transport session (keys, expanded schedule and GCM state) and
 // the partial measurement are scrubbed and the context
 // returns to the running state, so a failed migration resumes the source
 // guest instead of leaving it stranded mid-send. Cancelling from the

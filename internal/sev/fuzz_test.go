@@ -1,11 +1,14 @@
 package sev
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"fidelius/internal/hw"
 )
 
 // handlelessCommands are the commands FuzzFirmwareCommands draws besides
@@ -111,6 +114,42 @@ func FuzzFirmwareCommands(f *testing.F) {
 			if t.Failed() {
 				t.FailNow()
 			}
+		}
+	})
+}
+
+// FuzzPacketTamperRefused seals a page under a random seq, checks the
+// genuine packet opens to its plaintext, then changes one byte of the
+// packet, picked by pos over its data, its seq's eight bytes and its
+// 32-byte tag, and checks the changed packet is refused.
+func FuzzPacketTamperRefused(f *testing.F) {
+	s := newSession(TransportKeys{TEK: [32]byte{1, 2, 3}, TIK: [32]byte{4, 5, 6}})
+	f.Add(uint64(0), []byte("page"), uint16(0), byte(1))
+	f.Add(uint64(7), []byte{}, uint16(hw.PageSize), byte(0x80))
+	f.Add(^uint64(0), []byte{0xFF}, uint16(hw.PageSize+8+16), byte(0xFF))
+	f.Fuzz(func(t *testing.T, seq uint64, page []byte, pos uint16, flip byte) {
+		plain := make([]byte, hw.PageSize)
+		copy(plain, page)
+		pkt := sealPacket(s, seq, append([]byte(nil), plain...))
+		got, err := openPacket(s, pkt, slab(1))
+		if err != nil || !bytes.Equal(got, plain) {
+			t.Fatalf("genuine packet seq %d does not open to its plaintext (err %v)", seq, err)
+		}
+		if flip == 0 {
+			flip = 1
+		}
+		bad := pkt
+		bad.Data = append([]byte(nil), pkt.Data...)
+		switch at := int(pos) % (hw.PageSize + 8 + len(pkt.Tag)); {
+		case at < hw.PageSize:
+			bad.Data[at] ^= flip
+		case at < hw.PageSize+8:
+			bad.Seq ^= uint64(flip) << (8 * (at - hw.PageSize))
+		default:
+			bad.Tag[at-hw.PageSize-8] ^= flip
+		}
+		if _, err := openPacket(s, bad, slab(1)); !errors.Is(err, ErrBadTag) {
+			t.Fatalf("packet seq %d changed at byte %d by %#x: got %v, want ErrBadTag", seq, pos, flip, err)
 		}
 	})
 }

@@ -8,7 +8,7 @@
 // kernel image and to encrypt disk I/O — is a protocol over this API, so
 // the firmware is modelled at full API granularity with real cryptography:
 // ECDH over P-256, AES-256-GCM key wrapping, AES-CTR transport encryption
-// with HMAC-SHA256 integrity, and an XEX transform for the I/O commands.
+// with AES-GMAC integrity, and an XEX transform for the I/O commands.
 // The key agreement, wrapping and tags come from the standard library;
 // the transport keystream and the I/O transform run on internal/hw's
 // AES-NI kernels where the build and CPU have them, and on crypto/aes
@@ -19,13 +19,11 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/ecdh"
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"sync"
 
@@ -158,17 +156,17 @@ func unwrapKeys(kek [32]byte, w WrappedKeys) (TransportKeys, error) {
 // session is the transport crypto of one firmware context, built once
 // where its keys are set (SEND_START, RECEIVE_START, SETENC_GEK) and
 // used by every packet or I/O sector after: the TEK's AES-256 round keys,
-// expanded once and handed to the CTR kernel by reference, plus a free
-// list of per-packet scratch, each holding an HMAC state keyed with the
-// TIK, and the XEX transform of the I/O commands. Only the I/O commands
-// and GEK images use the transform, so it is derived from the kept TEK
-// bytes on the first ioSeal or ioOpen, not at every start. The CTR and
-// the transform are safe for concurrent use; a scratch is not, so each
-// packet takes one from the free list (building it on a miss) and puts
-// it back.
+// expanded once and handed to the CTR kernel by reference, the TIK's
+// AES-256-GCM state that computes every packet's GMAC, plus a free list
+// of per-packet tag scratch, and the XEX transform of the I/O commands.
+// Only the I/O commands and GEK images use the transform, so it is
+// derived from the kept TEK bytes on the first ioSeal or ioOpen, not at
+// every start. The CTR, the GCM state and the transform are safe for
+// concurrent use; a scratch is not, so each packet takes one from the
+// free list (building it on a miss) and puts it back.
 type session struct {
 	tek hw.CTR
-	tik [32]byte
+	tik cipher.AEAD // AES-256-GCM under the TIK; nil once scrubbed
 
 	// key is the TEK the I/O transform derives from; ioOnce derives io
 	// from it on first use and then zeroes it.
@@ -180,19 +178,22 @@ type session struct {
 	free []*scratch
 }
 
-// scratch is what one packet's tag writes: the keyed HMAC (built on
-// first use) and one buffer for the sequence prefix and the tag. A stack
-// buffer handed to the hash interface would move to the heap on every
-// packet.
+// scratch is what one packet's tag writes: the GCM nonce and the 16-byte
+// GMAC. A stack buffer handed through the cipher.AEAD interface would
+// move to the heap on every packet.
 type scratch struct {
-	mac hash.Hash
-	buf [sha256.Size]byte
+	nonce [12]byte
+	tag   [16]byte
 }
 
-// newSession expands the TEK's round keys and keeps the TEK for the I/O
-// transform.
+// newSession expands the TEK's round keys and the TIK's GCM state and
+// keeps the TEK for the I/O transform.
 func newSession(tk TransportKeys) *session {
-	return &session{tek: hw.NewCTR(tk.TEK), tik: tk.TIK, key: tk.TEK}
+	tik, err := newGCM(tk.TIK)
+	if err != nil {
+		panic(err) // a 32-byte key always makes an AES-256 block
+	}
+	return &session{tek: hw.NewCTR(tk.TEK), tik: tik, key: tk.TEK}
 }
 
 // ioXEX returns the I/O transform, deriving its XEX subkeys from the TEK
@@ -248,27 +249,28 @@ func (s *session) ioSeal(seq uint64, b []byte) { s.ioXEX().EncryptLine(seq*ioSpa
 // ioOpen inverts ioSeal.
 func (s *session) ioOpen(seq uint64, b []byte) { s.ioXEX().DecryptLine(seq*ioSpan, b) }
 
-// tagWith computes the HMAC-SHA256 tag of one transport chunk in a
-// scratch of its own.
+// tagWith computes the tag of one transport chunk in a scratch of its
+// own: the AES-GMAC of the ciphertext under the TIK, GCM's Seal of no
+// plaintext with the ciphertext as additional data and the nonce
+// LE64(seq) || 0^32, in the first 16 bytes; the last 16 stay zero, so a
+// packet keeps its 32-byte tag field. GMAC is only safe once per nonce,
+// which is the same one-seq-per-page-per-session rule the CTR keystream
+// already depends on (see xorWith): a session tags each seq once, and a
+// new session has a new TIK.
 func (s *session) tagWith(seq uint64, ciphertext []byte) [32]byte {
 	sc := s.get()
 	defer s.put(sc)
-	if sc.mac == nil {
-		sc.mac = hmac.New(sha256.New, s.tik[:])
-	}
-	binary.LittleEndian.PutUint64(sc.buf[:8], seq)
-	sc.mac.Write(sc.buf[:8])
-	sc.mac.Write(ciphertext)
-	tag := [32]byte(sc.mac.Sum(sc.buf[:0]))
-	sc.mac.Reset()
+	binary.LittleEndian.PutUint64(sc.nonce[:8], seq)
+	var tag [32]byte
+	copy(tag[:16], s.tik.Seal(sc.tag[:0], sc.nonce[:], nil, ciphertext))
 	return tag
 }
 
-// scrub zeroes the integrity key, the kept TEK and the TEK's round keys
-// and drops the I/O transform and the keyed HMAC states, so the session
-// can no longer seal or open anything: the zeroed CTR holds no key and
-// panics on use. It spends ioOnce first, so a transform is never derived
-// from the zeroed key.
+// scrub zeroes the kept TEK and the TEK's round keys and drops the I/O
+// transform, the TIK's GCM state and the tag scratch, so the session can
+// no longer seal, tag or open anything: the zeroed CTR holds no key and
+// panics on use, and so does tagging without a GCM state. It spends
+// ioOnce first, so a transform is never derived from the zeroed key.
 func (s *session) scrub() {
 	s.ioOnce.Do(func() {})
 	s.mu.Lock()
@@ -276,7 +278,7 @@ func (s *session) scrub() {
 	s.tek = hw.CTR{}
 	s.io = nil
 	s.key = [32]byte{}
-	s.tik = [32]byte{}
+	s.tik = nil
 	s.free = nil
 }
 

@@ -44,19 +44,20 @@ func TestSendCancelScrubsSession(t *testing.T) {
 	if c.transport != nil {
 		t.Fatal("a cancelled context still holds a transport session")
 	}
-	if old.tek != (hw.CTR{}) || old.tik != ([32]byte{}) || old.key != ([32]byte{}) || old.io != nil || old.free != nil {
-		t.Fatal("SEND_CANCEL left key material (TEK schedule, TIK, kept TEK, I/O transform or HMAC states) in the dropped session")
+	if old.tek != (hw.CTR{}) || old.tik != nil || old.key != ([32]byte{}) || old.io != nil || old.free != nil {
+		t.Fatal("SEND_CANCEL left key material (TEK schedule, TIK's GCM state, kept TEK, I/O transform or tag scratch) in the dropped session")
 	}
 	// The scrubbed session seals nothing: its zeroed schedule holds no
-	// key and panics before a packet exists. It opens nothing either: a
-	// packet tagged under its zeroed TIK still reaches no keystream.
+	// key and panics before a packet exists. It can neither tag nor open
+	// either: with its GCM state dropped, no tag can be made or checked.
 	if !panics(func() { sealPacket(old, 0, slab(1)) }) {
 		t.Fatal("a scrubbed session sealed a packet")
 	}
-	forged := Packet{Seq: 0, Data: slab(1)}
-	forged.Tag = old.tagWith(0, forged.Data)
-	if !panics(func() { openPacket(old, forged, slab(1)) }) {
-		t.Fatal("a scrubbed session opened a packet tagged under its zeroed TIK")
+	if !panics(func() { old.tagWith(0, slab(1)) }) {
+		t.Fatal("a scrubbed session tagged a packet")
+	}
+	if !panics(func() { openPacket(old, Packet{Seq: 0, Data: slab(1)}, slab(1)) }) {
+		t.Fatal("a scrubbed session opened a packet")
 	}
 
 	newWrap, err := origin.SendStart(h, targetPub, newNonce)
@@ -104,10 +105,13 @@ func panics(fn func()) (did bool) {
 }
 
 // TestTransportPacketGolden pins one transport packet on the wire: fixed
-// TEK and TIK, seq 7, a fixed 4 KiB plaintext. The tag and a SHA-256 of
-// the ciphertext were taken from the cipher.NewCTR path, so this passes
-// byte for byte on the AES-NI kernel and under -race, where that path
-// runs, and any change to the wire format fails it.
+// TEK and TIK, seq 7, a fixed 4 KiB plaintext. The SHA-256 of the
+// ciphertext was taken from the cipher.NewCTR path, so this passes byte
+// for byte on the AES-NI kernel and under -race, where that path runs;
+// the tag is the AES-256-GMAC of that ciphertext under the TIK with the
+// nonce LE64(7) || 0^32, zero-padded to 32 bytes, and both were checked
+// against an independent AES-CTR and AES-GCM implementation. Any change
+// to the wire format fails it.
 func TestTransportPacketGolden(t *testing.T) {
 	var tk TransportKeys
 	for i := range tk.TEK {
@@ -121,7 +125,7 @@ func TestTransportPacketGolden(t *testing.T) {
 	s := newSession(tk)
 	pkt := sealPacket(s, 7, append([]byte(nil), plain...))
 	const (
-		wantTag = "664942b8d2c9eb98332870e48abda36856c1b5f9f60cecad06af00c320d75f6f"
+		wantTag = "4fb2934188075cb78ce34e6c22e42cfb00000000000000000000000000000000"
 		wantSum = "f59a0d445bc1bc2a1cebc1e674377026d24bee7518591b124f0c5eeaa62d0872"
 	)
 	sum := sha256.Sum256(pkt.Data)
@@ -134,6 +138,58 @@ func TestTransportPacketGolden(t *testing.T) {
 	got, err := openPacket(s, pkt, make([]byte, len(pkt.Data)))
 	if err != nil || !bytes.Equal(got, plain) {
 		t.Fatalf("the golden packet does not open to its plaintext (err %v)", err)
+	}
+}
+
+// TestOpenRefusesForgedTags: a packet whose data, seq or tag was changed
+// after sealing, or whose tag was made under another session's TIK or
+// belongs to another packet, fails its tag with ErrBadTag, and the
+// genuine packets still open.
+func TestOpenRefusesForgedTags(t *testing.T) {
+	tk := TransportKeys{TEK: [32]byte{1}, TIK: [32]byte{2}}
+	s := newSession(tk)
+	other := newSession(TransportKeys{TEK: tk.TEK, TIK: [32]byte{3}})
+	a := sealPacket(s, 5, bytes.Repeat([]byte{0xA5}, hw.PageSize))
+	b := sealPacket(s, 6, bytes.Repeat([]byte{0x5A}, hw.PageSize))
+	for _, tc := range []struct {
+		name   string
+		forge  func(p *Packet)
+		packet Packet
+	}{
+		{"one flipped data bit", func(p *Packet) { p.Data[100] ^= 0x10 }, a},
+		{"seq+1", func(p *Packet) { p.Seq++ }, a},
+		{"nonzero byte in Tag[16:]", func(p *Packet) { p.Tag[31] = 1 }, a},
+		{"tag under another session's TIK", func(p *Packet) { p.Tag = other.tagWith(p.Seq, p.Data) }, a},
+		{"tags swapped, first packet", func(p *Packet) { p.Tag = b.Tag }, a},
+		{"tags swapped, second packet", func(p *Packet) { p.Tag = a.Tag }, b},
+	} {
+		bad := tc.packet
+		bad.Data = append([]byte(nil), tc.packet.Data...)
+		tc.forge(&bad)
+		if _, err := openPacket(s, bad, slab(1)); !errors.Is(err, ErrBadTag) {
+			t.Errorf("%s: got %v, want ErrBadTag", tc.name, err)
+		}
+	}
+	for _, pkt := range []Packet{a, b} {
+		if _, err := openPacket(s, pkt, slab(1)); err != nil {
+			t.Errorf("genuine packet seq %d: %v", pkt.Seq, err)
+		}
+	}
+}
+
+// BenchmarkPacketSealOpen measures one 4 KiB transport packet sealed
+// (CTR keystream and tag) and opened again (tag check and keystream).
+func BenchmarkPacketSealOpen(b *testing.B) {
+	s := newSession(TransportKeys{TEK: [32]byte{1}, TIK: [32]byte{2}})
+	page, plain := slab(1), slab(1)
+	b.ReportAllocs()
+	b.SetBytes(hw.PageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pkt := sealPacket(s, uint64(i), page)
+		if _, err := openPacket(s, pkt, plain); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -195,8 +251,9 @@ func TestSendUpdateRefusesMisSizedBuffer(t *testing.T) {
 
 // TestPacketCryptoAllocatesNothing: on the AES-NI kernel, sealing and
 // opening one page allocates nothing. The TEK's round keys are expanded
-// once per session and handed to the kernel by reference, and the HMAC
-// state comes from the session's free list.
+// once per session and handed to the kernel by reference, the TIK's GCM
+// state is built with the session, and the tag's nonce and output
+// buffers come from the session's free list.
 func TestPacketCryptoAllocatesNothing(t *testing.T) {
 	if !hw.HaveKernels() {
 		t.Skip("no CTR kernel in this build: each packet builds a cipher.NewCTR stream")
@@ -223,7 +280,7 @@ func TestPacketCryptoAllocatesNothing(t *testing.T) {
 // measured on an empty batch (the fan-out closure, plus the lock-rank
 // checker's bookkeeping when it is armed), plus one allocation for a
 // SEND_UPDATE batch's packet slice. The transport session, the page
-// buffer and the HMAC state are all reused, and on the AES-NI kernel a
+// buffer and the tag scratch are all reused, and on the AES-NI kernel a
 // packet allocates nothing; without it (another architecture or a -race
 // build) each packet adds one cipher.NewCTR stream.
 func TestBulkTransportAllocations(t *testing.T) {
